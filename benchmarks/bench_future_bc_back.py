@@ -1,14 +1,15 @@
 """Future work (Section 8) — blocked bulge-chasing back transformation.
 
 The paper leaves the BC back transformation (61% of the eigenvector path)
-as future work.  This repo implements the natural fix — WY-blocking runs
-of consecutive same-sweep reflectors into width-``g`` GEMMs — and prices
-it: past the break-even width the grouped scheme cuts the dominant stage
-several-fold, which would flip the Figure-16 "vectors" comparison.
+as future work.  This repo blocks the reflectors by diamonds — the
+step-``t`` reflectors of ``g`` consecutive sweeps form one compact-WY
+block of ``b+g-1`` rows and inner width ``g`` — and applies ``Q1`` as
+three GEMMs per block (``WavefrontBCResult.apply_q1``).
 
-``[simulated]`` — cost vs group width, and the resulting end-to-end EVD.
-``[measured]`` — the real blocked application: exactness vs the scalar
-loop and laptop wall time across group sizes.
+``[simulated]`` — cost vs group width at device scale, against the
+rank-1 replay and the paper's calibrated baseline.
+``[measured]`` — the production blocked ``apply_q1`` against the
+scalar-log oracle: exactness and wall time.
 """
 
 from __future__ import annotations
@@ -17,77 +18,69 @@ import numpy as np
 
 from repro.band.ops import random_symmetric_band
 from repro.bench.reporting import banner
-from repro.core.bc_back_transform import (
-    apply_q1_blocked,
-    blocked_bc_back_time,
-    blocked_q1_blocks,
-)
-from repro.core.bulge_chasing import bulge_chase
+from repro.core.bc_back_transform import blocked_bc_back_time
+from repro.core.bc_wavefront import bulge_chase_wavefront
+from repro.core.bulge_chasing import BulgeChasingResult
 from repro.gpusim import H100
+from repro.gpusim.roofline import sustained_gemm_tflops
 from repro.models.baselines import bc_back_transform_time
-from repro.models.proposed import proposed_evd_times
 
 N, B = 49152, 32
 GROUPS = [8, 16, 32, 64, 128, 256]
 
 
 def test_future_blocked_bcback_simulated(benchmark, report):
-    scalar = bc_back_transform_time(H100, N, B)
+    baseline = bc_back_transform_time(H100, N, B)
+    rank1 = 2.0 * N**3 / (sustained_gemm_tflops(H100, B, N, 1) * 1e12)
     rows = benchmark(
         lambda: [(g, blocked_bc_back_time(H100, N, B, g)) for g in GROUPS]
     )
-    report(banner("Future work: blocked BC back transformation (H100)",
+    report(banner("Future work: diamond-blocked BC back transformation (H100)",
                   "simulated"))
-    report(f"  today's scheme (paper's bottleneck): {scalar:7.1f} s")
+    report(f"  rank-1 reflector replay:          {rank1:7.1f} s")
+    report(f"  paper's calibrated bc_back stage: {baseline:7.1f} s")
     for g, t in rows:
-        mark = "  <- beats today's scheme" if t < scalar else ""
-        report(f"  WY group {g:4d}: {t:7.1f} s{mark}")
+        report(f"  diamond group {g:4d}: {t:7.1f} s")
     best = min(t for _, t in rows)
-    evd_today = proposed_evd_times(H100, N, True)
-    improved = evd_today.total - evd_today.stages["bc_back"] + best
-    report(f"  proposed EVD (vectors) today: {evd_today.total:6.1f} s "
-           f"(bc_back {evd_today.fraction('bc_back'):.0%})")
-    report(f"  with blocked bc_back:         {improved:6.1f} s "
-           f"({evd_today.total / improved:.2f}x end-to-end)")
-    assert best < scalar / 2
-    assert improved < evd_today.total
+    assert best < rank1 / 2
+
+
+def _wavefront_case(n: int = 200, b: int = 4):
+    A = random_symmetric_band(n, b, np.random.default_rng(60))
+    wf, _ = bulge_chase_wavefront(A, b)
+    return wf, BulgeChasingResult(d=wf.d, e=wf.e, reflectors=wf.reflectors)
 
 
 def test_future_blocked_bcback_measured(benchmark, report):
-    """Real numerics: the blocked application across group widths is
-    exact, and the laptop wall time already improves (fewer Python-level
-    operations, bigger GEMMs)."""
-    n, b = 200, 4
-    A = random_symmetric_band(n, b, np.random.default_rng(60))
-    bc = bulge_chase(A, b)
-    X = np.eye(n)
+    """Real numerics: the production blocked ``apply_q1`` (blocks built
+    inside every call) matches the scalar-log oracle."""
+    wf, oracle = _wavefront_case()
+    X = np.eye(wf.n)
 
     def run():
-        blocks = blocked_q1_blocks(bc, group=16)
         Y = X.copy()
-        apply_q1_blocked(blocks, Y)
+        wf.apply_q1(Y)
         return Y
 
     Y_blocked = benchmark(run)
     Y_scalar = X.copy()
-    bc.apply_q1(Y_scalar)
+    oracle.apply_q1(Y_scalar)
     err = np.max(np.abs(Y_blocked - Y_scalar))
     report(banner("Future work (measured): blocked vs scalar Q1", "measured"))
-    report(f"  n={n}, b={b}, reflectors={len(bc.reflectors)}")
+    report(f"  n={wf.n}, reflectors={wf.num_reflectors}, "
+           f"blocks={wf.q1_blocks().count}")
     report(f"  max deviation blocked vs scalar: {err:.2e}")
     assert err < 1e-12
 
 
 def test_future_scalar_bcback_measured(benchmark):
     """Scalar reference application for the pytest-benchmark comparison."""
-    n, b = 200, 4
-    A = random_symmetric_band(n, b, np.random.default_rng(60))
-    bc = bulge_chase(A, b)
-    X = np.eye(n)
+    _, oracle = _wavefront_case()
+    X = np.eye(oracle.n)
 
     def run():
         Y = X.copy()
-        bc.apply_q1(Y)
+        oracle.apply_q1(Y)
         return Y
 
     benchmark(run)

@@ -63,7 +63,7 @@ class LowerBandStorage:
         n = A.shape[0]
         b = int(bandwidth)
         ab = np.zeros((b + 1, n), dtype=A.dtype)
-        for i in range(b + 1):
+        for i in range(min(b, n - 1) + 1):
             ab[i, : n - i] = np.diagonal(A, -i)
         return cls(ab, b)
 

@@ -8,12 +8,7 @@ from .back_transform import (
     merge_blocks_recursive,
     q_from_blocks,
 )
-from .bc_back_transform import (
-    BCWyBlock,
-    apply_q1_blocked,
-    blocked_bc_back_time,
-    blocked_q1_blocks,
-)
+from .bc_back_transform import blocked_bc_back_time
 from .bc_pipeline import PipelineStats, bulge_chase_pipelined, pipeline_schedule
 from .bc_wavefront import (
     BCWavefrontGroup,
@@ -79,6 +74,7 @@ from .validation import (
     EmptyMatrixError,
     NonFiniteError,
     NonSquareError,
+    OperandShapeError,
     SymmetryError,
     check_symmetric,
     matrix_fingerprint,
@@ -86,7 +82,6 @@ from .validation import (
 
 __all__ = [
     "BCWavefrontGroup",
-    "BCWyBlock",
     "BandReductionResult",
     "BidiagResult",
     "BCReflector",
@@ -104,7 +99,6 @@ __all__ = [
     "WYBlock",
     "accumulate_wy",
     "apply_bc_task",
-    "apply_q1_blocked",
     "apply_householder_left",
     "apply_householder_right",
     "apply_householder_two_sided",
@@ -116,7 +110,6 @@ __all__ = [
     "auto_params",
     "build_q_from_compact_wy",
     "blocked_bc_back_time",
-    "blocked_q1_blocks",
     "build_q_from_wy",
     "bidiagonalize",
     "bulge_chase",
@@ -137,6 +130,7 @@ __all__ = [
     "matrix_fingerprint",
     "NonFiniteError",
     "NonSquareError",
+    "OperandShapeError",
     "SymmetryError",
     "golub_kahan_tridiagonal",
     "larft",

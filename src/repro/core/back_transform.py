@@ -226,8 +226,8 @@ def assemble_eigenvectors(
 
     ``U`` holds the tridiagonal eigenvectors (columns).  Returns a new
     host array; ``U`` is not modified.  ``Q1`` is applied on the host
-    (scalar reflector replay); the SBR factor runs on the context's
-    backend.
+    (diamond-blocked compact WY for wavefront results, the scalar log
+    otherwise); the SBR factor runs on the context's backend.
     """
     ctx = resolve_context(ctx)
     U = np.asarray(U)

@@ -1,25 +1,31 @@
 """Blocked bulge-chasing back transformation — the paper's future work.
 
 Section 6.2/8: applying the bulge-chasing reflectors to the eigenvector
-matrix ("the back transformation in BC") dominates the eigenvector path
-(61% of the proposed EVD) and is left as future work.  The inefficiency is
-structural: ``~n^2/(2b)`` rank-1 updates of length ``b``, each touching
-``n`` columns — pure BLAS2.
+matrix ("the back transformation in BC", ``Q1``) dominates the eigenvector
+path (61% of the proposed EVD) and is left as future work.  Applied one at
+a time it is ``~n^2/(2b)`` rank-1 updates of length ``b`` over ``n``
+columns — pure BLAS2.
 
-This module implements the natural fix: **WY-block the reflectors**.
-Within one sweep, consecutive chase reflectors act on *disjoint* row
-windows (task ``t`` covers rows ``[c_t + b, c_t + 2b)`` and task ``t+1``
-starts exactly ``b`` rows later), so any run of ``g`` consecutive same-
-sweep reflectors accumulates into a single WY block spanning ``g*b`` rows
-— and the application becomes a pair of width-``g`` GEMMs.  Because the
-grouped reflectors are consecutive in the global application order, the
-grouping is *exactly* order-preserving: the result is bit-compatible with
-the scalar loop (asserted by the tests).
+This module blocks the reflectors the way MAGMA and ELPA2 do, by
+**diamonds**: ``H(i, t)``, the reflector of sweep ``i`` step ``t``, acts
+on rows ``[i+1+t*b, i+1+(t+1)*b)``, so the step-``t`` reflectors of ``g``
+consecutive sweeps ``i0 .. i0+g-1`` sit on windows shifted by one row
+each.  Their compact-WY factor ``I - V T V^T`` has a dense
+``(b+g-1) x g`` lower-trapezoidal ``V`` of real inner width ``g``.
+(Reflectors of one sweep sit on *disjoint* windows, so grouping them
+instead gives a block-diagonal factor whose GEMMs mostly multiply zeros.)
 
-``blocked_q1_blocks`` builds the block list once; ``apply_q1_blocked``
-replays it (forward = ``Q1^T``, reverse = ``Q1``).  The companion model
-``blocked_bc_back_time`` prices the scheme at device scale for the
-future-work benchmark.
+Two reflectors conflict only as ``(i, t) -> (j, t-k)`` with ``j > i`` and
+``k >= 0``, so the block order "``i0`` ascending, ``t`` descending,
+sweeps ascending inside a block" is a topological order of the task DAG
+— the product equals every driver's commit-order ``Q1``, for the
+unbounded schedule and a ``max_sweeps`` cap alike.
+
+:func:`q1_blocks` builds every block at once (one scatter of the
+reflector stack, a batched forward ``larft`` for all ``T``);
+:func:`apply_q1_blocks` applies them as three GEMMs per block on a
+contiguous row slice.  :func:`blocked_bc_back_time` prices the scheme at
+device scale.
 """
 
 from __future__ import annotations
@@ -30,124 +36,133 @@ import numpy as np
 
 from ..gpusim.device import DeviceSpec
 from ..gpusim.roofline import sustained_gemm_tflops
-from .bulge_chasing import BCReflector, BulgeChasingResult
-from .householder import WYAccumulator
 
 __all__ = [
-    "BCWyBlock",
-    "blocked_q1_blocks",
-    "apply_q1_blocked",
+    "Q1_GROUP",
+    "Q1Blocks",
+    "q1_blocks",
+    "apply_q1_blocks",
     "blocked_bc_back_time",
 ]
 
+#: Sweeps per diamond block (``g``), fixed.  At n = 1024, b = 32 on two
+#: BLAS threads, 32 measured fastest (16 and 64: 1.4x and 1.2x slower).
+Q1_GROUP = 32
+
 
 @dataclass
-class BCWyBlock:
-    """One WY-accumulated run of consecutive same-sweep reflectors.
+class Q1Blocks:
+    """Diamond blocks of ``Q1``, in application order for ``Q1^T``.
 
-    ``Q_blk = I - W Y^T`` acting on global rows ``[offset, offset + rows)``.
+    Block ``k`` is ``I - V[k] T[k] V[k]^T`` acting on global rows
+    ``[offsets[k], offsets[k] + V.shape[1])``; rows at or past ``n`` hold
+    exact zeros.
     """
 
-    W: np.ndarray
-    Y: np.ndarray
-    offset: int
+    V: np.ndarray  # (B, b+g-1, g)
+    T: np.ndarray  # (B, g, g), upper triangular
+    offsets: np.ndarray  # (B,) int64
 
     @property
-    def width(self) -> int:
-        return self.W.shape[1]
-
-    @property
-    def rows(self) -> int:
-        return self.W.shape[0]
+    def count(self) -> int:
+        return self.offsets.size
 
 
-def _runs(reflectors: list[BCReflector], group: int):
-    """Split the reflector log into runs of up to ``group`` consecutive
-    same-sweep chase steps.
+def q1_blocks(
+    sweeps: np.ndarray,
+    steps: np.ndarray,
+    V: np.ndarray,
+    tau: np.ndarray,
+    group: int = Q1_GROUP,
+) -> Q1Blocks:
+    """Group reflectors ``H(i, t) = I - tau v v^T`` into diamond blocks.
 
-    The log is first re-sorted into sweep-major (sequential) order.  That
-    is a valid re-ordering even for logs recorded by the *pipelined*
-    chase: both are topological orders of the same task DAG, and any two
-    such orders differ only by swaps of data-disjoint — hence commuting —
-    reflectors, so the operator product is unchanged.
-    """
-    run: list[BCReflector] = []
-    for r in sorted(reflectors, key=lambda r: (r.sweep, r.step)):
-        if (
-            run
-            and (
-                r.sweep != run[-1].sweep
-                or r.step != run[-1].step + 1
-                or len(run) >= group
-            )
-        ):
-            yield run
-            run = []
-        run.append(r)
-    if run:
-        yield run
-
-
-def blocked_q1_blocks(
-    bc: BulgeChasingResult, group: int = 8
-) -> list[BCWyBlock]:
-    """Accumulate the reflector log into WY blocks of width <= ``group``.
-
-    The blocks, applied in list order, reproduce ``Q1^T``; applied in
-    reverse order they reproduce ``Q1``.
+    ``V`` is the ``(N, b)`` reflector stack (row ``s`` acting on rows
+    ``[sweeps[s] + 1 + steps[s]*b, ... + b)``, clipped tails zero), in
+    any order; the arithmetic stays in ``V``'s dtype.  Slots of a block
+    with no reflector get ``tau = 0`` (the identity).
     """
     if group < 1:
         raise ValueError("group must be >= 1")
-    blocks: list[BCWyBlock] = []
-    for run in _runs(bc.reflectors, group):
-        lo = min(r.offset for r in run)
-        hi = max(r.offset + r.v.size for r in run)
-        acc = WYAccumulator(hi - lo, capacity=len(run))
-        for r in run:
-            v = np.zeros(hi - lo, dtype=np.float64)
-            v[r.offset - lo : r.offset - lo + r.v.size] = r.v
-            acc.append(v, r.tau)
-        blocks.append(BCWyBlock(W=acc.W.copy(), Y=acc.Y.copy(), offset=lo))
-    return blocks
+    b = V.shape[1]
+    sweeps = np.asarray(sweeps, dtype=np.int64)
+    steps = np.asarray(steps, dtype=np.int64)
+    g = min(group, int(sweeps.max(initial=0)) + 1)
+    col = sweeps % g
+    # Block order: sweep group ascending, step descending.
+    tmax = int(steps.max(initial=0))
+    keys, blk = np.unique(
+        (sweeps // g) * (tmax + 1) + (tmax - steps), return_inverse=True
+    )
+    nb = keys.size
+    Vb = np.zeros((nb, b + g - 1, g), dtype=V.dtype)
+    for r in range(b):  # 1-D scatters: no (N, b) index arrays
+        Vb[blk, col + r, col] = V[:, r]
+    taub = np.zeros((nb, g), dtype=V.dtype)
+    taub[blk, col] = tau
+    # Batched forward larft, T[:j, j] = -tau_j T[:j, :j] (V[:, :j]^T v_j),
+    # built in place over the upper triangle of the Gram matrix V^T V.
+    T = np.matmul(Vb.transpose(0, 2, 1), Vb)
+    T[:, np.tri(g, k=-1, dtype=bool)] = 0.0
+    T[:, 0, 0] = taub[:, 0]
+    for j in range(1, g):
+        T[:, :j, j] = -taub[:, j, None] * np.matmul(T[:, :j, :j], T[:, :j, j, None])[..., 0]
+        T[:, j, j] = taub[:, j]
+    offsets = (keys // (tmax + 1)) * g + 1 + (tmax - keys % (tmax + 1)) * b
+    return Q1Blocks(V=Vb, T=T, offsets=offsets)
 
 
-def apply_q1_blocked(
-    blocks: list[BCWyBlock], X: np.ndarray, transpose: bool = False
+def apply_q1_blocks(
+    blocks: Q1Blocks, X: np.ndarray, transpose: bool = False
 ) -> None:
-    """In place ``X <- Q1 X`` (or ``Q1^T X``) through the WY blocks.
+    """In place ``X <- Q1 X`` (reverse block order) or ``Q1^T X``
+    (forward order, ``T^T``): ``X[o:o+R] -= V T V^T X[o:o+R]`` per block.
 
-    Each block is two GEMMs of inner width ``group`` instead of ``group``
-    rank-1 updates — the BLAS3 conversion the paper's future work asks for.
+    ``R`` is clipped at ``X.shape[0]`` (the clipped rows of ``V`` are
+    zero), so ``X`` is updated on contiguous row slices in place — no
+    gather, scatter or padded copy.
     """
-    ordered = blocks if transpose else reversed(blocks)
-    for blk in ordered:
-        sub = X[blk.offset : blk.offset + blk.rows, :]
-        if transpose:
-            sub -= blk.Y @ (blk.W.T @ sub)
+    n = X.shape[0]
+    R = blocks.V.shape[1]
+    # A column-major operand is updated through X^T, whose row slices
+    # keep each column's rows contiguous: (V T V^T S)^T = S^T V T^T V^T.
+    by_columns = X.ndim == 2 and abs(X.strides[0]) < abs(X.strides[1])
+    order = range(blocks.count) if transpose else range(blocks.count - 1, -1, -1)
+    for k in order:
+        o = int(blocks.offsets[k])
+        Vk = blocks.V[k, : min(R, n - o)]
+        Tk = blocks.T[k].T if transpose else blocks.T[k]
+        sub = X[o : o + Vk.shape[0]]
+        if by_columns:
+            sub = sub.T
+            sub -= ((sub @ Vk) @ Tk.T) @ Vk.T
         else:
-            sub -= blk.W @ (blk.Y.T @ sub)
+            sub -= Vk @ (Tk @ (Vk.T @ sub))
 
 
 def blocked_bc_back_time(
     device: DeviceSpec,
     n: int,
     b: int,
-    group: int = 8,
+    group: int = Q1_GROUP,
     ncols: int | None = None,
 ) -> float:
-    """Device-scale cost of the blocked BC back transformation.
+    """Device-scale cost of the diamond-blocked BC back transformation.
 
-    Same ``~2 n^2 ncols`` useful flops as the scalar scheme (plus the
-    small WY-accumulation overhead), but executed as inner-dimension
-    ``group`` GEMMs over ``(group*b + b)``-row windows — rated by the
-    sustained-GEMM curve instead of the rank-1 (k = 1 .. b) rate.
+    ``~n^2/(2 b g)`` blocks, each three GEMMs over ``(b+g-1)``-row
+    windows at inner width ``g`` (``V^T X``, ``T W``, ``V W``): the
+    ``~2 n^2 ncols`` useful flops inflated by the extra ``g-1`` rows and
+    the ``T`` product, rated by the sustained-GEMM curve instead of the
+    rank-1 (k = 1 .. b) rate; plus the batched ``larft`` that builds
+    ``T`` (``V^T V`` and ``g`` triangular products per block).
     """
     m_cols = ncols if ncols is not None else n
-    width = group
-    rows = group * b + b
-    rate = sustained_gemm_tflops(device, rows, m_cols, width) * 1e12
-    useful = 2.0 * float(n) ** 2 * m_cols
-    # WY accumulation: ~2 rows * width^2 per block, n^2/(2 b group) blocks.
-    accum = 2.0 * rows * width * width * (float(n) ** 2 / (2.0 * b * max(group, 1)))
-    accum_rate = sustained_gemm_tflops(device, rows, width, width) * 1e12
-    return useful / rate + accum / max(accum_rate, 1.0)
+    g = max(group, 1)
+    rows = b + g - 1
+    nblocks = float(n) ** 2 / (2.0 * b * g)
+    rate = sustained_gemm_tflops(device, rows, m_cols, g) * 1e12
+    t_rate = sustained_gemm_tflops(device, g, m_cols, g) * 1e12
+    apply = nblocks * (4.0 * rows * g * m_cols / rate + 2.0 * g * g * m_cols / t_rate)
+    build = nblocks * (2.0 * rows * g * g + g**3 / 3.0)
+    build_rate = sustained_gemm_tflops(device, rows, g, g) * 1e12
+    return apply + build / max(build_rate, 1.0)

@@ -39,11 +39,11 @@ templates are built once, every workspace is preallocated and reused,
 and steady-state rounds allocate almost nothing.
 
 Reflectors stay in stacked form (:class:`BCWavefrontGroup`, one group
-per round), which makes the BC back transformation — the Section 6.2
-bottleneck — batch identically: a round's reflectors act on pairwise
-disjoint row windows, so ``apply_q1`` applies a whole round to the
-eigenvector matrix in one batched rank-1 update instead of ``S`` scalar
-ones.
+per round).  The BC back transformation — the Section 6.2 bottleneck —
+regroups them by diamonds (the step-``t`` reflectors of consecutive
+sweeps, :mod:`repro.core.bc_back_transform`) so ``apply_q1`` runs as
+three GEMMs per compact-WY block instead of one rank-1 update per
+reflector.
 
 The result is numerically the same chase as the sequential oracle
 (:func:`repro.core.bulge_chasing.bulge_chase`): the schedule only
@@ -61,6 +61,7 @@ import numpy as np
 
 from ..backend.context import ExecutionContext, resolve_context
 from .bc_pipeline import SAFETY_TASKS, PipelineStats, pipeline_schedule
+from .bc_back_transform import Q1Blocks, apply_q1_blocks, q1_blocks
 from .bulge_chasing import BCReflector, BulgeChasingResult
 from .householder import batched_make_householder
 
@@ -78,12 +79,11 @@ class BCWavefrontGroup:
     Row ``s`` encodes ``H_s = I - tau[s] V[s] V[s]^T`` acting on global
     rows ``[offsets[s], offsets[s] + V.shape[1])``.  All row windows of a
     round are pairwise disjoint (the spin-lock rule separates in-flight
-    sweeps by ``>= 2b - 1`` rows), so the ``H_s`` commute and the whole
-    round can be applied as one stacked update.
+    sweeps by ``>= 2b - 1`` rows), so the ``H_s`` commute.
 
     Edge-clipped reflectors are zero-padded to the group length, so
-    ``offsets[s] + length`` may exceed ``n``; callers apply groups to a
-    row-padded target (see :meth:`WavefrontBCResult.apply_q1`).
+    ``offsets[s] + length`` may exceed ``n``; the padded tails are exact
+    zeros.
     """
 
     offsets: np.ndarray  # (S,) int64 — global first row of each reflector
@@ -100,24 +100,6 @@ class BCWavefrontGroup:
     def length(self) -> int:
         return self.V.shape[1]
 
-    def apply(self, X: np.ndarray) -> None:
-        """In place ``X <- (prod_s H_s) X`` (order irrelevant: disjoint rows).
-
-        ``X`` must have at least ``offsets.max() + length`` rows.
-        """
-        m = self.V.shape[1]
-        if self.size == 1:
-            off = int(self.offsets[0])
-            v = self.V[0]
-            sub = X[off : off + m, :]
-            sub -= np.outer(float(self.tau[0]) * v, v @ sub)
-            return
-        rows = self.offsets[:, None] + np.arange(m)[None, :]
-        sub = X[rows]  # (S, m, k) gather
-        w = np.matmul(self.V[:, None, :], sub)  # (S, 1, k)
-        sub -= (self.tau[:, None] * self.V)[:, :, None] * w
-        X[rows] = sub
-
 
 class WavefrontBCResult(BulgeChasingResult):
     """Bulge-chasing result in stacked (wavefront) reflector form.
@@ -126,8 +108,9 @@ class WavefrontBCResult(BulgeChasingResult):
     materializes the scalar log lazily (round-major commit order, a valid
     topological order of the task DAG, with the zero padding of
     edge-clipped reflectors trimmed off) — while ``apply_q1`` /
-    ``apply_q1_transpose`` replay the stacked groups directly: one batched
-    update per round instead of one rank-1 update per reflector.
+    ``apply_q1_transpose`` regroup the stacked groups into diamond
+    compact-WY blocks: three GEMMs per block instead of one rank-1 update
+    per reflector.
     """
 
     def __init__(
@@ -136,13 +119,11 @@ class WavefrontBCResult(BulgeChasingResult):
         e: np.ndarray,
         round_groups: list[BCWavefrontGroup],
         flops: float = 0.0,
-        row_pad: int = 0,
     ):
         self.d = d
         self.e = e
         self.flops = flops
         self.round_groups = round_groups
-        self.row_pad = row_pad  # max rows a padded reflector hangs past n
         self._materialized: list[BCReflector] | None = None
 
     @property
@@ -178,33 +159,26 @@ class WavefrontBCResult(BulgeChasingResult):
         """Reflector count without materializing the scalar log."""
         return sum(g.size for g in self.round_groups)
 
-    def _replay(self, X: np.ndarray, reverse: bool) -> None:
-        n = X.shape[0]
-        pad = self.row_pad
-        if pad:
-            Xw = np.zeros((n + pad, X.shape[1]), dtype=X.dtype)
-            Xw[:n] = X
-        else:
-            Xw = X
-        groups = reversed(self.round_groups) if reverse else self.round_groups
-        for g in groups:
-            g.apply(Xw)
-        if pad:
-            X[:] = Xw[:n]
+    def q1_blocks(self) -> Q1Blocks:
+        """The diamond WY blocks of ``Q1`` (built on every call, not cached)."""
+        gs = self.round_groups
+        if not gs:
+            return q1_blocks(np.zeros(0), np.zeros(0), np.zeros((0, 1)), np.zeros(0))
+        return q1_blocks(
+            np.concatenate([g.sweeps for g in gs]),
+            np.concatenate([g.steps for g in gs]),
+            np.concatenate([g.V for g in gs]),
+            np.concatenate([g.tau for g in gs]),
+        )
 
     def apply_q1(self, X: np.ndarray) -> None:
-        """In place ``X <- Q1 X``, one batched update per round.
-
-        ``Q1`` is the seq-ordered reflector product, so rounds are applied
-        in reverse; within a round the reflectors commute (disjoint rows)
-        and go on in one stacked operation — the wavefront batching of the
-        BC back transformation.
-        """
-        self._replay(X, reverse=True)
+        """In place ``X <- Q1 X`` through the diamond-blocked compact WY
+        form (:mod:`repro.core.bc_back_transform`): three GEMMs per block."""
+        apply_q1_blocks(self.q1_blocks(), X)
 
     def apply_q1_transpose(self, X: np.ndarray) -> None:
-        """In place ``X <- Q1^T X`` (forward round order)."""
-        self._replay(X, reverse=False)
+        """In place ``X <- Q1^T X`` (forward block order, ``T^T``)."""
+        apply_q1_blocks(self.q1_blocks(), X, transpose=True)
 
 
 class _RoundKernel:
@@ -508,7 +482,7 @@ def bulge_chase_wavefront(
             start_sweep: int | None,
         ) -> None:
             V, tau = kernel.run(flat, chase_los, start_sweep)
-            # Groups are host-side (the replay path and downstream
+            # Groups are host-side (the Q1 application and downstream
             # consumers expect NumPy); on NumPy this is the identity.
             V, tau = ctx.to_numpy(V), ctx.to_numpy(tau)
             nc = chase_los.size
@@ -606,9 +580,4 @@ def bulge_chase_wavefront(
 
     d = ctx.to_numpy_copy(work[0, :n])
     e = ctx.to_numpy_copy(work[1, : n - 1])
-    return (
-        WavefrontBCResult(
-            d=d, e=e, round_groups=round_groups, flops=flops, row_pad=bw
-        ),
-        stats,
-    )
+    return WavefrontBCResult(d=d, e=e, round_groups=round_groups, flops=flops), stats

@@ -50,13 +50,12 @@ def save_tridiag(path, result: TridiagResult) -> None:
             data["block_W"] = np.concatenate([b.W.ravel() for b in br.blocks])
             data["block_Y"] = np.concatenate([b.Y.ravel() for b in br.blocks])
     if isinstance(result.bc_result, WavefrontBCResult):
-        # Keep the stacked (per-round) form: a reloaded result then
-        # replays ``apply_q1`` through the identical batched kernels,
-        # so the round trip stays bit-exact.
+        # Keep the stacked (per-round) form: a reloaded result rebuilds
+        # the same diamond blocks from identical stacks, so ``apply_q1``
+        # stays bit-exact across the round trip.
         wf = result.bc_result
         groups = wf.round_groups
         data["bc_flops"] = np.array(wf.flops)
-        data["wf_row_pad"] = np.array(wf.row_pad)
         data["wf_sizes"] = np.array([g.size for g in groups], dtype=np.int64)
         if groups:
             data["wf_offsets"] = np.concatenate([g.offsets for g in groups])
@@ -232,7 +231,6 @@ def load_tridiag(path) -> TridiagResult:
                 e=e.copy(),
                 round_groups=groups,
                 flops=float(z["bc_flops"]),
-                row_pad=int(z["wf_row_pad"]),
             )
         elif "refl_sweep" in z:
             bc_result = BulgeChasingResult(

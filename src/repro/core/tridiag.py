@@ -44,6 +44,7 @@ from .dbbr import dbbr
 from .direct_tridiag import DirectTridiagResult, direct_tridiagonalize
 from .sbr import sbr
 from .tile_sbr import TileBandReductionResult, tile_sbr
+from .validation import OperandShapeError
 
 __all__ = [
     "TridiagResult",
@@ -79,8 +80,18 @@ class TridiagResult:
     def n(self) -> int:
         return self.d.size
 
+    def _check_operand(self, X: np.ndarray) -> None:
+        if np.ndim(X) != 2 or np.shape(X)[0] != self.n:
+            raise OperandShapeError(
+                f"expected an operand of shape ({self.n}, k), got {np.shape(X)}"
+            )
+
     def apply_q(self, X: np.ndarray) -> None:
-        """In place ``X <- Q X`` — the full back transformation."""
+        """In place ``X <- Q X`` — the full back transformation.
+
+        Raises :class:`OperandShapeError` unless ``X`` is 2-D with ``n`` rows.
+        """
+        self._check_operand(X)
         if self.direct_result is not None:
             self.direct_result.apply_q(X)
             return
@@ -101,7 +112,8 @@ class TridiagResult:
         )
 
     def apply_q_transpose(self, X: np.ndarray) -> None:
-        """In place ``X <- Q^T X``."""
+        """In place ``X <- Q^T X`` (same operand contract as :meth:`apply_q`)."""
+        self._check_operand(X)
         if self.direct_result is not None:
             self.direct_result.apply_q_transpose(X)
             return

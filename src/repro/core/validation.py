@@ -36,6 +36,7 @@ __all__ = [
     "NonSquareError",
     "NonFiniteError",
     "EmptyMatrixError",
+    "OperandShapeError",
 ]
 
 #: Relative asymmetry beyond which the input is rejected rather than
@@ -59,6 +60,10 @@ class NonFiniteError(ReproError, ValueError):
 class EmptyMatrixError(ReproError, ValueError):
     """The input has zero rows/columns — there is no eigenproblem to
     solve (and the kernels' ``n >= 1`` assumptions would trip)."""
+
+
+class OperandShapeError(ReproError, ValueError):
+    """An operand of ``Q``/``Q^T`` is not 2-D with ``n`` rows."""
 
 
 class PrecisionWarning(UserWarning):

@@ -7,6 +7,8 @@ import pytest
 
 from repro.band.storage import dense_from_band
 from repro.core.tridiag import auto_params, tridiagonalize
+from repro.core.validation import OperandShapeError
+from repro.resilience import ReproError
 from tests.conftest import make_symmetric
 
 
@@ -44,6 +46,22 @@ class TestDriver:
             res.apply_q(Y)
             res.apply_q_transpose(Y)
             assert np.allclose(X, Y, atol=1e-12), method
+
+    @pytest.mark.parametrize("method", ["dbbr", "sbr", "direct", "tile"])
+    @pytest.mark.parametrize("shape", [(45, 3), (35, 3), (40,), (40, 2, 2)])
+    def test_wrong_shape_operand_is_typed_error(self, method, shape):
+        # A taller operand used to be half-updated in silence by the tile
+        # path, and a 1-D one raised a bare IndexError.
+        res = tridiagonalize(
+            make_symmetric(40, seed=47), method=method, bandwidth=4, second_block=8
+        )
+        for apply in (res.apply_q, res.apply_q_transpose):
+            X = np.ones(shape)
+            with pytest.raises(OperandShapeError, match=r"\(40, k\)"):
+                apply(X)
+            assert np.all(X == 1.0)
+        assert issubclass(OperandShapeError, ReproError)
+        assert issubclass(OperandShapeError, ValueError)
 
     def test_pipelined_and_sequential_identical(self):
         A = make_symmetric(36, seed=46)

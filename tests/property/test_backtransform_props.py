@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from repro.band.ops import random_symmetric_band
 from repro.core.back_transform import q_from_blocks
-from repro.core.bc_back_transform import apply_q1_blocked, blocked_q1_blocks
+from repro.core.bc_back_transform import apply_q1_blocks
 from repro.core.bulge_chasing import bulge_chase
 from repro.core.dbbr import dbbr
+from tests.conftest import blocks_from_log
 
 
 def _sym(n: int, seed: int) -> np.ndarray:
@@ -57,18 +58,18 @@ def bc_case(draw):
 @settings(max_examples=30, deadline=None)
 @given(bc_case())
 def test_blocked_bc_back_exact_for_any_group(case):
-    """WY-blocking the reflector log is order-preserving for every group
-    width: blocked Q1 equals the scalar Q1."""
+    """Diamond WY-blocking of the reflector log reproduces the commit-order
+    product for every group width: blocked Q1 equals the scalar Q1."""
     n, b, group, seed = case
     A = random_symmetric_band(n, b, np.random.default_rng(seed))
     bc = bulge_chase(A, b)
-    blocks = blocked_q1_blocks(bc, group=group)
+    blocks = blocks_from_log(bc, b, group)
     X = np.random.default_rng(seed + 1).standard_normal((n, 3))
     Y1 = X.copy()
     bc.apply_q1(Y1)
     Y2 = X.copy()
-    apply_q1_blocked(blocks, Y2)
+    apply_q1_blocks(blocks, Y2)
     assert np.allclose(Y1, Y2, atol=1e-10)
     # Round trip through the transpose.
-    apply_q1_blocked(blocks, Y2, transpose=True)
+    apply_q1_blocks(blocks, Y2, transpose=True)
     assert np.allclose(Y2, X, atol=1e-10)

@@ -54,7 +54,6 @@ PUBLIC_API = {
         "pipeline_schedule", "sweep_tasks", "apply_bc_task",
         "apply_sbr_q", "assemble_eigenvectors", "q_from_blocks",
         "merge_blocks_recursive", "merge_blocks_grouped",
-        "blocked_q1_blocks", "apply_q1_blocked",
         "tridiagonalize", "eigh", "eigh_partial", "eigh_stacked",
         "auto_params", "save_tridiag", "load_tridiag",
         "save_evd", "load_evd",
