@@ -6,19 +6,17 @@ wastes parallelism; (b) warp-grouping factor (sweeps per SM) in the
 optimized BC.
 
 ``[simulated]`` — makespan vs safety distance and vs sweeps-per-SM.
-``[measured]`` — numeric proof that the 3-task distance is exactly safe:
-the pipelined result equals sequential for every tested matrix, while the
-round count grows with artificially larger distances.
+``[measured]`` — the lockstep round count of the real schedule
+(:func:`repro.core.bc_pipeline.pipeline_schedule`) grows with
+artificially larger distances.  That the 3-task distance is exactly safe
+(the schedule reproduces the sequential chase bit for bit) is asserted
+by the test suite's ``chase_in_schedule`` oracle.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.band.ops import random_symmetric_band
 from repro.bench.reporting import banner
 from repro.core import bc_pipeline
-from repro.core.bulge_chasing import bulge_chase
 from repro.gpusim import H100, bc_task_time_gpu, simulate_bc_pipeline
 
 N, B = 49152, 32
@@ -64,28 +62,23 @@ def test_ablation_sweeps_per_sm_simulated(benchmark, report):
 
 
 def test_ablation_safety_distance_measured(benchmark, report):
-    """Numeric safety proof at the paper's distance, plus cost of larger
-    distances in lockstep rounds."""
+    """Cost of larger safety distances in lockstep rounds of the real
+    schedule."""
     n, b = 120, 4
-    Bm = random_symmetric_band(n, b, np.random.default_rng(21))
-    seq = bulge_chase(Bm, b)
 
     def run():
-        results = {}
+        rounds = {}
         original = bc_pipeline.SAFETY_TASKS
         try:
             for dist in (3, 5, 8):
                 bc_pipeline.SAFETY_TASKS = dist
-                res, stats = bc_pipeline.bulge_chase_pipelined(Bm, b)
-                results[dist] = (res, stats.rounds)
+                rounds[dist] = bc_pipeline.pipeline_schedule(n, b)[1].rounds
         finally:
             bc_pipeline.SAFETY_TASKS = original
-        return results
+        return rounds
 
-    results = benchmark(run)
+    rounds = benchmark(run)
     report(banner("Ablation (measured): safety distance vs rounds", "measured"))
-    for dist, (res, rounds) in results.items():
-        ok = np.array_equal(res.d, seq.d)
-        report(f"  distance {dist}: rounds={rounds:5d}, exact={ok}")
-        assert ok
-    assert results[3][1] <= results[5][1] <= results[8][1]
+    for dist, r in rounds.items():
+        report(f"  distance {dist}: rounds={r:5d}")
+    assert rounds[3] <= rounds[5] <= rounds[8]

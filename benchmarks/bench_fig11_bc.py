@@ -5,9 +5,9 @@ to 5.9x faster than MAGMA's CPU sb2st; the optimized version (packed band
 in L2, warp-per-sweep, prefetch) reaches 12.5x at large n.
 
 ``[simulated]`` — all three implementations priced at device scale.
-``[measured]`` — the real pipelined bulge chasing at laptop scale: the
-pipeline schedule with many sweeps does the same arithmetic as serial, and
-the lockstep round count shrinks with allowed parallelism.
+``[measured]`` — the real pipelined bulge chasing (the wavefront engine)
+at laptop scale: the lockstep round count shrinks with allowed
+parallelism.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.band.ops import random_symmetric_band
 from repro.bench.reporting import banner
-from repro.core.bc_pipeline import bulge_chase_pipelined
+from repro.core.bc_wavefront import bulge_chase_wavefront
 from repro.gpusim import CPU_8_CORE, H100
 from repro.models.baselines import magma_sb2st_time
 from repro.models.proposed import gpu_bc_time
@@ -59,11 +59,11 @@ def test_fig11_pipelined_bc_measured(benchmark, report):
     Bm = random_symmetric_band(n, b, np.random.default_rng(11))
 
     def run():
-        res, stats = bulge_chase_pipelined(Bm, b, max_sweeps=None)
+        res, stats = bulge_chase_wavefront(Bm, b, max_sweeps=None)
         return res, stats
 
     res, stats = benchmark(run)
-    _, serial_stats = bulge_chase_pipelined(Bm, b, max_sweeps=1)
+    _, serial_stats = bulge_chase_wavefront(Bm, b, max_sweeps=1)
     report(banner(f"Figure 11 analogue: pipeline rounds, n = {n}, b = {b}", "measured"))
     report(f"  serial rounds:    {serial_stats.rounds}")
     report(f"  pipelined rounds: {stats.rounds}  "
@@ -75,5 +75,5 @@ def test_fig11_pipelined_bc_measured(benchmark, report):
 def test_fig11_serial_bc_measured(benchmark):
     n, b = 160, 4
     Bm = random_symmetric_band(n, b, np.random.default_rng(11))
-    res, _ = benchmark(lambda: bulge_chase_pipelined(Bm, b, max_sweeps=1))
+    res, _ = benchmark(lambda: bulge_chase_wavefront(Bm, b, max_sweeps=1))
     assert res.d.size == n

@@ -1,10 +1,12 @@
-"""Wavefront-batched vs per-task bulge chasing — the tentpole speedup.
+"""Wavefront-batched vs sequential bulge chasing.
 
-Both drivers execute the *same* pipelined schedule; the per-task driver
-issues one tiny NumPy call per bulge, the wavefront driver one stacked
-operation per round (:mod:`repro.core.bc_wavefront`).  ``[measured]``
-wall time only — this is a pure software-architecture comparison, no
-simulator involved.  Acceptance gate: >= 3x at n = 1024, b = 16.
+Both engines chase the same bulges with the same task kernel geometry;
+the sequential oracle (:func:`repro.core.bulge_chasing.bulge_chase`)
+issues one tiny NumPy call per bulge on a dense copy, the wavefront
+engine (:mod:`repro.core.bc_wavefront`) one stacked operation per
+pipeline round on band storage.  ``[measured]`` wall time only — this
+is a pure software-architecture comparison, no simulator involved.
+Acceptance gate: >= 3x at n = 1024, b = 16.
 
 Run directly (CI smoke mode finishes in a few seconds):
 
@@ -27,8 +29,8 @@ from repro.band.ops import random_symmetric_band
 from repro.band.storage import LowerBandStorage
 from repro.bench.reporting import banner, print_table, write_json_artifact
 from repro.bench.timing import measure
-from repro.core.bc_pipeline import bulge_chase_pipelined
 from repro.core.bc_wavefront import bulge_chase_wavefront
+from repro.core.bulge_chasing import bulge_chase
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
 
@@ -38,28 +40,28 @@ HEADLINE = (1024, 16)  # the >= 3x acceptance case
 
 
 def run_case(n: int, b: int, reps: int, backend: str = "numpy") -> dict:
-    """Time both drivers on one band matrix and cross-check numerics."""
+    """Time both engines on one band matrix and cross-check numerics."""
     A = random_symmetric_band(n, b, np.random.default_rng(1234 + n))
     lb = LowerBandStorage.from_dense(A, b)
     ctx = ExecutionContext(backend=get_backend(backend))
 
     t_wf = measure(lambda: bulge_chase_wavefront(lb, ctx=ctx), reps=reps)
-    t_pt = measure(lambda: bulge_chase_pipelined(A, b), reps=reps)
+    t_sq = measure(lambda: bulge_chase(A, b), reps=reps)
 
     wf, stats = bulge_chase_wavefront(lb, ctx=ctx)
-    pt, _ = bulge_chase_pipelined(A, b)
-    scale = max(np.max(np.abs(pt.d)), 1.0)
-    dev = max(np.max(np.abs(wf.d - pt.d)), np.max(np.abs(wf.e - pt.e))) / scale
+    sq = bulge_chase(A, b)
+    scale = max(np.max(np.abs(sq.d)), 1.0)
+    dev = max(np.max(np.abs(wf.d - sq.d)), np.max(np.abs(wf.e - sq.e))) / scale
 
     return {
         "n": n,
         "b": b,
-        "per_task_best_s": t_pt.best,
-        "per_task_mean_s": t_pt.mean,
+        "sequential_best_s": t_sq.best,
+        "sequential_mean_s": t_sq.mean,
         "wavefront_best_s": t_wf.best,
         "wavefront_mean_s": t_wf.mean,
-        "speedup_best": t_pt.best / t_wf.best,
-        "speedup_mean": t_pt.mean / t_wf.mean,
+        "speedup_best": t_sq.best / t_wf.best,
+        "speedup_mean": t_sq.mean / t_wf.mean,
         "max_rel_deviation": float(dev),
         "rounds": stats.rounds,
         "max_parallel": stats.max_parallel,
@@ -76,18 +78,18 @@ def run(
     cases = SMOKE_CASES if smoke else FULL_CASES
     backend_name = get_backend(backend).name
     print(banner(
-        f"Wavefront-batched vs per-task bulge chasing [backend: {backend_name}]",
+        f"Wavefront-batched vs sequential bulge chasing [backend: {backend_name}]",
         "measured",
     ))
     rows = [run_case(n, b, reps, backend=backend_name) for n, b in cases]
 
     print_table(
-        ["n", "b", "per-task best", "wavefront best", "speedup", "max rel dev"],
+        ["n", "b", "sequential best", "wavefront best", "speedup", "max rel dev"],
         [
             [
                 r["n"],
                 r["b"],
-                f"{r['per_task_best_s'] * 1e3:9.1f} ms",
+                f"{r['sequential_best_s'] * 1e3:9.1f} ms",
                 f"{r['wavefront_best_s'] * 1e3:9.1f} ms",
                 f"{r['speedup_best']:5.2f}x",
                 f"{r['max_rel_deviation']:.2e}",
@@ -124,7 +126,7 @@ def run(
 
 def test_wavefront_speedup_smoke(report):
     """Benchmark-suite entry: even at smoke scale the batched engine must
-    beat the per-task driver while agreeing numerically."""
+    beat the sequential chase while agreeing numerically."""
     r = run_case(*SMOKE_CASES[-1], reps=2)
     report(
         f"n={r['n']} b={r['b']}: {r['speedup_best']:.2f}x, "
@@ -151,7 +153,7 @@ def main(argv: list[str] | None = None) -> int:
         "--backend",
         default="numpy",
         choices=["numpy", "cupy", "torch", "auto"],
-        help="array backend for the wavefront driver",
+        help="array backend for the wavefront engine",
     )
     args = ap.parse_args(argv)
     run(smoke=args.smoke, reps=args.reps, write_json=args.json or None,

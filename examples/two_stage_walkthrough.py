@@ -5,7 +5,7 @@ intermediate object can be inspected:
 
   1. DBBR (Algorithm 1): full -> band, with deferred rank-2k updates;
   2. pipelined bulge chasing (Algorithm 2): band -> tridiagonal, with the
-     gCom-style sweep pipeline;
+     gCom-style sweep pipeline run one stacked operation per round;
   3. divide & conquer on the tridiagonal matrix;
   4. back transformation (Q1 then the SBR WY blocks, Figure 13 grouping).
 
@@ -19,7 +19,7 @@ import numpy as np
 from repro.band.ops import bandwidth_of, bandwidth_profile
 from repro.band.storage import dense_from_band
 from repro.core.back_transform import assemble_eigenvectors
-from repro.core.bc_pipeline import bulge_chase_pipelined
+from repro.core.bc_wavefront import bulge_chase_wavefront
 from repro.core.dbbr import dbbr
 from repro.eig.dc import dc_eigh
 
@@ -43,8 +43,8 @@ def main() -> None:
     print(f"  similarity check ||A - Q B Q^T||/||A|| = {recon:.2e}")
 
     # --- Stage 2: pipelined bulge chasing --------------------------------
-    bc, stats = bulge_chase_pipelined(red.band, b)
-    print(f"\nStage 2: pipelined bulge chasing")
+    bc, stats = bulge_chase_wavefront(red.band, b)
+    print(f"\nStage 2: pipelined bulge chasing (wavefront engine)")
     print(f"  tasks: {stats.total_tasks}, lockstep rounds: {stats.rounds}, "
           f"max parallel sweeps: {stats.max_parallel}")
     print(f"  serial would need {stats.total_tasks} rounds -> "

@@ -50,17 +50,9 @@ Public API highlights
     ``verify_evd`` tolerances — escalating to the full fp64 pipeline if
     refinement stalls.  :class:`~repro.precision.PrecisionPolicy`
     presets: ``"fp64"`` (bit-identical default), ``"mixed"``, ``"fp32"``.
-``repro.tune``
-    Empirical autotuning with a persistent per-device tuning database:
-    ``repro tune search`` measures candidate configurations (seeded
-    workloads, CV-guarded timing, model-pruned search) and records the
-    winner; ``eigh(A, tuning="auto")`` / ``plan_evd(..., tuning="auto")``
-    consult the store (falling back to ``"model"`` on a miss) without
-    ever changing ``cache_token`` identity or result bits relative to
-    the explicit knob spelling.
 """
 
-from . import backend, band, core, eig, plan, precision, resilience, serve, tune
+from . import backend, band, core, eig, plan, precision, resilience, serve
 from .backend import (
     ArrayBackend,
     BackendUnavailable,
@@ -99,7 +91,6 @@ from .resilience import (
     verify_tridiag,
 )
 from .serve import ServiceConfig, SolverService
-from .tune import TuneStoreError, TuningStore, tuned_service_config
 
 __version__ = "1.0.0"
 
@@ -149,9 +140,5 @@ __all__ = [
     "SolverService",
     "tridiag_qr_eigh",
     "tridiagonalize",
-    "tune",
-    "tuned_service_config",
-    "TuneStoreError",
-    "TuningStore",
     "__version__",
 ]

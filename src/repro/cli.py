@@ -14,11 +14,6 @@ Commands
 ``figure``       regenerate a paper figure's data from the calibrated model
 ``simulate-bc``  simulate the GPU bulge-chasing pipeline at any scale
 ``serve-bench``  load-test the async solver service against a serial loop
-``tune``         empirical autotuning: ``search`` measures candidate
-                 configurations and records the winner in the persistent
-                 per-device tuning database (``$REPRO_TUNE_DB``);
-                 ``show`` / ``export`` / ``import`` manage the database;
-                 consumed by ``--tuning auto`` / ``plan_evd(tuning="auto")``
 ``devices``      list the calibrated device presets
 
 Examples
@@ -33,8 +28,6 @@ Examples
     python -m repro figure fig15
     python -m repro simulate-bc --n 65536 --bandwidth 32 --sweeps 128
     python -m repro serve-bench --requests 200 --workers 4
-    python -m repro tune search --n 256 --budget 16 && python -m repro tune show
-    python -m repro plan --n 256 --method proposed --tuning auto
 """
 
 from __future__ import annotations
@@ -117,11 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--second-block", type=int, default=None)
     pl.add_argument("--max-sweeps", type=int, default=None)
     pl.add_argument("--tuning", default="manual",
-                    choices=["manual", "model", "auto"],
+                    choices=["manual", "model"],
                     help="'model' picks b/k by minimizing the calibrated "
-                         "analytical cost model instead of auto_params; "
-                         "'auto' consults the persistent tuning database "
-                         "(see 'repro tune') and falls back to 'model'")
+                         "analytical cost model instead of auto_params")
     pl.add_argument("--device", default="h100",
                     help="device preset for --tuning model and --explain")
     pl.add_argument("--explain", action="store_true",
@@ -174,56 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--seed", type=int, default=0)
     sv.add_argument("--json", metavar="PATH", default=None,
                     help="also write a BENCH_serve-style JSON artifact here")
-
-    tu = sub.add_parser(
-        "tune",
-        help="empirical autotuning: search knobs, manage the tuning DB",
-    )
-    tsub = tu.add_subparsers(dest="tune_command", required=True)
-
-    ts = tsub.add_parser(
-        "search",
-        help="measure candidate configurations and record the winner",
-    )
-    ts.add_argument("--n", type=int, default=256,
-                    help="problem size to tune (records under its "
-                         "power-of-two bucket)")
-    ts.add_argument("--method", default="proposed",
-                    help="preset or tridiagonalization method to tune, or "
-                         "'serve' for the dense-crossover batch threshold")
-    ts.add_argument("--backend", default="numpy",
-                    choices=["numpy", "cupy", "torch"])
-    ts.add_argument("--budget", type=int, default=32,
-                    help="max unique candidates measured (larger grids use "
-                         "model-pruned coordinate descent)")
-    ts.add_argument("--reps", type=int, default=5, help="timed reps per candidate")
-    ts.add_argument("--warmup", type=int, default=1)
-    ts.add_argument("--seed", type=int, default=1234, help="workload seed")
-    ts.add_argument("--device", default="h100",
-                    help="device preset for the model prior")
-    ts.add_argument("--include-dense", action="store_true",
-                    help="also consider the dense LAPACK tier as a candidate")
-    ts.add_argument("--sizes", type=int, nargs="+", default=None,
-                    help="probe sizes for --method serve")
-    ts.add_argument("--db", metavar="PATH", default=None,
-                    help="tuning database (default: $REPRO_TUNE_DB or "
-                         "~/.cache/repro/tune_db.json)")
-    ts.add_argument("--dry-run", action="store_true",
-                    help="search without writing the database")
-
-    tw = tsub.add_parser("show", help="list the tuning database's records")
-    tw.add_argument("--db", metavar="PATH", default=None)
-
-    te = tsub.add_parser("export", help="write the database as JSON")
-    te.add_argument("path", nargs="?", default="-",
-                    help="output file ('-' = stdout)")
-    te.add_argument("--db", metavar="PATH", default=None)
-
-    ti = tsub.add_parser("import", help="merge records from a JSON export")
-    ti.add_argument("path", help="JSON document written by 'repro tune export'")
-    ti.add_argument("--db", metavar="PATH", default=None)
-    ti.add_argument("--replace", action="store_true",
-                    help="replace the database instead of merging")
 
     sub.add_parser("devices", help="list calibrated device presets")
     return p
@@ -467,98 +408,6 @@ def _cmd_serve_bench(args) -> int:
     return 0 if payload["determinism"]["bit_identical_to_serial"] else 1
 
 
-def _cmd_tune(args) -> int:
-    from repro.tune import (
-        MeasureProtocol,
-        TuneStoreError,
-        TuningStore,
-        search,
-        search_serve_threshold,
-    )
-
-    if args.tune_command == "search":
-        protocol = MeasureProtocol(
-            warmup=args.warmup, reps=args.reps, seed=args.seed
-        )
-        store = TuningStore.load(args.db)
-        save = not args.dry_run
-        if args.method == "serve":
-            st = search_serve_threshold(
-                backend=args.backend, protocol=protocol, sizes=args.sizes,
-                store=store, save=save,
-            )
-            for probe in st.probes:
-                verdict = "dense" if probe["dense_wins"] else "pipeline"
-                print(f"  n={probe['n']:>5}  dense {probe['dense_s'] * 1e3:8.2f} ms  "
-                      f"pipeline {probe['pipeline_s'] * 1e3:8.2f} ms  -> {verdict}")
-            print(f"serve dense-crossover threshold: {st.threshold} "
-                  f"[{'recorded' if save else 'dry run'}: {store.path}]")
-            return 0
-        try:
-            res = search(
-                args.n, args.method, backend=args.backend, budget=args.budget,
-                protocol=protocol, device=args.device,
-                include_dense=args.include_dense, store=store, save=save,
-            )
-        except TuneStoreError as exc:
-            print(f"tune error: {exc}", file=sys.stderr)
-            return 2
-        print(f"tuned {args.method} at n={args.n} on {args.backend} "
-              f"({res.strategy}: {len(res.trials)} of {res.space_size} "
-              f"candidates measured)")
-        for t in res.trials:
-            mark = " <== best" if t.cache_token == res.best.cache_token else ""
-            prior = f"  model {t.prior_s * 1e3:8.2f} ms" if t.prior_s else ""
-            noisy = " (noisy)" if t.measurement.noisy else ""
-            print(f"  {t.candidate.label:<44} "
-                  f"{t.measurement.time_s * 1e3:8.2f} ms{prior}{noisy}{mark}")
-        if save:
-            print(f"recorded {res.store_key!r} -> {store.path}")
-        else:
-            print("dry run: database not written")
-        return 0
-
-    if args.tune_command == "show":
-        store = TuningStore.load(args.db)
-        if not len(store):
-            print(f"tuning database {store.path}: empty")
-            return 0
-        print(f"tuning database {store.path}: {len(store)} record(s)")
-        for key, rec in store:
-            knobs = ", ".join(f"{k}={v}" for k, v in sorted(rec.knobs.items()))
-            timing = f"  {rec.time_s * 1e3:8.2f} ms" if rec.time_s else ""
-            print(f"  {key:<60} {rec.method}: {knobs or '(defaults)'}{timing}")
-        return 0
-
-    if args.tune_command == "export":
-        store = TuningStore.load(args.db)
-        text = store.export_json()
-        if args.path == "-":
-            sys.stdout.write(text)
-        else:
-            import pathlib
-
-            pathlib.Path(args.path).write_text(text)
-            print(f"wrote {args.path} ({len(store)} record(s))")
-        return 0
-
-    # import
-    import pathlib
-
-    store = TuningStore.load(args.db)
-    try:
-        count = store.import_json(
-            pathlib.Path(args.path).read_text(), replace=args.replace
-        )
-        store.save()
-    except (OSError, TuneStoreError) as exc:
-        print(f"tune import failed: {exc}", file=sys.stderr)
-        return 2
-    print(f"imported {count} record(s) into {store.path} "
-          f"({'replaced' if args.replace else 'merged'}; now {len(store)})")
-    return 0
-
-
 def _cmd_devices(args) -> int:
     from repro.gpusim import CPU_8_CORE, H100, RTX4090
 
@@ -579,7 +428,6 @@ _COMMANDS = {
     "figure": _cmd_figure,
     "simulate-bc": _cmd_simulate_bc,
     "serve-bench": _cmd_serve_bench,
-    "tune": _cmd_tune,
     "devices": _cmd_devices,
 }
 

@@ -9,14 +9,13 @@ from .back_transform import (
     q_from_blocks,
 )
 from .bc_back_transform import blocked_bc_back_time
-from .bc_pipeline import PipelineStats, bulge_chase_pipelined, pipeline_schedule
+from .bc_pipeline import PipelineStats, pipeline_schedule
 from .bc_wavefront import (
     BCWavefrontGroup,
     WavefrontBCResult,
     bulge_chase_wavefront,
 )
 from .blocks import BandReductionResult, WYBlock
-from .bulge_chasing_band import WorkingBand, bulge_chase_band
 from .bulge_chasing import (
     BCReflector,
     BCTask,
@@ -113,8 +112,6 @@ __all__ = [
     "build_q_from_wy",
     "bidiagonalize",
     "bulge_chase",
-    "bulge_chase_band",
-    "bulge_chase_pipelined",
     "bulge_chase_wavefront",
     "cholesky_lower",
     "dbbr",
@@ -163,5 +160,4 @@ __all__ = [
     "tile_task_dag",
     "tridiagonalize",
     "tridiagonalize_planned",
-    "WorkingBand",
 ]

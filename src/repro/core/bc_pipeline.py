@@ -1,4 +1,4 @@
-"""Pipelined multi-sweep bulge chasing — the GPU execution of Algorithm 2.
+"""Pipelined multi-sweep bulge chasing — the schedule of Algorithm 2.
 
 On the GPU the paper launches one thread block per sweep; sweep ``i+1``
 spins on a volatile flag array until sweep ``i``'s working row is at least
@@ -8,33 +8,24 @@ sweep ``i``'s task ``t`` may execute once sweep ``i-1`` has completed task
 **three** bulges (law ① of the Section 3.3 performance model).  Law ③ caps
 the number of in-flight sweeps at the hardware's capacity ``S``.
 
-This module executes that schedule **numerically**: tasks from up to ``S``
-sweeps are interleaved in lockstep *rounds* (one bulge per active sweep per
-round — a round is the "cycle" of the paper's performance model), using the
-same kernel as the sequential driver.  Because interleaving only reorders
-commuting (data-disjoint) tasks, the result is identical to sequential
-bulge chasing — which the test suite asserts — while the recorded schedule
-(rounds, occupancy, stalls) is what :mod:`repro.gpusim` prices and what the
-Figure 5 / Figure 12 benchmarks consume.
+:func:`pipeline_schedule` computes that schedule as lockstep *rounds*
+(one bulge per active sweep per round — a round is the "cycle" of the
+paper's performance model).  The tasks of a round are data-disjoint, so
+the schedule is a pure reordering of the sequential chase; the
+wavefront engine (:mod:`repro.core.bc_wavefront`) executes it one
+stacked operation per round when ``max_sweeps`` caps the pipeline, and
+the recorded statistics (rounds, occupancy, stalls) are what
+:mod:`repro.gpusim` prices and what the Figure 5 / Figure 12 benchmarks
+consume.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
+from .bulge_chasing import BCTask, sweep_tasks
 
-from ..backend.context import ExecutionContext, resolve_context
-from .bulge_chasing import (
-    BCReflector,
-    BCTask,
-    BulgeChasingResult,
-    apply_bc_task,
-    bc_task_flops,
-    sweep_tasks,
-)
-
-__all__ = ["PipelineStats", "pipeline_schedule", "bulge_chase_pipelined"]
+__all__ = ["PipelineStats", "pipeline_schedule"]
 
 #: A sweep may start only after its predecessor chased this many bulges
 #: (law 1 in Section 3.3; the 2b spin-lock distance of Algorithm 2).
@@ -157,56 +148,3 @@ def pipeline_schedule(
     stats.rounds = len(rounds)
     stats.max_parallel = max(stats.occupancy, default=0)
     return rounds, stats
-
-
-def bulge_chase_pipelined(
-    band: np.ndarray,
-    b: int,
-    max_sweeps: int | None = None,
-    ctx: ExecutionContext | None = None,
-) -> tuple[BulgeChasingResult, PipelineStats]:
-    """Numerically execute bulge chasing in the pipelined schedule.
-
-    Produces the same ``(d, e)`` and an equivalent reflector product as
-    :func:`repro.core.bulge_chasing.bulge_chase` (the interleaving only
-    swaps commuting tasks), plus the schedule statistics.
-
-    Like the sequential driver this is a **host oracle** (scalar task
-    loop); a ``ctx`` on a device backend stages the operand to the host.
-    The backend-resident execution of the same schedule is
-    :func:`repro.core.bc_wavefront.bulge_chase_wavefront`.
-    """
-    ctx = resolve_context(ctx)
-    if not ctx.is_numpy and ctx.backend.owns(band):
-        band = ctx.to_numpy(band)
-    band = np.asarray(band)
-    dt = band.dtype if band.dtype in (np.float32, np.float64) else np.float64
-    A = np.array(band, dtype=dt, copy=True)
-    n = A.shape[0]
-    if b < 1:
-        raise ValueError("bandwidth must be >= 1")
-    reflectors: list[BCReflector] = []
-    flops = 0.0
-    if b >= 2 and n >= 3:
-        rounds, stats = pipeline_schedule(n, b, max_sweeps)
-        seq = 0
-        for round_tasks in rounds:
-            for task in round_tasks:
-                off, v, tau = apply_bc_task(A, b, task)
-                reflectors.append(
-                    BCReflector(
-                        sweep=task.sweep,
-                        step=task.step,
-                        offset=off,
-                        v=v,
-                        tau=tau,
-                        seq=seq,
-                    )
-                )
-                flops += bc_task_flops(task, n, b)
-                seq += 1
-    else:
-        stats = PipelineStats()
-    d = np.diagonal(A).copy()
-    e = np.diagonal(A, -1).copy()
-    return BulgeChasingResult(d=d, e=e, reflectors=reflectors, flops=flops), stats

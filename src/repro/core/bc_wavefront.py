@@ -3,9 +3,9 @@
 The pipelined schedule of :mod:`repro.core.bc_pipeline` proves that many
 sweeps can chase bulges concurrently under the ``2b`` spin-lock rule, but
 executing that schedule one task at a time in Python leaves all the
-parallelism on the table: the "pipelined" driver performs the same number
-of tiny NumPy calls as the sequential one and BC dominates every
-wall-clock benchmark (the Figure 4 pathology the paper sets out to fix).
+parallelism on the table: it performs the same number of tiny NumPy
+calls as the sequential chase and BC dominates every wall-clock
+benchmark (the Figure 4 pathology the paper sets out to fix).
 
 This module executes the schedule the way the paper's GPU does — one wide
 operation per round — on a ``(2b+1) x (n + 3b)`` band-plus-bulge working
@@ -60,6 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..backend.context import ExecutionContext, resolve_context
+from ..band.storage import LowerBandStorage, PackedBandStorage
 from .bc_pipeline import SAFETY_TASKS, PipelineStats, pipeline_schedule
 from .bc_back_transform import Q1Blocks, apply_q1_blocks, q1_blocks
 from .bulge_chasing import BCReflector, BulgeChasingResult
@@ -366,10 +367,10 @@ class _RoundKernel:
 def _total_chase_flops(n: int, b: int) -> float:
     """Flop total of a full chase — ``sum(bc_task_flops)`` vectorized.
 
-    Every driver charges ``8 * length * (hi - lo)`` per task
+    Both engines charge ``8 * length * (hi - lo)`` per task
     (:func:`repro.core.bulge_chasing.bc_task_flops`); the terms are small
     integers, so the float64 sum is exact and order-independent — the
-    drivers' reported ``flops`` compare equal.
+    engines' reported ``flops`` compare equal.
     """
     if b < 2 or n < 3:
         return 0.0
@@ -405,6 +406,22 @@ def _unbounded_schedule_arrays(
     total_rounds = int(starts[-1] + ntasks[-1])
     stats = PipelineStats(total_tasks=int(ntasks.sum()))
     return starts, ntasks, total_rounds, stats
+
+
+def _coerce_band(band, b: int | None) -> LowerBandStorage:
+    if isinstance(band, LowerBandStorage):
+        return band
+    if isinstance(band, PackedBandStorage):
+        return band.to_lower_band()
+    A = np.asarray(band)
+    if A.dtype not in (np.float32, np.float64):
+        A = A.astype(np.float64)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError("band must be LowerBandStorage, PackedBandStorage, "
+                         "or a square dense array")
+    if b is None:
+        raise ValueError("bandwidth required for dense input")
+    return LowerBandStorage.from_dense(A, b)
 
 
 def bulge_chase_wavefront(
@@ -443,10 +460,9 @@ def bulge_chase_wavefront(
         ``result`` matches the sequential oracle
         :func:`repro.core.bulge_chasing.bulge_chase` to 1e-12 and carries
         the reflectors in stacked form; ``stats`` is the same pipeline
-        schedule statistic the per-task driver reports.
+        schedule statistic :func:`repro.core.bc_pipeline.pipeline_schedule`
+        reports.
     """
-    from .bulge_chasing_band import _coerce_band
-
     ctx = resolve_context(ctx)
     xp = ctx.xp
     lb = _coerce_band(band, b)

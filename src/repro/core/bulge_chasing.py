@@ -17,10 +17,11 @@ band until it falls off the matrix.  Sweep ``i`` consists of *tasks*
 
 Tasks of *different* sweeps may interleave as long as sweep ``i+1``'s task
 ``t`` runs after sweep ``i``'s task ``t+2`` (the ``gCom + 2b`` spin-lock
-rule); :mod:`repro.core.bc_pipeline` exploits that.  This module provides
-the task geometry (:func:`sweep_tasks`, :func:`task_window`), the numeric
-kernel (:func:`apply_bc_task`) shared by the sequential and pipelined
-drivers, and the sequential driver (:func:`bulge_chase`).
+rule); :mod:`repro.core.bc_pipeline` schedules that and
+:mod:`repro.core.bc_wavefront` executes it.  This module provides the
+task geometry (:func:`sweep_tasks`, :func:`task_window`), the numeric
+kernel (:func:`apply_bc_task`), and the sequential driver
+(:func:`bulge_chase`).
 
 Every reflector is logged with a global commit sequence number so that the
 orthogonal factor ``Q1`` (``B = Q1 T Q1^T``) can be applied afterwards —
@@ -194,10 +195,10 @@ def bc_task_flops(task: BCTask, n: int, b: int) -> float:
     """Flop count charged for one chase task: ``8 * len * window``.
 
     One reflector generation plus the two-sided rank-1 update over the
-    task's ``window = hi - lo`` columns (see :func:`task_window`).  All
-    drivers — sequential, band-resident, per-task pipelined, and
-    wavefront-batched — charge exactly this amount, so their reported
-    ``flops`` are comparable (and asserted identical by the tests).
+    task's ``window = hi - lo`` columns (see :func:`task_window`).  Both
+    engines — sequential and wavefront-batched — charge exactly this
+    amount, so their reported ``flops`` are comparable (and asserted
+    identical by the tests).
     """
     lo, hi = task_window(task, n, b)
     return 8.0 * task.length * (hi - lo)

@@ -139,7 +139,6 @@ def eigh(
     compute_vectors: bool = True,
     solver: str = "dc",
     backend: str | ArrayBackend | ExecutionContext | None = None,
-    secular_mode: str = "batched",
     fallback: str = "none",
     precision: str = "fp64",
     **tridiag_kwargs,
@@ -160,11 +159,6 @@ def eigh(
         Compute eigenvectors (the expensive back-transformation path).
     solver : {"dc", "qr", "bisect"}
         Tridiagonal eigensolver.
-    secular_mode : {"batched", "scalar"}
-        Secular-equation execution mode of the ``"dc"`` solver:
-        ``"batched"`` (default) iterates all roots of each merge as
-        stacked array sweeps, ``"scalar"`` is the original per-root loop
-        kept as a cross-check oracle (ignored by other solvers).
     backend : str, ArrayBackend or ExecutionContext, optional
         Execution substrate for the whole pipeline (see
         :func:`repro.core.tridiag.tridiagonalize`); stage times land in
@@ -208,7 +202,6 @@ def eigh(
         method,
         compute_vectors=compute_vectors,
         solver=solver,
-        secular_mode=secular_mode,
         backend=ctx.backend.name,
         fallback=fallback,
         precision=precision,

@@ -134,7 +134,6 @@ def svd(
     A: np.ndarray,
     compute_vectors: bool = True,
     backend: str | ArrayBackend | ExecutionContext | None = None,
-    secular_mode: str = "batched",
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Full SVD ``A = U diag(s) V^T`` via the reproduced pipeline.
 
@@ -151,9 +150,6 @@ def svd(
         does — the caller's backend, workspace pool, and stage-event
         hooks (``bidiagonalize``, ``tridiag_solver`` and the ``dc_*``
         sub-stages) all apply.
-    secular_mode : {"batched", "scalar"}
-        Secular-equation mode of the divide-and-conquer solve (see
-        :func:`repro.eig.dc_eigh`).
 
     Returns
     -------
@@ -167,9 +163,8 @@ def svd(
     if m < n:
         raise ValueError("svd expects m >= n; pass A.T and swap U/V")
     # The same validated SolverConfig + shared stage runner the EVD plan
-    # layer uses — a bad secular_mode fails here, at the entry point,
-    # with a PlanError naming the valid choices.
-    solver_cfg = make_solver_config("dc", compute_vectors, secular_mode)
+    # layer uses.
+    solver_cfg = make_solver_config("dc", compute_vectors)
     if n == 0:
         return np.zeros(0), None, None
     ctx = resolve_context(backend)

@@ -6,8 +6,8 @@ routine.
 
 * ``"dbbr"`` (proposed) — double-blocking band reduction to bandwidth ``b``
   with deferred rank-``2k`` updates, followed by pipelined (GPU-style)
-  bulge chasing — executed by the wavefront-batched engine
-  (:mod:`repro.core.bc_wavefront`) by default;
+  bulge chasing executed by the wavefront-batched engine
+  (:mod:`repro.core.bc_wavefront`);
 * ``"sbr"`` (MAGMA-like) — classic single-blocking band reduction followed
   by sequential bulge chasing;
 * ``"direct"`` (cuSOLVER-like) — one-stage blocked Householder
@@ -35,7 +35,7 @@ from ..plan.config import (
     TridiagConfig,
 )
 from ..plan.planner import auto_params, plan_tridiag
-from .bc_pipeline import PipelineStats, bulge_chase_pipelined
+from .bc_pipeline import PipelineStats
 from .bc_wavefront import bulge_chase_wavefront
 from .blocks import BandReductionResult
 from .bulge_chasing import BulgeChasingResult, bulge_chase
@@ -148,7 +148,6 @@ def tridiagonalize(
     bandwidth: int | None = None,
     second_block: int | None = None,
     pipelined: bool = True,
-    bc_driver: str = "wavefront",
     max_sweeps: int | None = None,
     syr2k_kind: str = "square",
     direct_block: int = 32,
@@ -172,15 +171,11 @@ def tridiagonalize(
         DBBR second block size ``k`` (auto if None; must be a multiple of
         ``bandwidth``).
     pipelined : bool
-        Use the multi-sweep pipelined bulge chasing (DBBR default); the
-        sequential chase is used otherwise.
-    bc_driver : {"wavefront", "pipelined"}
-        Execution engine for the pipelined chase.  ``"wavefront"``
-        (default) batches each pipeline round into stacked numpy
-        operations over band storage (:mod:`repro.core.bc_wavefront`);
-        ``"pipelined"`` runs the per-task dense driver, which is
-        bit-identical to the sequential chase.  Ignored when
-        ``pipelined`` is False.
+        ``True`` (default) runs the multi-sweep pipelined chase on the
+        wavefront-batched engine (:mod:`repro.core.bc_wavefront`), which
+        batches each pipeline round into stacked operations over band
+        storage; ``False`` runs the sequential dense chase
+        (:func:`repro.core.bulge_chasing.bulge_chase`).
     max_sweeps : int, optional
         Cap on concurrently in-flight sweeps ``S`` (None = unbounded).
     syr2k_kind : {"square", "rect", "reference"}
@@ -198,8 +193,12 @@ def tridiagonalize(
         instance, or a prepared :class:`~repro.backend.ExecutionContext`
         (e.g. carrying stage-timing hooks).  Default is host NumPy, which
         is bit-identical to the historical implementation.  Dtype
-        coercion to float64 happens here, once — kernels below assert
-        float64 instead of converting.
+        coercion happens here, once: the input becomes a float64 working
+        copy (a float32 input emits
+        :class:`~repro.precision.PrecisionWarning`) and the kernels below
+        follow the working copy's dtype instead of converting — the
+        mixed-precision driver runs them in float32 through
+        :func:`tridiagonalize_planned`.
     tuning : {"manual", "model"}
         ``"model"`` lets the calibrated cost models pick ``bandwidth``/
         ``second_block`` for ``device`` where the caller left them unset
@@ -230,7 +229,6 @@ def tridiagonalize(
         bandwidth=bandwidth,
         second_block=second_block,
         pipelined=pipelined,
-        bc_driver=bc_driver,
         max_sweeps=max_sweeps,
         syr2k_kind=syr2k_kind,
         direct_block=direct_block,
@@ -321,16 +319,9 @@ def _run_tridiag(
     stats: PipelineStats | None = None
     with ctx.stage("bulge_chasing", n=n, bandwidth=b, pipelined=bcfg.pipelined):
         if bcfg.pipelined:
-            if bcfg.bc_driver == "wavefront":
-                bc_res, stats = bulge_chase_wavefront(
-                    band_matrix, b, max_sweeps=bcfg.max_sweeps, ctx=ctx
-                )
-            elif bcfg.bc_driver == "pipelined":
-                bc_res, stats = bulge_chase_pipelined(
-                    band_matrix, b, max_sweeps=bcfg.max_sweeps, ctx=ctx
-                )
-            else:
-                raise ValueError(f"unknown bc_driver {bcfg.bc_driver!r}")
+            bc_res, stats = bulge_chase_wavefront(
+                band_matrix, b, max_sweeps=bcfg.max_sweeps, ctx=ctx
+            )
         else:
             bc_res = bulge_chase(band_matrix, b, ctx=ctx)
 

@@ -24,9 +24,9 @@ Every merge reports its three sub-stages (``dc_deflate``, ``dc_secular``,
 hooks, so ``SolverService.stats()`` and the benchmark artifacts can
 attribute D&C time below the ``tridiag_solver`` line.
 
-The secular stage runs vectorized (``secular_mode="batched"``) by
-default; ``secular_mode="scalar"`` selects the original per-root loops as
-a bit-exact oracle, mirroring the ``bc_driver="pipelined"`` precedent.
+The secular stage runs vectorized (``secular_mode="batched"``, what
+every plan executes); ``secular_mode="scalar"`` selects the original
+per-root loops, a bit-exact oracle the tests compare against.
 
 The eigenvalues-only path never forms eigenvectors: the tree carries
 just the *first and last rows* of each subproblem's eigenvector matrix

@@ -24,8 +24,9 @@ one root strictly inside each interval ``(d_i, d_{i+1})`` plus one beyond
 
 Each of the three stages comes in two modes (``mode="batched"`` default,
 ``mode="scalar"``).  The scalar mode is the original one-root-at-a-time
-implementation, kept bit-for-bit as a cross-check oracle (mirroring the
-``bc_driver="pipelined"`` precedent).  The batched mode executes the same
+implementation, kept bit-for-bit as a cross-check oracle for the tests;
+production (:func:`repro.eig.dc_eigh` under every plan) runs batched.
+The batched mode executes the same
 mathematics as stacked array sweeps:
 
 * the guarded Newton iteration runs on *all* roots simultaneously over an

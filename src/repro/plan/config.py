@@ -11,7 +11,7 @@ hand-assembled — so every field is already validated and every ``None``
 default already resolved to a concrete integer for the plan's ``n``.
 
 Because the tree is frozen and *normalized* (knobs that cannot affect
-the computation are cleared — e.g. ``bc_driver`` when the chase is not
+the computation are cleared — e.g. ``max_sweeps`` when the chase is not
 pipelined, or the whole band/bulge/back-transform branch for the dense
 tier), two requests that would execute identically serialize to the
 same :meth:`EVDPlan.cache_token`, which is what lets the serving layer
@@ -20,8 +20,10 @@ coalesce ``method="proposed"`` with its fully-expanded kwarg spelling.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Any
+from dataclasses import asdict, dataclass, fields
+from typing import Any, TypeVar
+
+from .errors import PlanError
 
 __all__ = [
     "TridiagConfig",
@@ -54,26 +56,21 @@ class TridiagConfig:
 class BulgeChaseConfig:
     """Stage 2: band -> tridiagonal chase (two-stage methods only).
 
-    ``bc_driver``/``max_sweeps`` are meaningful only when ``pipelined``
-    and are normalized to ``None`` otherwise.
+    ``pipelined`` runs the wavefront engine, otherwise the sequential
+    chase; ``max_sweeps`` is meaningful only when ``pipelined`` and is
+    normalized to ``None`` otherwise.
     """
 
     pipelined: bool = True
-    bc_driver: str | None = None  # "wavefront" | "pipelined"
     max_sweeps: int | None = None
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Stage 3: the tridiagonal eigensolver (or the dense tier).
-
-    ``secular_mode`` applies only to the divide-and-conquer solver and
-    is ``None`` for every other kind.
-    """
+    """Stage 3: the tridiagonal eigensolver (or the dense tier)."""
 
     kind: str  # "dc" | "qr" | "bisect" | "dense"
     compute_vectors: bool = True
-    secular_mode: str | None = None  # "batched" | "scalar" (dc only)
 
 
 @dataclass(frozen=True)
@@ -87,6 +84,24 @@ class BackTransformConfig:
 
     method: str = "incremental"  # "incremental" | "blocked" | "recursive"
     group: int = 128
+
+
+_Branch = TypeVar(
+    "_Branch", TridiagConfig, BulgeChaseConfig, SolverConfig, BackTransformConfig
+)
+
+
+def _branch(cls: type[_Branch], name: str, data: dict[str, Any]) -> _Branch:
+    """Build one config branch of :meth:`EVDPlan.from_dict`, rejecting
+    unknown fields with a typed error instead of a ``TypeError``."""
+    valid = [f.name for f in fields(cls)]
+    unknown = sorted(set(data) - set(valid))
+    if unknown:
+        raise PlanError(
+            f"unknown {name} field(s) {', '.join(repr(k) for k in unknown)}: "
+            f"valid fields are {', '.join(valid)}"
+        )
+    return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -156,14 +171,9 @@ class EVDPlan:
             )
         bc = self.bulge_chase
         if bc is not None:
-            parts.append(
-                f"bc=pipelined={bc.pipelined},driver={bc.bc_driver},"
-                f"max_sweeps={bc.max_sweeps}"
-            )
+            parts.append(f"bc=pipelined={bc.pipelined},max_sweeps={bc.max_sweeps}")
         s = self.solver
-        parts.append(
-            f"solver={s.kind},vectors={s.compute_vectors},secular={s.secular_mode}"
-        )
+        parts.append(f"solver={s.kind},vectors={s.compute_vectors}")
         bt = self.back_transform
         if bt is not None:
             parts.append(f"bt={bt.method},group={bt.group}")
@@ -196,7 +206,12 @@ class EVDPlan:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "EVDPlan":
-        """Inverse of :meth:`to_dict` (``cache_token`` is recomputed)."""
+        """Inverse of :meth:`to_dict` (``cache_token`` is recomputed).
+
+        Raises :class:`PlanError` naming the unknown and the valid fields
+        when a config branch carries a field this version does not know
+        (e.g. a plan document that still holds a removed knob).
+        """
         return cls(
             n=int(data["n"]),
             method=str(data["method"]),
@@ -207,18 +222,18 @@ class EVDPlan:
             tridiag=(
                 None
                 if data["tridiag"] is None
-                else TridiagConfig(**data["tridiag"])
+                else _branch(TridiagConfig, "tridiag", data["tridiag"])
             ),
             bulge_chase=(
                 None
                 if data["bulge_chase"] is None
-                else BulgeChaseConfig(**data["bulge_chase"])
+                else _branch(BulgeChaseConfig, "bulge_chase", data["bulge_chase"])
             ),
-            solver=SolverConfig(**data["solver"]),
+            solver=_branch(SolverConfig, "solver", data["solver"]),
             back_transform=(
                 None
                 if data["back_transform"] is None
-                else BackTransformConfig(**data["back_transform"])
+                else _branch(BackTransformConfig, "back_transform", data["back_transform"])
             ),
         )
 
@@ -247,16 +262,11 @@ class EVDPlan:
         if bc is not None:
             if bc.pipelined:
                 cap = "unbounded" if bc.max_sweeps is None else str(bc.max_sweeps)
-                lines.append(
-                    f"  bulge chase:    pipelined/{bc.bc_driver} (max_sweeps={cap})"
-                )
+                lines.append(f"  bulge chase:    pipelined (max_sweeps={cap})")
             else:
                 lines.append("  bulge chase:    sequential")
         s = self.solver
-        sec = f", secular={s.secular_mode}" if s.secular_mode is not None else ""
-        lines.append(
-            f"  solver:         {s.kind} (vectors={s.compute_vectors}{sec})"
-        )
+        lines.append(f"  solver:         {s.kind} (vectors={s.compute_vectors})")
         bt = self.back_transform
         if bt is not None:
             lines.append(f"  back transform: {bt.method} (group={bt.group})")

@@ -1,31 +1,26 @@
 """``plan_evd`` — the one place pipeline configuration is resolved.
 
-Historically every entry point re-plumbed its own kwargs subset:
-``eigh`` merged stringly-typed preset dicts into ``**tridiag_kwargs``,
-``tridiagonalize`` validated its twelve knobs one ``if`` at a time (and
-only once execution reached them), and the serving layer canonicalized
-raw dicts for cache keys.  The planner replaces all of that: presets are
-expanded, ``auto_params`` runs, every knob is validated with a typed
-:class:`~repro.plan.PlanError` naming the valid choices, knobs that
-cannot affect the requested computation are normalized away, and the
-result is a frozen :class:`~repro.plan.EVDPlan` that
+Every entry point (``eigh``, ``eigh_partial``, ``tridiagonalize``,
+``svd`` and the serving layer) hands its knobs to the planner: presets
+are expanded, ``auto_params`` runs, every knob is validated with a typed
+:class:`~repro.plan.PlanError` naming the knob and the valid choices,
+knobs that cannot affect the requested computation are normalized away,
+and the result is a frozen :class:`~repro.plan.EVDPlan` that
 :func:`repro.plan.execute_plan` runs verbatim.
 
 ``tuning="model"`` additionally consults the calibrated analytical
 models (:mod:`repro.models` / :mod:`repro.gpusim`) to choose the DBBR
 ``(b, k)`` pair minimizing the predicted band-reduction + bulge-chasing
 time on a named device, instead of the scale-based ``auto_params``
-heuristic.  ``tuning="auto"`` goes one step further and consults the
-*measured* per-device tuning database (:mod:`repro.tune`): a store hit
-fills whatever knobs the caller left unset, a miss falls back to
-``"model"`` — read-only either way, and always resolving into the same
-frozen plan fields (and ``cache_token``) the explicit knob spelling
-would produce.
+heuristic.
 """
 
 from __future__ import annotations
 
+import numbers
 from typing import Any
+
+import numpy as np
 
 from .config import (
     BackTransformConfig,
@@ -40,12 +35,7 @@ __all__ = ["plan_evd", "plan_tridiag", "auto_params", "make_solver_config"]
 
 #: Preset name -> expanded pipeline knobs (the paper's four comparisons).
 PRESETS: dict[str, dict[str, Any]] = {
-    "proposed": dict(
-        method="dbbr",
-        pipelined=True,
-        bc_driver="wavefront",
-        back_transform="incremental",
-    ),
+    "proposed": dict(method="dbbr", pipelined=True, back_transform="incremental"),
     "magma": dict(method="sbr", pipelined=False, back_transform="blocked"),
     "cusolver": dict(method="direct"),
     "plasma": dict(method="tile", pipelined=False),
@@ -54,11 +44,9 @@ PRESETS: dict[str, dict[str, Any]] = {
 TRIDIAG_METHODS = ("dbbr", "sbr", "tile", "direct")
 EVD_METHODS = tuple(PRESETS) + TRIDIAG_METHODS + ("dense",)
 SOLVERS = ("dc", "qr", "bisect")
-SECULAR_MODES = ("batched", "scalar")
-BC_DRIVERS = ("wavefront", "pipelined")
 BACK_TRANSFORMS = ("incremental", "blocked", "recursive")
 SYR2K_KINDS = ("square", "rect", "reference")
-TUNINGS = ("manual", "model", "auto")
+TUNINGS = ("manual", "model")
 FALLBACKS = ("none", "chain")
 PRECISIONS = ("fp64", "mixed", "fp32")
 
@@ -68,7 +56,6 @@ PIPELINE_KNOBS = (
     "bandwidth",
     "second_block",
     "pipelined",
-    "bc_driver",
     "max_sweeps",
     "syr2k_kind",
     "direct_block",
@@ -94,10 +81,15 @@ def auto_params(n: int) -> tuple[int, int]:
 
 
 def _as_int(knob: str, value: Any, minimum: int = 1) -> int:
-    try:
-        out = int(value)
-    except (TypeError, ValueError) as exc:
-        raise PlanError(f"{knob} must be an integer, got {value!r}") from exc
+    """An integer knob: Python/NumPy integers (and integral floats) pass;
+    ``bool``, fractional numbers and anything non-numeric are rejected
+    instead of being silently truncated."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer()
+    )
+    if isinstance(value, bool) or not integral:
+        raise PlanError(f"{knob} must be an integer, got {value!r}")
+    out = int(value)
     if out < minimum:
         raise PlanError(f"{knob} must be >= {minimum}, got {out}")
     return out
@@ -112,23 +104,11 @@ def _check_unknown(knobs: dict[str, Any]) -> None:
         )
 
 
-def make_solver_config(
-    solver: str,
-    compute_vectors: bool,
-    secular_mode: str | None = "batched",
-) -> SolverConfig:
-    """Validated :class:`SolverConfig` (``secular_mode`` kept only where
-    it matters — the divide-and-conquer solver)."""
+def make_solver_config(solver: str, compute_vectors: bool) -> SolverConfig:
+    """Validated :class:`SolverConfig`."""
     if solver not in SOLVERS + ("dense",):
         raise bad_choice("tridiagonal solver", solver, SOLVERS)
-    if solver == "dc":
-        if secular_mode not in SECULAR_MODES:
-            raise bad_choice("secular_mode", secular_mode, SECULAR_MODES)
-    else:
-        secular_mode = None
-    return SolverConfig(
-        kind=solver, compute_vectors=bool(compute_vectors), secular_mode=secular_mode
-    )
+    return SolverConfig(kind=solver, compute_vectors=bool(compute_vectors))
 
 
 def _resolve_pipeline(
@@ -174,18 +154,17 @@ def _resolve_pipeline(
         k = max(b, (k // b) * b)
     tridiag = TridiagConfig(method=method, bandwidth=b, second_block=k, syr2k_kind=syr2k)
 
-    pipelined = bool(knobs.get("pipelined", True))
-    driver: str | None = None
+    pipelined = knobs.get("pipelined", True)
+    if not isinstance(pipelined, (bool, np.bool_)):
+        raise PlanError(f"pipelined must be a bool, got {pipelined!r}")
+    pipelined = bool(pipelined)
     max_sweeps: int | None = None
     if pipelined:
-        driver = knobs.get("bc_driver", "wavefront")
-        if driver not in BC_DRIVERS:
-            raise bad_choice("bc_driver", driver, BC_DRIVERS)
         raw_sweeps = knobs.get("max_sweeps")
         max_sweeps = (
             _as_int("max_sweeps", raw_sweeps) if raw_sweeps is not None else None
         )
-    bulge = BulgeChaseConfig(pipelined=pipelined, bc_driver=driver, max_sweeps=max_sweeps)
+    bulge = BulgeChaseConfig(pipelined=pipelined, max_sweeps=max_sweeps)
 
     bt_method = knobs.get("back_transform", "incremental")
     if bt_method not in BACK_TRANSFORMS:
@@ -198,35 +177,6 @@ def _resolve_pipeline(
     assert group is not None
     back = BackTransformConfig(method=bt_method, group=group)
     return tridiag, bulge, back
-
-
-def _store_tuned_knobs(n: int, method: str, backend: str) -> dict[str, Any] | None:
-    """The persistent tuning database's knobs for this problem, or
-    ``None`` on a miss (which :mod:`repro.tune` records in its stats).
-
-    Strictly read-only — ``tuning="auto"`` never touches the filesystem
-    beyond reading the database, and a missing or corrupt database is
-    just a miss.  Knobs are filtered to the known pipeline surface so a
-    record written by a newer build cannot smuggle in an unknown knob.
-    """
-    from ..tune.store import lookup_tuned_knobs
-
-    tuned = lookup_tuned_knobs(n, method, backend=backend)
-    if not tuned:
-        return None
-    return {k: v for k, v in tuned.items() if k in PIPELINE_KNOBS}
-
-
-def _resolve_auto_tuning(
-    n: int, method: str, knobs: dict[str, Any], backend: str
-) -> tuple[dict[str, Any], str]:
-    """Resolve ``tuning="auto"``: on a store hit, fill unset knobs from
-    the tuned record and proceed as the explicit (``"manual"``)
-    spelling; on a miss, fall back to the ``"model"`` strategy."""
-    tuned = _store_tuned_knobs(n, method, backend)
-    if tuned is None:
-        return knobs, "model"
-    return {**tuned, **knobs}, "manual"
 
 
 def _model_tuned_dbbr(n: int, device: str) -> tuple[int | None, int | None]:
@@ -277,8 +227,6 @@ def plan_tridiag(
     if tuning not in TUNINGS:
         raise bad_choice("tuning", tuning, TUNINGS)
     _check_unknown(knobs)
-    if tuning == "auto":
-        knobs, tuning = _resolve_auto_tuning(int(n), method, dict(knobs), "numpy")
     return _resolve_pipeline(n, method, knobs, tuning, device)
 
 
@@ -288,7 +236,6 @@ def plan_evd(
     *,
     compute_vectors: bool = True,
     solver: str = "dc",
-    secular_mode: str = "batched",
     backend: str = "numpy",
     tuning: str = "manual",
     device: str = "h100",
@@ -302,13 +249,10 @@ def plan_evd(
     (``"proposed"``/``"magma"``/``"cusolver"``/``"plasma"``/``"dense"``)
     or a raw tridiagonalization method, ``**knobs`` is the historical
     ``**tridiag_kwargs`` surface (``bandwidth``, ``second_block``,
-    ``pipelined``, ``bc_driver``, ``max_sweeps``, ``syr2k_kind``,
-    ``direct_block``, ``back_transform``, ``back_transform_group``).
+    ``pipelined``, ``max_sweeps``, ``syr2k_kind``, ``direct_block``,
+    ``back_transform``, ``back_transform_group``).
     ``tuning="model"`` lets the calibrated cost models pick the DBBR
-    ``(b, k)`` for ``device`` where the caller left them unset;
-    ``tuning="auto"`` first consults the persistent per-device tuning
-    database (:mod:`repro.tune`, ``$REPRO_TUNE_DB``) and falls back to
-    ``"model"`` on a miss.
+    ``(b, k)`` for ``device`` where the caller left them unset.
     ``fallback="chain"`` marks the plan for escalated execution
     (:func:`repro.resilience.execute_plan_with_fallback`): on a typed
     convergence or verification failure the dense LAPACK tier and then
@@ -376,9 +320,7 @@ def plan_evd(
             n=n,
             method="dense",
             backend=backend,
-            solver=SolverConfig(
-                kind="dense", compute_vectors=bool(compute_vectors), secular_mode=None
-            ),
+            solver=SolverConfig(kind="dense", compute_vectors=bool(compute_vectors)),
             tuning=tuning,
             fallback=fallback,
             precision=precision,
@@ -391,17 +333,8 @@ def plan_evd(
     else:
         merged = dict(knobs)
         raw_method = method
-    resolve_tuning = tuning
-    if tuning == "auto":
-        # Store hit: tuned knobs fill whatever the preset and the caller
-        # left unset (explicit knobs always win), and resolution proceeds
-        # exactly as the explicit spelling — same clamps, same frozen
-        # fields, same cache_token.  Miss: pure fallback to "model".
-        merged, resolve_tuning = _resolve_auto_tuning(n, raw_method, merged, backend)
-    solver_cfg = make_solver_config(solver, compute_vectors, secular_mode)
-    tridiag, bulge, back = _resolve_pipeline(
-        n, raw_method, merged, resolve_tuning, device
-    )
+    solver_cfg = make_solver_config(solver, compute_vectors)
+    tridiag, bulge, back = _resolve_pipeline(n, raw_method, merged, tuning, device)
     return EVDPlan(
         n=n,
         method=method,

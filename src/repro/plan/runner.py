@@ -100,7 +100,6 @@ def solve_tridiagonal_planned(
             e,
             compute_vectors=solver.compute_vectors,
             ctx=ctx,
-            secular_mode=solver.secular_mode or "batched",
             vector_dtype=vector_dtype,
         )
         return lam, U

@@ -115,12 +115,12 @@ class TestPipelineResidualsViaBand:
         assert band_frobenius_norm(lb) == pytest.approx(np.linalg.norm(A))
 
     def test_bc_band_eigen_residual_on_band_storage(self, rng):
-        from repro.core.bulge_chasing_band import bulge_chase_band
+        from repro.core.bc_wavefront import bulge_chase_wavefront
         from repro.eig.dc import dc_eigh
 
         A = random_symmetric_band(35, 3, rng)
         lb = LowerBandStorage.from_dense(A, 3)
-        bc = bulge_chase_band(lb)
+        bc, _ = bulge_chase_wavefront(lb)
         lam, U = dc_eigh(bc.d, bc.e)
         resid = np.linalg.norm(tridiag_matvec(bc.d, bc.e, U) - U * lam)
         assert resid < 1e-11 * max(band_frobenius_norm(lb), 1.0)

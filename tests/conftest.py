@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core.bc_back_transform import Q1_GROUP, q1_blocks
+from repro.core.bc_pipeline import PipelineStats, pipeline_schedule
+from repro.core.bulge_chasing import BCReflector, BulgeChasingResult, apply_bc_task
 
 
 @pytest.fixture
@@ -49,3 +51,35 @@ def blocks_from_log(bc, b: int, group: int = Q1_GROUP):
         np.array([r.tau for r in refl]),
         group=group,
     )
+
+
+def chase_in_schedule(band: np.ndarray, b: int, max_sweeps: int | None = None):
+    """Schedule-safety oracle: run the sequential chase's task kernel in
+    :func:`pipeline_schedule` round order on a dense copy of ``band``.
+
+    Rounds only reorder data-disjoint tasks, so the result must be
+    bit-identical to :func:`repro.core.bulge_chasing.bulge_chase`.
+    Returns ``(BulgeChasingResult, PipelineStats)``.
+    """
+    A = np.array(band, dtype=np.float64, copy=True)
+    n = A.shape[0]
+    reflectors: list[BCReflector] = []
+    stats = PipelineStats()
+    if b >= 2 and n >= 3:
+        rounds, stats = pipeline_schedule(n, b, max_sweeps)
+        for tasks in rounds:
+            for task in tasks:
+                off, v, tau = apply_bc_task(A, b, task)
+                reflectors.append(
+                    BCReflector(
+                        sweep=task.sweep,
+                        step=task.step,
+                        offset=off,
+                        v=v,
+                        tau=tau,
+                        seq=len(reflectors),
+                    )
+                )
+    d = np.diagonal(A).copy()
+    e = np.diagonal(A, -1).copy()
+    return BulgeChasingResult(d=d, e=e, reflectors=reflectors), stats

@@ -84,14 +84,14 @@ class TestBlocking:
         assert blocks_from_log(bc, 1, 4).count == 0
 
     def test_pipelined_log_groups_and_stays_exact(self, rng):
-        """The pipelined chase commits reflectors in interleaved order;
+        """The pipelined schedule commits reflectors in interleaved order;
         the diamond order is another topological order of the same DAG,
         so the blocked application is exact AND gets real grouping."""
-        from repro.core.bc_pipeline import bulge_chase_pipelined
+        from tests.conftest import chase_in_schedule
 
         n, b = 48, 4
         A = random_symmetric_band(n, b, rng)
-        bc, _ = bulge_chase_pipelined(A, b)
+        bc, _ = chase_in_schedule(A, b)
         blocks = blocks_from_log(bc, b, 16)
         assert blocks.count < len(bc.reflectors) / 3  # real compression
         X = rng.standard_normal((n, 4))

@@ -1,9 +1,12 @@
-"""Edge-case regressions: every BC driver vs the sequential oracle.
+"""Edge-case regressions: the wavefront engine and the pipelined
+schedule vs the sequential oracle.
 
-The drivers share one task geometry but clip it differently at the
-matrix edge; these cases pin the awkward corners — ``n`` not divisible
-by ``b``, bandwidth swallowing (almost) the whole matrix, tiny ``n``,
-and the already-tridiagonal ``b == 1`` no-op.
+``"wavefront"`` is the production engine; ``"pipelined"`` runs the
+sequential task kernel in ``pipeline_schedule`` round order (the
+test-only ``chase_in_schedule`` oracle).  Both share one task geometry
+but clip it at the matrix edge; these cases pin the awkward corners —
+``n`` not divisible by ``b``, bandwidth swallowing (almost) the whole
+matrix, tiny ``n``, and the already-tridiagonal ``b == 1`` no-op.
 """
 
 from __future__ import annotations
@@ -12,15 +15,12 @@ import numpy as np
 import pytest
 
 from repro.band.ops import random_symmetric_band
-from repro.band.storage import LowerBandStorage
-from repro.core.bc_pipeline import bulge_chase_pipelined
 from repro.core.bc_wavefront import bulge_chase_wavefront
 from repro.core.bulge_chasing import bulge_chase
-from repro.core.bulge_chasing_band import bulge_chase_band
+from tests.conftest import chase_in_schedule
 
 DRIVERS = {
-    "pipelined": lambda A, b: bulge_chase_pipelined(A, b)[0],
-    "band": lambda A, b: bulge_chase_band(LowerBandStorage.from_dense(A, b)),
+    "pipelined": lambda A, b: chase_in_schedule(A, b)[0],
     "wavefront": lambda A, b: bulge_chase_wavefront(A, b)[0],
 }
 

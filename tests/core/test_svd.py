@@ -149,8 +149,19 @@ class TestContextThreading:
         s_named, _, _ = svd(A, backend="numpy")
         assert np.array_equal(s_default, s_named)
 
-    def test_secular_mode_threaded(self, rng):
-        A = rng.standard_normal((18, 18))
-        s_b, _, _ = svd(A, secular_mode="batched")
-        s_s, _, _ = svd(A, secular_mode="scalar")
+    def test_gk_solve_matches_scalar_secular_oracle(self, rng):
+        # svd runs the batched secular mode; solving its Golub-Kahan
+        # tridiagonal with the scalar dc_eigh oracle gives the same values.
+        from repro.eig import dc_eigh
+
+        n = 18
+        A = rng.standard_normal((n, n))
+        s_b, _, _ = svd(A)
+        bd = bidiagonalize(A)
+        lam, _ = dc_eigh(
+            *golub_kahan_tridiagonal(bd.d, bd.f),
+            compute_vectors=False,
+            secular_mode="scalar",
+        )
+        s_s = np.maximum(lam[2 * n - 1 : n - 1 : -1], 0.0)
         assert np.max(np.abs(s_b - s_s)) < 1e-12 * max(s_s[0], 1.0)

@@ -64,22 +64,28 @@ class TestDriver:
         assert issubclass(OperandShapeError, ValueError)
 
     def test_pipelined_and_sequential_identical(self):
+        from tests.conftest import chase_in_schedule
+
         A = make_symmetric(36, seed=46)
         kw = dict(method="dbbr", bandwidth=4, second_block=8)
-        # The per-task pipelined driver only reorders commuting tasks, so
-        # it is bit-identical to the sequential chase.
-        r1 = tridiagonalize(A, pipelined=True, bc_driver="pipelined", **kw)
         r2 = tridiagonalize(A, pipelined=False, **kw)
-        assert np.array_equal(r1.d, r2.d)
-        assert np.array_equal(r1.e, r2.e)
-        # The wavefront-batched default evaluates the same updates with a
+        # The pipelined schedule only reorders commuting tasks, so the
+        # sequential task kernel run in round order is bit-identical to
+        # the sequential chase, whatever the in-flight cap.
+        for cap in (None, 1, 2, 5):
+            r1, _ = chase_in_schedule(r2.band_result.band, 4, max_sweeps=cap)
+            assert np.array_equal(r1.d, r2.d), cap
+            assert np.array_equal(r1.e, r2.e), cap
+        # The wavefront-batched engine evaluates the same updates with a
         # different summation order, so it agrees to roundoff instead.
         r3 = tridiagonalize(A, pipelined=True, **kw)
         assert np.allclose(r3.d, r2.d, atol=1e-12)
         assert np.allclose(r3.e, r2.e, atol=1e-12)
 
     def test_unknown_bc_driver_rejected(self):
-        with pytest.raises(ValueError):
+        # The engine is chosen by ``pipelined`` alone; there is no driver
+        # knob to pass.
+        with pytest.raises(TypeError, match="bc_driver"):
             tridiagonalize(make_symmetric(12), bc_driver="warp")
 
     def test_pipeline_stats_present_when_pipelined(self):

@@ -68,12 +68,21 @@ class TestChoiceValidation:
             plan_evd(8, solver="jacobi")
 
     def test_bad_secular_mode(self):
-        with pytest.raises(PlanError, match="'batched', 'scalar'"):
-            plan_evd(8, secular_mode="vectorized")
+        # secular_mode is no longer a plan knob: the scalar per-root loops
+        # are reachable only through dc_eigh, and asking a plan for them
+        # fails loudly, naming the knobs that do exist.
+        with pytest.raises(PlanError, match="'secular_mode'") as exc_info:
+            repro.eigh(goe(8), secular_mode="scalar")
+        for knob in PIPELINE_KNOBS:
+            assert knob in str(exc_info.value)
 
     def test_bad_bc_driver(self):
-        with pytest.raises(PlanError, match="'wavefront', 'pipelined'"):
-            plan_evd(8, method="dbbr", bc_driver="serial")
+        # pipelined=True always runs the wavefront engine; the removed
+        # driver knob is rejected, naming the knobs that do exist.
+        with pytest.raises(PlanError, match="'bc_driver'") as exc_info:
+            repro.eigh(goe(8), bc_driver="pipelined")
+        for knob in PIPELINE_KNOBS:
+            assert knob in str(exc_info.value)
 
     def test_bad_syr2k_kind(self):
         with pytest.raises(PlanError, match="'square', 'rect', 'reference'"):
@@ -86,6 +95,44 @@ class TestChoiceValidation:
     def test_non_integer_bandwidth(self):
         with pytest.raises(PlanError, match="bandwidth must be an integer"):
             plan_evd(8, method="dbbr", bandwidth="wide")
+
+    @pytest.mark.parametrize(
+        "knob,value",
+        [
+            ("bandwidth", 2.7),
+            ("bandwidth", True),
+            ("second_block", 16.5),
+            ("max_sweeps", True),
+            ("max_sweeps", np.float64(1.5)),
+            ("direct_block", False),
+            ("back_transform_group", 8.25),
+        ],
+    )
+    def test_integer_knobs_reject_bool_and_fractions(self, knob, value):
+        # Used to be silently truncated (2.7 -> 2, True -> 1).
+        method = "cusolver" if knob == "direct_block" else "dbbr"
+        with pytest.raises(PlanError, match=f"{knob} must be an integer"):
+            plan_evd(64, method=method, **{knob: value})
+
+    def test_integer_knobs_accept_numpy_integers(self):
+        plan = plan_evd(
+            64, "dbbr", bandwidth=np.int64(4), second_block=np.int32(16),
+            max_sweeps=np.int16(3), back_transform_group=8,
+        )
+        assert plan == plan_evd(
+            64, "dbbr", bandwidth=4, second_block=16, max_sweeps=3,
+            back_transform_group=8,
+        )
+        assert type(plan.tridiag.bandwidth) is int
+
+    @pytest.mark.parametrize("value", ["no", 1, 0, None])
+    def test_pipelined_must_be_a_bool(self, value):
+        # Used to resolve through bool(...): "no" meant pipelined=True.
+        with pytest.raises(PlanError, match="pipelined must be a bool"):
+            plan_evd(64, pipelined=value)
+
+    def test_pipelined_accepts_numpy_bool(self):
+        assert plan_evd(64, pipelined=np.bool_(False)).bulge_chase.pipelined is False
 
     def test_bandwidth_minimum(self):
         with pytest.raises(PlanError, match="bandwidth must be >= 1"):
@@ -101,6 +148,11 @@ class TestChoiceValidation:
         with pytest.raises(PlanError, match="'manual', 'model'"):
             plan_evd(8, tuning="oracle")
 
+    def test_auto_tuning_removed(self):
+        # The measured tuning store is gone; "auto" is no longer a choice.
+        with pytest.raises(PlanError, match="'auto': valid choices are 'manual', 'model'$"):
+            plan_evd(64, tuning="auto")
+
     def test_non_string_backend(self):
         with pytest.raises(PlanError, match="backend name string"):
             plan_evd(8, backend=object())
@@ -113,7 +165,7 @@ class TestResolution:
         assert plan.tridiag.bandwidth == b
         assert plan.tridiag.second_block == max(b, (max(k, b) // b) * b)
         assert plan.bulge_chase.pipelined is True
-        assert plan.bulge_chase.bc_driver == "wavefront"
+        assert plan.bulge_chase.max_sweeps is None
         assert plan.back_transform.method == "incremental"
         assert plan.back_transform.group == plan.tridiag.second_block
 
@@ -164,7 +216,6 @@ class TestCacheToken:
             bandwidth=p.tridiag.bandwidth,
             second_block=p.tridiag.second_block,
             pipelined=True,
-            bc_driver="wavefront",
             back_transform="incremental",
             back_transform_group=p.back_transform.group,
         )
@@ -189,15 +240,10 @@ class TestCacheToken:
             plan_evd(64, "cusolver", bandwidth=8).cache_token()
             == plan_evd(64, "cusolver").cache_token()
         )
-        # Non-pipelined chase: bc_driver is inert.
+        # Non-pipelined chase: max_sweeps is inert.
         assert (
-            plan_evd(64, "sbr", pipelined=False, bc_driver="pipelined").cache_token()
+            plan_evd(64, "sbr", pipelined=False, max_sweeps=3).cache_token()
             == plan_evd(64, "sbr", pipelined=False).cache_token()
-        )
-        # Non-dc solver: secular_mode is inert.
-        assert (
-            plan_evd(64, solver="qr", secular_mode="scalar").cache_token()
-            == plan_evd(64, solver="qr", secular_mode="batched").cache_token()
         )
         # Dense tier: the solver choice itself is inert.
         assert (
@@ -224,6 +270,27 @@ class TestSerialization:
         back = EVDPlan.from_dict(data)
         assert back == plan
         assert back.cache_token() == data["cache_token"]
+
+    def test_parent_format_dict_is_a_typed_error(self):
+        """Plan documents written before the bc_driver/secular_mode knobs
+        were removed carry both fields; loading one must name them."""
+        data = plan_evd(128, "proposed").to_dict()
+        data["bulge_chase"]["bc_driver"] = "wavefront"
+        data["solver"]["secular_mode"] = "batched"
+        with pytest.raises(PlanError, match="unknown bulge_chase field.*'bc_driver'") as exc:
+            EVDPlan.from_dict(data)
+        assert "valid fields are pipelined, max_sweeps" in str(exc.value)
+        del data["bulge_chase"]["bc_driver"]
+        with pytest.raises(PlanError, match="unknown solver field.*'secular_mode'") as exc:
+            EVDPlan.from_dict(data)
+        assert "valid fields are kind, compute_vectors" in str(exc.value)
+
+    @pytest.mark.parametrize("branch", ["tridiag", "back_transform"])
+    def test_unknown_field_in_any_branch(self, branch):
+        data = plan_evd(128, "proposed").to_dict()
+        data[branch]["bogus"] = 1
+        with pytest.raises(PlanError, match=f"unknown {branch} field.*'bogus'"):
+            EVDPlan.from_dict(data)
 
     def test_describe_mentions_every_stage(self):
         text = plan_evd(256, "proposed").describe()

@@ -21,10 +21,7 @@ from repro.eig import dc_eigh, eigh_bisect, tridiag_qr_eigh
 from repro.plan import make_solver_config, plan_evd, solve_tridiagonal_planned
 
 PRESET_KWARGS = {
-    "proposed": dict(
-        method="dbbr", pipelined=True, bc_driver="wavefront",
-        back_transform="incremental",
-    ),
+    "proposed": dict(method="dbbr", pipelined=True, back_transform="incremental"),
     "magma": dict(method="sbr", pipelined=False, back_transform="blocked"),
     "cusolver": dict(method="direct"),
     "plasma": dict(method="tile", pipelined=False),
@@ -80,8 +77,10 @@ def test_eigh_matches_manual_composition(n, method, solver, compute_vectors):
 
 @pytest.mark.parametrize("secular_mode", ["batched", "scalar"])
 def test_secular_modes_bitexact(secular_mode):
+    """Plans always run the batched secular mode; at this size the
+    scalar ``dc_eigh`` oracle composes to the same bits."""
     A = goe(24, seed=9)
-    got = repro.eigh(A, method="proposed", secular_mode=secular_mode)
+    got = repro.eigh(A, method="proposed")
     lam, V, _ = oracle_eigh(A, "proposed", "dc", True, secular_mode=secular_mode)
     assert_same(got.eigenvalues, lam)
     assert_same(got.eigenvectors, V)
@@ -125,19 +124,17 @@ def test_eigh_partial_matches_manual_composition(method):
 
 
 @pytest.mark.parametrize("compute_vectors", [True, False])
-@pytest.mark.parametrize("secular_mode", ["batched", "scalar"])
-def test_planned_tridiagonal_solve_is_dc_eigh(compute_vectors, secular_mode):
+def test_planned_tridiagonal_solve_is_dc_eigh(compute_vectors):
     """The SVD path's solve: ``solve_tridiagonal_planned`` must be a pure
     dispatch — bit-identical to calling the solver directly."""
     rng = np.random.default_rng(5)
     d = rng.standard_normal(17)
     e = rng.standard_normal(16)
     ctx = ExecutionContext(backend="numpy")
-    cfg = make_solver_config("dc", compute_vectors, secular_mode)
+    cfg = make_solver_config("dc", compute_vectors)
     lam, U = solve_tridiagonal_planned(d, e, cfg, ctx=ctx)
     ctx2 = ExecutionContext(backend="numpy")
-    lam_ref, U_ref = dc_eigh(d, e, compute_vectors=compute_vectors,
-                             ctx=ctx2, secular_mode=secular_mode)
+    lam_ref, U_ref = dc_eigh(d, e, compute_vectors=compute_vectors, ctx=ctx2)
     assert_same(lam, lam_ref)
     assert_same(U, U_ref)
 
@@ -160,7 +157,7 @@ def test_svd_still_correct_through_planned_solve():
     A = rng.standard_normal((12, 8))
     s, U, V = svd(A)
     np.testing.assert_allclose(U @ np.diag(s) @ V.T, A, atol=1e-10)
-    with pytest.raises(ValueError, match="secular_mode"):
+    with pytest.raises(TypeError, match="secular_mode"):
         svd(A, secular_mode="turbo")
 
 

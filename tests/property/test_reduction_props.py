@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from repro.band.ops import bandwidth_of, random_symmetric_band
 from repro.band.storage import dense_from_band
 from repro.core.bulge_chasing import bulge_chase
-from repro.core.bc_pipeline import bulge_chase_pipelined
 from repro.core.dbbr import dbbr
 from repro.core.sbr import sbr
+from tests.conftest import chase_in_schedule
 
 
 def _sym(n: int, seed: int) -> np.ndarray:
@@ -97,7 +97,7 @@ def test_pipeline_reordering_is_exact(case):
     n, b, S, seed = case
     B = random_symmetric_band(n, b, np.random.default_rng(seed))
     seq = bulge_chase(B, b)
-    par, stats = bulge_chase_pipelined(B, b, max_sweeps=S)
+    par, stats = chase_in_schedule(B, b, max_sweeps=S)
     assert np.array_equal(seq.d, par.d)
     assert np.array_equal(seq.e, par.e)
     if S is not None and stats.rounds:

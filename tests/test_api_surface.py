@@ -50,7 +50,7 @@ PUBLIC_API = {
         "syr2k_reference", "syr2k_square_blocked", "syr2k_rect_blocked",
         "square_schedule", "rect_schedule",
         "sbr", "dbbr", "direct_tridiagonalize",
-        "bulge_chase", "bulge_chase_band", "bulge_chase_pipelined",
+        "bulge_chase", "bulge_chase_wavefront",
         "pipeline_schedule", "sweep_tasks", "apply_bc_task",
         "apply_sbr_q", "assemble_eigenvectors", "q_from_blocks",
         "merge_blocks_recursive", "merge_blocks_grouped",
