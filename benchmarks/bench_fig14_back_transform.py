@@ -5,14 +5,19 @@ Paper: despite the extra flops of forming wider W blocks, the enlarged GEMM
 inner dimension wins ~1.6x across sizes.
 
 ``[simulated]`` — both schemes priced at device scale.
-``[measured]`` — the three numerically equivalent back-transform schedules
-(blocked / recursive / incremental) on the real pipeline; wall-clock at
-laptop scale plus an exactness check.
+``[measured]`` — the three numerically equivalent schedules as group widths
+of the one grouped WY apply (1 = MAGMA ormqr, k = Figure 13, the total
+width = Algorithm 3) on the real pipeline; wall-clock at laptop scale plus
+an exactness check.
+
+Run with ``PYTHONPATH=src pytest -q benchmarks/bench_fig14_back_transform.py``
+(add ``--benchmark-disable`` for a quick correctness pass).
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.bench.reporting import banner
 from repro.bench.workloads import goe
@@ -55,24 +60,22 @@ def _reduction(n=160):
     return n, dbbr(A, 8, 32)
 
 
-def test_fig14_blocked_measured(benchmark):
+#: The paper's three schedules as group widths of the one grouped WY apply:
+#: MAGMA's ormqr order (1: no merging), Figure 13 (k) and Algorithm 3 (the
+#: total width: one W for the whole of Q_sbr).
+SCHEDULES = {
+    "ormqr": lambda blocks: 1,
+    "fig13": lambda blocks: 32,
+    "alg3": lambda blocks: sum(blk.width for blk in blocks),
+}
+
+
+@pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+def test_fig14_measured(benchmark, schedule):
     n, res = _reduction()
     X = np.eye(n)
-    benchmark(lambda: apply_sbr_q(res.blocks, X.copy(), method="blocked"))
-
-
-def test_fig14_recursive_measured(benchmark):
-    n, res = _reduction()
-    X = np.eye(n)
-    benchmark(lambda: apply_sbr_q(res.blocks, X.copy(), method="recursive"))
-
-
-def test_fig14_incremental_measured(benchmark):
-    n, res = _reduction()
-    X = np.eye(n)
-    benchmark(
-        lambda: apply_sbr_q(res.blocks, X.copy(), method="incremental", group_width=32)
-    )
+    gw = SCHEDULES[schedule](res.blocks)
+    benchmark(lambda: apply_sbr_q(res.blocks, X.copy(), group_width=gw))
 
 
 def test_fig14_equivalence(benchmark):
@@ -81,8 +84,8 @@ def test_fig14_equivalence(benchmark):
 
     def run():
         return tuple(
-            q_from_blocks(res.blocks, n, method=m)
-            for m in ("blocked", "recursive", "incremental")
+            q_from_blocks(res.blocks, n, SCHEDULES[s](res.blocks))
+            for s in ("ormqr", "alg3", "fig13")
         )
 
     q_b, q_r, q_i = benchmark(run)

@@ -4,8 +4,6 @@ from .back_transform import (
     apply_sbr_q,
     apply_sbr_q_transpose,
     assemble_eigenvectors,
-    merge_blocks_grouped,
-    merge_blocks_recursive,
     q_from_blocks,
 )
 from .bc_back_transform import blocked_bc_back_time
@@ -134,8 +132,6 @@ __all__ = [
     "load_evd",
     "load_tridiag",
     "make_householder",
-    "merge_blocks_grouped",
-    "merge_blocks_recursive",
     "merge_wy",
     "num_tasks_in_sweep",
     "panel_qr",

@@ -5,28 +5,29 @@ tridiagonal solve ``T = U Lambda U^T``, the eigenvectors of ``A`` are
 
     V = Q_sbr @ Q1 @ U.
 
-``Q1`` (bulge chasing) is applied reflector-by-reflector
+``Q1`` (bulge chasing) is applied by the chase result
 (:meth:`repro.core.bulge_chasing.BulgeChasingResult.apply_q1`); this module
-provides the **SBR back transformation** ``X <- Q_sbr X`` in the three
-flavours the paper compares:
+provides the **SBR back transformation** ``X <- Q_sbr X`` as one grouped
+compact-WY apply (Section 4.3).  Consecutive panel blocks are merged left
+to right, ``W <- [W1 | W2 - W1 Y1^T W2]``, until a group is at least
+``group_width`` columns wide, and each group is applied with one GEMM pair
+over the rows it touches.  The schedules the paper compares are widths of
+this one loop:
 
-* ``"blocked"`` — the conventional ``ormqr`` order: one width-``b`` GEMM
-  pair per panel (``Q = Q x (I - W_i Y_i^T)`` in sequence).  On a GPU every
-  GEMM has inner dimension ``b`` — the skinny shape of Section 4.3.
-* ``"recursive"`` — Algorithm 3: recursively merge *all* WY blocks into a
-  single ``(W, Y)`` with ``W = [W1 | W2 - W1 Y1^T W2]``, then apply once.
-  Squarest GEMMs, but forms the entire ``n x n_b`` ``W`` (extra flops).
-* ``"incremental"`` — the optimized scheme of Figure 13: merge blocks
-  pairwise (a batched-GEMM tree) only until each group reaches width
-  ``group_width`` (the paper uses ``k = 2048``), then apply the groups in
-  sequence.  This bounds the extra flops while keeping the GEMM inner
-  dimension large.
+* ``group_width <= b`` — MAGMA's ``ormqr`` order: no merging, one
+  width-``b`` GEMM pair per panel (the skinny shape of Section 4.3);
+* ``group_width = k`` — Figure 13: groups of width ``k`` bound the extra
+  merge flops while keeping the GEMM inner dimension large;
+* ``group_width >= sum of block widths`` — Algorithm 3: a single
+  ``(W, Y)`` for the whole of ``Q_sbr``.
 
-All three produce the same ``Q_sbr`` to machine precision; the tests assert
-it and the Figure 14 bench prices them.
+All widths produce the same ``Q_sbr`` to machine precision; the tests
+assert it and the Figure 14 bench prices them.
 """
 
 from __future__ import annotations
+
+from typing import Any
 
 import numpy as np
 
@@ -38,179 +39,116 @@ __all__ = [
     "apply_sbr_q",
     "apply_sbr_q_transpose",
     "q_from_blocks",
-    "merge_blocks_recursive",
-    "merge_blocks_grouped",
     "assemble_eigenvectors",
 ]
 
 
-def _embed(
-    block: WYBlock, n: int, ctx: ExecutionContext
-) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-pad a block's (W, Y) to full ``n`` rows so blocks with different
-    trailing windows share one row space (the padding preserves the
-    product algebra exactly)."""
-    xp = ctx.xp
-    dt = block.W.dtype if block.W.dtype in (np.float32, np.float64) else np.float64
-    W = xp.zeros((n, block.width), dtype=dt)
-    Y = xp.zeros((n, block.width), dtype=dt)
-    W[block.offset :] = ctx.from_numpy(block.W)
-    Y[block.offset :] = ctx.from_numpy(block.Y)
-    return W, Y
+def _sbr_groups(
+    blocks: list[WYBlock], group_width: int, ctx: ExecutionContext
+) -> list[tuple[int, Any, Any]]:
+    """Merge consecutive blocks into ``(offset, W, Y)`` groups, in product
+    order: ``Q_sbr = prod_g (I - W_g Y_g^T)`` with group ``g`` acting on
+    rows ``offset:`` only.
 
-
-def _merge(
-    W1: np.ndarray, Y1: np.ndarray, W2: np.ndarray, Y2: np.ndarray, xp=np
-) -> tuple[np.ndarray, np.ndarray]:
-    """(I - W1 Y1^T)(I - W2 Y2^T) = I - [W1 | W2 - W1 (Y1^T W2)] [Y1 | Y2]^T."""
-    return (
-        xp.hstack([W1, W2 - W1 @ (Y1.T @ W2)]),
-        xp.hstack([Y1, Y2]),
-    )
-
-
-def merge_blocks_recursive(
-    blocks: list[WYBlock], n: int, ctx: ExecutionContext | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Algorithm 3: merge every WY block into one ``(W, Y)`` pair.
-
-    Returns global-row factors with ``Q_sbr = I - W Y^T``, allocated on
-    the context's backend.  Divide and conquer over the block list keeps
-    the merge GEMMs as square as possible (the paper's ``ComputeW``).
-    """
-    ctx = resolve_context(ctx)
-    xp = ctx.xp
-    if not blocks:
-        return xp.zeros((n, 0)), xp.zeros((n, 0))
-
-    def rec(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        if hi - lo == 1:
-            return _embed(blocks[lo], n, ctx)
-        mid = (lo + hi) // 2
-        Wl, Yl = rec(lo, mid)
-        Wr, Yr = rec(mid, hi)
-        return _merge(Wl, Yl, Wr, Yr, xp)
-
-    return rec(0, len(blocks))
-
-
-def merge_blocks_grouped(
-    blocks: list[WYBlock],
-    n: int,
-    group_width: int,
-    ctx: ExecutionContext | None = None,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Figure 13: merge consecutive blocks pairwise until each group's WY
-    width reaches ``group_width`` (e.g. 2048), never forming the full W.
-
-    Returns the group list in product order:
-    ``Q_sbr = prod_g (I - W_g Y_g^T)``, with each pair allocated on the
-    context's backend.  Each merge level is a batch of independent GEMMs
-    — the "batched GEMM" the paper calls out.
+    A group grows until it is at least ``group_width`` wide.  A block
+    starting ``d`` rows below its group is zero-padded to the group's
+    rows; ``Y1^T W2`` only needs the ``d:`` rows the block touches.
     """
     if group_width < 1:
-        raise ValueError("group_width must be >= 1")
-    ctx = resolve_context(ctx)
+        raise ValueError(f"group_width must be >= 1, got {group_width}")
     xp = ctx.xp
-    groups = [_embed(b, n, ctx) for b in blocks]
-    while len(groups) > 1:
-        widths = [w.shape[1] for w, _ in groups]
-        if all(w >= group_width for w in widths[:-1]):
-            break
-        nxt: list[tuple[np.ndarray, np.ndarray]] = []
-        i = 0
-        while i < len(groups):
-            if (
-                i + 1 < len(groups)
-                and groups[i][0].shape[1] < group_width
-            ):
-                nxt.append(_merge(*groups[i], *groups[i + 1], xp))
-                i += 2
-            else:
-                nxt.append(groups[i])
-                i += 1
-        groups = nxt
+    groups: list[tuple[int, Any, Any]] = []
+    for blk in blocks:
+        W2, Y2 = ctx.from_numpy(blk.W), ctx.from_numpy(blk.Y)
+        if (
+            not groups
+            or groups[-1][1].shape[1] >= group_width
+            or blk.offset < groups[-1][0]
+        ):
+            groups.append((blk.offset, W2, Y2))
+            continue
+        off, W1, Y1 = groups[-1]
+        d = blk.offset - off
+        W2p = xp.zeros((W1.shape[0], blk.width), dtype=blk.W.dtype)
+        Y2p = xp.zeros((W1.shape[0], blk.width), dtype=blk.W.dtype)
+        W2p[d:] = W2
+        Y2p[d:] = Y2
+        # (I - W1 Y1^T)(I - W2 Y2^T) = I - [W1 | W2 - W1 Y1^T W2] [Y1 | Y2]^T
+        W2p = W2p - W1 @ (Y1[d:].T @ W2)
+        groups[-1] = (off, xp.hstack([W1, W2p]), xp.hstack([Y1, Y2p]))
     return groups
+
+
+def _apply(
+    blocks: list[WYBlock],
+    X: np.ndarray,
+    group_width: int,
+    ctx: ExecutionContext | None,
+    transpose: bool,
+) -> None:
+    ctx = resolve_context(ctx)
+    Xd = X if ctx.is_numpy else ctx.from_numpy(np.ascontiguousarray(X))
+    groups = _sbr_groups(blocks, group_width, ctx)
+    if transpose:
+        for off, W, Y in groups:
+            sub = Xd[off:]
+            sub -= Y @ (W.T @ sub)
+    else:
+        for off, W, Y in reversed(groups):
+            sub = Xd[off:]
+            sub -= W @ (Y.T @ sub)
+    if Xd is not X:
+        X[...] = ctx.to_numpy(Xd)
 
 
 def apply_sbr_q(
     blocks: list[WYBlock],
     X: np.ndarray,
-    method: str = "blocked",
-    group_width: int = 128,
+    group_width: int = 1,
     ctx: ExecutionContext | None = None,
+    *,
+    method: str = "incremental",
 ) -> None:
     """In place ``X <- Q_sbr X`` with ``Q_sbr = Q_0 Q_1 ... Q_{p-1}``.
 
-    ``method`` selects the schedule (see module docstring); all methods are
-    numerically equivalent.  ``X`` is a host array; with a non-host
-    backend it is staged to the device for the GEMMs and written back.
+    ``group_width`` is the merge width of the grouped compact-WY apply
+    (see the module docstring); every width is numerically equivalent,
+    and a width of at most the panel width applies the blocks one by
+    one.  ``X`` is a host array; with a non-host backend it is staged to
+    the device for the GEMMs and written back.
+
+    ``method`` accepts only ``"incremental"``: the EVD benchmark's
+    back-transform replay (``benchmarks/evd/evd_worker.py``) still passes
+    ``TridiagResult.back_transform_method`` here.
     """
-    ctx = resolve_context(ctx)
-    n = X.shape[0]
-    Xd = X if ctx.is_numpy else ctx.from_numpy(np.ascontiguousarray(X))
-    if method == "blocked":
-        if ctx.is_numpy:
-            for blk in reversed(blocks):
-                blk.apply_left(X)
-        else:
-            for blk in reversed(blocks):
-                W, Y = ctx.from_numpy(blk.W), ctx.from_numpy(blk.Y)
-                sub = Xd[blk.offset :]
-                sub -= W @ (Y.T @ sub)
-    elif method == "recursive":
-        W, Y = merge_blocks_recursive(blocks, n, ctx=ctx)
-        Xd -= W @ (Y.T @ Xd)
-    elif method == "incremental":
-        for W, Y in reversed(merge_blocks_grouped(blocks, n, group_width, ctx=ctx)):
-            Xd -= W @ (Y.T @ Xd)
-    else:
-        raise ValueError(f"unknown back-transform method {method!r}")
-    if Xd is not X:
-        X[...] = ctx.to_numpy(Xd)
+    if method != "incremental":
+        raise ValueError(
+            f"unknown back-transform method {method!r}: the SBR back "
+            "transform has one method, 'incremental'; choose the schedule "
+            "with group_width"
+        )
+    _apply(blocks, X, group_width, ctx, transpose=False)
 
 
 def apply_sbr_q_transpose(
     blocks: list[WYBlock],
     X: np.ndarray,
-    method: str = "blocked",
-    group_width: int = 128,
+    group_width: int = 1,
     ctx: ExecutionContext | None = None,
 ) -> None:
-    """In place ``X <- Q_sbr^T X`` (forward block order)."""
-    ctx = resolve_context(ctx)
-    n = X.shape[0]
-    Xd = X if ctx.is_numpy else ctx.from_numpy(np.ascontiguousarray(X))
-    if method == "blocked":
-        if ctx.is_numpy:
-            for blk in blocks:
-                blk.apply_left_transpose(X)
-        else:
-            for blk in blocks:
-                W, Y = ctx.from_numpy(blk.W), ctx.from_numpy(blk.Y)
-                sub = Xd[blk.offset :]
-                sub -= Y @ (W.T @ sub)
-    elif method == "recursive":
-        W, Y = merge_blocks_recursive(blocks, n, ctx=ctx)
-        Xd -= Y @ (W.T @ Xd)
-    elif method == "incremental":
-        for W, Y in merge_blocks_grouped(blocks, n, group_width, ctx=ctx):
-            Xd -= Y @ (W.T @ Xd)
-    else:
-        raise ValueError(f"unknown back-transform method {method!r}")
-    if Xd is not X:
-        X[...] = ctx.to_numpy(Xd)
+    """In place ``X <- Q_sbr^T X`` (forward group order)."""
+    _apply(blocks, X, group_width, ctx, transpose=True)
 
 
 def q_from_blocks(
     blocks: list[WYBlock],
     n: int,
-    method: str = "blocked",
+    group_width: int = 1,
     ctx: ExecutionContext | None = None,
 ) -> np.ndarray:
     """Materialize ``Q_sbr`` (tests / small problems)."""
     Q = np.eye(n)
-    apply_sbr_q(blocks, Q, method=method, ctx=ctx)
+    apply_sbr_q(blocks, Q, group_width, ctx)
     return Q
 
 
@@ -218,8 +156,7 @@ def assemble_eigenvectors(
     blocks: list[WYBlock],
     bc: BulgeChasingResult,
     U: np.ndarray,
-    method: str = "blocked",
-    group_width: int = 128,
+    group_width: int = 1,
     ctx: ExecutionContext | None = None,
 ) -> np.ndarray:
     """Full eigenvector back transformation ``V = Q_sbr (Q1 U)``.
@@ -229,10 +166,9 @@ def assemble_eigenvectors(
     (diamond-blocked compact WY for wavefront results, the scalar log
     otherwise); the SBR factor runs on the context's backend.
     """
-    ctx = resolve_context(ctx)
     U = np.asarray(U)
     dt = U.dtype if U.dtype in (np.float32, np.float64) else np.float64
     V = np.array(U, dtype=dt, copy=True)
     bc.apply_q1(V)
-    apply_sbr_q(blocks, V, method=method, group_width=group_width, ctx=ctx)
+    apply_sbr_q(blocks, V, group_width, ctx)
     return V

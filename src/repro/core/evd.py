@@ -8,10 +8,11 @@ with a tridiagonal eigensolver and the back transformation:
 Four presets mirror the paper's comparison and its lineage:
 
 * ``method="proposed"`` — DBBR + pipelined GPU-style bulge chasing
-  (wavefront-batched engine) + divide & conquer + incremental
-  (Figure 13) back transformation;
+  (wavefront-batched engine) + divide & conquer + grouped WY back
+  transformation in width-``k`` groups (Figure 13);
 * ``method="magma"`` — single-blocking SBR + sequential bulge chasing +
-  divide & conquer + blocked (`ormqr`) back transformation;
+  divide & conquer + back transformation in the `ormqr` order (one
+  width-``b`` block at a time);
 * ``method="cusolver"`` — direct one-stage tridiagonalization + divide &
   conquer;
 * ``method="plasma"`` — tile-kernel (GEQRT/TSQRT) band reduction +

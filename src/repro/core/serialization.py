@@ -24,7 +24,9 @@ from .tridiag import TridiagResult
 
 __all__ = ["save_tridiag", "load_tridiag", "save_evd", "load_evd"]
 
-_FORMAT_VERSION = 1
+#: Format 2 dropped ``bt_method`` (one SBR back transform, chosen by its
+#: group width ``bt_group``); format-1 archives still load.
+_FORMAT_VERSION = 2
 _EVD_FORMAT_VERSION = 1
 
 
@@ -36,7 +38,6 @@ def save_tridiag(path, result: TridiagResult) -> None:
         "e": result.e,
         "method": np.array(result.method),
         "bandwidth": np.array(result.bandwidth),
-        "bt_method": np.array(result.back_transform_method),
         "bt_group": np.array(result.back_transform_group),
     }
     if result.band_result is not None:
@@ -195,8 +196,14 @@ def load_tridiag(path) -> TridiagResult:
     """Reconstruct a :class:`TridiagResult` saved by :func:`save_tridiag`."""
     with np.load(pathlib.Path(path), allow_pickle=False) as z:
         version = int(z["format_version"])
-        if version != _FORMAT_VERSION:
+        if version not in (1, _FORMAT_VERSION):
             raise ValueError(f"unsupported format version {version}")
+        group = int(z["bt_group"])
+        if version == 1 and str(z["bt_method"]) == "blocked":
+            # Format 1 named the schedule; its "blocked" applied the panels
+            # one by one, which is group width 1 (bit-identical on reload).
+            # "incremental" and "recursive" keep the stored width.
+            group = 1
         d = z["d"]
         e = z["e"]
         method = str(z["method"])
@@ -276,6 +283,5 @@ def load_tridiag(path) -> TridiagResult:
             tile_result=tile_result,
             bc_result=bc_result,
             direct_result=direct_result,
-            back_transform_method=str(z["bt_method"]),
-            back_transform_group=int(z["bt_group"]),
+            back_transform_group=group,
         )

@@ -28,12 +28,7 @@ import numpy as np
 
 from ..backend.base import ArrayBackend
 from ..backend.context import ExecutionContext, resolve_context
-from ..plan.config import (
-    BackTransformConfig,
-    BulgeChaseConfig,
-    EVDPlan,
-    TridiagConfig,
-)
+from ..plan.config import BulgeChaseConfig, EVDPlan, TridiagConfig
 from ..plan.planner import auto_params, plan_tridiag
 from .bc_pipeline import PipelineStats
 from .bc_wavefront import bulge_chase_wavefront
@@ -60,6 +55,8 @@ class TridiagResult:
 
     For two-stage methods ``Q = Q_sbr @ Q1``; ``band_result``/``bc_result``
     expose the stage outputs (``direct_result`` for the one-stage path).
+    ``back_transform_group`` is the group width of the SBR back transform
+    (:func:`repro.core.back_transform.apply_sbr_q`).
     """
 
     d: np.ndarray
@@ -71,10 +68,15 @@ class TridiagResult:
     bc_result: BulgeChasingResult | None = None
     direct_result: DirectTridiagResult | None = None
     pipeline_stats: PipelineStats | None = None
-    back_transform_method: str = "blocked"
-    back_transform_group: int = 128
+    back_transform_group: int = 1
     backend: str = "numpy"
     ctx: ExecutionContext | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def back_transform_method(self) -> str:
+        # The EVD benchmark's replay (benchmarks/evd/evd_worker.py) passes
+        # this back as ``apply_sbr_q(method=...)``; there is one method.
+        return "incremental"
 
     @property
     def n(self) -> int:
@@ -103,13 +105,7 @@ class TridiagResult:
             return
         assert self.band_result is not None
         self.bc_result.apply_q1(X)
-        apply_sbr_q(
-            self.band_result.blocks,
-            X,
-            method=self.back_transform_method,
-            group_width=self.back_transform_group,
-            ctx=self.ctx,
-        )
+        apply_sbr_q(self.band_result.blocks, X, self.back_transform_group, self.ctx)
 
     def apply_q_transpose(self, X: np.ndarray) -> None:
         """In place ``X <- Q^T X`` (same operand contract as :meth:`apply_q`)."""
@@ -125,11 +121,7 @@ class TridiagResult:
             return
         assert self.band_result is not None
         apply_sbr_q_transpose(
-            self.band_result.blocks,
-            X,
-            method=self.back_transform_method,
-            group_width=self.back_transform_group,
-            ctx=self.ctx,
+            self.band_result.blocks, X, self.back_transform_group, self.ctx
         )
         self.bc_result.apply_q1_transpose(X)
 
@@ -151,8 +143,6 @@ def tridiagonalize(
     max_sweeps: int | None = None,
     syr2k_kind: str = "square",
     direct_block: int = 32,
-    back_transform: str = "incremental",
-    back_transform_group: int | None = None,
     backend: str | ArrayBackend | ExecutionContext | None = None,
     tuning: str = "manual",
     device: str = "h100",
@@ -182,11 +172,6 @@ def tridiagonalize(
         Trailing-update schedule for DBBR.
     direct_block : int
         Panel width for the direct method.
-    back_transform : {"incremental", "blocked", "recursive"}
-        SBR back-transformation flavour used by ``apply_q``.
-    back_transform_group : int, optional
-        Group width for the incremental back transform (defaults to the
-        DBBR ``second_block``).
     backend : str, ArrayBackend or ExecutionContext, optional
         Where the hot-path array work executes: a backend name
         (``"numpy"``/``"cupy"``/``"torch"``/``"auto"``), a backend
@@ -221,7 +206,7 @@ def tridiagonalize(
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NonSquareError(f"expected a square matrix, got shape {A.shape}")
-    tcfg, bcfg, btcfg = plan_tridiag(
+    tcfg, bcfg = plan_tridiag(
         A.shape[0],
         method,
         tuning=tuning,
@@ -232,10 +217,8 @@ def tridiagonalize(
         max_sweeps=max_sweeps,
         syr2k_kind=syr2k_kind,
         direct_block=direct_block,
-        back_transform=back_transform,
-        back_transform_group=back_transform_group,
     )
-    return _run_tridiag(A, tcfg, bcfg, btcfg, ctx)
+    return _run_tridiag(A, tcfg, bcfg, ctx)
 
 
 def tridiagonalize_planned(
@@ -261,7 +244,6 @@ def tridiagonalize_planned(
         A,
         plan.tridiag,
         plan.bulge_chase,
-        plan.back_transform,
         resolve_context(ctx),
         dtype=dtype,
     )
@@ -271,7 +253,6 @@ def _run_tridiag(
     A: np.ndarray,
     tcfg: TridiagConfig,
     bcfg: BulgeChaseConfig | None,
-    btcfg: BackTransformConfig | None,
     ctx: ExecutionContext,
     dtype: np.dtype | None = None,
 ) -> TridiagResult:
@@ -298,7 +279,7 @@ def _run_tridiag(
             ctx=ctx,
         )
 
-    assert bcfg is not None and btcfg is not None
+    assert bcfg is not None
     b = tcfg.bandwidth if tcfg.bandwidth is not None else auto_params(n)[0]
     b = max(1, min(b, max(n - 2, 1)))
 
@@ -334,8 +315,10 @@ def _run_tridiag(
         tile_result=tile_res,
         bc_result=bc_res,
         pipeline_stats=stats,
-        back_transform_method=btcfg.method,
-        back_transform_group=btcfg.group,
+        # The SBR back transform merges panel blocks into groups of at
+        # least this width: k for DBBR (Figure 13), b for SBR (MAGMA's
+        # ormqr order, no merging).  Tile results carry no WY blocks.
+        back_transform_group=k if tcfg.method == "dbbr" else b,
         backend=ctx.backend.name,
         ctx=ctx,
     )

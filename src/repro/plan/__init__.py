@@ -10,7 +10,6 @@ request spellings coalesce.  See ``docs/api.md`` ("Planning layer").
 """
 
 from .config import (
-    BackTransformConfig,
     BulgeChaseConfig,
     EVDPlan,
     SolverConfig,
@@ -29,7 +28,6 @@ from .planner import (
 from .runner import execute_plan, execute_plan_partial, solve_tridiagonal_planned
 
 __all__ = [
-    "BackTransformConfig",
     "BulgeChaseConfig",
     "EVDPlan",
     "PIPELINE_KNOBS",

@@ -4,16 +4,18 @@ An :class:`EVDPlan` is the single source of truth for *how* a symmetric
 eigenproblem will be executed: which tridiagonalization method with
 which resolved block sizes (:class:`TridiagConfig`), how the band is
 chased to tridiagonal (:class:`BulgeChaseConfig`), which tridiagonal
-eigensolver runs (:class:`SolverConfig`), how eigenvectors are
-back-transformed (:class:`BackTransformConfig`), and on which array
-backend.  Plans are produced by :func:`repro.plan.plan_evd` — never
-hand-assembled — so every field is already validated and every ``None``
-default already resolved to a concrete integer for the plan's ``n``.
+eigensolver runs (:class:`SolverConfig`), and on which array backend.
+The SBR back transform has no branch of its own: its group width follows
+from the resolved ``TridiagConfig`` (see
+:func:`repro.core.tridiag.tridiagonalize_planned`).  Plans are produced
+by :func:`repro.plan.plan_evd` — never hand-assembled — so every field
+is already validated and every ``None`` default already resolved to a
+concrete integer for the plan's ``n``.
 
 Because the tree is frozen and *normalized* (knobs that cannot affect
 the computation are cleared — e.g. ``max_sweeps`` when the chase is not
-pipelined, or the whole band/bulge/back-transform branch for the dense
-tier), two requests that would execute identically serialize to the
+pipelined, or the whole band/bulge branch for the dense tier), two
+requests that would execute identically serialize to the
 same :meth:`EVDPlan.cache_token`, which is what lets the serving layer
 coalesce ``method="proposed"`` with its fully-expanded kwarg spelling.
 """
@@ -29,7 +31,6 @@ __all__ = [
     "TridiagConfig",
     "BulgeChaseConfig",
     "SolverConfig",
-    "BackTransformConfig",
     "EVDPlan",
 ]
 
@@ -73,22 +74,7 @@ class SolverConfig:
     compute_vectors: bool = True
 
 
-@dataclass(frozen=True)
-class BackTransformConfig:
-    """Stage 4: the SBR back transformation used by ``apply_q``.
-
-    ``group`` is the resolved group width of the incremental merge
-    (Figure 13) — the planner defaults it to the DBBR ``second_block``
-    exactly as :func:`repro.core.tridiagonalize` always has.
-    """
-
-    method: str = "incremental"  # "incremental" | "blocked" | "recursive"
-    group: int = 128
-
-
-_Branch = TypeVar(
-    "_Branch", TridiagConfig, BulgeChaseConfig, SolverConfig, BackTransformConfig
-)
+_Branch = TypeVar("_Branch", TridiagConfig, BulgeChaseConfig, SolverConfig)
 
 
 def _branch(cls: type[_Branch], name: str, data: dict[str, Any]) -> _Branch:
@@ -110,11 +96,11 @@ class EVDPlan:
 
     ``method`` keeps the user-facing spelling (a preset name like
     ``"proposed"`` or a raw method like ``"dbbr"``) for display; the
-    semantics live entirely in the four config branches, which is why
+    semantics live entirely in the three config branches, which is why
     :meth:`cache_token` ignores ``method`` — equivalent spellings
-    produce equal tokens.  ``tridiag``/``bulge_chase``/``back_transform``
-    are ``None`` where the pipeline has no such stage (all three for the
-    dense tier; the latter two for the one-stage direct method).
+    produce equal tokens.  ``tridiag``/``bulge_chase`` are ``None`` where
+    the pipeline has no such stage (both for the dense tier;
+    ``bulge_chase`` for the one-stage direct method).
 
     ``fallback="chain"`` marks the plan for escalated execution through
     :func:`repro.resilience.execute_plan_with_fallback` (proposed ->
@@ -139,7 +125,6 @@ class EVDPlan:
     solver: SolverConfig
     tridiag: TridiagConfig | None = None
     bulge_chase: BulgeChaseConfig | None = None
-    back_transform: BackTransformConfig | None = None
     tuning: str = "manual"  # "manual" | "model"
     fallback: str = "none"  # "none" | "chain"
     precision: str = "fp64"  # "fp64" | "mixed" | "fp32"
@@ -174,9 +159,6 @@ class EVDPlan:
             parts.append(f"bc=pipelined={bc.pipelined},max_sweeps={bc.max_sweeps}")
         s = self.solver
         parts.append(f"solver={s.kind},vectors={s.compute_vectors}")
-        bt = self.back_transform
-        if bt is not None:
-            parts.append(f"bt={bt.method},group={bt.group}")
         if self.precision != "fp64":
             # The default is omitted so every pre-precision token (and
             # cache entry) stays stable; any other policy changes the
@@ -198,9 +180,6 @@ class EVDPlan:
                 None if self.bulge_chase is None else asdict(self.bulge_chase)
             ),
             "solver": asdict(self.solver),
-            "back_transform": (
-                None if self.back_transform is None else asdict(self.back_transform)
-            ),
             "cache_token": self.cache_token(),
         }
 
@@ -208,10 +187,18 @@ class EVDPlan:
     def from_dict(cls, data: dict[str, Any]) -> "EVDPlan":
         """Inverse of :meth:`to_dict` (``cache_token`` is recomputed).
 
-        Raises :class:`PlanError` naming the unknown and the valid fields
-        when a config branch carries a field this version does not know
-        (e.g. a plan document that still holds a removed knob).
+        Raises :class:`PlanError` naming the unknown and the valid keys
+        when the document or one of its config branches carries a key
+        this version does not know (e.g. a plan document that still holds
+        a removed knob or branch).
         """
+        valid = [f.name for f in fields(cls)] + ["cache_token"]
+        unknown = sorted(set(data) - set(valid))
+        if unknown:
+            raise PlanError(
+                f"unknown plan key(s) {', '.join(repr(k) for k in unknown)}: "
+                f"valid keys are {', '.join(valid)}"
+            )
         return cls(
             n=int(data["n"]),
             method=str(data["method"]),
@@ -230,11 +217,6 @@ class EVDPlan:
                 else _branch(BulgeChaseConfig, "bulge_chase", data["bulge_chase"])
             ),
             solver=_branch(SolverConfig, "solver", data["solver"]),
-            back_transform=(
-                None
-                if data["back_transform"] is None
-                else _branch(BackTransformConfig, "back_transform", data["back_transform"])
-            ),
         )
 
     # -- display -------------------------------------------------------
@@ -267,8 +249,7 @@ class EVDPlan:
                 lines.append("  bulge chase:    sequential")
         s = self.solver
         lines.append(f"  solver:         {s.kind} (vectors={s.compute_vectors})")
-        bt = self.back_transform
-        if bt is not None:
-            lines.append(f"  back transform: {bt.method} (group={bt.group})")
+        if bc is not None and s.compute_vectors:
+            lines.append("  back transform: Q1, then the band-reduction factor")
         lines.append(f"  cache token:    {self.cache_token()}")
         return "\n".join(lines)

@@ -35,14 +35,13 @@ def predicted_stage_times(plan: EVDPlan, device: str = "h100") -> dict[str, floa
     t = plan.tridiag
     if t.method == "dbbr":
         assert t.bandwidth is not None and t.second_block is not None
-        bt = plan.back_transform
         st = proposed_evd_times(
             dev,
             plan.n,
             vectors,
             b=t.bandwidth,
             k=t.second_block,
-            back_k=bt.group if bt is not None else t.second_block,
+            back_k=t.second_block,
         )
     elif t.method in ("sbr", "tile"):
         assert t.bandwidth is not None

@@ -23,7 +23,6 @@ from typing import Any
 import numpy as np
 
 from .config import (
-    BackTransformConfig,
     BulgeChaseConfig,
     EVDPlan,
     SolverConfig,
@@ -35,8 +34,8 @@ __all__ = ["plan_evd", "plan_tridiag", "auto_params", "make_solver_config"]
 
 #: Preset name -> expanded pipeline knobs (the paper's four comparisons).
 PRESETS: dict[str, dict[str, Any]] = {
-    "proposed": dict(method="dbbr", pipelined=True, back_transform="incremental"),
-    "magma": dict(method="sbr", pipelined=False, back_transform="blocked"),
+    "proposed": dict(method="dbbr", pipelined=True),
+    "magma": dict(method="sbr", pipelined=False),
     "cusolver": dict(method="direct"),
     "plasma": dict(method="tile", pipelined=False),
 }
@@ -44,7 +43,6 @@ PRESETS: dict[str, dict[str, Any]] = {
 TRIDIAG_METHODS = ("dbbr", "sbr", "tile", "direct")
 EVD_METHODS = tuple(PRESETS) + TRIDIAG_METHODS + ("dense",)
 SOLVERS = ("dc", "qr", "bisect")
-BACK_TRANSFORMS = ("incremental", "blocked", "recursive")
 SYR2K_KINDS = ("square", "rect", "reference")
 TUNINGS = ("manual", "model")
 FALLBACKS = ("none", "chain")
@@ -59,8 +57,6 @@ PIPELINE_KNOBS = (
     "max_sweeps",
     "syr2k_kind",
     "direct_block",
-    "back_transform",
-    "back_transform_group",
 )
 
 
@@ -117,15 +113,15 @@ def _resolve_pipeline(
     knobs: dict[str, Any],
     tuning: str,
     device: str,
-) -> tuple[TridiagConfig, BulgeChaseConfig | None, BackTransformConfig | None]:
-    """Resolve + validate the tridiag/bulge/back-transform branch for a
-    raw method name, reproducing ``tridiagonalize``'s historical clamps
-    bit-for-bit (``auto_params``, ``b | k``, group defaulting)."""
+) -> tuple[TridiagConfig, BulgeChaseConfig | None]:
+    """Resolve + validate the tridiag/bulge branch for a raw method name,
+    reproducing ``tridiagonalize``'s historical clamps bit-for-bit
+    (``auto_params``, ``b | k``)."""
     if method == "direct":
-        # One-stage path: every band/bulge/back-transform knob is inert
-        # (tridiagonalize has always ignored them here) — normalize away.
+        # One-stage path: every band/bulge knob is inert (tridiagonalize
+        # has always ignored them here) — normalize away.
         block = _as_int("direct_block", knobs.get("direct_block", 32))
-        return TridiagConfig(method="direct", direct_block=block), None, None
+        return TridiagConfig(method="direct", direct_block=block), None
 
     bandwidth = knobs.get("bandwidth")
     second_block = knobs.get("second_block")
@@ -164,19 +160,7 @@ def _resolve_pipeline(
         max_sweeps = (
             _as_int("max_sweeps", raw_sweeps) if raw_sweeps is not None else None
         )
-    bulge = BulgeChaseConfig(pipelined=pipelined, max_sweeps=max_sweeps)
-
-    bt_method = knobs.get("back_transform", "incremental")
-    if bt_method not in BACK_TRANSFORMS:
-        raise bad_choice("back_transform", bt_method, BACK_TRANSFORMS)
-    raw_group = knobs.get("back_transform_group")
-    if raw_group is not None:
-        group = _as_int("back_transform_group", raw_group)
-    else:
-        group = k if method == "dbbr" else 4 * b
-    assert group is not None
-    back = BackTransformConfig(method=bt_method, group=group)
-    return tridiag, bulge, back
+    return tridiag, BulgeChaseConfig(pipelined=pipelined, max_sweeps=max_sweeps)
 
 
 def _model_tuned_dbbr(n: int, device: str) -> tuple[int | None, int | None]:
@@ -215,7 +199,7 @@ def plan_tridiag(
     tuning: str = "manual",
     device: str = "h100",
     **knobs: Any,
-) -> tuple[TridiagConfig, BulgeChaseConfig | None, BackTransformConfig | None]:
+) -> tuple[TridiagConfig, BulgeChaseConfig | None]:
     """Resolve the tridiagonalization branch for ``tridiagonalize``.
 
     Accepts the raw method names (``"dbbr"``/``"sbr"``/``"tile"``/
@@ -249,8 +233,7 @@ def plan_evd(
     (``"proposed"``/``"magma"``/``"cusolver"``/``"plasma"``/``"dense"``)
     or a raw tridiagonalization method, ``**knobs`` is the historical
     ``**tridiag_kwargs`` surface (``bandwidth``, ``second_block``,
-    ``pipelined``, ``max_sweeps``, ``syr2k_kind``, ``direct_block``,
-    ``back_transform``, ``back_transform_group``).
+    ``pipelined``, ``max_sweeps``, ``syr2k_kind``, ``direct_block``).
     ``tuning="model"`` lets the calibrated cost models pick the DBBR
     ``(b, k)`` for ``device`` where the caller left them unset.
     ``fallback="chain"`` marks the plan for escalated execution
@@ -334,7 +317,7 @@ def plan_evd(
         merged = dict(knobs)
         raw_method = method
     solver_cfg = make_solver_config(solver, compute_vectors)
-    tridiag, bulge, back = _resolve_pipeline(n, raw_method, merged, tuning, device)
+    tridiag, bulge = _resolve_pipeline(n, raw_method, merged, tuning, device)
     return EVDPlan(
         n=n,
         method=method,
@@ -342,7 +325,6 @@ def plan_evd(
         solver=solver_cfg,
         tridiag=tridiag,
         bulge_chase=bulge,
-        back_transform=back,
         tuning=tuning,
         fallback=fallback,
         precision=precision,

@@ -33,12 +33,14 @@ class TestRoundTrip:
 
     def test_back_transform_settings_preserved(self, tmp_npz):
         A = goe(30, seed=61)
-        res = tridiagonalize(A, method="sbr", bandwidth=3,
-                             back_transform="recursive", back_transform_group=7)
-        save_tridiag(tmp_npz, res)
-        loaded = load_tridiag(tmp_npz)
-        assert loaded.back_transform_method == "recursive"
-        assert loaded.back_transform_group == 7
+        for method, group in (("sbr", 3), ("dbbr", 9)):
+            res = tridiagonalize(A, method=method, bandwidth=3, second_block=9)
+            assert res.back_transform_group == group
+            save_tridiag(tmp_npz, res)
+            with np.load(tmp_npz) as z:
+                assert int(z["format_version"]) == 2 and "bt_method" not in z
+            loaded = load_tridiag(tmp_npz)
+            assert loaded.back_transform_group == group
 
     def test_reconstruction_after_reload(self, tmp_npz):
         from repro.band.storage import dense_from_band
@@ -85,6 +87,44 @@ class TestRoundTrip:
         # Factors are O(n^2); the archive should stay within a small
         # multiple of the dense matrix itself.
         assert tmp_npz.stat().st_size < 12 * n * n * 8
+
+
+class TestFormatVersion1:
+    """Format-1 archives named the SBR schedule in ``bt_method``."""
+
+    @staticmethod
+    def _write_v1(path, res, bt_method: str, bt_group: int) -> None:
+        save_tridiag(path, res)
+        data = dict(np.load(path))
+        data["format_version"] = np.array(1)
+        data["bt_method"] = np.array(bt_method)
+        data["bt_group"] = np.array(bt_group)
+        np.savez_compressed(path, **data)
+
+    @pytest.mark.parametrize("bt_method", ["blocked", "incremental", "recursive"])
+    def test_v1_archive_loads(self, tmp_npz, rng, bt_method):
+        A = goe(48, seed=67)
+        res = tridiagonalize(A, method="dbbr", bandwidth=4, second_block=8)
+        self._write_v1(tmp_npz, res, bt_method, bt_group=12)
+        loaded = load_tridiag(tmp_npz)
+        X = rng.standard_normal((48, 5))
+        # Format 1's "blocked": Q1, then the panel blocks one by one.
+        ref = X.copy()
+        res.bc_result.apply_q1(ref)
+        for blk in reversed(res.band_result.blocks):
+            blk.apply_left(ref)
+        Y = X.copy()
+        loaded.apply_q(Y)
+        if bt_method == "blocked":
+            assert loaded.back_transform_group == 1
+            assert np.array_equal(Y, ref)
+        else:
+            # The stored width; "recursive" merged everything, which is
+            # numerically the same product.
+            assert loaded.back_transform_group == 12
+            assert np.allclose(Y, ref, atol=1e-12)
+        loaded.apply_q_transpose(Y)
+        assert np.allclose(Y, X, atol=1e-12)
 
 
 class TestEVDRoundTrip:

@@ -154,8 +154,18 @@ class TestDriver:
         ) < 1e-11
 
     def test_back_transform_method_recorded(self):
+        # One SBR back transform; its group width follows the method:
+        # b for SBR (MAGMA's ormqr order), k for DBBR (Figure 13).
         A = make_symmetric(24, seed=51)
-        res = tridiagonalize(
-            A, method="sbr", bandwidth=3, back_transform="recursive"
-        )
-        assert res.back_transform_method == "recursive"
+        res = tridiagonalize(A, method="sbr", bandwidth=3)
+        assert res.back_transform_method == "incremental"
+        assert res.back_transform_group == 3
+        res = tridiagonalize(A, method="dbbr", bandwidth=3, second_block=9)
+        assert res.back_transform_group == 9
+
+    def test_back_transform_knobs_removed(self):
+        A = make_symmetric(12, seed=52)
+        with pytest.raises(TypeError, match="back_transform"):
+            tridiagonalize(A, back_transform="blocked")
+        with pytest.raises(TypeError, match="back_transform_group"):
+            tridiagonalize(A, back_transform_group=8)

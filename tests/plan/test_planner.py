@@ -89,8 +89,14 @@ class TestChoiceValidation:
             plan_evd(8, method="dbbr", syr2k_kind="triangular")
 
     def test_bad_back_transform(self):
-        with pytest.raises(PlanError, match="'incremental', 'blocked', 'recursive'"):
-            plan_evd(8, method="dbbr", back_transform="fused")
+        # One SBR back transform whose group width follows the method:
+        # both removed knobs fail loudly, naming the knobs that do exist.
+        assert len(PIPELINE_KNOBS) == 6
+        for knob, value in (("back_transform", "blocked"), ("back_transform_group", 8)):
+            with pytest.raises(PlanError, match=f"'{knob}'") as exc_info:
+                repro.eigh(goe(8), **{knob: value})
+            for valid in PIPELINE_KNOBS:
+                assert valid in str(exc_info.value)
 
     def test_non_integer_bandwidth(self):
         with pytest.raises(PlanError, match="bandwidth must be an integer"):
@@ -105,7 +111,6 @@ class TestChoiceValidation:
             ("max_sweeps", True),
             ("max_sweeps", np.float64(1.5)),
             ("direct_block", False),
-            ("back_transform_group", 8.25),
         ],
     )
     def test_integer_knobs_reject_bool_and_fractions(self, knob, value):
@@ -117,11 +122,10 @@ class TestChoiceValidation:
     def test_integer_knobs_accept_numpy_integers(self):
         plan = plan_evd(
             64, "dbbr", bandwidth=np.int64(4), second_block=np.int32(16),
-            max_sweeps=np.int16(3), back_transform_group=8,
+            max_sweeps=np.int16(3),
         )
         assert plan == plan_evd(
             64, "dbbr", bandwidth=4, second_block=16, max_sweeps=3,
-            back_transform_group=8,
         )
         assert type(plan.tridiag.bandwidth) is int
 
@@ -166,8 +170,6 @@ class TestResolution:
         assert plan.tridiag.second_block == max(b, (max(k, b) // b) * b)
         assert plan.bulge_chase.pipelined is True
         assert plan.bulge_chase.max_sweeps is None
-        assert plan.back_transform.method == "incremental"
-        assert plan.back_transform.group == plan.tridiag.second_block
 
     def test_bandwidth_clamped_to_matrix(self):
         # Historical clamp: b <= max(n - 2, 1).
@@ -183,7 +185,6 @@ class TestResolution:
         assert plan.tridiag.method == "direct"
         assert plan.tridiag.direct_block == 32
         assert plan.bulge_chase is None
-        assert plan.back_transform is None
 
     def test_dense_plan_has_no_pipeline(self):
         plan = plan_evd(64, "dense", solver="qr")
@@ -216,8 +217,6 @@ class TestCacheToken:
             bandwidth=p.tridiag.bandwidth,
             second_block=p.tridiag.second_block,
             pipelined=True,
-            back_transform="incremental",
-            back_transform_group=p.back_transform.group,
         )
         assert p.cache_token() == expanded.cache_token()
 
@@ -229,8 +228,6 @@ class TestCacheToken:
             "sbr",
             bandwidth=p.tridiag.bandwidth,
             pipelined=False,
-            back_transform="blocked",
-            back_transform_group=p.back_transform.group,
         )
         assert p.cache_token() == expanded.cache_token()
 
@@ -285,7 +282,19 @@ class TestSerialization:
             EVDPlan.from_dict(data)
         assert "valid fields are kind, compute_vectors" in str(exc.value)
 
-    @pytest.mark.parametrize("branch", ["tridiag", "back_transform"])
+    def test_parent_format_back_transform_branch_is_a_typed_error(self):
+        """Plan documents written before the back-transform branch was
+        removed still hold it; loading one must name the valid keys."""
+        data = plan_evd(128, "proposed").to_dict()
+        data["back_transform"] = {"method": "incremental", "group": 16}
+        with pytest.raises(PlanError, match="unknown plan key.*'back_transform'") as exc:
+            EVDPlan.from_dict(data)
+        for key in ("n", "method", "tridiag", "bulge_chase", "solver", "cache_token"):
+            assert key in str(exc.value)
+        del data["back_transform"]
+        assert EVDPlan.from_dict(data) == plan_evd(128, "proposed")
+
+    @pytest.mark.parametrize("branch", ["tridiag", "bulge_chase"])
     def test_unknown_field_in_any_branch(self, branch):
         data = plan_evd(128, "proposed").to_dict()
         data[branch]["bogus"] = 1
@@ -306,11 +315,10 @@ class TestPlanTridiag:
             plan_tridiag(64, "proposed")
 
     def test_matches_evd_branch(self):
-        tcfg, bcfg, btcfg = plan_tridiag(200, "dbbr")
+        tcfg, bcfg = plan_tridiag(200, "dbbr")
         plan = plan_evd(200, "dbbr")
         assert tcfg == plan.tridiag
         assert bcfg == plan.bulge_chase
-        assert btcfg == plan.back_transform
 
     def test_core_reexports_auto_params(self):
         assert repro.core.auto_params is auto_params

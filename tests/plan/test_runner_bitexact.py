@@ -21,8 +21,8 @@ from repro.eig import dc_eigh, eigh_bisect, tridiag_qr_eigh
 from repro.plan import make_solver_config, plan_evd, solve_tridiagonal_planned
 
 PRESET_KWARGS = {
-    "proposed": dict(method="dbbr", pipelined=True, back_transform="incremental"),
-    "magma": dict(method="sbr", pipelined=False, back_transform="blocked"),
+    "proposed": dict(method="dbbr", pipelined=True),
+    "magma": dict(method="sbr", pipelined=False),
     "cusolver": dict(method="direct"),
     "plasma": dict(method="tile", pipelined=False),
 }
@@ -73,6 +73,22 @@ def test_eigh_matches_manual_composition(n, method, solver, compute_vectors):
     np.testing.assert_array_equal(got.tridiag.d, tri.d)
     np.testing.assert_array_equal(got.tridiag.e, tri.e)
     assert got.solver == solver
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 150])
+@pytest.mark.parametrize("solver", ["dc", "qr", "bisect"])
+def test_magma_back_transform_is_ormqr_order(n, solver):
+    """``magma`` applies ``Q_sbr`` in MAGMA's ``ormqr`` order: ``Q1``, then
+    the SBR panel blocks one by one, rightmost first — bit for bit."""
+    A = goe(n, seed=n)
+    got = repro.eigh(A, method="magma", solver=solver)
+    tri = got.tridiag
+    _, U = solve_tridiagonal_planned(tri.d, tri.e, make_solver_config(solver, True))
+    V = np.array(U, copy=True)
+    tri.bc_result.apply_q1(V)
+    for blk in reversed(tri.band_result.blocks):
+        blk.apply_left(V)
+    assert_same(got.eigenvectors, V)
 
 
 @pytest.mark.parametrize("secular_mode", ["batched", "scalar"])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.band.ops import random_symmetric_band
-from repro.core.back_transform import q_from_blocks
+from repro.core.back_transform import apply_sbr_q, apply_sbr_q_transpose, q_from_blocks
 from repro.core.bc_back_transform import apply_q1_blocks
 from repro.core.bulge_chasing import bulge_chase
 from repro.core.dbbr import dbbr
@@ -32,18 +32,22 @@ def reduction_case(draw):
 @settings(max_examples=30, deadline=None)
 @given(reduction_case())
 def test_all_sbr_back_methods_agree(case):
-    """blocked == recursive == incremental for every reduction and every
-    group width."""
+    """Every group width applies the same ``Q_sbr`` as the blocks one by
+    one (bit for bit up to the panel width), and its transpose undoes it."""
     n, b, k, gw, seed = case
     res = dbbr(_sym(n, seed), b, k)
-    q_blocked = q_from_blocks(res.blocks, n, method="blocked")
-    q_rec = q_from_blocks(res.blocks, n, method="recursive")
-    assert np.allclose(q_blocked, q_rec, atol=1e-10)
-    from repro.core.back_transform import apply_sbr_q
-
-    q_inc = np.eye(n)
-    apply_sbr_q(res.blocks, q_inc, method="incremental", group_width=gw)
-    assert np.allclose(q_blocked, q_inc, atol=1e-10)
+    X = np.random.default_rng(seed + 1).standard_normal((n, 3))
+    ref = X.copy()
+    for blk in reversed(res.blocks):
+        blk.apply_left(ref)
+    Y = X.copy()
+    apply_sbr_q(res.blocks, Y, group_width=gw)
+    if gw <= b:
+        assert np.array_equal(Y, ref)
+    assert np.allclose(Y, ref, atol=1e-10)
+    apply_sbr_q_transpose(res.blocks, Y, group_width=gw)
+    assert np.allclose(Y, X, atol=1e-10)
+    assert np.allclose(q_from_blocks(res.blocks, n, gw), res.q(), atol=1e-10)
 
 
 @st.composite

@@ -29,8 +29,6 @@ def expanded_proposed_kwargs(n: int) -> dict:
         bandwidth=p.tridiag.bandwidth,
         second_block=p.tridiag.second_block,
         pipelined=True,
-        back_transform="incremental",
-        back_transform_group=p.back_transform.group,
     )
 
 

@@ -38,7 +38,7 @@ PUBLIC_API = {
     ],
     "repro.plan": [
         "EVDPlan", "TridiagConfig", "BulgeChaseConfig", "SolverConfig",
-        "BackTransformConfig", "PlanError",
+        "PlanError",
         "plan_evd", "plan_tridiag", "auto_params", "make_solver_config",
         "execute_plan", "execute_plan_partial", "solve_tridiagonal_planned",
         "explain_plan", "predicted_stage_times",
@@ -53,7 +53,6 @@ PUBLIC_API = {
         "bulge_chase", "bulge_chase_wavefront",
         "pipeline_schedule", "sweep_tasks", "apply_bc_task",
         "apply_sbr_q", "assemble_eigenvectors", "q_from_blocks",
-        "merge_blocks_recursive", "merge_blocks_grouped",
         "tridiagonalize", "eigh", "eigh_partial", "eigh_stacked",
         "auto_params", "save_tridiag", "load_tridiag",
         "save_evd", "load_evd",
