@@ -1,10 +1,10 @@
 """Batched vs scalar secular machinery in divide and conquer — PR 6 tentpole.
 
-Both modes execute the *same* mathematics (guarded Newton on the secular
-equation, Gu–Eisenstat Löwner refinement, analytic eigenvectors); the
-scalar mode iterates one root / one column at a time, the batched mode
-runs every root of a merge as stacked ``(N, N)`` array sweeps
-(:mod:`repro.eig.secular`).  ``[measured]`` wall time only — a pure
+Both modes solve the same secular equations (Gu–Eisenstat Löwner
+refinement, analytic eigenvectors); the scalar mode iterates one root /
+one column at a time with guarded Newton, the batched mode runs the
+roots of a merge as ``dlaed4``-style rational sweeps over L2-sized row
+tiles (:mod:`repro.eig.secular`).  ``[measured]`` wall time only — a pure
 software-architecture comparison, no simulator involved.  Acceptance
 gate: the ``dc_secular`` stage >= 5x at n = 1024 with vectors.
 

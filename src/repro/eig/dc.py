@@ -15,24 +15,34 @@ shape that makes D&C the method of choice on GPUs.
 
 Execution is an explicit *level-order* walk over the merge tree rather
 than a recursion: the diagonal is torn once up front (every tear touches
-a disjoint index pair), the base-case QL solves at the leaves run as one
-grouped pass, and then each level's independent merges execute
-back-to-back sharing the context's :class:`~repro.backend.WorkspacePool`
-— the same wavefront shape the bulge-chasing engine uses per round.
-Every merge reports its three sub-stages (``dc_deflate``, ``dc_secular``,
+a disjoint index pair), the leaves are solved by host LAPACK as in
+MAGMA's ``Dstedc`` — one stacked ``numpy.linalg.eigh`` call per leaf size
+(the halving tree has at most two) — and then each level's independent
+merges execute back-to-back sharing the context's
+:class:`~repro.backend.WorkspacePool` — the same wavefront shape the
+bulge-chasing engine uses per round.  The leaves report ``dc_leaf`` and
+every merge its three sub-stages (``dc_deflate``, ``dc_secular``,
 ``dc_gemm``) through the :class:`~repro.backend.ExecutionContext` timing
 hooks, so ``SolverService.stats()`` and the benchmark artifacts can
 attribute D&C time below the ``tridiag_solver`` line.
 
-The secular stage runs vectorized (``secular_mode="batched"``, what
-every plan executes); ``secular_mode="scalar"`` selects the original
-per-root loops, a bit-exact oracle the tests compare against.
+The secular stage runs ``dlaed4``-style rational sweeps over L2-sized
+tiles of roots (``secular_mode="batched"``, what every plan executes);
+``secular_mode="scalar"`` selects the original per-root guarded-Newton
+loops, an oracle the tests compare against.
+
+Like ``dstedc``, the solver scales ``(d, e)`` on entry by the power of
+two that brings ``max |T|`` into ``[0.5, 1)`` and unscales the
+eigenvalues on exit; the scaling is exact, so tridiagonals near either
+end of the exponent range solve as accurately as unit-scale ones.
 
 The eigenvalues-only path never forms eigenvectors: the tree carries
 just the *first and last rows* of each subproblem's eigenvector matrix
-(all a merge needs to build ``z``), turning the ``O(n^3)`` vector cost
-into ``O(n^2)`` — mirroring the cheap `Dstedc`-eigenvalues-only mode whose
-time share Figure 4 reports at a few percent.
+(all a merge needs to build ``z``), and each merge multiplies those two
+rows into the secular eigenvectors tile by tile, so no ``(N, N)`` matrix
+is formed — turning the ``O(n^3)`` vector cost into ``O(n^2)``, mirroring
+the cheap `Dstedc`-eigenvalues-only mode whose time share Figure 4
+reports at a few percent.
 """
 
 from __future__ import annotations
@@ -42,8 +52,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..backend.context import ExecutionContext, resolve_context
+from ..resilience.errors import ConvergenceError
 from ..resilience.faults import maybe_raise
-from .qr_iteration import tridiag_qr_eigh
 from .secular import refine_z, secular_eigenvectors, solve_all_roots
 
 __all__ = ["DCStats", "dc_eigh"]
@@ -62,6 +72,8 @@ class DCStats:
     sizes: list[int] = field(default_factory=list)
     levels: int = 0
     leaves: int = 0
+    #: Most root-solver sweeps any merge needed (batched secular mode).
+    secular_sweeps: int = 0
 
     @property
     def deflation_fraction(self) -> float:
@@ -77,18 +89,19 @@ def _rank_one_update(
     stats: DCStats,
     ctx: ExecutionContext,
     secular_mode: str,
+    rows_only: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigensystem of ``diag(D) + rho z z^T`` expressed through ``Q``.
 
-    ``Q`` holds *any* number of rows of the accumulated eigenvector basis
-    (full ``N`` rows in vector mode, 2 rows in eigenvalues-only mode); its
-    columns are transformed exactly like eigenvectors.  Returns
+    ``Q`` holds rows of the accumulated eigenvector basis (all ``N`` rows
+    in vector mode, the first and last with ``rows_only``); its columns
+    are transformed exactly like eigenvectors.  Returns
     ``(lam ascending, Q_updated)``.
     """
     if rho < 0.0:
         # eig(D + rho z z^T) = -rev(eig(-rev(D) + |rho| rev(z) rev(z)^T))
         lam_r, Q_r = _rank_one_update(
-            -D[::-1], z[::-1], -rho, Q[:, ::-1], stats, ctx, secular_mode
+            -D[::-1], z[::-1], -rho, Q[:, ::-1], stats, ctx, secular_mode, rows_only
         )
         return -lam_r[::-1], Q_r[:, ::-1]
 
@@ -141,29 +154,38 @@ def _rank_one_update(
         order = np.argsort(D, kind="stable")
         return D[order], Q[:, order]
 
-    # The big (N, N) secular intermediates come from the context's pool in
-    # batched mode, so back-to-back merges at one level allocate nothing.
+    # The secular tiles (and the vector mode's (N, N) matrix) come from
+    # the context's pool in batched mode, so back-to-back merges at one
+    # level allocate nothing.
     pool = ctx.workspace if (secular_mode == "batched" and ctx.is_numpy) else None
     with ctx.stage("dc_secular", n=int(nd.size), mode=secular_mode):
         maybe_raise("dc.merge")
         roots = solve_all_roots(D[nd], z[nd], rho, mode=secular_mode, workspace=pool)
+        stats.secular_sweeps = max(stats.secular_sweeps, roots.sweeps)
         lam_nd = roots.values
         zhat = refine_z(roots, z[nd], rho, mode=secular_mode, workspace=pool)
-        S = secular_eigenvectors(roots, zhat, mode=secular_mode, workspace=pool)
-    with ctx.stage("dc_gemm", rows=int(Q.shape[0]), k=int(nd.size)):
-        # Mixed precision: the secular stage always runs fp64, but the
-        # merge GEMM — the O(n^3) cost of D&C — follows the carried
-        # basis dtype.  For fp64 Q the astype is a no-op (same object),
-        # keeping the historical path bit-identical.
-        S = S.astype(Q.dtype, copy=False)
-        if ctx.is_numpy:
-            Q_nd = Q[:, nd] @ S
-        else:
-            # The one BLAS3 shape of the merge — route it to the backend; the
-            # secular machinery around it is scalar-bound and stays host-side.
-            Q_nd = ctx.to_numpy(
-                ctx.from_numpy(np.ascontiguousarray(Q[:, nd])) @ ctx.from_numpy(S)
+        if rows_only:
+            # The 2-row basis is multiplied in tile by tile: eigenvalues-only
+            # merges never form the (N, N) eigenvector matrix.
+            Q_nd = secular_eigenvectors(
+                roots, zhat, mode=secular_mode, workspace=pool, basis=Q[:, nd]
             )
+        else:
+            S = secular_eigenvectors(roots, zhat, mode=secular_mode, workspace=pool)
+    if not rows_only:
+        with ctx.stage("dc_gemm", rows=int(Q.shape[0]), k=int(nd.size)):
+            # Mixed precision: the secular stage always runs fp64, but the
+            # merge GEMM — the O(n^3) cost of D&C — follows the carried
+            # basis dtype.  For fp64 Q the astype is a no-op (same object).
+            S = S.astype(Q.dtype, copy=False)
+            if ctx.is_numpy:
+                Q_nd = Q[:, nd] @ S
+            else:
+                # The one BLAS3 shape of the merge — route it to the backend;
+                # the secular machinery around it stays host-side.
+                Q_nd = ctx.to_numpy(
+                    ctx.from_numpy(np.ascontiguousarray(Q[:, nd])) @ ctx.from_numpy(S)
+                )
     stats.gemm_flops += 2.0 * Q.shape[0] * nd.size * nd.size
 
     lam_all = np.concatenate([lam_nd, D[df]])
@@ -254,19 +276,38 @@ def _dc_level_order(
             dmod[m - 1] -= rho
             dmod[m] -= rho
 
-    # Grouped base-case solves: every leaf in one pass.
+    # Leaf solves: the halving tree leaves at most two leaf sizes, and each
+    # size is one stacked LAPACK call (np.linalg.eigh on a (count, m, m)
+    # tridiagonal stack), as Dstedc solves its leaves with host LAPACK.
     done: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
     with ctx.stage("dc_leaf", count=len(leaves)):
-        for s, t in leaves:
-            lam, U = tridiag_qr_eigh(dmod[s:t], e[s : t - 1], compute_vectors=True)
-            if rows_only:
-                # The 2-row basis drives the secular z vectors and stays
-                # fp64 regardless of vector_dtype: it is eigenvalue
-                # machinery, not eigenvector carrying.
-                Q = np.vstack([U[0], U[-1]])
-            else:
-                Q = U.astype(vector_dtype, copy=False)
-            done[(s, t)] = (lam, Q)
+        maybe_raise("dc.leaf")
+        for m in sorted({t - s for s, t in leaves}):
+            group = [(s, t) for s, t in leaves if t - s == m]
+            starts = np.array([s for s, _ in group])
+            j = np.arange(m)
+            T = np.zeros((len(group), m, m))
+            T[:, j, j] = dmod[starts[:, None] + j]
+            sub = e[starts[:, None] + j[:-1]]
+            T[:, j[1:], j[:-1]] = sub
+            T[:, j[:-1], j[1:]] = sub
+            try:
+                lam, U = np.linalg.eigh(T)
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceError(
+                    f"LAPACK leaf solve of {len(group)} size-{m} tridiagonals "
+                    f"failed: {exc}",
+                    site="dc.leaf",
+                ) from exc
+            for k, seg in enumerate(group):
+                if rows_only:
+                    # The 2-row basis drives the secular z vectors and stays
+                    # fp64 regardless of vector_dtype: it is eigenvalue
+                    # machinery, not eigenvector carrying.
+                    Q = U[k][[0, -1]]
+                else:
+                    Q = U[k].astype(vector_dtype, copy=False)
+                done[seg] = (lam[k], Q)
 
     # Merge wave: deepest level first; the merges inside one level are
     # independent and run back-to-back over the shared workspace pool.
@@ -284,7 +325,9 @@ def _dc_level_order(
             Q = _block_diag_rows(Q1, Q2, rows_only)
             stats.merges += 1
             stats.sizes.append(t - s)
-            done[(s, t)] = _rank_one_update(D, z, rho, Q, stats, ctx, secular_mode)
+            done[(s, t)] = _rank_one_update(
+                D, z, rho, Q, stats, ctx, secular_mode, rows_only
+            )
 
     return done[(0, n)]
 
@@ -309,30 +352,39 @@ def dc_eigh(
         When false, only the first/last eigenvector rows are carried
         through the recursion (``O(n^2)`` total).
     base_size : int
-        Subproblems at or below this size use QL iteration directly.
+        Subproblems at or below this size are leaves, solved by LAPACK in
+        one stacked call per leaf size.
     return_stats : bool
         Also return a :class:`DCStats` with merge/deflation counters.
     ctx : ExecutionContext, optional
         Execution context: the per-level eigenvector merge GEMM runs on
         its backend, batched secular scratch comes from its workspace
-        pool, and every merge emits ``dc_deflate`` / ``dc_secular`` /
-        ``dc_gemm`` stage events through its hooks.
+        pool, and the leaves emit ``dc_leaf`` and every merge
+        ``dc_deflate`` / ``dc_secular`` / ``dc_gemm`` stage events through
+        its hooks (eigenvalues-only merges have no ``dc_gemm``: their
+        two-row product runs inside ``dc_secular``).
     secular_mode : {"batched", "scalar"}
         ``"batched"`` (default) runs the vectorized secular machinery;
-        ``"scalar"`` the original per-root loops (the bit-exact oracle).
+        ``"scalar"`` the original per-root loops (the test oracle).
     vector_dtype : dtype, optional
         Working dtype of the eigenvector carrying and per-level merge
         GEMMs (the O(n^3) cost).  The eigenvalue/secular machinery —
-        leaf QL solves, deflation, secular roots, z refinement — always
+        leaf solves, deflation, secular roots, z refinement — always
         runs float64 on the float64 ``(d, e)``.  ``None`` (the default,
         and the only value fp64 plans ever pass) is bit-identical to
-        the historical solver.  Ignored in eigenvalues-only mode, whose
-        2-row carried basis is eigenvalue machinery.
+        ``np.float64``.  Ignored in eigenvalues-only mode, whose 2-row
+        carried basis is eigenvalue machinery.
 
     Returns
     -------
     (lam, U[, stats])
         Ascending eigenvalues; ``U`` is the eigenvector matrix or ``None``.
+
+    Raises
+    ------
+    ConvergenceError
+        A LAPACK leaf solve failed (site ``"dc.leaf"``) or a secular root
+        sweep stalled (site ``"secular.newton"``).
     """
     d = np.asarray(d, dtype=np.float64)
     e = np.asarray(e, dtype=np.float64)
@@ -348,10 +400,15 @@ def dc_eigh(
     vdt = np.dtype(np.float64) if vector_dtype is None else np.dtype(vector_dtype)
     if vdt not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise ValueError(f"vector_dtype must be float32 or float64, got {vdt}")
+    # Scale like dstedc's dlascl: the power of two that brings max|T| into
+    # [0.5, 1) is exact, and keeps 1/rho, z^2/(d - lam) and their squares
+    # in range for tridiagonals near the ends of the exponent range.
+    amax = max(np.max(np.abs(d), initial=0.0), np.max(np.abs(e), initial=0.0))
+    expo = int(np.frexp(amax)[1])
     stats = DCStats()
     lam, Q = _dc_level_order(
-        d,
-        e,
+        np.ldexp(d, -expo),
+        np.ldexp(e, -expo),
         not compute_vectors,
         base_size,
         stats,
@@ -359,6 +416,7 @@ def dc_eigh(
         secular_mode,
         vector_dtype=vdt,
     )
+    lam = np.ldexp(lam, expo)
     U = Q if compute_vectors else None
     if return_stats:
         return lam, U, stats

@@ -5,10 +5,10 @@ implicit QL steps with the Wilkinson shift until the corresponding
 off-diagonal entry is negligible.  Cost is ``O(n^2)`` for eigenvalues and
 ``O(n^3)`` when rotations are accumulated into the eigenvector matrix.
 
-Within this reproduction it serves three roles: the base-case solver of the
-divide-and-conquer recursion (:mod:`repro.eig.dc`), the reference "QR
+Within this reproduction it serves two roles: the reference "QR
 algorithm" iterative method the paper mentions alongside divide and
-conquer, and an independent oracle for the test suite.
+conquer (the ``solver="qr"`` plan), and an independent oracle for the
+test suite.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ whose eigenvalues are the roots of the *secular equation*
 one root strictly inside each interval ``(d_i, d_{i+1})`` plus one beyond
 ``d_N`` (interlacing).  This module provides:
 
-* :func:`solve_secular_root` — a guarded rational-Newton iteration for a
-  single root, returning the root as ``(anchor index, offset)`` so that
+* :func:`solve_secular_root` — a guarded Newton iteration for a single
+  root, returning the root as ``(anchor index, offset)`` so that
   ``lam - d_j`` can later be formed without cancellation;
 * :func:`solve_all_roots` — all ``N`` roots;
 * :func:`refine_z` — the Gu–Eisenstat trick: recompute the rank-one vector
@@ -20,27 +20,33 @@ one root strictly inside each interval ``(d_i, d_{i+1})`` plus one beyond
   analytic eigenvector formula numerically orthogonal even for tightly
   clustered eigenvalues;
 * :func:`secular_eigenvectors` — eigenvectors ``u_i propto z_hat_j /
-  (d_j - lam_i)`` built from the refined vector.
+  (d_j - lam_i)`` built from the refined vector, or their product with a
+  few basis rows.
 
 Each of the three stages comes in two modes (``mode="batched"`` default,
 ``mode="scalar"``).  The scalar mode is the original one-root-at-a-time
-implementation, kept bit-for-bit as a cross-check oracle for the tests;
-production (:func:`repro.eig.dc_eigh` under every plan) runs batched.
-The batched mode executes the same
-mathematics as stacked array sweeps:
+guarded Newton, kept as a cross-check oracle for the tests; production
+(:func:`repro.eig.dc_eigh` under every plan) runs batched.  The batched
+mode walks the roots in row tiles of about 1 MiB (``_TILE_BYTES``), so a
+tile's pole differences stay in L2 while it iterates:
 
-* the guarded Newton iteration runs on *all* roots simultaneously over an
-  ``(N, N)`` pole-difference matrix with per-root convergence masks and
-  bracket updates, compressing to the still-active rows each sweep;
-* the Löwner refinement evaluates all paired ratios
-  ``(lam_i - d_j) / (d_{i or i+1} - d_j)`` as one matrix (each ratio is
+* the roots take LAPACK ``dlaed4``'s steps: a two-pole quadratic from the
+  interval midpoint as the starting guess, then the fixed-weight rational
+  step (Li; Gragg) with the last root's pole split handled separately —
+  guarded by the per-root bracket with bisection fallback, stopped at
+  the backward-error floor, and compressed to the still-active rows of
+  the tile each sweep;
+* the Löwner refinement evaluates the paired ratios
+  ``(lam_i - d_j) / (d_{i or i+1} - d_j)`` in column tiles (each ratio is
   O(1) by interlacing, so the column products stay bounded) and reduces
-  them with a single ``prod``;
-* the eigenvector formula is one broadcasted outer division plus a single
-  vectorized column normalization.
+  each with a single ``prod``;
+* the eigenvector formula is one broadcasted outer division plus a row
+  normalization per tile of roots; given basis rows, each tile is
+  multiplied in at once and the ``(N, N)`` matrix is never formed.
 
-Large ``(N, N)`` intermediates can be served from a caller-provided
-workspace pool (``workspace=``, duck-typed to
+Every root, ratio column and eigenvector is computed independently of the
+others, so results do not depend on the tile size.  Scratch can be served
+from a caller-provided workspace pool (``workspace=``, duck-typed to
 :meth:`repro.backend.WorkspacePool.matrix`) so repeated merges inside the
 divide-and-conquer tree allocate nothing in steady state.
 
@@ -67,6 +73,10 @@ __all__ = [
 _EPS = np.finfo(np.float64).eps
 
 _MODES = ("batched", "scalar")
+
+# Bytes of float64 scratch per batched tile: about half of a 2 MiB L2,
+# so a tile's pole-difference rows stay cache-resident across sweeps.
+_TILE_BYTES = 1 << 20
 
 
 def _check_mode(mode: str) -> None:
@@ -95,10 +105,18 @@ class SecularRoots:
     cancellation next to a pole.
     """
 
-    def __init__(self, d: np.ndarray, anchors: np.ndarray, offsets: np.ndarray):
+    def __init__(
+        self,
+        d: np.ndarray,
+        anchors: np.ndarray,
+        offsets: np.ndarray,
+        sweeps: int = 0,
+    ):
         self.d = d
         self.anchors = anchors
         self.offsets = offsets
+        #: Most sweeps any root tile needed (0 from the scalar oracle).
+        self.sweeps = sweeps
 
     @property
     def values(self) -> np.ndarray:
@@ -112,37 +130,6 @@ class SecularRoots:
     def gaps(self, i: int) -> np.ndarray:
         """Vector ``d_j - lam_i`` for all ``j``, cancellation-free."""
         return (self.d - self.d[self.anchors[i]]) - self.offsets[i]
-
-    def minus_d_matrix(self, out: np.ndarray | None = None) -> np.ndarray:
-        """Matrix ``L[i, j] = lam_i - d_j`` for all roots/poles at once.
-
-        Each entry is one exact-input subtraction plus the small offset —
-        the same cancellation-free form as :meth:`minus_d`, built as a
-        single broadcast."""
-        d, anchors, offsets = self.d, self.anchors, self.offsets
-        if out is None:
-            return (d[anchors][:, None] - d[None, :]) + offsets[:, None]
-        np.subtract(d[anchors][:, None], d[None, :], out=out)
-        out += offsets[:, None]
-        return out
-
-
-def _eval_psi_phi(
-    mu: float, delta: np.ndarray, z2: np.ndarray, split: int
-) -> tuple[float, float, float, float]:
-    """Evaluate the two halves of the secular sum at offset ``mu``.
-
-    ``delta = d - d_anchor``; poles below/at the anchor side go to ``psi``,
-    the rest to ``phi``.  Returns ``(psi, psi', phi, phi')``.
-    """
-    diff = delta - mu
-    terms = z2 / diff
-    dterms = terms / diff
-    psi = float(np.sum(terms[: split + 1]))
-    dpsi = float(np.sum(dterms[: split + 1]))
-    phi = float(np.sum(terms[split + 1 :]))
-    dphi = float(np.sum(dterms[split + 1 :]))
-    return psi, dpsi, phi, dphi
 
 
 def solve_secular_root(
@@ -251,82 +238,206 @@ def _solve_all_roots_scalar(
     return SecularRoots(d, anchors, offsets)
 
 
-def _solve_all_roots_batched(
+def _row_tiles(rows: int, cols: int):
+    """Consecutive slices of ``range(rows)``, each covering at most
+    ``_TILE_BYTES`` of float64 rows ``cols`` wide (at least one row)."""
+    step = max(1, _TILE_BYTES // (8 * max(cols, 1)))
+    for start in range(0, rows, step):
+        yield slice(start, min(start + step, rows))
+
+
+def _initial_guess(
     d: np.ndarray,
     z2: np.ndarray,
     rho: float,
-    workspace=None,
-    max_iter: int = 256,
-) -> SecularRoots:
-    """All roots at once: the guarded Newton of :func:`solve_secular_root`
-    executed as stacked sweeps over an ``(active, N)`` pole-difference
-    matrix with per-root bracket and convergence state."""
-    if rho <= 0:
-        raise ValueError("solve_all_roots requires rho > 0")
+    upper: float,
+    r: np.ndarray,
+    i_lo: np.ndarray,
+    i_hi: np.ndarray,
+    W: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Anchor side and starting offset of the roots ``r``, as ``dlaed4``.
+
+    The secular function is evaluated at each root's interval midpoint
+    (``W`` is ``(len(r), N)`` scratch): its sign says whether root ``i``
+    sits left of the midpoint, i.e. is anchored to its lower pole
+    (``orgati``), and the sum minus its two nearest-pole terms is the
+    constant of the two-pole quadratic whose root is the guess.  The last
+    root is anchored to ``d_{N-1}``.  Returns ``(orgati, offset)``.
+    """
     N = d.size
-    anchors = np.arange(N, dtype=np.int64)
-    offsets = np.zeros(N, dtype=np.float64)
-    if N == 0:
-        return SecularRoots(d, anchors, offsets)
+    last = r == N - 1
+    mids = np.where(last, d[N - 1] + 0.5 * upper, 0.5 * (d[i_lo] + d[i_hi]))
+    np.subtract(d[None, :], mids[:, None], out=W)
+    np.divide(z2[None, :], W, out=W)
+    s = W.sum(axis=1)
+    orgati = ~last & (1.0 + rho * s > 0.0)
 
-    # Anchor choice: evaluate f at each interior midpoint in one sweep;
-    # root i sits left of its midpoint iff f(mid_i) > 0 (f increasing).
-    if N > 1:
-        mids = 0.5 * (d[:-1] + d[1:])
-        f_mid = 1.0 + rho * np.sum(z2[None, :] / (d[None, :] - mids[:, None]), axis=1)
-        anchors[:-1] += f_mid <= 0.0
-    d_anchor = d[anchors]
+    rr = np.arange(r.size)
+    c = (1.0 / rho + s) - W[rr, i_lo] - W[rr, i_hi]
+    z2_lo, z2_hi = z2[i_lo], z2[i_hi]
+    gap = d[i_hi] - d[i_lo]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Interior roots, offset from the anchor pole.
+        a = np.where(orgati, c * gap + z2_lo + z2_hi, c * gap - z2_lo - z2_hi)
+        b = np.where(orgati, z2_lo, z2_hi) * gap
+        disc = np.sqrt(np.abs(a * a - 4.0 * np.where(orgati, b, -b) * c))
+        tau = np.where(
+            orgati,
+            np.where(a > 0.0, 2.0 * b / (a + disc), (a - disc) / (2.0 * c)),
+            np.where(a < 0.0, 2.0 * b / (a - disc), -(a + disc) / (2.0 * c)),
+        )
+        # The last root, offset from d_{N-1} into (0, upper].
+        a_n = z2_lo + z2_hi - c * gap
+        disc_n = np.sqrt(a_n * a_n + 4.0 * b * c)
+        tau_n = np.where(a_n < 0.0, 2.0 * b / (disc_n - a_n), (a_n + disc_n) / (2.0 * c))
+        beyond_mid = (1.0 / rho + s <= 0.0) & (c <= z2_lo / (gap + upper) + z2_hi / upper)
+        tau = np.where(last, np.where(beyond_mid | (N == 1), upper, tau_n), tau)
+    return orgati, tau
 
-    # Offset brackets: root i in (d_i, d_{i+1}), the last in
-    # (d_{N-1}, d_{N-1} + rho ||z||^2).
-    hi = np.empty(N, dtype=np.float64)
-    hi[: N - 1] = d[1:] - d_anchor[: N - 1]
-    hi[N - 1] = rho * float(np.sum(z2))
-    lo = d - d_anchor
+
+def _fixed_weight_step(
+    w: np.ndarray,
+    dw: np.ndarray,
+    p_lo: np.ndarray,
+    p_hi: np.ndarray,
+    z2_lo: np.ndarray,
+    z2_hi: np.ndarray,
+    gap: np.ndarray,
+    orgati: np.ndarray,
+    last: np.ndarray,
+) -> np.ndarray:
+    """``dlaed4``'s fixed-weight rational step (Li; Gragg), per row.
+
+    ``w``/``dw`` are the secular function (over ``rho``) and its
+    derivative at the current iterate; ``p_lo``/``p_hi`` are the
+    distances ``d_j - lam`` to the two poles bracketing the root.  The
+    secular function is interpolated by those two poles plus a constant:
+    the anchor pole keeps its exact weight ``z_j^2``, and the other
+    pole's weight and the constant match the value and derivative; the
+    step is the interpolant's root.  The last root has no pole above, so
+    its two nearest poles split the derivative as ``dlaed4`` does.  Rows
+    where the model has no usable root fall back to the Newton step.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pp = p_lo * p_hi
+        a = (p_lo + p_hi) * w - pp * dw
+        b = pp * w
+        dphi = z2_hi / (p_hi * p_hi)
+        c = np.where(
+            last,
+            np.abs(w - p_lo * (dw - dphi) - p_hi * dphi),
+            np.where(
+                orgati,
+                w - p_hi * dw + gap * z2_lo / (p_lo * p_lo),
+                w - p_lo * dw - gap * dphi,
+            ),
+        )
+        disc = np.sqrt(np.abs(a * a - 4.0 * b * c))
+        eta = np.where(
+            last,
+            np.where(a >= 0.0, (a + disc) / (2.0 * c), 2.0 * b / (a - disc)),
+            np.where(a <= 0.0, (a - disc) / (2.0 * c), 2.0 * b / (a + disc)),
+        )
+        # The step must move against w; otherwise take Newton's.
+        bad = ~np.isfinite(eta) | (w * eta >= 0.0)
+        eta[bad] = -w[bad] / dw[bad]
+    return eta
+
+
+def _solve_tile(
+    d: np.ndarray,
+    z2: np.ndarray,
+    rho: float,
+    upper: float,
+    rows: slice,
+    anchors: np.ndarray,
+    offsets: np.ndarray,
+    workspace,
+    max_iter: int,
+) -> int:
+    """Iterate the roots of ``rows`` to convergence; returns the sweeps
+    spent.  Every row is independent, so the results do not depend on
+    how the roots are tiled."""
+    N = d.size
+    r = np.arange(rows.start, rows.stop)
+    last = r == N - 1
+    # The poles bracketing each root; the last root pairs with N-2, N-1.
+    i_lo = np.maximum(np.minimum(r, N - 2), 0)
+    i_hi = np.minimum(i_lo + 1, N - 1)
+    # One (rows, N) scratch block serves the midpoint evaluation, then
+    # the pole offsets of the sweeps.
+    delta = _scratch_matrix(workspace, "secular.tile", (r.size, N))
+    orgati, mu = _initial_guess(d, z2, rho, upper, r, i_lo, i_hi, delta)
+    anchor = np.where(orgati | last, r, r + 1)
+    anchors[rows] = anchor
+    d_anchor = d[anchor]
+    # Offset bracket: root i in (d_i, d_{i+1}), the last in
+    # (d_{N-1}, d_{N-1} + rho ||z||^2].
+    lo = np.where(last, 0.0, d[i_lo] - d_anchor)
+    hi = np.where(last, upper, d[i_hi] - d_anchor)
+    # Start inside the bracket; only the last root's upper end is no pole.
+    inside = (lo < mu) & np.where(last, mu <= hi, mu < hi)
+    mu = np.where(inside, mu, 0.5 * (lo + hi))
+    # Pole offsets of the two bracketing poles; p = pole - lam = pole - mu.
+    pole_lo = d[i_lo] - d_anchor
+    pole_hi = d[i_hi] - d_anchor
+    gap = d[i_hi] - d[i_lo]
+    z2_lo, z2_hi = z2[i_lo], z2[i_hi]
 
     # delta[i, j] = d_j - d_anchor_i: the pole offsets seen by root i.
-    delta = _scratch_matrix(workspace, "secular.delta", (N, N))
     np.subtract(d[None, :], d_anchor[:, None], out=delta)
 
-    span = hi - lo
-    mu = np.where(span > 0.0, 0.5 * (lo + hi), 0.0)
-    idx = np.flatnonzero(span > 0.0)
-
+    idx = np.flatnonzero(hi > lo)
     inv_rho = 1.0 / rho
+    sweeps = 0
     for _ in range(max_iter):
         if idx.size == 0:
             break
-        delta_a = delta[idx]
+        sweeps += 1
+        delta_a = delta if idx.size == delta.shape[0] else delta[idx]
         mu_a = mu[idx]
         lo_a = lo[idx]
         hi_a = hi[idx]
         diff = delta_a - mu_a[:, None]
-        # Exactly on a pole (only possible at bracket endpoints): nudge
-        # one ulp toward the interval interior and re-evaluate.
-        for _nudge in range(2):
-            hit = (diff == 0.0).any(axis=1)
-            if not hit.any():
-                break
-            mid_now = 0.5 * (lo_a + hi_a)
-            mu_a[hit] = np.nextafter(mu_a[hit], mid_now[hit])
-            diff[hit] = delta_a[hit] - mu_a[hit][:, None]
-        terms = z2[None, :] / diff
-        f = inv_rho + terms.sum(axis=1)
-        dterms = terms / diff
-        fp = dterms.sum(axis=1)  # f' / rho, always > 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = z2[None, :] / diff
+            f = inv_rho + terms.sum(axis=1)
+            # A non-finite sum means the iterate sits exactly on a pole
+            # (only possible at a bracket end): nudge those rows one ulp
+            # toward the interval interior and re-evaluate them.
+            for _nudge in range(2):
+                hit = np.flatnonzero(~np.isfinite(f))
+                if hit.size == 0:
+                    break
+                mu_a[hit] = np.nextafter(mu_a[hit], 0.5 * (lo_a[hit] + hi_a[hit]))
+                diff[hit] = delta_a[hit] - mu_a[hit, None]
+                terms[hit] = z2[None, :] / diff[hit]
+                f[hit] = inv_rho + terms[hit].sum(axis=1)
+        np.divide(terms, diff, out=diff)
+        fp = diff.sum(axis=1)  # f' / rho, always > 0
         # Backward-error floor, per root: |f| at the roundoff level of
         # its own evaluation — iterating further is pure noise.
         np.abs(terms, out=terms)
         fscale = inv_rho + terms.sum(axis=1)
         at_floor = np.abs(f) <= 2.0 * _EPS * fscale
-        # Bracket update on the monotone function, then a guarded Newton
-        # step with bisection fallback — all rows at once.
+        # Bracket update on the monotone function, then the rational
+        # step guarded by bisection — all rows at once.
         f_pos = f > 0.0
         hi_a = np.where(f_pos, mu_a, hi_a)
         lo_a = np.where(f_pos, lo_a, mu_a)
-        step = np.zeros_like(f)
-        np.divide(-f, fp, out=step, where=fp > 0.0)
-        mu_new = mu_a + step
+        eta = _fixed_weight_step(
+            f,
+            fp,
+            pole_lo[idx] - mu_a,
+            pole_hi[idx] - mu_a,
+            z2_lo[idx],
+            z2_hi[idx],
+            gap[idx],
+            orgati[idx],
+            last[idx],
+        )
+        mu_new = mu_a + eta
         inside = (lo_a < mu_new) & (mu_new < hi_a)
         mu_new = np.where(inside, mu_new, 0.5 * (lo_a + hi_a))
         tiny_step = np.abs(mu_new - mu_a) <= _EPS * np.maximum(
@@ -342,17 +453,42 @@ def _solve_all_roots_batched(
     if idx.size > 0:
         # Stagnant brackets must fail loudly: exiting here with silently
         # unconverged roots poisons every eigenvector built from them.
+        bad = r[idx]
         raise ConvergenceError(
-            f"secular Newton sweep left {idx.size} of {N} roots unconverged "
-            f"after {max_iter} iterations (root indices {idx[:8].tolist()}"
-            f"{'...' if idx.size > 8 else ''})",
+            f"secular sweep left {bad.size} of {N} roots unconverged "
+            f"after {max_iter} iterations (root indices {bad[:8].tolist()}"
+            f"{'...' if bad.size > 8 else ''})",
             site="secular.newton",
             iterations=max_iter,
-            indices=idx,
+            indices=bad,
         )
+    offsets[rows] = mu
+    return sweeps
 
-    offsets[:] = mu
-    return SecularRoots(d, anchors, offsets)
+
+def _solve_all_roots_batched(
+    d: np.ndarray,
+    z2: np.ndarray,
+    rho: float,
+    workspace=None,
+    max_iter: int = 256,
+) -> SecularRoots:
+    """All roots, one L2-sized row tile at a time: each tile picks its
+    anchors, then runs stacked rational sweeps over its ``(rows, N)``
+    pole-difference block with per-root bracket and convergence state."""
+    if rho <= 0:
+        raise ValueError("solve_all_roots requires rho > 0")
+    N = d.size
+    anchors = np.arange(N, dtype=np.int64)
+    offsets = np.zeros(N, dtype=np.float64)
+    sweeps = 0
+    upper = rho * float(np.sum(z2))
+    for rows in _row_tiles(N, N):
+        sweeps = max(
+            sweeps,
+            _solve_tile(d, z2, rho, upper, rows, anchors, offsets, workspace, max_iter),
+        )
+    return SecularRoots(d, anchors, offsets, sweeps=sweeps)
 
 
 def solve_all_roots(
@@ -366,10 +502,11 @@ def solve_all_roots(
     """All ``N`` secular roots for ``D + rho z z^T`` (``rho > 0``,
     ``d`` strictly ascending, ``z`` fully non-deflated).
 
-    ``mode="batched"`` (default) iterates every root simultaneously with
-    vectorized sweeps; ``mode="scalar"`` is the original per-root loop,
-    kept as a cross-check oracle.  ``workspace`` optionally pools the
-    ``(N, N)`` scratch (batched mode only).
+    ``mode="batched"`` (default) iterates the roots tile by tile with
+    vectorized rational sweeps and records the most sweeps a tile needed
+    in ``.sweeps``; ``mode="scalar"`` is the original per-root guarded
+    Newton, kept as a cross-check oracle.  ``workspace`` optionally pools
+    the tile scratch (batched mode only).
 
     Raises
     ------
@@ -410,22 +547,32 @@ def _refine_z_batched(
     ``(lam_i - d_j) / (d_p - d_j)`` pairs a root with the pole on the same
     side (``p = i`` below the diagonal, ``p = i + 1`` at/above), so each
     ratio is O(1) by interlacing and the column products stay bounded —
-    no logs needed, no Python loops."""
+    no logs needed, no Python loops per entry.  The ``(N, N)`` ratio
+    matrix is walked in L2-sized column tiles (poles ``j``); each column's
+    product runs over all roots in order, so the tiling changes no bit."""
     d = roots.d
     N = d.size
-    L = roots.minus_d_matrix(
-        out=_scratch_matrix(workspace, "secular.loewner_num", (N, N))
-    )
-    if N == 1:
-        val = L[0] / rho
-    else:
-        rows = np.arange(N - 1)[:, None]
-        cols = np.arange(N)[None, :]
-        pole = rows + (rows >= cols)
-        R = _scratch_matrix(workspace, "secular.loewner_ratio", (N - 1, N))
-        np.subtract(d[pole], d[None, :], out=R)
+    lam_anchor = d[roots.anchors]
+    val = np.empty(N, dtype=np.float64)
+    for cols in _row_tiles(N, N):
+        c0, c1 = cols.start, cols.stop
+        dj = d[None, cols]
+        # L[i, j] = lam_i - d_j, cancellation-free.
+        L = _scratch_matrix(workspace, "secular.tile", (N, c1 - c0))
+        np.subtract(lam_anchor[:, None], dj, out=L)
+        L += roots.offsets[:, None]
+        if N == 1:
+            val[cols] = L[0] / rho
+            continue
+        # R[i, j] = d_p - d_j: p = i for rows i < c0 (all i < j), p = i + 1
+        # for rows i >= c1 - 1 (all i >= j), mixed in the diagonal block.
+        R = _scratch_matrix(workspace, "secular.loewner_ratio", (N - 1, c1 - c0))
+        np.subtract(d[:c0, None], dj, out=R[:c0])
+        np.subtract(d[c1:, None], dj, out=R[c1 - 1 :])
+        i = np.arange(c0, c1 - 1)[:, None]
+        R[c0 : c1 - 1] = d[i + (i >= np.arange(c0, c1)[None, :])] - dj
         np.divide(L[: N - 1], R, out=R)
-        val = np.prod(R, axis=0) * (L[N - 1] / rho)
+        val[cols] = np.prod(R, axis=0) * (L[N - 1] / rho)
     # Roundoff can leave a tiny negative value for hard clusters.
     return np.copysign(np.sqrt(np.abs(val)), z)
 
@@ -448,8 +595,8 @@ def refine_z(
     computed roots are *exact* for ``D + rho z_hat z_hat^T``; eigenvectors
     formed from ``z_hat`` are then orthogonal to machine precision.
     Products are accumulated as paired ratios, each O(1) by interlacing —
-    as one ``(N, N)`` ratio matrix in batched mode, or the original
-    per-entry double loop with ``mode="scalar"``.
+    as L2-sized column tiles of the ``(N, N)`` ratio matrix in batched
+    mode, or the original per-entry double loop with ``mode="scalar"``.
     """
     _check_mode(mode)
     if mode == "scalar":
@@ -468,17 +615,32 @@ def _secular_eigenvectors_scalar(roots: SecularRoots, zhat: np.ndarray) -> np.nd
 
 
 def _secular_eigenvectors_batched(
-    roots: SecularRoots, zhat: np.ndarray, workspace=None
+    roots: SecularRoots, zhat: np.ndarray, workspace=None, basis=None
 ) -> np.ndarray:
+    """Normalized ``z_hat_j / (d_j - lam_i)`` rows, one L2-sized tile of
+    roots at a time.  Without ``basis`` the tiles fill a pooled ``(N, N)``
+    matrix whose transpose is the eigenvector matrix; with it each tile is
+    multiplied into ``basis`` at once and no ``(N, N)`` matrix is formed."""
     d = roots.d
     N = zhat.size
-    # G[j, i] = d_j - lam_i, cancellation-free (transpose of minus_d_matrix).
-    U = _scratch_matrix(workspace, "secular.U", (N, N))
-    np.subtract(d[:, None], d[roots.anchors][None, :], out=U)
-    U -= roots.offsets[None, :]
-    np.divide(zhat[:, None], U, out=U)
-    U /= np.sqrt(np.einsum("ji,ji->i", U, U))[None, :]
-    return U
+    lam_anchor = d[roots.anchors]
+    if basis is None:
+        UT = _scratch_matrix(workspace, "secular.U", (N, N))
+    else:
+        out = np.empty((basis.shape[0], N), dtype=np.float64)
+    for rows in _row_tiles(N, N):
+        if basis is None:
+            T = UT[rows]
+        else:
+            T = _scratch_matrix(workspace, "secular.tile", (rows.stop - rows.start, N))
+        # T[i, j] = d_j - lam_i, cancellation-free.
+        np.subtract(d[None, :], lam_anchor[rows, None], out=T)
+        T -= roots.offsets[rows, None]
+        np.divide(zhat[None, :], T, out=T)
+        T /= np.sqrt(np.einsum("ij,ij->i", T, T))[:, None]
+        if basis is not None:
+            out[:, rows] = basis @ T.T
+    return UT.T if basis is None else out
 
 
 def secular_eigenvectors(
@@ -486,18 +648,24 @@ def secular_eigenvectors(
     zhat: np.ndarray,
     mode: str = "batched",
     workspace=None,
+    basis: np.ndarray | None = None,
 ) -> np.ndarray:
     """Eigenvector matrix of ``D + rho z_hat z_hat^T`` from the analytic
     formula ``u_i(j) = z_hat_j / (d_j - lam_i)``, columns normalized.
 
-    Batched mode forms the whole matrix as one broadcasted outer division
-    plus a single vectorized column normalization; ``mode="scalar"`` is
-    the original column-at-a-time loop.  When ``workspace`` is given the
-    returned matrix is pool-backed scratch — valid until the next batched
-    secular call on the same pool (the divide-and-conquer merge consumes
-    it immediately in its GEMM).
+    Batched mode builds the matrix in L2-sized tiles of roots, each one
+    broadcasted outer division plus a row normalization; ``mode="scalar"``
+    is the original column-at-a-time loop.  When ``workspace`` is given
+    the returned matrix is pool-backed scratch — valid until the next
+    batched secular call on the same pool (the divide-and-conquer merge
+    consumes it immediately in its GEMM).
+
+    With ``basis`` (``k x N``) the product ``basis @ U`` is returned
+    instead; batched mode then multiplies tile by tile and never forms
+    the ``(N, N)`` matrix (the eigenvalues-only merge, ``k = 2``).
     """
     _check_mode(mode)
     if mode == "scalar":
-        return _secular_eigenvectors_scalar(roots, zhat)
-    return _secular_eigenvectors_batched(roots, zhat, workspace=workspace)
+        U = _secular_eigenvectors_scalar(roots, zhat)
+        return U if basis is None else basis @ U
+    return _secular_eigenvectors_batched(roots, zhat, workspace=workspace, basis=basis)

@@ -70,8 +70,10 @@ __all__ = [
 
 #: Registered injection sites -> where they live in production code.
 FAULT_SITES: dict[str, str] = {
-    "secular.newton": "repro.eig.secular.solve_all_roots — the batched/scalar "
-    "guarded-Newton root sweep",
+    "secular.newton": "repro.eig.secular.solve_all_roots — the batched "
+    "rational / scalar guarded-Newton root sweep",
+    "dc.leaf": "repro.eig.dc._dc_level_order — the stacked LAPACK leaf solves "
+    "of divide and conquer",
     "dc.merge": "repro.eig.dc._rank_one_update — the secular stage of one "
     "divide-and-conquer merge",
     "qr.sweep": "repro.eig.qr_iteration.tridiag_qr_eigh — the implicit QL sweep",

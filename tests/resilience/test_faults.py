@@ -52,7 +52,7 @@ class TestSpecValidation:
 
     def test_registry_is_closed_and_documented(self):
         assert set(FAULT_SITES) == {
-            "secular.newton", "dc.merge", "qr.sweep", "jacobi.sweep",
+            "secular.newton", "dc.leaf", "dc.merge", "qr.sweep", "jacobi.sweep",
             "runner.result", "serve.worker", "serve.backend",
             "precision.refine",
         }
