@@ -46,6 +46,9 @@ class PipelineStats:
         in-flight cap ``S`` (law 3).
     ``task_rounds``
         Mapping ``(sweep, step) -> round`` for trace/timing consumers.
+        A stall-free schedule records only ``sweep_starts`` and
+        ``sweep_ntasks`` (task ``t`` of sweep ``i`` runs in round
+        ``sweep_starts[i] + t``) and builds the mapping on first access.
     """
 
     rounds: int = 0
@@ -53,7 +56,23 @@ class PipelineStats:
     stall_rounds: int = 0
     max_parallel: int = 0
     total_tasks: int = 0
-    task_rounds: dict[tuple[int, int], int] = field(default_factory=dict)
+    sweep_starts: list[int] | None = field(default=None, repr=False)
+    sweep_ntasks: list[int] | None = field(default=None, repr=False)
+    _task_rounds: dict[tuple[int, int], int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def task_rounds(self) -> dict[tuple[int, int], int]:
+        if self._task_rounds is None:
+            self._task_rounds = {
+                (i, t): start + t
+                for i, (start, count) in enumerate(
+                    zip(self.sweep_starts or (), self.sweep_ntasks or ())
+                )
+                for t in range(count)
+            }
+        return self._task_rounds
 
     @property
     def mean_parallel(self) -> float:

@@ -61,6 +61,7 @@ import numpy as np
 
 from ..backend.context import ExecutionContext, resolve_context
 from ..band.storage import LowerBandStorage, PackedBandStorage
+from ..resilience.errors import ReproError
 from .bc_pipeline import SAFETY_TASKS, PipelineStats, pipeline_schedule
 from .bc_back_transform import Q1Blocks, apply_q1_blocks, q1_blocks
 from .bulge_chasing import BCReflector, BulgeChasingResult
@@ -68,6 +69,7 @@ from .householder import batched_make_householder
 
 __all__ = [
     "BCWavefrontGroup",
+    "ChaseIndexError",
     "WavefrontBCResult",
     "bulge_chase_wavefront",
 ]
@@ -182,6 +184,22 @@ class WavefrontBCResult(BulgeChasingResult):
         apply_q1_blocks(self.q1_blocks(), X, transpose=True)
 
 
+class ChaseIndexError(ReproError, IndexError):
+    """A round's index stack would address outside the working band.
+
+    The regular-round gather runs ``take(..., mode="wrap")`` (NumPy
+    buffers ``out=`` under ``mode="raise"``), so an out-of-range index
+    would wrap silently; the kernel checks the stack extents explicitly
+    and raises this instead.
+    """
+
+
+def _suffix_max(stack: np.ndarray) -> list[int]:
+    """``out[p]`` = the largest entry of ``stack[p:]``."""
+    row_max = stack.reshape(stack.shape[0], -1).max(axis=1)
+    return np.maximum.accumulate(row_max[::-1])[::-1].tolist()
+
+
 class _RoundKernel:
     """Index templates + reused workspaces for one round's stacked tasks.
 
@@ -208,26 +226,66 @@ class _RoundKernel:
       depth is at most ``2b - 1``): they gather zeros, update to zeros,
       and scatter zeros back.
 
+    **Regular rounds** — in-flight chase tasks exactly ``3b - 1`` columns
+    apart, the start task (if any) exactly ``2b`` columns behind the
+    newest chase task, which is every multi-task round of the unbounded
+    schedule — have a fixed index pattern relative to the newest task's
+    column.  Two stacks of that pattern (rounds with and without a start
+    task) are built once for ``cap`` tasks; a regular round gathers and
+    scatters a contiguous slice of one through the view ``flat[base:]``,
+    with no per-round index arithmetic.  Every other round adds its
+    columns to the templates into a per-round index stack.
+
     Templates are int64 — fancy indexing recasts anything narrower to
-    intp on every call — and all workspaces are preallocated and reused
-    (served from the execution context's :class:`~repro.backend.context.
-    WorkspacePool`, so they live on the backend).  Schedule/index math
-    stays host NumPy; only the per-round index stack crosses to the
-    backend, together with the gathered values it addresses.
+    intp on every call — and all workspaces are preallocated for ``cap``
+    tasks and reused (served from the execution context's
+    :class:`~repro.backend.context.WorkspacePool`, so they live on the
+    backend).  Schedule/index math stays host NumPy; only the per-round
+    index stack crosses to the backend, together with the gathered
+    values it addresses.  The regular stacks are used on the NumPy
+    backend only.
     """
 
-    def __init__(self, b: int, npad: int, ctx: ExecutionContext, dtype=np.float64):
+    def __init__(
+        self, b: int, npad: int, ctx: ExecutionContext, cap: int, dtype=np.float64
+    ):
         self.b = b
-        self.w = 3 * b
+        self.w = w = 3 * b
         self.ctx = ctx
         self.xp = ctx.xp
         # Host-side working dtype of the band values: the round buffers
         # and reflector stacks must match the band's precision.
-        self.dtype = np.dtype(dtype)
+        self.dtype = dt = np.dtype(dtype)
         self._dump = 2 * b * npad  # flat slot in the never-touched row 2b
         self.chase_tmpl = self._template(npad, sl=b, wn=3 * b)
         self.start_tmpl = self._template(npad, sl=1, wn=2 * b + 1)
-        self._cap = 0
+
+        # Regular stacks, oldest task first (the round's order).  Chase
+        # task q places behind the newest sits q * (3b - 1) columns right
+        # of it.  Without a start task the base is the newest chase
+        # column; with one, the start column, 2b columns to its left.
+        q = (3 * b - 1) * np.arange(cap - 1, -1, -1, dtype=np.int64)
+        self._chase_rel = self.chase_tmpl + q[:, None, None]
+        self._start_rel = np.concatenate(
+            [self._chase_rel[1:] + 2 * b, self.start_tmpl[None]]
+        )
+        # _ext[p] = largest index of the slice [p:] — the bound a round
+        # starting at row p checks against the view's length.
+        self._chase_ext = _suffix_max(self._chase_rel)
+        self._start_ext = _suffix_max(self._start_rel)
+
+        pool = ctx.workspace
+        # Host index stack (schedule math is host-side by design).
+        self._pi = np.empty((cap, b, w), dtype=np.int64)
+        # Value stacks on the backend, pooled across runs.
+        self._pv = pool.stack("bc.pv", (cap, b, w), dtype=dt)
+        self._wr = pool.stack("bc.wr", (cap, 1, w), dtype=dt)
+        self._u = pool.stack("bc.u", (cap, b, 1), dtype=dt)
+        self._tmp = pool.stack("bc.tmp", (cap, b, w), dtype=dt)
+        self._hv = pool.stack("bc.hv", (cap, b), dtype=dt)
+        self._hv[:, 0] = 1.0
+        self._tv = pool.stack("bc.tv", (cap, b), dtype=dt)
+        self._sg = pool.stack("bc.sg", (cap, 1, 1), dtype=dt)
 
     def _template(self, npad: int, sl: int, wn: int) -> np.ndarray:
         b, w = self.b, self.w
@@ -240,26 +298,12 @@ class _RoundKernel:
         full[:, w - b :] = tm[:, sl : sl + b]  # diagonal block, last
         return full
 
-    def _grow(self, S: int) -> None:
-        if S > self._cap:
-            b, w = self.b, self.w
-            pool = self.ctx.workspace
-            # Host index stack (schedule math is host-side by design).
-            self._pi = np.empty((S, b, w), dtype=np.int64)
-            # Value stacks on the backend, pooled across rounds.
-            dt = self.dtype
-            self._pv = pool.stack("bc.pv", (S, b, w), dtype=dt)
-            self._wr = pool.stack("bc.wr", (S, 1, w), dtype=dt)
-            self._u = pool.stack("bc.u", (S, b, 1), dtype=dt)
-            self._tmp = pool.stack("bc.tmp", (S, b, w), dtype=dt)
-            self._hv = pool.stack("bc.hv", (S, b), dtype=dt)
-            self._hv[:, 0] = 1.0
-            self._tv = pool.stack("bc.tv", (S, b), dtype=dt)
-            self._sg = pool.stack("bc.sg", (S, 1, 1), dtype=dt)
-            self._cap = S
-
     def run(
-        self, flat: np.ndarray, chase_los: np.ndarray, start_lo: int | None
+        self,
+        flat: np.ndarray,
+        chase_los: np.ndarray,
+        start_lo: int | None,
+        regular: bool,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Execute one round — chase stack plus optional start task.
 
@@ -270,7 +314,9 @@ class _RoundKernel:
         right-update the diagonal block reading the left-updated values.
         (The left update also touches gathered column 0, whose final
         value — ``beta e_1`` — is simply written over it before the
-        scatter.)
+        scatter.)  ``regular`` marks a round with the regular spacing
+        (see the class docstring); it gathers through the precomputed
+        stacks.
         """
         nc = chase_los.size
         S = nc + (start_lo is not None)
@@ -278,18 +324,38 @@ class _RoundKernel:
             if nc:
                 return self._run_one(flat, self.chase_tmpl, int(chase_los[0]))
             return self._run_one(flat, self.start_tmpl, start_lo)
-        self._grow(S)
         b, w = self.b, self.w
         xp = self.xp
 
-        pi = self._pi[:S]
-        np.add(self.chase_tmpl[None, :, :], chase_los[:, None, None], out=pi[:nc])
-        if start_lo is not None:
-            np.add(self.start_tmpl, start_lo, out=pi[nc])
-        # The only per-round host->backend crossing: the index stack.
-        pix = pi if self.ctx.is_numpy else self.ctx.from_numpy(pi)
         P = self._pv[:S]
-        xp.take(flat, pix, out=P)
+        if regular and self.ctx.is_numpy:
+            if start_lo is None:
+                base = int(chase_los[-1])
+                p = self._chase_rel.shape[0] - S
+                stack, ext = self._chase_rel, self._chase_ext[p]
+            else:
+                base = start_lo
+                p = self._start_rel.shape[0] - S
+                stack, ext = self._start_rel, self._start_ext[p]
+            if base < 0 or base + ext >= flat.size:
+                raise ChaseIndexError(
+                    f"round at column {base} addresses flat index "
+                    f"{base + ext} of a {flat.size}-entry working band"
+                )
+            # mode="wrap" lets take write straight into P (mode="raise"
+            # buffers out=); the check above keeps every index in range.
+            target = flat[base:]
+            pix = stack[p:]
+            np.take(target, pix, out=P, mode="wrap")
+        else:
+            pi = self._pi[:S]
+            np.add(self.chase_tmpl[None, :, :], chase_los[:, None, None], out=pi[:nc])
+            if start_lo is not None:
+                np.add(self.start_tmpl, start_lo, out=pi[nc])
+            # The only per-round host->backend crossing: the index stack.
+            target = flat
+            pix = pi if self.ctx.is_numpy else self.ctx.from_numpy(pi)
+            xp.take(flat, pix, out=P)
 
         # Batched Householder on the gathered columns, on preallocated
         # buffers; the guarded general kernel handles the rare
@@ -301,7 +367,7 @@ class _RoundKernel:
         alpha = xp.copy(P[:, 0, 0])
         if sigma.all():
             beta = -xp.copysign(xp.sqrt(alpha * alpha + sigma), alpha)
-            Vbuf = self._hv[:S]  # Vbuf[:, 0] stays 1.0 from _grow
+            Vbuf = self._hv[:S]  # Vbuf[:, 0] stays 1.0 from __init__
             xp.divide(X1, (alpha - beta)[:, None], out=Vbuf[:, 1:])
             tau = (beta - alpha) / beta
             # Groups keep the reflectors past this round: hand out a copy,
@@ -327,7 +393,7 @@ class _RoundKernel:
 
         P[:, :, 0] = 0.0
         P[:, 0, 0] = beta
-        flat[pix] = P
+        target[pix] = P
         return V, tau
 
     def _run_one(
@@ -389,23 +455,56 @@ def _total_chase_flops(n: int, b: int) -> float:
 
 def _unbounded_schedule_arrays(
     n: int, b: int
-) -> tuple[np.ndarray, np.ndarray, int, PipelineStats]:
+) -> tuple[np.ndarray, np.ndarray, PipelineStats]:
     """Closed form of ``pipeline_schedule(n, b, None)``.
 
     With no in-flight cap a sweep never stalls, so sweep ``i`` runs task
     ``t`` in round ``starts[i] + t`` where ``starts[i] - starts[i-1]`` is
     the safety distance ``min(SAFETY_TASKS, ntasks[i-1])`` (a predecessor
-    that finishes early releases its successor early).  Returns
-    ``(starts, ntasks, total_rounds, stats)``; equality with the generic
-    scheduler is asserted by the tests.
+    that finishes early releases its successor early).  Returns the
+    ``(sweep, step)`` of every task in round-major order (sweeps ascending
+    within a round) and the schedule statistics; equality with the
+    generic scheduler is asserted by the tests.
     """
     nsweeps = n - 2
     ntasks = 1 + (n - 3 - np.arange(nsweeps, dtype=np.int64)) // b
     starts = np.zeros(nsweeps, dtype=np.int64)
     np.cumsum(np.minimum(SAFETY_TASKS, ntasks)[:-1], out=starts[1:])
     total_rounds = int(starts[-1] + ntasks[-1])
-    stats = PipelineStats(total_tasks=int(ntasks.sum()))
-    return starts, ntasks, total_rounds, stats
+    # Active sweeps of round r are the contiguous run with
+    # starts[i] <= r <= fin[i] (both arrays increase).
+    r_idx = np.arange(total_rounds)
+    fin = starts + ntasks - 1
+    occ = np.searchsorted(starts, r_idx, side="right") - np.searchsorted(fin, r_idx)
+    # Sweep-major task arrays, then a stable sort by round: stable keeps
+    # sweeps ascending within a round.
+    sweeps = np.repeat(np.arange(nsweeps, dtype=np.int64), ntasks)
+    steps = np.arange(sweeps.size) - np.repeat(np.cumsum(ntasks) - ntasks, ntasks)
+    order = np.argsort(np.repeat(starts, ntasks) + steps, kind="stable")
+    stats = PipelineStats(
+        rounds=total_rounds,
+        occupancy=occ.tolist(),
+        max_parallel=int(occ.max(initial=0)),
+        total_tasks=int(sweeps.size),
+        sweep_starts=starts.tolist(),
+        sweep_ntasks=ntasks.tolist(),
+    )
+    return sweeps[order], steps[order], stats
+
+
+def _regular_rounds(cols: np.ndarray, bounds: np.ndarray, b: int) -> np.ndarray:
+    """Per-round flag: a multi-task round whose consecutive tasks are all
+    ``3b - 1`` columns apart.
+
+    Between chase tasks that is the in-flight spacing of the unbounded
+    schedule; against a start task's ``cols`` entry ``i + 1 - b`` it says
+    the start column ``i`` sits ``2b`` behind the newest chase task.
+    Such a round has the fixed index pattern of
+    :class:`_RoundKernel`'s regular stacks.
+    """
+    off = np.concatenate([[0], np.cumsum(np.diff(cols) != 1 - 3 * b)])
+    lo, last = bounds[:-1], bounds[1:] - 1
+    return (last > lo) & (off[last] == off[lo])
 
 
 def _coerce_band(band, b: int | None) -> LowerBandStorage:
@@ -489,108 +588,46 @@ def bulge_chase_wavefront(
     flops = 0.0
     if bw >= 2 and n >= 3:
         flops = _total_chase_flops(n, bw)
-        kernel = _RoundKernel(bw, npad, ctx, dtype=band_dtype)
-
-        def run_round(
-            chase_los: np.ndarray,
-            chase_sweeps: np.ndarray,
-            chase_steps: np.ndarray,
-            start_sweep: int | None,
-        ) -> None:
-            V, tau = kernel.run(flat, chase_los, start_sweep)
-            # Groups are host-side (the Q1 application and downstream
-            # consumers expect NumPy); on NumPy this is the identity.
-            V, tau = ctx.to_numpy(V), ctx.to_numpy(tau)
-            nc = chase_los.size
-            if start_sweep is not None:
-                # Start task rides last in the stack — the commit order
-                # within a round stays sweep-ascending.
-                offsets = np.empty(nc + 1, dtype=np.int64)
-                offsets[:nc] = chase_los
-                offsets[:nc] += bw
-                offsets[nc] = start_sweep + 1
-                sweeps = np.empty(nc + 1, dtype=np.int64)
-                sweeps[:nc] = chase_sweeps
-                sweeps[nc] = start_sweep
-                steps = np.empty(nc + 1, dtype=np.int64)
-                steps[:nc] = chase_steps
-                steps[nc] = 0
-            else:
-                offsets = chase_los + bw
-                sweeps = chase_sweeps
-                steps = chase_steps
-            round_groups.append(
-                BCWavefrontGroup(
-                    offsets=offsets, V=V, tau=tau, sweeps=sweeps, steps=steps
-                )
-            )
-
         if max_sweeps is None:
-            starts, ntasks, total_rounds, stats = _unbounded_schedule_arrays(n, bw)
-            nsweeps = starts.size
-            fin = starts + ntasks - 1
-            # Active sweeps of round r are the contiguous run with
-            # starts[i] <= r <= fin[i] (both arrays increase); the round
-            # sizes fall out of two vectorized searchsorted passes.
-            r_idx = np.arange(total_rounds)
-            occ = np.searchsorted(starts, r_idx, side="right") - np.searchsorted(
-                fin, r_idx
-            )
-            # start_of[r] = the sweep starting in round r, else -1.
-            start_of = np.full(total_rounds, -1, dtype=np.int64)
-            start_of[starts] = np.arange(nsweeps)
-            start_of = start_of.tolist()
-            # Flat sweep-major task arrays (sweep, step, round, col), then
-            # a stable sort by round: per-round inputs become views of the
-            # sorted arrays — the loop itself allocates nothing.  Stable
-            # keeps sweeps ascending within a round, so the (at most one)
-            # start task — the newest, largest active sweep — lands last
-            # in its segment.
-            reps = np.repeat(np.arange(nsweeps, dtype=np.int64), ntasks)
-            steps = np.arange(reps.size) - np.repeat(
-                np.cumsum(ntasks) - ntasks, ntasks
-            )
-            rounds_rep = np.repeat(starts, ntasks) + steps
-            order = np.argsort(rounds_rep, kind="stable")
-            sw_sorted = reps[order]
-            st_sorted = steps[order]
-            co_sorted = (reps + 1 + (steps - 1) * bw)[order]  # chase columns
-            bounds = np.zeros(total_rounds + 1, dtype=np.int64)
-            np.cumsum(occ, out=bounds[1:])
-            bounds = bounds.tolist()
-            for r in range(total_rounds):
-                lo_t = bounds[r]
-                hi_t = bounds[r + 1]
-                start_sweep = start_of[r]
-                hi_c = hi_t - 1 if start_sweep >= 0 else hi_t
-                run_round(
-                    co_sorted[lo_t:hi_c],
-                    sw_sorted[lo_t:hi_c],
-                    st_sorted[lo_t:hi_c],
-                    start_sweep if start_sweep >= 0 else None,
-                )
-            stats.rounds = total_rounds
-            stats.occupancy = occ.tolist()
-            stats.max_parallel = int(occ.max(initial=0))
-            # task_rounds[(i, t)] = starts[i] + t, built in one shot.
-            stats.task_rounds = dict(
-                zip(
-                    zip(reps.tolist(), steps.tolist()),
-                    rounds_rep.tolist(),
-                )
-            )
+            sweeps, steps, stats = _unbounded_schedule_arrays(n, bw)
         else:
             rounds, stats = pipeline_schedule(n, bw, max_sweeps)
-            for round_tasks in rounds:
-                chase = [t for t in round_tasks if t.step > 0]
-                nc = len(chase)
-                start = [t for t in round_tasks if t.step == 0]
-                run_round(
-                    np.fromiter((t.col for t in chase), np.int64, count=nc),
-                    np.fromiter((t.sweep for t in chase), np.int64, count=nc),
-                    np.fromiter((t.step for t in chase), np.int64, count=nc),
-                    start[0].sweep if start else None,
+            count = stats.total_tasks
+            sweeps = np.fromiter((t.sweep for r in rounds for t in r), np.int64, count)
+            steps = np.fromiter((t.step for r in rounds for t in r), np.int64, count)
+        # Round-major task arrays: round r is the segment
+        # [bounds[r], bounds[r+1]), sweeps ascending, so its (at most one)
+        # start task — the newest sweep — is last.  cols is the annihilated
+        # column of chase tasks; a start task's entry i + 1 - b puts its
+        # reflector offset at cols + b = i + 1 like every other task's.
+        cols = sweeps + 1 + (steps - 1) * bw
+        offsets = cols + bw
+        bounds = np.zeros(stats.rounds + 1, dtype=np.int64)
+        np.cumsum(stats.occupancy, out=bounds[1:])
+        start_of = np.where(steps[bounds[1:] - 1] == 0, sweeps[bounds[1:] - 1], -1)
+        regular = _regular_rounds(cols, bounds, bw).tolist()
+        start_of = start_of.tolist()
+        bounds = bounds.tolist()
+
+        kernel = _RoundKernel(bw, npad, ctx, stats.max_parallel, dtype=band_dtype)
+        for r in range(stats.rounds):
+            lo, hi = bounds[r], bounds[r + 1]
+            start = start_of[r]
+            if start >= 0:
+                V, tau = kernel.run(flat, cols[lo : hi - 1], start, regular[r])
+            else:
+                V, tau = kernel.run(flat, cols[lo:hi], None, regular[r])
+            # Groups are host-side (the Q1 application and downstream
+            # consumers expect NumPy); on NumPy this is the identity.
+            round_groups.append(
+                BCWavefrontGroup(
+                    offsets=offsets[lo:hi],
+                    V=ctx.to_numpy(V),
+                    tau=ctx.to_numpy(tau),
+                    sweeps=sweeps[lo:hi],
+                    steps=steps[lo:hi],
                 )
+            )
     else:
         stats = PipelineStats()
 

@@ -279,9 +279,8 @@ def _run_tridiag(
             ctx=ctx,
         )
 
-    assert bcfg is not None
-    b = tcfg.bandwidth if tcfg.bandwidth is not None else auto_params(n)[0]
-    b = max(1, min(b, max(n - 2, 1)))
+    assert bcfg is not None and tcfg.bandwidth is not None
+    b = max(1, min(tcfg.bandwidth, max(n - 2, 1)))
 
     tile_res: TileBandReductionResult | None = None
     with ctx.stage("band_reduction", n=n, method=tcfg.method, bandwidth=b):

@@ -60,13 +60,17 @@ PIPELINE_KNOBS = (
 )
 
 
-def auto_params(n: int) -> tuple[int, int]:
+def auto_params(n: int, *, vectors: bool = True) -> tuple[int, int]:
     """Reasonable ``(bandwidth, second_block)`` for an ``n x n`` problem.
 
     The paper uses ``b = 32, k = 1024`` at H100 scale; at test scale we
     shrink both while preserving ``b | k``, ``k <= n`` and ``b << n``.
+    ``vectors=False`` caps ``b`` at 16 instead of 32: bulge-chasing work
+    grows as ``n^2 b`` while only the back transform ``Q1`` gains from a
+    wider band, so a solve that never applies ``Q1`` chases a narrower
+    one (DBBR keeps ``k`` independent of ``b``).
     """
-    b = max(2, min(32, n // 8))
+    b = max(2, min(32 if vectors else 16, n // 8))
     groups = max(1, min(32, n // (4 * b)))
     k = b * groups
     if k > n:
@@ -113,15 +117,26 @@ def _resolve_pipeline(
     knobs: dict[str, Any],
     tuning: str,
     device: str,
+    values_only: bool = False,
 ) -> tuple[TridiagConfig, BulgeChaseConfig | None]:
     """Resolve + validate the tridiag/bulge branch for a raw method name,
     reproducing ``tridiagonalize``'s historical clamps bit-for-bit
-    (``auto_params``, ``b | k``)."""
+    (``auto_params``, ``b | k``).
+
+    ``values_only`` marks an fp64 eigenvalues-only solve: when the
+    wavefront DBBR pipeline runs it with a heuristic bandwidth, the
+    bandwidth comes from ``auto_params(n, vectors=False)``.
+    """
     if method == "direct":
         # One-stage path: every band/bulge knob is inert (tridiagonalize
         # has always ignored them here) — normalize away.
         block = _as_int("direct_block", knobs.get("direct_block", 32))
         return TridiagConfig(method="direct", direct_block=block), None
+
+    pipelined = knobs.get("pipelined", True)
+    if not isinstance(pipelined, (bool, np.bool_)):
+        raise PlanError(f"pipelined must be a bool, got {pipelined!r}")
+    pipelined = bool(pipelined)
 
     bandwidth = knobs.get("bandwidth")
     second_block = knobs.get("second_block")
@@ -132,7 +147,14 @@ def _resolve_pipeline(
         if second_block is None and mk is not None:
             second_block = mk
 
-    b_auto, k_auto = auto_params(n)
+    narrow = (
+        values_only
+        and method == "dbbr"
+        and pipelined
+        and tuning == "manual"
+        and bandwidth is None
+    )
+    b_auto, k_auto = auto_params(n, vectors=not narrow)
     b = _as_int("bandwidth", bandwidth) if bandwidth is not None else b_auto
     b = max(1, min(b, max(n - 2, 1)))
 
@@ -150,10 +172,6 @@ def _resolve_pipeline(
         k = max(b, (k // b) * b)
     tridiag = TridiagConfig(method=method, bandwidth=b, second_block=k, syr2k_kind=syr2k)
 
-    pipelined = knobs.get("pipelined", True)
-    if not isinstance(pipelined, (bool, np.bool_)):
-        raise PlanError(f"pipelined must be a bool, got {pipelined!r}")
-    pipelined = bool(pipelined)
     max_sweeps: int | None = None
     if pipelined:
         raw_sweeps = knobs.get("max_sweeps")
@@ -317,7 +335,14 @@ def plan_evd(
         merged = dict(knobs)
         raw_method = method
     solver_cfg = make_solver_config(solver, compute_vectors)
-    tridiag, bulge = _resolve_pipeline(n, raw_method, merged, tuning, device)
+    tridiag, bulge = _resolve_pipeline(
+        n,
+        raw_method,
+        merged,
+        tuning,
+        device,
+        values_only=not compute_vectors and precision == "fp64",
+    )
     return EVDPlan(
         n=n,
         method=method,

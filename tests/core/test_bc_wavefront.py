@@ -8,8 +8,10 @@ import pytest
 from repro.backend import ExecutionContext, get_backend
 from repro.band.ops import random_symmetric_band
 from repro.band.storage import LowerBandStorage, PackedBandStorage, dense_from_band
+from repro.core import bc_wavefront
 from repro.core.bc_pipeline import pipeline_schedule
 from repro.core.bc_wavefront import (
+    ChaseIndexError,
     WavefrontBCResult,
     bulge_chase_wavefront,
 )
@@ -138,6 +140,12 @@ class TestSchedule:
         assert stats.total_tasks == ref.total_tasks
         assert stats.task_rounds == ref.task_rounds
 
+    def test_task_rounds_built_on_demand(self, rng):
+        _, stats = bulge_chase_wavefront(random_symmetric_band(30, 3, rng), 3)
+        assert stats._task_rounds is None
+        assert stats.task_rounds[(0, 0)] == 0
+        assert len(stats.task_rounds) == stats.total_tasks
+
     def test_capped_matches_oracle(self, rng):
         n, b = 36, 4
         A = random_symmetric_band(n, b, rng)
@@ -207,3 +215,66 @@ class TestApplyQ1:
         wf, _ = bulge_chase_wavefront(random_symmetric_band(20, 3, rng), 3)
         assert isinstance(wf, WavefrontBCResult)
         assert isinstance(wf, BulgeChasingResult)
+
+
+def _chase_arrays(A, b, max_sweeps):
+    wf, _ = bulge_chase_wavefront(A, b, max_sweeps=max_sweeps)
+    gs = wf.round_groups
+    V = np.concatenate([g.V for g in gs]) if gs else np.zeros((0, b))
+    tau = np.concatenate([g.tau for g in gs]) if gs else np.zeros(0)
+    return wf.d, wf.e, V, tau
+
+
+class TestRegularRounds:
+    @pytest.mark.parametrize("max_sweeps", [None, 1, 2, 5])
+    @pytest.mark.parametrize("b", [2, 3, 8, 16, 32])
+    @pytest.mark.parametrize("n", [3, 4, 5, 20, 64, 150, 300])
+    def test_bit_identical_to_per_round_indices(self, monkeypatch, n, b, max_sweeps):
+        b = min(b, n - 1)
+        A = random_symmetric_band(n, b, np.random.default_rng(n * 64 + b))
+        regular = _chase_arrays(A, b, max_sweeps)
+        monkeypatch.setattr(
+            bc_wavefront,
+            "_regular_rounds",
+            lambda cols, bounds, b: np.zeros(len(bounds) - 1, dtype=bool),
+        )
+        generic = _chase_arrays(A, b, max_sweeps)
+        for x, y in zip(regular, generic):
+            assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("n,b", [(20, 2), (64, 3), (150, 8), (300, 16), (300, 32)])
+    def test_every_multi_task_unbounded_round_is_regular(self, n, b):
+        sweeps, steps, stats = bc_wavefront._unbounded_schedule_arrays(n, b)
+        bounds = np.concatenate([[0], np.cumsum(stats.occupancy)])
+        regular = bc_wavefront._regular_rounds(sweeps + 1 + (steps - 1) * b, bounds, b)
+        assert np.array_equal(regular, np.asarray(stats.occupancy) > 1)
+
+    def test_capped_rounds_mix_regular_and_irregular(self):
+        n, b = 150, 8
+        rounds, stats = pipeline_schedule(n, b, 5)
+        sweeps = np.array([t.sweep for r in rounds for t in r])
+        steps = np.array([t.step for r in rounds for t in r])
+        bounds = np.concatenate([[0], np.cumsum(stats.occupancy)])
+        regular = bc_wavefront._regular_rounds(sweeps + 1 + (steps - 1) * b, bounds, b)
+        multi = np.asarray(stats.occupancy) > 1
+        assert regular.any() and (multi & ~regular).any()
+
+    def test_oversize_template_raises(self, monkeypatch):
+        # A template reaching one band row past the working array: the
+        # regular gather wraps (mode="wrap"), so only the explicit extent
+        # check stands between it and silently wrong indices.
+        n, b = 40, 4
+        npad = n + 3 * b
+        template = bc_wavefront._RoundKernel._template
+
+        def oversize(self, npad_, sl, wn):
+            return template(self, npad_, sl, wn) + npad_ * (2 * b + 1)
+
+        monkeypatch.setattr(bc_wavefront._RoundKernel, "_template", oversize)
+        kernel = bc_wavefront._RoundKernel(b, npad, ExecutionContext(), cap=4)
+        flat = np.zeros((2 * b + 1) * npad)
+        chase = np.array([1 + 2 * (3 * b - 1), 1 + (3 * b - 1), 1], dtype=np.int64)
+        with pytest.raises(ChaseIndexError):
+            kernel.run(flat, chase, None, regular=True)
+        with pytest.raises(ChaseIndexError):
+            kernel.run(flat, np.array([5 * b - 1, 2 * b]), 0, regular=True)

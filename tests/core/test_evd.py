@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from repro.core.evd import eigh
-from repro.bench.workloads import symmetric_with_spectrum, uniform_spectrum
+from repro.bench.workloads import (
+    clustered_spectrum,
+    geometric_spectrum,
+    goe,
+    symmetric_with_spectrum,
+    uniform_spectrum,
+)
 from tests.conftest import make_symmetric
 
 
@@ -70,6 +76,28 @@ class TestEVDPresets:
         lam = res.eigenvalues
         assert abs(lam[-1] - float(v @ v)) < 1e-9
         assert np.max(np.abs(lam[:-1])) < 1e-9
+
+
+class TestValuesOnlyNarrowBand:
+    """fp64 eigenvalues-only ``proposed`` solves chase a b=16 band; their
+    eigenvalues stay within the 200·n·eps·‖A‖ verification tolerance."""
+
+    @pytest.mark.parametrize("n", [304, 512])
+    @pytest.mark.parametrize("kind", ["goe", "clustered", "graded"])
+    def test_eigenvalues_match_lapack(self, kind, n):
+        if kind == "goe":
+            A = goe(n, seed=n)
+        elif kind == "clustered":
+            A = symmetric_with_spectrum(
+                clustered_spectrum(n, clusters=8, spread=1e-9, seed=n), seed=n
+            )
+        else:
+            A = symmetric_with_spectrum(geometric_spectrum(n, cond=1e8), seed=n)
+        res = eigh(A, compute_vectors=False)
+        assert res.tridiag.bandwidth == 16
+        lam_ref = np.linalg.eigvalsh(A)
+        tol = 200 * n * np.finfo(np.float64).eps * np.max(np.abs(lam_ref))
+        assert np.max(np.abs(res.eigenvalues - lam_ref)) <= tol
 
 
 class TestSecularModePlumbing:

@@ -2,7 +2,8 @@
 
 ``tests/plan/golden_plans.json`` pins the fully-resolved plan (block
 sizes, normalized branches, cache token) for each paper preset at
-n in {64, 512, 2048}.  Drift means either an intentional planner change
+n in {64, 512, 2048}, plus eigenvalues-only plans keyed
+``"<preset>/n=<n>/values_only"``.  Drift means either an intentional planner change
 (regenerate with ``python scripts/check_plan_snapshots.py --write``) or
 an accidental one that would re-key the serving cache — either way it
 must be a visible diff, not a silent behavior change.
@@ -29,9 +30,10 @@ def load_golden() -> dict:
 
 @pytest.mark.parametrize("key", sorted(load_golden()))
 def test_resolved_plan_matches_golden(key):
-    preset, n_part = key.split("/")
+    preset, n_part, *values_only = key.split("/")
     n = int(n_part.removeprefix("n="))
-    assert plan_evd(n, preset).to_dict() == load_golden()[key]
+    plan = plan_evd(n, preset, compute_vectors=not values_only)
+    assert plan.to_dict() == load_golden()[key]
 
 
 @pytest.mark.parametrize("key", sorted(load_golden()))

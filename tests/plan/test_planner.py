@@ -206,6 +206,64 @@ class TestResolution:
         assert plan.tridiag.second_block == 1024
 
 
+def _bk(plan: EVDPlan) -> tuple[int | None, int | None]:
+    assert plan.tridiag is not None
+    return plan.tridiag.bandwidth, plan.tridiag.second_block
+
+
+class TestValuesOnlyBandwidth:
+    """fp64 eigenvalues-only plans on the wavefront DBBR chase resolve
+    ``b = max(2, min(16, n // 8))``; every other plan keeps its ``(b, k)``."""
+
+    @pytest.mark.parametrize("n", [64, 127, 128, 256, 2048])
+    def test_values_only_proposed_resolves_narrow_band(self, n):
+        b, k = _bk(plan_evd(n, "proposed", compute_vectors=False))
+        assert b == max(2, min(16, n // 8))
+        assert (b, k) == auto_params(n, vectors=False)
+        assert k % b == 0
+
+    def test_n2048_blocks(self):
+        assert _bk(plan_evd(2048, "proposed", compute_vectors=False)) == (16, 512)
+        assert _bk(plan_evd(2048, "proposed")) == (32, 512)
+
+    @pytest.mark.parametrize("n", [200, 300, 2048])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(method="proposed", precision="fp32"),
+            dict(method="magma"),
+            dict(method="plasma"),
+            dict(method="dbbr", pipelined=False),
+            dict(method="sbr"),
+            dict(method="tile"),
+            dict(method="proposed", pipelined=False),
+            dict(method="proposed", bandwidth=10),
+            dict(method="proposed", tuning="model"),
+        ],
+        ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()),
+    )
+    def test_excluded_plans_keep_vectors_blocks(self, n, kwargs):
+        values_only = plan_evd(n, compute_vectors=False, **kwargs)
+        vectors = plan_evd(n, compute_vectors=True, **kwargs)
+        assert _bk(values_only) == _bk(vectors)
+        if "bandwidth" not in kwargs and "tuning" not in kwargs:
+            b, k = auto_params(n)
+            assert values_only.tridiag is not None
+            assert values_only.tridiag.bandwidth == b
+            if values_only.tridiag.method == "dbbr":
+                assert values_only.tridiag.second_block == k
+
+    def test_tridiagonalize_keeps_vectors_blocks(self):
+        # tridiagonalize does not know whether Q1 will be applied.
+        cfg, _ = plan_tridiag(2048, "dbbr")
+        assert (cfg.bandwidth, cfg.second_block) == auto_params(2048)
+
+    @pytest.mark.parametrize("n", [64, 2048])
+    def test_values_only_and_vectors_tokens_differ(self, n):
+        values_only = plan_evd(n, "proposed", compute_vectors=False)
+        assert values_only.cache_token() != plan_evd(n, "proposed").cache_token()
+
+
 class TestCacheToken:
     def test_preset_and_expanded_spelling_share_token(self):
         """The coalescing property the serving layer relies on."""
