@@ -85,7 +85,7 @@ def test_fig15_proposed_measured(benchmark):
 def test_fig15_magma_like_measured(benchmark):
     A = goe(256, seed=15)
     res = benchmark(
-        lambda: tridiagonalize(A, method="sbr", bandwidth=8, pipelined=False)
+        lambda: tridiagonalize(A, method="sbr", bandwidth=8, max_sweeps=1)
     )
     assert res.d.size == 256
 

@@ -1,11 +1,13 @@
 """Wavefront-batched vs sequential bulge chasing.
 
 Both engines chase the same bulges with the same task kernel geometry;
-the sequential oracle (:func:`repro.core.bulge_chasing.bulge_chase`)
-issues one tiny NumPy call per bulge on a dense copy, the wavefront
-engine (:mod:`repro.core.bc_wavefront`) one stacked operation per
-pipeline round on band storage.  ``[measured]`` wall time only — this
-is a pure software-architecture comparison, no simulator involved.
+the scalar oracle (:func:`repro.core.bulge_chasing.bulge_chase`, the
+reference the tests compare against; no preset runs it) issues one tiny
+NumPy call per bulge on a dense copy, the wavefront engine
+(:mod:`repro.core.bc_wavefront`, which every preset runs — ``magma`` and
+``plasma`` with one sweep in flight) one stacked operation per pipeline
+round on band storage.  ``[measured]`` wall time only — this is a pure
+software-architecture comparison, no simulator involved.
 Acceptance gate: >= 3x at n = 1024, b = 16.
 
 Run directly (CI smoke mode finishes in a few seconds):

@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     tri.add_argument("--bandwidth", type=int, default=None)
     tri.add_argument("--second-block", type=int, default=None)
     tri.add_argument("--serial", action="store_true",
-                     help="disable the sweep pipeline")
+                     help="one sweep in flight (max_sweeps=1, MAGMA's order)")
     tri.add_argument("--seed", type=int, default=0)
     tri.add_argument("--backend", default="numpy",
                      choices=["numpy", "cupy", "torch", "auto"],
@@ -306,7 +306,7 @@ def _cmd_tridiag(args) -> int:
         method=args.method,
         bandwidth=args.bandwidth,
         second_block=args.second_block,
-        pipelined=not args.serial,
+        max_sweeps=1 if args.serial else None,
         backend=args.backend,
     )
     dt = time.perf_counter() - t0

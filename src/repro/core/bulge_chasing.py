@@ -20,8 +20,8 @@ Tasks of *different* sweeps may interleave as long as sweep ``i+1``'s task
 rule); :mod:`repro.core.bc_pipeline` schedules that and
 :mod:`repro.core.bc_wavefront` executes it.  This module provides the
 task geometry (:func:`sweep_tasks`, :func:`task_window`), the numeric
-kernel (:func:`apply_bc_task`), and the sequential driver
-(:func:`bulge_chase`).
+kernel (:func:`apply_bc_task`), and the sequential reference driver
+(:func:`bulge_chase`) the tests check the engine against.
 
 Every reflector is logged with a global commit sequence number so that the
 orthogonal factor ``Q1`` (``B = Q1 T Q1^T``) can be applied afterwards —
@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..backend.context import ExecutionContext, resolve_context
 from .householder import make_householder
 
 __all__ = [
@@ -235,10 +234,12 @@ def apply_bc_task(A: np.ndarray, b: int, task: BCTask) -> tuple[int, np.ndarray,
     return s, v, float(tau)
 
 
-def bulge_chase(
-    band: np.ndarray, b: int, ctx: ExecutionContext | None = None
-) -> BulgeChasingResult:
+def bulge_chase(band: np.ndarray, b: int) -> BulgeChasingResult:
     """Sequential bulge chasing of a dense symmetric band matrix.
+
+    The scalar task-at-a-time reference the tests compare the production
+    engine (:func:`repro.core.bc_wavefront.bulge_chase_wavefront`)
+    against; no pipeline path calls it.
 
     Parameters
     ----------
@@ -249,20 +250,12 @@ def bulge_chase(
     b : int
         The bandwidth.  ``b == 1`` returns immediately (already
         tridiagonal).
-    ctx : ExecutionContext, optional
-        Accepted for pipeline uniformity.  This driver is the **host
-        oracle**: a scalar task-at-a-time loop with no batched work to
-        dispatch, so a device operand is staged to the host and the chase
-        runs in NumPy (the wavefront driver is the backend-resident one).
 
     Returns
     -------
     BulgeChasingResult
         ``band == Q1 @ tridiag(d, e) @ Q1.T``.
     """
-    ctx = resolve_context(ctx)
-    if not ctx.is_numpy and ctx.backend.owns(band):
-        band = ctx.to_numpy(band)
     band = np.asarray(band)
     dt = band.dtype if band.dtype in (np.float32, np.float64) else np.float64
     A = np.array(band, dtype=dt, copy=True)

@@ -10,14 +10,15 @@ Four presets mirror the paper's comparison and its lineage:
 * ``method="proposed"`` — DBBR + pipelined GPU-style bulge chasing
   (wavefront-batched engine) + divide & conquer + grouped WY back
   transformation in width-``k`` groups (Figure 13);
-* ``method="magma"`` — single-blocking SBR + sequential bulge chasing +
-  divide & conquer + back transformation in the `ormqr` order (one
-  width-``b`` block at a time);
+* ``method="magma"`` — single-blocking SBR + bulge chasing with one sweep
+  in flight (``max_sweeps=1``, MAGMA's sequential order) + divide &
+  conquer + back transformation in the `ormqr` order (one width-``b``
+  block at a time);
 * ``method="cusolver"`` — direct one-stage tridiagonalization + divide &
   conquer;
 * ``method="plasma"`` — tile-kernel (GEQRT/TSQRT) band reduction +
-  sequential bulge chasing + divide & conquer (the multicore lineage of
-  references [7]/[16]/[17]).
+  bulge chasing with one sweep in flight + divide & conquer (the
+  multicore lineage of references [7]/[16]/[17]).
 
 The tridiagonal solver is pluggable (``"dc"``, ``"qr"``, ``"bisect"``) so
 the three independent solvers can cross-check each other.

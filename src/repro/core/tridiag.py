@@ -9,11 +9,13 @@ routine.
   bulge chasing executed by the wavefront-batched engine
   (:mod:`repro.core.bc_wavefront`);
 * ``"sbr"`` (MAGMA-like) — classic single-blocking band reduction followed
-  by sequential bulge chasing;
+  by the same bulge-chasing engine (the ``magma`` preset caps it at one
+  sweep in flight, MAGMA's sequential chase);
 * ``"direct"`` (cuSOLVER-like) — one-stage blocked Householder
   tridiagonalization;
 * ``"tile"`` (PLASMA-like) — tile-kernel band reduction (GEQRT/TSQRT)
-  followed by sequential bulge chasing.
+  followed by the same bulge-chasing engine (one sweep in flight under
+  the ``plasma`` preset).
 
 The result object hides which path produced it: ``apply_q`` composes
 ``Q = Q_sbr Q1`` (two-stage) or the reflector product (direct), so
@@ -33,7 +35,7 @@ from ..plan.planner import auto_params, plan_tridiag
 from .bc_pipeline import PipelineStats
 from .bc_wavefront import bulge_chase_wavefront
 from .blocks import BandReductionResult
-from .bulge_chasing import BulgeChasingResult, bulge_chase
+from .bulge_chasing import BulgeChasingResult
 from .back_transform import apply_sbr_q, apply_sbr_q_transpose
 from .dbbr import dbbr
 from .direct_tridiag import DirectTridiagResult, direct_tridiagonalize
@@ -139,7 +141,6 @@ def tridiagonalize(
     method: str = "dbbr",
     bandwidth: int | None = None,
     second_block: int | None = None,
-    pipelined: bool = True,
     max_sweeps: int | None = None,
     syr2k_kind: str = "square",
     direct_block: int = 32,
@@ -160,14 +161,10 @@ def tridiagonalize(
     second_block : int, optional
         DBBR second block size ``k`` (auto if None; must be a multiple of
         ``bandwidth``).
-    pipelined : bool
-        ``True`` (default) runs the multi-sweep pipelined chase on the
-        wavefront-batched engine (:mod:`repro.core.bc_wavefront`), which
-        batches each pipeline round into stacked operations over band
-        storage; ``False`` runs the sequential dense chase
-        (:func:`repro.core.bulge_chasing.bulge_chase`).
     max_sweeps : int, optional
-        Cap on concurrently in-flight sweeps ``S`` (None = unbounded).
+        Cap on concurrently in-flight sweeps ``S`` of the wavefront chase
+        (:mod:`repro.core.bc_wavefront`); None = unbounded, ``1`` = the
+        sequential (MAGMA) order.
     syr2k_kind : {"square", "rect", "reference"}
         Trailing-update schedule for DBBR.
     direct_block : int
@@ -213,7 +210,6 @@ def tridiagonalize(
         device=device,
         bandwidth=bandwidth,
         second_block=second_block,
-        pipelined=pipelined,
         max_sweeps=max_sweeps,
         syr2k_kind=syr2k_kind,
         direct_block=direct_block,
@@ -296,14 +292,10 @@ def _run_tridiag(
             raise ValueError(f"unknown tridiagonalization method {tcfg.method!r}")
 
     band_matrix = tile_res.band if tile_res is not None else band_res.band
-    stats: PipelineStats | None = None
-    with ctx.stage("bulge_chasing", n=n, bandwidth=b, pipelined=bcfg.pipelined):
-        if bcfg.pipelined:
-            bc_res, stats = bulge_chase_wavefront(
-                band_matrix, b, max_sweeps=bcfg.max_sweeps, ctx=ctx
-            )
-        else:
-            bc_res = bulge_chase(band_matrix, b, ctx=ctx)
+    with ctx.stage("bulge_chasing", n=n, bandwidth=b, max_sweeps=bcfg.max_sweeps):
+        bc_res, stats = bulge_chase_wavefront(
+            band_matrix, b, max_sweeps=bcfg.max_sweeps, ctx=ctx
+        )
 
     return TridiagResult(
         d=bc_res.d,

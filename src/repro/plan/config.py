@@ -13,8 +13,8 @@ is already validated and every ``None`` default already resolved to a
 concrete integer for the plan's ``n``.
 
 Because the tree is frozen and *normalized* (knobs that cannot affect
-the computation are cleared — e.g. ``max_sweeps`` when the chase is not
-pipelined, or the whole band/bulge branch for the dense tier), two
+the computation are cleared — e.g. the whole band/bulge branch for the
+dense tier or the one-stage direct method), two
 requests that would execute identically serialize to the
 same :meth:`EVDPlan.cache_token`, which is what lets the serving layer
 coalesce ``method="proposed"`` with its fully-expanded kwarg spelling.
@@ -57,12 +57,11 @@ class TridiagConfig:
 class BulgeChaseConfig:
     """Stage 2: band -> tridiagonal chase (two-stage methods only).
 
-    ``pipelined`` runs the wavefront engine, otherwise the sequential
-    chase; ``max_sweeps`` is meaningful only when ``pipelined`` and is
-    normalized to ``None`` otherwise.
+    The chase always runs the wavefront engine; ``max_sweeps`` caps the
+    sweeps in flight (``None`` = unbounded, ``1`` = MAGMA's sequential
+    chase).
     """
 
-    pipelined: bool = True
     max_sweeps: int | None = None
 
 
@@ -156,7 +155,7 @@ class EVDPlan:
             )
         bc = self.bulge_chase
         if bc is not None:
-            parts.append(f"bc=pipelined={bc.pipelined},max_sweeps={bc.max_sweeps}")
+            parts.append(f"bc=max_sweeps={bc.max_sweeps}")
         s = self.solver
         parts.append(f"solver={s.kind},vectors={s.compute_vectors}")
         if self.precision != "fp64":
@@ -242,11 +241,8 @@ class EVDPlan:
             lines.append(f"  tridiag:        {t.method} (b={t.bandwidth}{extra})")
         bc = self.bulge_chase
         if bc is not None:
-            if bc.pipelined:
-                cap = "unbounded" if bc.max_sweeps is None else str(bc.max_sweeps)
-                lines.append(f"  bulge chase:    pipelined (max_sweeps={cap})")
-            else:
-                lines.append("  bulge chase:    sequential")
+            cap = "unbounded" if bc.max_sweeps is None else str(bc.max_sweeps)
+            lines.append(f"  bulge chase:    wavefront (max_sweeps={cap})")
         s = self.solver
         lines.append(f"  solver:         {s.kind} (vectors={s.compute_vectors})")
         if bc is not None and s.compute_vectors:

@@ -20,8 +20,6 @@ from __future__ import annotations
 import numbers
 from typing import Any
 
-import numpy as np
-
 from .config import (
     BulgeChaseConfig,
     EVDPlan,
@@ -34,10 +32,10 @@ __all__ = ["plan_evd", "plan_tridiag", "auto_params", "make_solver_config"]
 
 #: Preset name -> expanded pipeline knobs (the paper's four comparisons).
 PRESETS: dict[str, dict[str, Any]] = {
-    "proposed": dict(method="dbbr", pipelined=True),
-    "magma": dict(method="sbr", pipelined=False),
+    "proposed": dict(method="dbbr"),
+    "magma": dict(method="sbr", max_sweeps=1),
     "cusolver": dict(method="direct"),
-    "plasma": dict(method="tile", pipelined=False),
+    "plasma": dict(method="tile", max_sweeps=1),
 }
 
 TRIDIAG_METHODS = ("dbbr", "sbr", "tile", "direct")
@@ -53,7 +51,6 @@ PRECISIONS = ("fp64", "mixed", "fp32")
 PIPELINE_KNOBS = (
     "bandwidth",
     "second_block",
-    "pipelined",
     "max_sweeps",
     "syr2k_kind",
     "direct_block",
@@ -123,20 +120,15 @@ def _resolve_pipeline(
     reproducing ``tridiagonalize``'s historical clamps bit-for-bit
     (``auto_params``, ``b | k``).
 
-    ``values_only`` marks an fp64 eigenvalues-only solve: when the
-    wavefront DBBR pipeline runs it with a heuristic bandwidth, the
-    bandwidth comes from ``auto_params(n, vectors=False)``.
+    ``values_only`` marks an fp64 eigenvalues-only solve: when DBBR runs
+    it with a heuristic bandwidth, the bandwidth comes from
+    ``auto_params(n, vectors=False)``.
     """
     if method == "direct":
         # One-stage path: every band/bulge knob is inert (tridiagonalize
         # has always ignored them here) — normalize away.
         block = _as_int("direct_block", knobs.get("direct_block", 32))
         return TridiagConfig(method="direct", direct_block=block), None
-
-    pipelined = knobs.get("pipelined", True)
-    if not isinstance(pipelined, (bool, np.bool_)):
-        raise PlanError(f"pipelined must be a bool, got {pipelined!r}")
-    pipelined = bool(pipelined)
 
     bandwidth = knobs.get("bandwidth")
     second_block = knobs.get("second_block")
@@ -150,7 +142,6 @@ def _resolve_pipeline(
     narrow = (
         values_only
         and method == "dbbr"
-        and pipelined
         and tuning == "manual"
         and bandwidth is None
     )
@@ -172,13 +163,9 @@ def _resolve_pipeline(
         k = max(b, (k // b) * b)
     tridiag = TridiagConfig(method=method, bandwidth=b, second_block=k, syr2k_kind=syr2k)
 
-    max_sweeps: int | None = None
-    if pipelined:
-        raw_sweeps = knobs.get("max_sweeps")
-        max_sweeps = (
-            _as_int("max_sweeps", raw_sweeps) if raw_sweeps is not None else None
-        )
-    return tridiag, BulgeChaseConfig(pipelined=pipelined, max_sweeps=max_sweeps)
+    raw_sweeps = knobs.get("max_sweeps")
+    max_sweeps = _as_int("max_sweeps", raw_sweeps) if raw_sweeps is not None else None
+    return tridiag, BulgeChaseConfig(max_sweeps=max_sweeps)
 
 
 def _model_tuned_dbbr(n: int, device: str) -> tuple[int | None, int | None]:
@@ -251,7 +238,7 @@ def plan_evd(
     (``"proposed"``/``"magma"``/``"cusolver"``/``"plasma"``/``"dense"``)
     or a raw tridiagonalization method, ``**knobs`` is the historical
     ``**tridiag_kwargs`` surface (``bandwidth``, ``second_block``,
-    ``pipelined``, ``max_sweeps``, ``syr2k_kind``, ``direct_block``).
+    ``max_sweeps``, ``syr2k_kind``, ``direct_block``).
     ``tuning="model"`` lets the calibrated cost models pick the DBBR
     ``(b, k)`` for ``device`` where the caller left them unset.
     ``fallback="chain"`` marks the plan for escalated execution

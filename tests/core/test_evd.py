@@ -100,6 +100,39 @@ class TestValuesOnlyNarrowBand:
         assert np.max(np.abs(res.eigenvalues - lam_ref)) <= tol
 
 
+class TestPresetsRunTheOneEngine:
+    """``magma`` and ``plasma`` chase on the wavefront engine with one
+    sweep in flight, and stay within the 200·n·eps·‖A‖ tolerance."""
+
+    B = 8
+
+    @pytest.mark.parametrize("n", [1, 2, 3, B - 1, B + 1, 64, 200])
+    @pytest.mark.parametrize("method", ["magma", "plasma"])
+    @pytest.mark.parametrize(
+        "precision,vectors",
+        [("fp64", True), ("fp64", False), ("mixed", True)],
+    )
+    def test_one_sweep_in_flight(self, method, n, precision, vectors):
+        from repro.core.bc_wavefront import WavefrontBCResult
+        from repro.resilience import verify_evd
+
+        A = goe(n, seed=n)
+        res = eigh(
+            A, method=method, bandwidth=self.B, compute_vectors=vectors,
+            precision=precision,
+        )
+        assert isinstance(res.tridiag.bc_result, WavefrontBCResult)
+        stats = res.tridiag.pipeline_stats
+        # n <= 3 clamps the band to b=1: already tridiagonal, no tasks.
+        assert stats is not None and stats.max_parallel == min(1, stats.total_tasks)
+        assert (stats.total_tasks > 0) == (n > 3)
+        assert (res.eigenvectors is not None) == vectors
+        lam_ref = np.linalg.eigvalsh(A)
+        tol = 200 * n * np.finfo(np.float64).eps * np.max(np.abs(lam_ref))
+        assert np.max(np.abs(res.eigenvalues - lam_ref)) <= tol
+        assert verify_evd(A, res).ok
+
+
 class TestSecularModePlumbing:
     """`eigh` runs the batched secular mode; the scalar per-root loops
     are a `dc_eigh` oracle only."""

@@ -127,6 +127,37 @@ class TestFormatVersion1:
         assert np.allclose(Y, X, atol=1e-12)
 
 
+class TestScalarReflectorLog:
+    """Archives written while ``magma``/``plasma`` ran the scalar chase
+    hold its per-reflector log (``refl_*``); they still load bit-exact."""
+
+    @pytest.mark.parametrize("method", ["sbr", "tile"])
+    def test_round_trip(self, tmp_npz, rng, method):
+        from dataclasses import replace
+
+        from repro.core.bc_wavefront import WavefrontBCResult
+        from repro.core.bulge_chasing import bulge_chase
+
+        A = goe(40, seed=68)
+        wf = tridiagonalize(A, method=method, bandwidth=4)
+        band = (wf.band_result or wf.tile_result).band
+        bc = bulge_chase(band, 4)
+        res = replace(wf, d=bc.d, e=bc.e, bc_result=bc, pipeline_stats=None)
+        save_tridiag(tmp_npz, res)
+        with np.load(tmp_npz) as z:
+            assert "refl_sweep" in z and "wf_sizes" not in z
+        loaded = load_tridiag(tmp_npz)
+        assert not isinstance(loaded.bc_result, WavefrontBCResult)
+        assert np.array_equal(loaded.d, res.d)
+        assert np.array_equal(loaded.e, res.e)
+        X = rng.standard_normal((40, 5))
+        for apply in ("apply_q", "apply_q_transpose"):
+            Y1, Y2 = X.copy(), X.copy()
+            getattr(res, apply)(Y1)
+            getattr(loaded, apply)(Y2)
+            assert np.array_equal(Y1, Y2), apply
+
+
 class TestEVDRoundTrip:
     def test_round_trip_with_source_matrix(self, tmp_path):
         import repro

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro
 from repro.band.storage import dense_from_band
 from repro.core.tridiag import auto_params, tridiagonalize
 from repro.core.validation import OperandShapeError
@@ -64,37 +65,47 @@ class TestDriver:
         assert issubclass(OperandShapeError, ValueError)
 
     def test_pipelined_and_sequential_identical(self):
+        from repro.core.bulge_chasing import bulge_chase
         from tests.conftest import chase_in_schedule
 
         A = make_symmetric(36, seed=46)
         kw = dict(method="dbbr", bandwidth=4, second_block=8)
-        r2 = tridiagonalize(A, pipelined=False, **kw)
+        r = tridiagonalize(A, **kw)
+        ref = bulge_chase(r.band_result.band, 4)
         # The pipelined schedule only reorders commuting tasks, so the
         # sequential task kernel run in round order is bit-identical to
         # the sequential chase, whatever the in-flight cap.
         for cap in (None, 1, 2, 5):
-            r1, _ = chase_in_schedule(r2.band_result.band, 4, max_sweeps=cap)
-            assert np.array_equal(r1.d, r2.d), cap
-            assert np.array_equal(r1.e, r2.e), cap
+            r1, _ = chase_in_schedule(r.band_result.band, 4, max_sweeps=cap)
+            assert np.array_equal(r1.d, ref.d), cap
+            assert np.array_equal(r1.e, ref.e), cap
         # The wavefront-batched engine evaluates the same updates with a
-        # different summation order, so it agrees to roundoff instead.
-        r3 = tridiagonalize(A, pipelined=True, **kw)
-        assert np.allclose(r3.d, r2.d, atol=1e-12)
-        assert np.allclose(r3.e, r2.e, atol=1e-12)
+        # different summation order, so it agrees to roundoff instead —
+        # also with one sweep in flight (the magma/plasma schedule).
+        for cap in (None, 1):
+            r3 = tridiagonalize(A, max_sweeps=cap, **kw)
+            assert np.allclose(r3.d, ref.d, atol=1e-12), cap
+            assert np.allclose(r3.e, ref.e, atol=1e-12), cap
 
     def test_unknown_bc_driver_rejected(self):
-        # The engine is chosen by ``pipelined`` alone; there is no driver
-        # knob to pass.
+        # Every chase runs the wavefront engine; there is no driver knob
+        # to pass.
         with pytest.raises(TypeError, match="bc_driver"):
             tridiagonalize(make_symmetric(12), bc_driver="warp")
 
     def test_pipeline_stats_present_when_pipelined(self):
+        # Every two-stage result carries schedule stats: a sequential
+        # chase is the same schedule with one sweep in flight.
         A = make_symmetric(30, seed=47)
-        res = tridiagonalize(A, method="dbbr", bandwidth=3, second_block=6)
-        assert res.pipeline_stats is not None
-        assert res.pipeline_stats.total_tasks > 0
-        res2 = tridiagonalize(A, method="sbr", bandwidth=3, pipelined=False)
-        assert res2.pipeline_stats is None
+        for method in ("dbbr", "sbr", "tile"):
+            res = tridiagonalize(A, method=method, bandwidth=3, second_block=6)
+            assert res.pipeline_stats is not None, method
+            assert res.pipeline_stats.total_tasks > 0
+            assert res.pipeline_stats.max_parallel > 1
+        assert tridiagonalize(A, method="direct").pipeline_stats is None
+        for preset in ("magma", "plasma"):
+            stats = repro.eigh(A, method=preset).tridiag.pipeline_stats
+            assert stats is not None and stats.max_parallel == 1, preset
 
     def test_max_sweeps_forwarded(self):
         A = make_symmetric(30, seed=48)

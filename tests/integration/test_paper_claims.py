@@ -100,27 +100,28 @@ class TestNumericalEquivalenceOfProposedPipeline:
     pure reordering (the property the spin-lock protocol guarantees)."""
 
     def test_pipelined_equals_sequential_at_scale(self):
+        from repro.core.bulge_chasing import bulge_chase
         from tests.conftest import chase_in_schedule
 
         A = goe(150, seed=9)
-        r_seq = repro.tridiagonalize(
-            A, method="dbbr", bandwidth=6, second_block=24, pipelined=False
-        )
+        kw = dict(method="dbbr", bandwidth=6, second_block=24)
+        r = repro.tridiagonalize(A, **kw)
+        r_seq = bulge_chase(r.band_result.band, 6)
         # The pipelined schedule is a pure reordering of the sequential
         # chase, hence bit-identical for every in-flight cap.
         for cap in (None, 1, 2, 5):
-            r_par, _ = chase_in_schedule(r_seq.band_result.band, 6, max_sweeps=cap)
+            r_par, _ = chase_in_schedule(r.band_result.band, 6, max_sweeps=cap)
             assert np.array_equal(r_par.d, r_seq.d), cap
             assert np.array_equal(r_par.e, r_seq.e), cap
-        # The default wavefront-batched engine changes the summation order
-        # inside each round; forward error grows mildly with n, so compare
-        # to roundoff scaled a couple of orders above machine epsilon.
-        r_wf = repro.tridiagonalize(
-            A, method="dbbr", bandwidth=6, second_block=24, pipelined=True
-        )
+        # The wavefront-batched engine changes the summation order inside
+        # each round; forward error grows mildly with n, so compare to
+        # roundoff scaled a couple of orders above machine epsilon.  One
+        # sweep in flight (the magma/plasma schedule) meets the same bound.
         scale = np.linalg.norm(A)
-        assert np.max(np.abs(r_wf.d - r_seq.d)) < 1e-10 * scale
-        assert np.max(np.abs(r_wf.e - r_seq.e)) < 1e-10 * scale
+        for cap in (None, 1):
+            r_wf = repro.tridiagonalize(A, max_sweeps=cap, **kw)
+            assert np.max(np.abs(r_wf.d - r_seq.d)) < 1e-10 * scale, cap
+            assert np.max(np.abs(r_wf.e - r_seq.e)) < 1e-10 * scale, cap
 
     def test_full_proposed_evd_machine_precision(self):
         A = goe(120, seed=10)

@@ -77,8 +77,8 @@ class TestChoiceValidation:
             assert knob in str(exc_info.value)
 
     def test_bad_bc_driver(self):
-        # pipelined=True always runs the wavefront engine; the removed
-        # driver knob is rejected, naming the knobs that do exist.
+        # Every chase runs the wavefront engine; the removed driver knob
+        # is rejected, naming the knobs that do exist.
         with pytest.raises(PlanError, match="'bc_driver'") as exc_info:
             repro.eigh(goe(8), bc_driver="pipelined")
         for knob in PIPELINE_KNOBS:
@@ -91,7 +91,7 @@ class TestChoiceValidation:
     def test_bad_back_transform(self):
         # One SBR back transform whose group width follows the method:
         # both removed knobs fail loudly, naming the knobs that do exist.
-        assert len(PIPELINE_KNOBS) == 6
+        assert len(PIPELINE_KNOBS) == 5
         for knob, value in (("back_transform", "blocked"), ("back_transform_group", 8)):
             with pytest.raises(PlanError, match=f"'{knob}'") as exc_info:
                 repro.eigh(goe(8), **{knob: value})
@@ -129,14 +129,24 @@ class TestChoiceValidation:
         )
         assert type(plan.tridiag.bandwidth) is int
 
-    @pytest.mark.parametrize("value", ["no", 1, 0, None])
-    def test_pipelined_must_be_a_bool(self, value):
-        # Used to resolve through bool(...): "no" meant pipelined=True.
-        with pytest.raises(PlanError, match="pipelined must be a bool"):
-            plan_evd(64, pipelined=value)
+    @pytest.mark.parametrize(
+        "value", [True, False, "no", 1, 0, None, np.bool_(False)],
+        ids=["True", "False", "no", "1", "0", "None", "numpy-False"],
+    )
+    def test_pipelined_is_an_unknown_knob(self, value):
+        # A sequential chase is the wavefront schedule with max_sweeps=1,
+        # so the pipelined knob is gone; asking for it names the knobs
+        # that do exist.
+        for call in (lambda: plan_evd(64, pipelined=value),
+                     lambda: repro.eigh(goe(8), pipelined=value)):
+            with pytest.raises(PlanError, match="'pipelined'") as exc_info:
+                call()
+            for knob in PIPELINE_KNOBS:
+                assert knob in str(exc_info.value)
 
-    def test_pipelined_accepts_numpy_bool(self):
-        assert plan_evd(64, pipelined=np.bool_(False)).bulge_chase.pipelined is False
+    def test_tridiagonalize_has_no_pipelined_parameter(self):
+        with pytest.raises(TypeError, match="pipelined"):
+            repro.tridiagonalize(goe(8), pipelined=False)
 
     def test_bandwidth_minimum(self):
         with pytest.raises(PlanError, match="bandwidth must be >= 1"):
@@ -168,7 +178,6 @@ class TestResolution:
         plan = plan_evd(200, "proposed")
         assert plan.tridiag.bandwidth == b
         assert plan.tridiag.second_block == max(b, (max(k, b) // b) * b)
-        assert plan.bulge_chase.pipelined is True
         assert plan.bulge_chase.max_sweeps is None
 
     def test_bandwidth_clamped_to_matrix(self):
@@ -233,10 +242,9 @@ class TestValuesOnlyBandwidth:
             dict(method="proposed", precision="fp32"),
             dict(method="magma"),
             dict(method="plasma"),
-            dict(method="dbbr", pipelined=False),
+            dict(method="dbbr", bandwidth=10),
             dict(method="sbr"),
             dict(method="tile"),
-            dict(method="proposed", pipelined=False),
             dict(method="proposed", bandwidth=10),
             dict(method="proposed", tuning="model"),
         ],
@@ -274,31 +282,28 @@ class TestCacheToken:
             "dbbr",
             bandwidth=p.tridiag.bandwidth,
             second_block=p.tridiag.second_block,
-            pipelined=True,
         )
         assert p.cache_token() == expanded.cache_token()
 
     def test_magma_spelling_coalesces(self):
-        n = 96
-        p = plan_evd(n, "magma")
-        expanded = plan_evd(
-            n,
-            "sbr",
-            bandwidth=p.tridiag.bandwidth,
-            pipelined=False,
-        )
-        assert p.cache_token() == expanded.cache_token()
+        for n in (64, 96, 2048):
+            p = plan_evd(n, "magma")
+            expanded = plan_evd(
+                n,
+                "sbr",
+                bandwidth=p.tridiag.bandwidth,
+                max_sweeps=1,
+            )
+            assert p.cache_token() == expanded.cache_token()
+            assert "bc=max_sweeps=1;" in p.cache_token()
+            # The uncapped chase is a different schedule (different bits).
+            assert plan_evd(n, "sbr").cache_token() != p.cache_token()
 
     def test_irrelevant_knobs_normalized_away(self):
         # Direct path: band knobs are inert and must not split the token.
         assert (
             plan_evd(64, "cusolver", bandwidth=8).cache_token()
             == plan_evd(64, "cusolver").cache_token()
-        )
-        # Non-pipelined chase: max_sweeps is inert.
-        assert (
-            plan_evd(64, "sbr", pipelined=False, max_sweeps=3).cache_token()
-            == plan_evd(64, "sbr", pipelined=False).cache_token()
         )
         # Dense tier: the solver choice itself is inert.
         assert (
@@ -334,11 +339,23 @@ class TestSerialization:
         data["solver"]["secular_mode"] = "batched"
         with pytest.raises(PlanError, match="unknown bulge_chase field.*'bc_driver'") as exc:
             EVDPlan.from_dict(data)
-        assert "valid fields are pipelined, max_sweeps" in str(exc.value)
+        assert "valid fields are max_sweeps" in str(exc.value)
         del data["bulge_chase"]["bc_driver"]
         with pytest.raises(PlanError, match="unknown solver field.*'secular_mode'") as exc:
             EVDPlan.from_dict(data)
         assert "valid fields are kind, compute_vectors" in str(exc.value)
+
+    @pytest.mark.parametrize("method", ["magma", "proposed"])
+    def test_parent_format_pipelined_field_is_a_typed_error(self, method):
+        """Plan documents written while the pipelined knob existed hold
+        ``bulge_chase.pipelined``; loading one must name the valid field."""
+        data = plan_evd(128, method).to_dict()
+        data["bulge_chase"]["pipelined"] = method == "proposed"
+        with pytest.raises(PlanError, match="unknown bulge_chase field.*'pipelined'") as exc:
+            EVDPlan.from_dict(data)
+        assert "valid fields are max_sweeps" in str(exc.value)
+        del data["bulge_chase"]["pipelined"]
+        assert EVDPlan.from_dict(data) == plan_evd(128, method)
 
     def test_parent_format_back_transform_branch_is_a_typed_error(self):
         """Plan documents written before the back-transform branch was

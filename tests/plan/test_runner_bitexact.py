@@ -21,10 +21,10 @@ from repro.eig import dc_eigh, eigh_bisect, tridiag_qr_eigh
 from repro.plan import make_solver_config, plan_evd, solve_tridiagonal_planned
 
 PRESET_KWARGS = {
-    "proposed": dict(method="dbbr", pipelined=True),
-    "magma": dict(method="sbr", pipelined=False),
+    "proposed": dict(method="dbbr"),
+    "magma": dict(method="sbr", max_sweeps=1),
     "cusolver": dict(method="direct"),
-    "plasma": dict(method="tile", pipelined=False),
+    "plasma": dict(method="tile", max_sweeps=1),
 }
 
 

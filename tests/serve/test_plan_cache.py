@@ -28,7 +28,6 @@ def expanded_proposed_kwargs(n: int) -> dict:
         method="dbbr",
         bandwidth=p.tridiag.bandwidth,
         second_block=p.tridiag.second_block,
-        pipelined=True,
     )
 
 
