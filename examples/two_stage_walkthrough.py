@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.band.ops import bandwidth_of, bandwidth_profile
 from repro.band.storage import dense_from_band
-from repro.core.back_transform import assemble_eigenvectors
+from repro.core.back_transform import apply_sbr_q
 from repro.core.bc_wavefront import bulge_chase_wavefront
 from repro.core.dbbr import dbbr
 from repro.eig.dc import dc_eigh
@@ -61,9 +61,12 @@ def main() -> None:
     print(f"  eigenvalue error vs numpy: {np.max(np.abs(lam - lam_ref)):.2e}")
 
     # --- Stage 4: back transformation ------------------------------------
-    # The SBR blocks are merged into WY groups of width k before they are
-    # applied; group_width=1 would apply them one by one (MAGMA's ormqr).
-    V = assemble_eigenvectors(red.blocks, bc, U, group_width=k)
+    # V = Q_sbr (Q1 U).  The SBR blocks are merged into WY groups of width
+    # k before they are applied; group_width=1 would apply them one by one
+    # (MAGMA's ormqr).
+    V = U.copy()
+    bc.apply_q1(V)
+    apply_sbr_q(red.blocks, V, group_width=k)
     resid = np.linalg.norm(A @ V - V * lam) / np.linalg.norm(A)
     orth = np.linalg.norm(V.T @ V - np.eye(n))
     print(f"\nStage 4: back transformation (Figure 13 grouping, width {k})")

@@ -3,7 +3,6 @@
 from .back_transform import (
     apply_sbr_q,
     apply_sbr_q_transpose,
-    assemble_eigenvectors,
     q_from_blocks,
 )
 from .bc_back_transform import blocked_bc_back_time
@@ -103,7 +102,6 @@ __all__ = [
     "bc_task_flops",
     "apply_sbr_q",
     "apply_sbr_q_transpose",
-    "assemble_eigenvectors",
     "auto_params",
     "build_q_from_compact_wy",
     "blocked_bc_back_time",

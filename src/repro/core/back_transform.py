@@ -23,6 +23,10 @@ this one loop:
 
 All widths produce the same ``Q_sbr`` to machine precision; the tests
 assert it and the Figure 14 bench prices them.
+
+The one-stage direct reduction records its ``sytrd`` panels in the same
+:class:`~repro.core.blocks.WYBlock` format, so its whole ``Q`` goes
+through this apply too (the blocked ``ormtr`` analogue).
 """
 
 from __future__ import annotations
@@ -33,13 +37,11 @@ import numpy as np
 
 from ..backend.context import ExecutionContext, resolve_context
 from .blocks import WYBlock
-from .bulge_chasing import BulgeChasingResult
 
 __all__ = [
     "apply_sbr_q",
     "apply_sbr_q_transpose",
     "q_from_blocks",
-    "assemble_eigenvectors",
 ]
 
 
@@ -150,25 +152,3 @@ def q_from_blocks(
     Q = np.eye(n)
     apply_sbr_q(blocks, Q, group_width, ctx)
     return Q
-
-
-def assemble_eigenvectors(
-    blocks: list[WYBlock],
-    bc: BulgeChasingResult,
-    U: np.ndarray,
-    group_width: int = 1,
-    ctx: ExecutionContext | None = None,
-) -> np.ndarray:
-    """Full eigenvector back transformation ``V = Q_sbr (Q1 U)``.
-
-    ``U`` holds the tridiagonal eigenvectors (columns).  Returns a new
-    host array; ``U`` is not modified.  ``Q1`` is applied on the host
-    (diamond-blocked compact WY for wavefront results, the scalar log
-    otherwise); the SBR factor runs on the context's backend.
-    """
-    U = np.asarray(U)
-    dt = U.dtype if U.dtype in (np.float32, np.float64) else np.float64
-    V = np.array(U, dtype=dt, copy=True)
-    bc.apply_q1(V)
-    apply_sbr_q(blocks, V, group_width, ctx)
-    return V

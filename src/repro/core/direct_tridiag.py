@@ -6,7 +6,9 @@ Sorensen, Hammarling 1989): panels of ``block`` columns are reduced with
 Householder reflectors; within a panel each column update needs a symmetric
 matrix-vector product against the *virtually updated* trailing matrix
 (``p = (A - V W^T - W V^T) v``), and at the end of the panel the trailing
-matrix receives one rank-``2*block`` update.
+matrix receives one rank-``2*block`` update.  Each panel's reflectors are
+recorded as one compact-WY block, so the back transformation is a blocked
+``ormtr``-style apply.
 
 Roughly half the floating-point work sits in the per-column ``symv`` —
 a BLAS2, memory-bound operation.  That is exactly why direct
@@ -22,23 +24,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .householder import make_householder
+from .back_transform import q_from_blocks
+from .blocks import WYBlock
+from .householder import accumulate_wy, make_householder
 
 __all__ = ["DirectTridiagResult", "direct_tridiagonalize"]
 
 
 @dataclass
 class DirectTridiagResult:
-    """``A = Q @ tridiag(d, e) @ Q.T`` with ``Q = H_0 H_1 ... H_{n-3}``.
+    """``A = Q @ tridiag(d, e) @ Q.T`` with ``Q = Q_0 Q_1 ... Q_{p-1}``.
 
-    Reflector ``j`` lives in ``V[j+1:, j]`` (unit first element) with scale
-    ``taus[j]`` and acts on rows ``j+1:``.
+    ``blocks[i]`` is panel ``i``'s compact-WY factor ``Q_i = I - W Y^T``
+    (:class:`~repro.core.blocks.WYBlock`, the format SBR and DBBR
+    record), embedded at rows ``j0 + 1:`` for the panel starting at
+    column ``j0``.  ``Q`` is applied by the grouped WY apply
+    (:func:`repro.core.back_transform.apply_sbr_q`), the ``ormtr``
+    analogue.
     """
 
     d: np.ndarray
     e: np.ndarray
-    V: np.ndarray
-    taus: np.ndarray
+    blocks: list[WYBlock] = field(default_factory=list)
     flops: float = 0.0
     blas2_flops: float = 0.0
 
@@ -46,30 +53,8 @@ class DirectTridiagResult:
     def n(self) -> int:
         return self.d.size
 
-    def apply_q(self, X: np.ndarray) -> None:
-        """In place ``X <- Q X`` (reflectors in reverse order)."""
-        for j in range(self.n - 3, -1, -1):
-            tau = float(self.taus[j])
-            if tau == 0.0:
-                continue
-            v = self.V[j + 1 :, j]
-            sub = X[j + 1 :, :]
-            sub -= np.outer(tau * v, v @ sub)
-
-    def apply_q_transpose(self, X: np.ndarray) -> None:
-        """In place ``X <- Q^T X`` (forward order; ``H_j`` symmetric)."""
-        for j in range(self.n - 2):
-            tau = float(self.taus[j])
-            if tau == 0.0:
-                continue
-            v = self.V[j + 1 :, j]
-            sub = X[j + 1 :, :]
-            sub -= np.outer(tau * v, v @ sub)
-
     def q(self) -> np.ndarray:
-        Q = np.eye(self.n)
-        self.apply_q(Q)
-        return Q
+        return q_from_blocks(self.blocks, self.n)
 
 
 def direct_tridiagonalize(A: np.ndarray, block: int = 32) -> DirectTridiagResult:
@@ -91,8 +76,7 @@ def direct_tridiagonalize(A: np.ndarray, block: int = 32) -> DirectTridiagResult
     A = np.array(A, dtype=dt, copy=True)
     n = A.shape[0]
     nb = max(1, int(block))
-    V = np.zeros((n, max(n - 2, 0)), dtype=dt)
-    taus = np.zeros(max(n - 2, 0), dtype=dt)
+    blocks: list[WYBlock] = []
     flops = 0.0
     blas2 = 0.0
 
@@ -102,6 +86,7 @@ def direct_tridiagonalize(A: np.ndarray, block: int = 32) -> DirectTridiagResult
         # Global-row, zero-padded panel factors (the latrd V and W).
         Vp = np.zeros((n, jb), dtype=dt)
         Wp = np.zeros((n, jb), dtype=dt)
+        panel_taus = np.zeros(jb, dtype=dt)
         for jj in range(jb):
             c = j0 + jj
             if jj > 0:
@@ -115,8 +100,7 @@ def direct_tridiagonalize(A: np.ndarray, block: int = 32) -> DirectTridiagResult
             A[c, c + 1 :] = 0.0
             A[c, c + 1] = beta
             Vp[c + 1 :, jj] = v
-            V[c + 1 :, c] = v
-            taus[c] = tau
+            panel_taus[jj] = tau
             # w = tau * B v against the virtually updated trailing matrix.
             p = A[c + 1 :, c + 1 :] @ v
             blas2 += 2.0 * (n - c - 1) ** 2
@@ -131,11 +115,15 @@ def direct_tridiagonalize(A: np.ndarray, block: int = 32) -> DirectTridiagResult
         mt = n - t0
         A[t0:, t0:] -= Vp[t0:] @ Wp[t0:].T + Wp[t0:] @ Vp[t0:].T
         flops += 4.0 * mt * mt * jb
+        # Reflector jj acts on rows j0 + jj + 1:, so Vp[j0 + 1:] is unit
+        # lower trapezoidal: the panel's Y.
+        W, Y = accumulate_wy(Vp[j0 + 1 :], panel_taus)
+        blocks.append(WYBlock(W=W, Y=Y, offset=j0 + 1))
         j0 += jb
 
     d = np.diagonal(A).copy()
     e = np.diagonal(A, -1).copy()
     total = flops + blas2
     return DirectTridiagResult(
-        d=d, e=e, V=V, taus=taus, flops=total, blas2_flops=blas2
+        d=d, e=e, blocks=blocks, flops=total, blas2_flops=blas2
     )

@@ -19,14 +19,20 @@ from .bc_wavefront import BCWavefrontGroup, WavefrontBCResult
 from .blocks import BandReductionResult, WYBlock
 from .bulge_chasing import BCReflector, BulgeChasingResult
 from .direct_tridiag import DirectTridiagResult
+from .householder import accumulate_wy
 from .tile_sbr import TileBandReductionResult, TileReflector
 from .tridiag import TridiagResult
 
 __all__ = ["save_tridiag", "load_tridiag", "save_evd", "load_evd"]
 
 #: Format 2 dropped ``bt_method`` (one SBR back transform, chosen by its
-#: group width ``bt_group``); format-1 archives still load.
-_FORMAT_VERSION = 2
+#: group width ``bt_group``); format 3 stores direct results' panel WY
+#: blocks under the ``block_*`` keys band results use, where formats 1 and
+#: 2 stored ``direct_V``/``direct_taus``.  Older archives still load.
+_FORMAT_VERSION = 3
+#: The width of the WY blocks a format-1/2 direct archive's reflectors
+#: are regrouped into on load (sytrd's panel width).
+_LEGACY_DIRECT_BLOCK = 32
 _EVD_FORMAT_VERSION = 1
 
 
@@ -44,12 +50,7 @@ def save_tridiag(path, result: TridiagResult) -> None:
         br = result.band_result
         data["band"] = br.band
         data["band_flops"] = np.array(br.flops)
-        data["block_offsets"] = np.array([b.offset for b in br.blocks], dtype=np.int64)
-        data["block_widths"] = np.array([b.width for b in br.blocks], dtype=np.int64)
-        data["block_rows"] = np.array([b.rows for b in br.blocks], dtype=np.int64)
-        if br.blocks:
-            data["block_W"] = np.concatenate([b.W.ravel() for b in br.blocks])
-            data["block_Y"] = np.concatenate([b.Y.ravel() for b in br.blocks])
+        _save_blocks(data, br.blocks)
     if isinstance(result.bc_result, WavefrontBCResult):
         # Keep the stacked (per-round) form: a reloaded result rebuilds
         # the same diamond blocks from identical stacks, so ``apply_q1``
@@ -77,8 +78,7 @@ def save_tridiag(path, result: TridiagResult) -> None:
             data["refl_v"] = np.concatenate([r.v for r in refl])
     if result.direct_result is not None:
         dr = result.direct_result
-        data["direct_V"] = dr.V
-        data["direct_taus"] = dr.taus
+        _save_blocks(data, dr.blocks)
         data["direct_flops"] = np.array(dr.flops)
         data["direct_blas2"] = np.array(dr.blas2_flops)
     if result.tile_result is not None:
@@ -93,6 +93,15 @@ def save_tridiag(path, result: TridiagResult) -> None:
             data["tile_W"] = np.concatenate([r.W.ravel() for r in refl])
             data["tile_Y"] = np.concatenate([r.Y.ravel() for r in refl])
     np.savez_compressed(pathlib.Path(path), **data)
+
+
+def _save_blocks(data: dict[str, np.ndarray], blocks: list[WYBlock]) -> None:
+    data["block_offsets"] = np.array([b.offset for b in blocks], dtype=np.int64)
+    data["block_widths"] = np.array([b.width for b in blocks], dtype=np.int64)
+    data["block_rows"] = np.array([b.rows for b in blocks], dtype=np.int64)
+    if blocks:
+        data["block_W"] = np.concatenate([b.W.ravel() for b in blocks])
+        data["block_Y"] = np.concatenate([b.Y.ravel() for b in blocks])
 
 
 def save_evd(path, result, A: np.ndarray | None = None) -> None:
@@ -165,6 +174,17 @@ def _load_blocks(z) -> list[WYBlock]:
     return blocks
 
 
+def _legacy_direct_blocks(V: np.ndarray, taus: np.ndarray) -> list[WYBlock]:
+    """Regroup a format-1/2 direct archive's reflectors (reflector ``j`` in
+    ``V[j + 1:, j]``, unit first element) into width-32 panel blocks."""
+    blocks: list[WYBlock] = []
+    for j0 in range(0, taus.size, _LEGACY_DIRECT_BLOCK):
+        j1 = min(j0 + _LEGACY_DIRECT_BLOCK, taus.size)
+        W, Y = accumulate_wy(V[j0 + 1 :, j0:j1], taus[j0:j1])
+        blocks.append(WYBlock(W=W, Y=Y, offset=j0 + 1))
+    return blocks
+
+
 def _load_reflectors(z) -> list[BCReflector]:
     sweeps = z["refl_sweep"]
     if sweeps.size == 0:
@@ -196,7 +216,7 @@ def load_tridiag(path) -> TridiagResult:
     """Reconstruct a :class:`TridiagResult` saved by :func:`save_tridiag`."""
     with np.load(pathlib.Path(path), allow_pickle=False) as z:
         version = int(z["format_version"])
-        if version not in (1, _FORMAT_VERSION):
+        if version not in (1, 2, _FORMAT_VERSION):
             raise ValueError(f"unsupported format version {version}")
         group = int(z["bt_group"])
         if version == 1 and str(z["bt_method"]) == "blocked":
@@ -246,12 +266,15 @@ def load_tridiag(path) -> TridiagResult:
                 reflectors=_load_reflectors(z),
                 flops=float(z["bc_flops"]),
             )
-        if "direct_V" in z:
+        if "direct_flops" in z:
             direct_result = DirectTridiagResult(
                 d=d.copy(),
                 e=e.copy(),
-                V=z["direct_V"],
-                taus=z["direct_taus"],
+                blocks=(
+                    _legacy_direct_blocks(z["direct_V"], z["direct_taus"])
+                    if "direct_V" in z
+                    else _load_blocks(z)
+                ),
                 flops=float(z["direct_flops"]),
                 blas2_flops=float(z["direct_blas2"]),
             )

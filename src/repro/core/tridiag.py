@@ -18,8 +18,9 @@ routine.
   the ``plasma`` preset).
 
 The result object hides which path produced it: ``apply_q`` composes
-``Q = Q_sbr Q1`` (two-stage) or the reflector product (direct), so
-downstream EVD code is method-agnostic.
+``Q = Q_sbr Q1`` (two-stage) or the panel product (direct), each
+reduction's factor going through the same grouped WY apply (tile results
+apply their tile reflectors), so downstream EVD code is method-agnostic.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from ..plan.config import BulgeChaseConfig, EVDPlan, TridiagConfig
 from ..plan.planner import auto_params, plan_tridiag
 from .bc_pipeline import PipelineStats
 from .bc_wavefront import bulge_chase_wavefront
-from .blocks import BandReductionResult
+from .blocks import BandReductionResult, WYBlock
 from .bulge_chasing import BulgeChasingResult
 from .back_transform import apply_sbr_q, apply_sbr_q_transpose
 from .dbbr import dbbr
@@ -56,9 +57,11 @@ class TridiagResult:
     """Output of :func:`tridiagonalize`: ``A = Q @ tridiag(d, e) @ Q^T``.
 
     For two-stage methods ``Q = Q_sbr @ Q1``; ``band_result``/``bc_result``
-    expose the stage outputs (``direct_result`` for the one-stage path).
-    ``back_transform_group`` is the group width of the SBR back transform
-    (:func:`repro.core.back_transform.apply_sbr_q`).
+    expose the stage outputs (``direct_result`` for the one-stage path,
+    where ``Q`` is the panel product alone).  ``back_transform_group`` is
+    the group width of the grouped WY apply
+    (:func:`repro.core.back_transform.apply_sbr_q`) that applies the
+    DBBR/SBR/direct panel blocks.
     """
 
     d: np.ndarray
@@ -90,42 +93,40 @@ class TridiagResult:
                 f"expected an operand of shape ({self.n}, k), got {np.shape(X)}"
             )
 
+    @property
+    def _wy_blocks(self) -> list[WYBlock]:
+        if self.direct_result is not None:
+            return self.direct_result.blocks
+        assert self.band_result is not None
+        return self.band_result.blocks
+
     def apply_q(self, X: np.ndarray) -> None:
-        """In place ``X <- Q X`` — the full back transformation.
+        """In place ``X <- Q X`` — the full back transformation: ``Q1``
+        if there was a chase, then the reduction's factor.
 
         Raises :class:`OperandShapeError` unless ``X`` is 2-D with ``n`` rows.
         """
         self._check_operand(X)
-        if self.direct_result is not None:
-            self.direct_result.apply_q(X)
-            return
-        assert self.bc_result is not None
-        if self.tile_result is not None:
+        if self.bc_result is not None:
             self.bc_result.apply_q1(X)
+        if self.tile_result is not None:
             for refl in reversed(self.tile_result.reflectors):
                 refl.apply_left(X)
-            return
-        assert self.band_result is not None
-        self.bc_result.apply_q1(X)
-        apply_sbr_q(self.band_result.blocks, X, self.back_transform_group, self.ctx)
+        else:
+            apply_sbr_q(self._wy_blocks, X, self.back_transform_group, self.ctx)
 
     def apply_q_transpose(self, X: np.ndarray) -> None:
         """In place ``X <- Q^T X`` (same operand contract as :meth:`apply_q`)."""
         self._check_operand(X)
-        if self.direct_result is not None:
-            self.direct_result.apply_q_transpose(X)
-            return
-        assert self.bc_result is not None
         if self.tile_result is not None:
             for refl in self.tile_result.reflectors:
                 refl.apply_left_transpose(X)
+        else:
+            apply_sbr_q_transpose(
+                self._wy_blocks, X, self.back_transform_group, self.ctx
+            )
+        if self.bc_result is not None:
             self.bc_result.apply_q1_transpose(X)
-            return
-        assert self.band_result is not None
-        apply_sbr_q_transpose(
-            self.band_result.blocks, X, self.back_transform_group, self.ctx
-        )
-        self.bc_result.apply_q1_transpose(X)
 
     def q(self) -> np.ndarray:
         Q = np.eye(self.n)
@@ -143,7 +144,6 @@ def tridiagonalize(
     second_block: int | None = None,
     max_sweeps: int | None = None,
     syr2k_kind: str = "square",
-    direct_block: int = 32,
     backend: str | ArrayBackend | ExecutionContext | None = None,
     tuning: str = "manual",
     device: str = "h100",
@@ -167,8 +167,6 @@ def tridiagonalize(
         sequential (MAGMA) order.
     syr2k_kind : {"square", "rect", "reference"}
         Trailing-update schedule for DBBR.
-    direct_block : int
-        Panel width for the direct method.
     backend : str, ArrayBackend or ExecutionContext, optional
         Where the hot-path array work executes: a backend name
         (``"numpy"``/``"cupy"``/``"torch"``/``"auto"``), a backend
@@ -212,7 +210,6 @@ def tridiagonalize(
         second_block=second_block,
         max_sweeps=max_sweeps,
         syr2k_kind=syr2k_kind,
-        direct_block=direct_block,
     )
     return _run_tridiag(A, tcfg, bcfg, ctx)
 
@@ -264,13 +261,16 @@ def _run_tridiag(
 
     if tcfg.method == "direct":
         with ctx.stage("tridiag_direct", n=n):
-            res = direct_tridiagonalize(A, block=tcfg.direct_block or 32)
+            res = direct_tridiagonalize(A)
         return TridiagResult(
             d=res.d,
             e=res.e,
             method="direct",
             bandwidth=1,
             direct_result=res,
+            # Width-32 panels merged into groups of the k the proposed
+            # plan uses at this n: the ormtr-style blocked apply.
+            back_transform_group=auto_params(n)[1],
             backend=ctx.backend.name,
             ctx=ctx,
         )

@@ -43,14 +43,14 @@ class TridiagConfig:
     planner has already run ``auto_params`` and the ``b | k`` clamping),
     so reading a plan tells you exactly what will execute.  Fields that
     do not apply to the method are ``None`` (``second_block`` outside
-    DBBR, ``direct_block`` outside the one-stage path, ...).
+    DBBR, every size for the one-stage direct path, whose panel width
+    is sytrd's fixed 32).
     """
 
     method: str  # "dbbr" | "sbr" | "tile" | "direct"
     bandwidth: int | None = None
     second_block: int | None = None
     syr2k_kind: str | None = None
-    direct_block: int | None = None
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,7 @@ class EVDPlan:
             parts.append(
                 "tridiag="
                 f"{t.method},b={t.bandwidth},k={t.second_block},"
-                f"syr2k={t.syr2k_kind},direct_block={t.direct_block}"
+                f"syr2k={t.syr2k_kind}"
             )
         bc = self.bulge_chase
         if bc is not None:
@@ -231,9 +231,7 @@ class EVDPlan:
         if t is None:
             lines.append("  tridiag:        none (dense LAPACK tier)")
         elif t.method == "direct":
-            lines.append(
-                f"  tridiag:        direct one-stage (block={t.direct_block})"
-            )
+            lines.append("  tridiag:        direct one-stage (block=32)")
         else:
             extra = ""
             if t.method == "dbbr":

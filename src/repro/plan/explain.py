@@ -46,9 +46,8 @@ def predicted_stage_times(plan: EVDPlan, device: str = "h100") -> dict[str, floa
     elif t.method in ("sbr", "tile"):
         assert t.bandwidth is not None
         st = magma_evd_times(dev, plan.n, vectors, b=t.bandwidth)
-    else:  # direct
-        assert t.direct_block is not None
-        st = cusolver_syevd_times(dev, plan.n, vectors, nb=t.direct_block)
+    else:  # direct: sytrd's 32-wide panels, the model's default nb
+        st = cusolver_syevd_times(dev, plan.n, vectors)
     return dict(st.stages)
 
 

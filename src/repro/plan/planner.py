@@ -53,7 +53,6 @@ PIPELINE_KNOBS = (
     "second_block",
     "max_sweeps",
     "syr2k_kind",
-    "direct_block",
 )
 
 
@@ -126,9 +125,9 @@ def _resolve_pipeline(
     """
     if method == "direct":
         # One-stage path: every band/bulge knob is inert (tridiagonalize
-        # has always ignored them here) — normalize away.
-        block = _as_int("direct_block", knobs.get("direct_block", 32))
-        return TridiagConfig(method="direct", direct_block=block), None
+        # has always ignored them here) — normalize away.  The panel
+        # width is sytrd's 32.
+        return TridiagConfig(method="direct"), None
 
     bandwidth = knobs.get("bandwidth")
     second_block = knobs.get("second_block")
@@ -238,7 +237,7 @@ def plan_evd(
     (``"proposed"``/``"magma"``/``"cusolver"``/``"plasma"``/``"dense"``)
     or a raw tridiagonalization method, ``**knobs`` is the historical
     ``**tridiag_kwargs`` surface (``bandwidth``, ``second_block``,
-    ``max_sweeps``, ``syr2k_kind``, ``direct_block``).
+    ``max_sweeps``, ``syr2k_kind``).
     ``tuning="model"`` lets the calibrated cost models pick the DBBR
     ``(b, k)`` for ``device`` where the caller left them unset.
     ``fallback="chain"`` marks the plan for escalated execution

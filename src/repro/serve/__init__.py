@@ -19,7 +19,7 @@ Quickstart::
 """
 
 from .batcher import BatchPolicy, RequestQueue
-from .cache import CacheEntry, ResultCache, make_cache_key, plan_cache_key
+from .cache import CacheEntry, ResultCache, plan_cache_key
 from .loadgen import WorkloadSpec, make_workload, run_loadgen
 from .metrics import ServiceMetrics
 from .service import (
@@ -42,7 +42,6 @@ __all__ = [
     "SolverService",
     "SubmitTimeout",
     "WorkloadSpec",
-    "make_cache_key",
     "make_workload",
     "plan_cache_key",
     "run_loadgen",

@@ -18,8 +18,8 @@ the shared entry.  A hit therefore returns the same bits a fresh direct
 ``eigh`` call would produce (property-tested in
 ``tests/serve/test_determinism.py``).
 
-Only parameter sets made of JSON-scalar values are cacheable — anything
-exotic (a live backend object, a callable) silently bypasses the cache
+Only requests that resolve to a plan are cacheable — anything exotic (a
+live backend object pinned in the options) silently bypasses the cache
 rather than risking a wrong-key collision.
 
 **Escalated results.**  A fallback-chain execution that escalated
@@ -51,39 +51,8 @@ from ..plan.config import EVDPlan
 __all__ = [
     "CacheEntry",
     "ResultCache",
-    "make_cache_key",
-    "canonical_params",
     "plan_cache_key",
 ]
-
-_SCALARS = (str, int, float, bool, type(None))
-
-
-def canonical_params(params: dict[str, Any]) -> str | None:
-    """Stable string form of a solver-parameter dict, or ``None`` when the
-    params contain non-scalar values and must not be cache-keyed."""
-    items = []
-    for key in sorted(params):
-        value = params[key]
-        if isinstance(value, bool) or not isinstance(value, _SCALARS):
-            if not isinstance(value, _SCALARS):
-                return None
-        items.append(f"{key}={value!r}")
-    return ";".join(items)
-
-
-def make_cache_key(A: np.ndarray, params: dict[str, Any], backend: str) -> str | None:
-    """Cache key for ``eigh(A, **params)`` on ``backend``; ``None`` when
-    the request is not cacheable (non-scalar params).
-
-    Kept for raw-kwargs callers; :class:`~repro.serve.SolverService` now
-    keys on :func:`plan_cache_key`, which canonicalizes equivalent
-    spellings instead of hashing them verbatim.
-    """
-    canon = canonical_params(params)
-    if canon is None:
-        return None
-    return f"{matrix_fingerprint(A)}|{backend}|{canon}"
 
 
 def plan_cache_key(A: np.ndarray, plan: EVDPlan | None) -> str | None:

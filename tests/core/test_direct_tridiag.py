@@ -6,18 +6,35 @@ import numpy as np
 import pytest
 
 from repro.band.storage import dense_from_band
+from repro.core.back_transform import q_from_blocks
 from repro.core.direct_tridiag import direct_tridiagonalize
+from repro.core.tridiag import tridiagonalize
 from tests.conftest import make_symmetric
+
+GRID = [(10, 3), (30, 8), (33, 32), (50, 16), (3, 1)]
 
 
 class TestDirectTridiag:
-    @pytest.mark.parametrize("n,nb", [(10, 3), (30, 8), (33, 32), (50, 16), (3, 1)])
+    @pytest.mark.parametrize("n,nb", GRID)
     def test_reconstruction(self, n, nb):
         A = make_symmetric(n, seed=n + nb)
         res = direct_tridiagonalize(A, block=nb)
         T = dense_from_band(res.d, res.e)
-        Q = res.q()
+        Q = q_from_blocks(res.blocks, n)
         assert np.linalg.norm(Q @ T @ Q.T - A) / np.linalg.norm(A) < 1e-13
+        assert np.array_equal(res.q(), Q)
+
+    @pytest.mark.parametrize("n,nb", GRID)
+    def test_one_wy_block_per_panel(self, n, nb):
+        res = direct_tridiagonalize(make_symmetric(n, seed=n + nb), block=nb)
+        starts = list(range(0, n - 2, nb))
+        assert [blk.offset for blk in res.blocks] == [j0 + 1 for j0 in starts]
+        assert sum(blk.width for blk in res.blocks) == n - 2
+        for blk in res.blocks:
+            assert blk.width <= nb and blk.rows == n - blk.offset
+            Y = blk.Y
+            assert np.array_equal(np.diagonal(Y), np.ones(blk.width))
+            assert np.array_equal(np.triu(Y, 1), np.zeros_like(Y))
 
     def test_q_orthogonal(self):
         A = make_symmetric(40, seed=1)
@@ -53,12 +70,22 @@ class TestDirectTridiag:
 
     def test_apply_q_transpose_inverts(self, rng):
         A = make_symmetric(22, seed=5)
-        res = direct_tridiagonalize(A, block=4)
+        res = tridiagonalize(A, method="direct")
         X = rng.standard_normal((22, 3))
         Y = X.copy()
         res.apply_q(Y)
         res.apply_q_transpose(Y)
         assert np.allclose(X, Y, atol=1e-12)
+
+    def test_apply_q_on_negative_column_stride(self, rng):
+        # The D&C hands back F-ordered eigenvectors in reversed column order.
+        n = 70
+        res = tridiagonalize(make_symmetric(n, seed=7), method="direct")
+        F = np.asfortranarray(rng.standard_normal((n, n)))[:, ::-1]
+        C = np.ascontiguousarray(F)
+        res.apply_q(F)
+        res.apply_q(C)
+        assert np.max(np.abs(F - C)) < 1e-13
 
     def test_tiny_matrices(self):
         for n in [1, 2]:

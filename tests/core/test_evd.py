@@ -133,6 +133,32 @@ class TestPresetsRunTheOneEngine:
         assert verify_evd(A, res).ok
 
 
+class TestCusolverBlockedBackTransform:
+    """``cusolver`` applies its sytrd panels through the grouped WY apply
+    and stays within the 200·n·eps·‖A‖ tolerance across panel edges."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 31, 32, 33, 64, 65, 200])
+    @pytest.mark.parametrize(
+        "precision,vectors",
+        [("fp64", True), ("fp64", False), ("mixed", True)],
+    )
+    def test_eigenpairs(self, n, precision, vectors):
+        from repro.plan import auto_params
+        from repro.resilience import verify_evd
+
+        A = goe(n, seed=n)
+        res = eigh(A, method="cusolver", compute_vectors=vectors, precision=precision)
+        tri = res.tridiag
+        assert tri.direct_result is not None and tri.bc_result is None
+        assert tri.back_transform_group == auto_params(n)[1]
+        assert len(tri.direct_result.blocks) == -(-max(n - 2, 0) // 32)
+        assert (res.eigenvectors is not None) == vectors
+        lam_ref = np.linalg.eigvalsh(A)
+        tol = 200 * n * np.finfo(np.float64).eps * np.max(np.abs(lam_ref))
+        assert np.max(np.abs(res.eigenvalues - lam_ref)) <= tol
+        assert verify_evd(A, res).ok
+
+
 class TestSecularModePlumbing:
     """`eigh` runs the batched secular mode; the scalar per-root loops
     are a `dc_eigh` oracle only."""

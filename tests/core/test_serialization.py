@@ -26,10 +26,16 @@ class TestRoundTrip:
         assert np.array_equal(loaded.e, res.e)
         assert loaded.method == res.method
         X = rng.standard_normal((48, 5))
-        Y1, Y2 = X.copy(), X.copy()
-        res.apply_q(Y1)
-        loaded.apply_q(Y2)
-        assert np.array_equal(Y1, Y2)
+        for apply in ("apply_q", "apply_q_transpose"):
+            Y1, Y2 = X.copy(), X.copy()
+            getattr(res, apply)(Y1)
+            getattr(loaded, apply)(Y2)
+            assert np.array_equal(Y1, Y2), apply
+        if method == "direct":
+            # Format 3: the panel WY blocks go through the block_* keys.
+            with np.load(tmp_npz) as z:
+                assert "block_W" in z and "direct_V" not in z
+            assert loaded.back_transform_group == res.back_transform_group
 
     def test_back_transform_settings_preserved(self, tmp_npz):
         A = goe(30, seed=61)
@@ -38,7 +44,7 @@ class TestRoundTrip:
             assert res.back_transform_group == group
             save_tridiag(tmp_npz, res)
             with np.load(tmp_npz) as z:
-                assert int(z["format_version"]) == 2 and "bt_method" not in z
+                assert int(z["format_version"]) == 3 and "bt_method" not in z
             loaded = load_tridiag(tmp_npz)
             assert loaded.back_transform_group == group
 
@@ -125,6 +131,60 @@ class TestFormatVersion1:
             assert np.allclose(Y, ref, atol=1e-12)
         loaded.apply_q_transpose(Y)
         assert np.allclose(Y, X, atol=1e-12)
+
+
+class TestFormatVersion2Direct:
+    """Formats 1 and 2 stored a direct result's reflectors column by
+    column (``direct_V``/``direct_taus``); they load as width-32 WY
+    blocks."""
+
+    @pytest.mark.parametrize("n", [2, 3, 9, 16, 40])
+    def test_v2_direct_archive_loads(self, tmp_npz, rng, n):
+        from repro.core.householder import make_householder
+
+        A = goe(n, seed=69)
+        # Unblocked Householder tridiagonalization: H_j acts on rows j+1:.
+        T = A.copy()
+        V = np.zeros((n, max(n - 2, 0)))
+        taus = np.zeros(max(n - 2, 0))
+        Q = np.eye(n)
+        for j in range(n - 2):
+            v, tau, _ = make_householder(T[j + 1 :, j])
+            H = np.eye(n)
+            H[j + 1 :, j + 1 :] -= tau * np.outer(v, v)
+            T = H @ T @ H
+            Q = Q @ H
+            V[j + 1 :, j] = v
+            taus[j] = tau
+        d, e = np.diagonal(T).copy(), np.diagonal(T, -1).copy()
+        np.savez_compressed(
+            tmp_npz,
+            format_version=np.array(2),
+            d=d,
+            e=e,
+            method=np.array("direct"),
+            bandwidth=np.array(1),
+            bt_group=np.array(1),
+            direct_V=V,
+            direct_taus=taus,
+            direct_flops=np.array(0.0),
+            direct_blas2=np.array(0.0),
+        )
+        loaded = load_tridiag(tmp_npz)
+        assert [b.offset for b in loaded.direct_result.blocks] == [
+            j0 + 1 for j0 in range(0, n - 2, 32)
+        ]
+        X = rng.standard_normal((n, 4))
+        Y = X.copy()
+        loaded.apply_q(Y)
+        assert np.max(np.abs(Y - Q @ X)) < 1e-13
+        loaded.apply_q_transpose(Y)
+        assert np.max(np.abs(Y - X)) < 1e-13
+        from repro.band.storage import dense_from_band
+
+        QT = loaded.q()
+        R = QT @ dense_from_band(d, e) @ QT.T
+        assert np.linalg.norm(R - A) / np.linalg.norm(A) < 1e-13
 
 
 class TestScalarReflectorLog:

@@ -16,6 +16,7 @@ from repro.plan import (
     PIPELINE_KNOBS,
     EVDPlan,
     PlanError,
+    TridiagConfig,
     auto_params,
     plan_evd,
     plan_tridiag,
@@ -91,7 +92,7 @@ class TestChoiceValidation:
     def test_bad_back_transform(self):
         # One SBR back transform whose group width follows the method:
         # both removed knobs fail loudly, naming the knobs that do exist.
-        assert len(PIPELINE_KNOBS) == 5
+        assert len(PIPELINE_KNOBS) == 4
         for knob, value in (("back_transform", "blocked"), ("back_transform_group", 8)):
             with pytest.raises(PlanError, match=f"'{knob}'") as exc_info:
                 repro.eigh(goe(8), **{knob: value})
@@ -114,10 +115,29 @@ class TestChoiceValidation:
         ],
     )
     def test_integer_knobs_reject_bool_and_fractions(self, knob, value):
-        # Used to be silently truncated (2.7 -> 2, True -> 1).
-        method = "cusolver" if knob == "direct_block" else "dbbr"
-        with pytest.raises(PlanError, match=f"{knob} must be an integer"):
+        # Used to be silently truncated (2.7 -> 2, True -> 1).  The removed
+        # direct_block knob is rejected by name, whatever its value.
+        method, match = (
+            ("cusolver", "unknown pipeline knob\\(s\\) 'direct_block'")
+            if knob == "direct_block"
+            else ("dbbr", f"{knob} must be an integer")
+        )
+        with pytest.raises(PlanError, match=match):
             plan_evd(64, method=method, **{knob: value})
+
+    def test_direct_block_is_an_unknown_knob(self):
+        # The one-stage path always runs sytrd's 32-wide panels.
+        assert len(PIPELINE_KNOBS) == 4
+        for call in (lambda: plan_evd(64, "cusolver", direct_block=16),
+                     lambda: repro.eigh(goe(8), method="cusolver", direct_block=16)):
+            with pytest.raises(PlanError, match="'direct_block'") as exc_info:
+                call()
+            for knob in PIPELINE_KNOBS:
+                assert knob in str(exc_info.value)
+
+    def test_tridiagonalize_has_no_direct_block_parameter(self):
+        with pytest.raises(TypeError, match="direct_block"):
+            repro.tridiagonalize(goe(8), direct_block=16)
 
     def test_integer_knobs_accept_numpy_integers(self):
         plan = plan_evd(
@@ -191,9 +211,9 @@ class TestResolution:
 
     def test_direct_method_has_no_band_stages(self):
         plan = plan_evd(64, "cusolver")
-        assert plan.tridiag.method == "direct"
-        assert plan.tridiag.direct_block == 32
+        assert plan.tridiag == TridiagConfig(method="direct")
         assert plan.bulge_chase is None
+        assert "direct one-stage (block=32)" in plan.describe()
 
     def test_dense_plan_has_no_pipeline(self):
         plan = plan_evd(64, "dense", solver="qr")
@@ -356,6 +376,20 @@ class TestSerialization:
         assert "valid fields are max_sweeps" in str(exc.value)
         del data["bulge_chase"]["pipelined"]
         assert EVDPlan.from_dict(data) == plan_evd(128, method)
+
+    def test_parent_format_direct_block_field_is_a_typed_error(self):
+        """Plan documents written while the direct_block knob existed hold
+        ``tridiag.direct_block``; loading one must name the valid fields."""
+        data = plan_evd(128, "cusolver").to_dict()
+        data["tridiag"]["direct_block"] = 32
+        with pytest.raises(PlanError, match="unknown tridiag field.*'direct_block'") as exc:
+            EVDPlan.from_dict(data)
+        assert (
+            "valid fields are method, bandwidth, second_block, syr2k_kind"
+            in str(exc.value)
+        )
+        del data["tridiag"]["direct_block"]
+        assert EVDPlan.from_dict(data) == plan_evd(128, "cusolver")
 
     def test_parent_format_back_transform_branch_is_a_typed_error(self):
         """Plan documents written before the back-transform branch was

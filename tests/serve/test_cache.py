@@ -7,8 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.bench.workloads import goe
-from repro.serve.cache import ResultCache, canonical_params, make_cache_key
+from repro.serve.cache import ResultCache
 
 
 def fake_result(n: int = 4, vectors: bool = True):
@@ -17,51 +16,6 @@ def fake_result(n: int = 4, vectors: bool = True):
         eigenvectors=np.eye(n) if vectors else None,
         tridiag=None,
     )
-
-
-class TestCanonicalParams:
-    def test_stable_and_order_independent(self):
-        a = canonical_params({"solver": "dc", "compute_vectors": True})
-        b = canonical_params({"compute_vectors": True, "solver": "dc"})
-        assert a == b and a is not None
-
-    def test_distinguishes_values(self):
-        a = canonical_params({"compute_vectors": True})
-        b = canonical_params({"compute_vectors": False})
-        assert a != b
-
-    def test_scalar_types_accepted(self):
-        assert canonical_params(
-            {"s": "x", "i": 3, "f": 1.5, "b": False, "n": None}
-        ) is not None
-
-    def test_non_scalar_bypasses(self):
-        assert canonical_params({"backend": object()}) is None
-        assert canonical_params({"hook": lambda: None}) is None
-        assert canonical_params({"arr": np.zeros(3)}) is None
-
-    def test_empty_params(self):
-        assert canonical_params({}) == ""
-
-
-class TestMakeCacheKey:
-    def test_identical_inputs_share_key(self):
-        A = goe(6, seed=0)
-        k1 = make_cache_key(A, {"solver": "dc"}, "numpy")
-        k2 = make_cache_key(A.copy(), {"solver": "dc"}, "numpy")
-        assert k1 == k2
-
-    def test_any_difference_changes_key(self):
-        A = goe(6, seed=0)
-        base = make_cache_key(A, {"solver": "dc"}, "numpy")
-        B = A.copy()
-        B[0, 0] = np.nextafter(B[0, 0], np.inf)
-        assert make_cache_key(B, {"solver": "dc"}, "numpy") != base
-        assert make_cache_key(A, {"solver": "qr"}, "numpy") != base
-        assert make_cache_key(A, {"solver": "dc"}, "torch") != base
-
-    def test_non_scalar_params_uncacheable(self):
-        assert make_cache_key(goe(4, seed=1), {"backend": object()}, "numpy") is None
 
 
 class TestResultCache:

@@ -52,7 +52,7 @@ PUBLIC_API = {
         "sbr", "dbbr", "direct_tridiagonalize",
         "bulge_chase", "bulge_chase_wavefront",
         "pipeline_schedule", "sweep_tasks", "apply_bc_task",
-        "apply_sbr_q", "assemble_eigenvectors", "q_from_blocks",
+        "apply_sbr_q", "q_from_blocks",
         "tridiagonalize", "eigh", "eigh_partial", "eigh_stacked",
         "auto_params", "save_tridiag", "load_tridiag",
         "save_evd", "load_evd",
@@ -95,7 +95,7 @@ PUBLIC_API = {
     "repro.serve": [
         "SolverService", "ServiceConfig", "ServiceMetrics", "ResultCache",
         "CacheEntry",
-        "RequestQueue", "BatchPolicy", "make_cache_key", "plan_cache_key",
+        "RequestQueue", "BatchPolicy", "plan_cache_key",
         "ServiceClosed", "ServiceOverloaded", "SubmitTimeout",
         "WorkloadSpec", "make_workload", "run_loadgen",
     ],
