@@ -4,7 +4,8 @@ Paper: DBBR wins at every size, "especially for large matrix sizes", up to
 3.1x (cuBLAS cliff sizes excluded, hence n < 49152 in the paper's plot).
 
 ``[simulated]`` — device-scale time series for both reductions.
-``[measured]`` — the real NumPy SBR and DBBR at laptop scale; here the two
+``[measured]`` — the real NumPy SBR and DBBR at laptop scale.  SBR is
+DBBR with ``k = b``, so both run :func:`repro.core.dbbr.dbbr`; the two
 are arithmetic-equivalent (DBBR only reorders work), so the check is
 numerical identity plus comparable wall time.
 """
@@ -16,7 +17,6 @@ import numpy as np
 from repro.bench.reporting import banner
 from repro.bench.workloads import goe
 from repro.core.dbbr import dbbr
-from repro.core.sbr import sbr
 from repro.gpusim import H100
 from repro.models.baselines import magma_sy2sb_time
 from repro.models.proposed import dbbr_time
@@ -46,7 +46,7 @@ def test_fig09_simulated(benchmark, report):
 
 def test_fig09_sbr_measured(benchmark):
     A = goe(192, seed=9)
-    res = benchmark(lambda: sbr(A, 8))
+    res = benchmark(lambda: dbbr(A, 8, 8))
     assert res.bandwidth == 8
 
 
@@ -61,7 +61,7 @@ def test_fig09_dbbr_equals_sbr_numerically(benchmark):
     A = goe(128, seed=10)
 
     def run():
-        return sbr(A, 8).band, dbbr(A, 8, 32, syr2k_kind="reference").band
+        return dbbr(A, 8, 8).band, dbbr(A, 8, 32).band
 
     band_sbr, band_dbbr = benchmark(run)
     assert np.allclose(band_sbr, band_dbbr, atol=1e-10)

@@ -33,8 +33,8 @@ def main() -> None:
     print(f"Stage 0: random symmetric A, n = {n} (dense bandwidth {bandwidth_of(A)})")
 
     # --- Stage 1: double-blocking band reduction -------------------------
-    red = dbbr(A, bandwidth=b, second_block=k, syr2k_kind="square")
-    print(f"\nStage 1: DBBR with b = {b}, k = {k} (square-block syr2k)")
+    red = dbbr(A, bandwidth=b, second_block=k)
+    print(f"\nStage 1: DBBR with b = {b}, k = {k} (one rank-2k update per {k} columns)")
     print(f"  band bandwidth: {bandwidth_of(red.band, tol=1e-10)}")
     print(f"  WY blocks recorded: {len(red.blocks)} "
           f"(widths {sorted({blk.width for blk in red.blocks})})")

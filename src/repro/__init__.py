@@ -11,7 +11,7 @@ Public API highlights
     baselines as alternative methods.
 ``repro.core``
     All the building blocks (Householder/WY machinery, panel QR, syr2k
-    schedules, SBR/DBBR, bulge chasing, back transformation).
+    schedules, DBBR band reduction, bulge chasing, back transformation).
 ``repro.eig``
     Tridiagonal eigensolvers (divide & conquer, QL iteration, bisection).
 ``repro.band``
@@ -70,7 +70,6 @@ from .core import (
     eigh_partial,
     eigh_stacked,
     matrix_fingerprint,
-    sbr,
     tridiagonalize,
 )
 from .eig import dc_eigh, eigh_bisect, tridiag_qr_eigh
@@ -132,7 +131,6 @@ __all__ = [
     "precision",
     "refine_eigh",
     "resilience",
-    "sbr",
     "serve",
     "verify_evd",
     "verify_tridiag",

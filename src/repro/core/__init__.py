@@ -47,7 +47,6 @@ from .householder import (
     merge_wy,
 )
 from .panel_qr import explicit_q, panel_qr, panel_qr_compact, panel_qr_wy
-from .sbr import sbr
 from .serialization import load_evd, load_tridiag, save_evd, save_tridiag
 from .svd import BidiagResult, bidiagonalize, golub_kahan_tridiagonal, svd
 from .tile_sbr import TileBandReductionResult, TileReflector, tile_sbr, tile_task_dag
@@ -140,7 +139,6 @@ __all__ = [
     "rect_schedule",
     "save_evd",
     "save_tridiag",
-    "sbr",
     "solve_triangular_lower",
     "square_schedule",
     "svd",

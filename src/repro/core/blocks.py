@@ -56,7 +56,7 @@ class WYBlock:
 
 @dataclass
 class BandReductionResult:
-    """Output of :func:`repro.core.sbr.sbr` / :func:`repro.core.dbbr.dbbr`.
+    """Output of :func:`repro.core.dbbr.dbbr` (SBR is its ``k = b`` case).
 
     Satisfies ``A = Q @ band @ Q.T`` with ``Q = prod(blocks in order)``
     (block 0 leftmost), where ``band`` is symmetric with bandwidth

@@ -26,52 +26,33 @@ later panel is computed against the *virtually updated* trailing matrix:
 arithmetic MAGMA's two-stage reduction performs and the paper folds into
 the DBBR cost.
 
-The deferred update may be executed with any of the syr2k schedules from
-:mod:`repro.core.syr2k`; the paper pairs DBBR with the Figure-7
-square-block schedule.
+``k == b`` is classic single-blocking SBR (MAGMA's ``Dsy2sb``, the
+baseline of Figure 9): every outer block holds one panel and the deferred
+update is the immediate one, so the ``sbr`` method and the ``magma``
+preset run this function with ``second_block = bandwidth``.
+
+The deferred update is the two-GEMM ``syr2k_reference`` form.  The
+Figure-7 square-block schedule (:func:`repro.core.syr2k.syr2k_square_blocked`)
+is the paper's GPU kernel and stays the benchmarked one; on a host BLAS
+its many small tile GEMMs are slower than two large ones (EXPERIMENTS.md).
 """
 
 from __future__ import annotations
 
-from typing import Literal
-
 import numpy as np
 
 from ..backend.context import ExecutionContext, resolve_context
+from ..plan.planner import _as_int
 from .blocks import BandReductionResult, WYBlock
 from .panel_qr import panel_qr_wy
-from .syr2k import syr2k_rect_blocked, syr2k_reference, syr2k_square_blocked
+from .syr2k import syr2k_reference
 
 __all__ = ["dbbr"]
-
-Syr2kKind = Literal["reference", "rect", "square"]
-
-
-def _syr2k_apply(
-    kind: Syr2kKind,
-    C: np.ndarray,
-    Y: np.ndarray,
-    Z: np.ndarray,
-    ctx: ExecutionContext,
-) -> np.ndarray:
-    """Dispatch ``C - Y Z^T - Z Y^T`` to the requested schedule."""
-    if kind == "reference":
-        return syr2k_reference(C, Y, Z, alpha=-1.0, ctx=ctx)
-    out = ctx.xp.array(C, copy=True)
-    if kind == "rect":
-        syr2k_rect_blocked(out, Y, Z, alpha=-1.0, ctx=ctx)
-    elif kind == "square":
-        syr2k_square_blocked(out, Y, Z, alpha=-1.0, ctx=ctx)
-    else:  # pragma: no cover - guarded by Literal
-        raise ValueError(f"unknown syr2k kind {kind!r}")
-    return out
-
 
 def dbbr(
     A: np.ndarray,
     bandwidth: int,
     second_block: int,
-    syr2k_kind: Syr2kKind = "square",
     ctx: ExecutionContext | None = None,
 ) -> BandReductionResult:
     """Reduce symmetric ``A`` to bandwidth ``b`` with double blocking.
@@ -85,9 +66,7 @@ def dbbr(
     second_block : int
         Second block size ``k``; the deferred update spans ``k`` columns.
         Must be a positive multiple of ``bandwidth`` (the paper uses
-        ``b = 32, k = 1024``).  ``k == b`` degenerates to classic SBR.
-    syr2k_kind : {"square", "rect", "reference"}
-        Which schedule executes the deferred rank-2k update.
+        ``b = 32, k = 1024``).  ``k == b`` is classic SBR.
     ctx : ExecutionContext, optional
         Execution context; BLAS3 work (accumulated GEMMs and the deferred
         rank-2k update) runs on its backend, panel QR stays on the host.
@@ -96,18 +75,24 @@ def dbbr(
     -------
     BandReductionResult
         ``A == Q @ band @ Q.T``; WY blocks are recorded per panel, in
-        factorization order, exactly as SBR records them (so the two are
-        interchangeable for back transformation; host arrays regardless
-        of backend).
+        factorization order, so every ``k`` gives the same blocks up to
+        roundoff (host arrays regardless of backend).
+
+    Raises
+    ------
+    ValueError
+        Non-square ``A``; a ``bandwidth``/``second_block`` that is not an
+        integer (``bool`` and fractional values included) or is below 1;
+        ``second_block`` not a multiple of ``bandwidth``.
     """
     ctx = resolve_context(ctx)
     xp = ctx.xp
     A = xp.array(ctx.asarray(A), copy=True)
     n = A.shape[0]
-    b = int(bandwidth)
-    k = int(second_block)
-    if b < 1:
-        raise ValueError("bandwidth must be >= 1")
+    b = _as_int("bandwidth", bandwidth)
+    k = _as_int("second_block", second_block)
+    if tuple(A.shape) != (n, n):
+        raise ValueError("A must be square")
     if k < b or k % b != 0:
         raise ValueError(f"second_block ({k}) must be a positive multiple of bandwidth ({b})")
 
@@ -119,9 +104,11 @@ def dbbr(
     while i < nelim:
         kk = min(k, nelim - i)
         # Global-row accumulators for this outer block (zero above each
-        # panel's own starting row, so one GEMM covers all panels).
-        Yacc = xp.zeros((n, 0), dtype=A.dtype)
-        Zacc = xp.zeros((n, 0), dtype=A.dtype)
+        # panel's own starting row, so one GEMM covers all panels); the
+        # first ``c`` columns hold the panels factorized so far.
+        Yacc = xp.zeros((n, kk), dtype=A.dtype)
+        Zacc = xp.zeros((n, kk), dtype=A.dtype)
+        c = 0
 
         j = i
         while j < i + kk:
@@ -130,7 +117,8 @@ def dbbr(
             m = n - r0
             rows = slice(r0, n)
 
-            if Yacc.shape[1] > 0:
+            Ya, Za = Yacc[:, :c], Zacc[:, :c]
+            if c > 0:
                 # Lazy "green panel" update: bring the about-to-be-
                 # factorized panel columns up to date with every
                 # accumulated (Z, Y) pair (Algorithm 1 lines 8-12).  Rows
@@ -140,10 +128,10 @@ def dbbr(
                 # window automatically.
                 urows = slice(j, n)
                 cols = slice(j, j + bw)
-                upd = Yacc[urows] @ Zacc[cols].T + Zacc[urows] @ Yacc[cols].T
+                upd = Ya[urows] @ Za[cols].T + Za[urows] @ Ya[cols].T
                 A[urows, cols] -= upd
                 A[cols, urows] = xp.copy(A[urows, cols].T)
-                flops += 4.0 * (n - j) * bw * Yacc.shape[1]
+                flops += 4.0 * (n - j) * bw * c
 
             # Host-side panel factorization (BLAS2-bound, narrow).
             W, Y, R = panel_qr_wy(ctx.to_numpy(A[rows, j : j + bw]))
@@ -157,19 +145,16 @@ def dbbr(
             # Z against the virtually updated trailing matrix.
             P = A[rows, rows] @ Wd
             flops += 2.0 * m * m * bw
-            if Yacc.shape[1] > 0:
-                P -= Yacc[rows] @ (Zacc[rows].T @ Wd)
-                P -= Zacc[rows] @ (Yacc[rows].T @ Wd)
-                flops += 8.0 * m * bw * Yacc.shape[1]
+            if c > 0:
+                P -= Ya[rows] @ (Za[rows].T @ Wd)
+                P -= Za[rows] @ (Ya[rows].T @ Wd)
+                flops += 8.0 * m * bw * c
             Z = P - 0.5 * Yd @ (Wd.T @ P)
             flops += 4.0 * m * bw * bw
 
-            Yg = xp.zeros((n, bw), dtype=A.dtype)
-            Zg = xp.zeros((n, bw), dtype=A.dtype)
-            Yg[rows] = Yd
-            Zg[rows] = Z
-            Yacc = xp.hstack([Yacc, Yg])
-            Zacc = xp.hstack([Zacc, Zg])
+            Yacc[rows, c : c + bw] = Yd
+            Zacc[rows, c : c + bw] = Z
+            c += bw
 
             blocks.append(WYBlock(W=W, Y=Y, offset=r0))
             last_panel = (Wd, Yd, r0, bw)
@@ -181,11 +166,11 @@ def dbbr(
         # window, so one accumulated update is exact.
         t0 = i + kk
         mt = n - t0
-        if mt > 0 and Yacc.shape[1] > 0:
-            A[t0:, t0:] = _syr2k_apply(
-                syr2k_kind, A[t0:, t0:], Yacc[t0:], Zacc[t0:], ctx
+        if mt > 0:
+            A[t0:, t0:] = syr2k_reference(
+                A[t0:, t0:], Yacc[t0:], Zacc[t0:], alpha=-1.0, ctx=ctx
             )
-            flops += 2.0 * mt * mt * Yacc.shape[1]
+            flops += 2.0 * mt * mt * kk
 
         Wl, Yl, r0l, bwl = last_panel
         if bwl < b:
@@ -199,6 +184,7 @@ def dbbr(
             A[t0:r0l, r0l:] = S.T
         i += kk
 
+    # Scrub roundoff outside the band so the output is an exact band matrix.
     _zero_off_band(A, b, xp)
     return BandReductionResult(
         band=ctx.to_numpy(A), bandwidth=b, blocks=blocks, flops=flops
@@ -206,6 +192,7 @@ def dbbr(
 
 
 def _zero_off_band(A, b: int, xp=np) -> None:
+    """Zero entries strictly outside bandwidth ``b`` (roundoff residue)."""
     n = A.shape[0]
     i = xp.arange(n)
     A[xp.abs(i[:, None] - i[None, :]) > b] = 0.0

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..backend.context import ExecutionContext, resolve_context
+from .dbbr import _zero_off_band
 from .householder import WYAccumulator, make_householder
 
 __all__ = ["TileReflector", "TileBandReductionResult", "tile_sbr", "tile_task_dag"]
@@ -207,12 +208,6 @@ def _apply_two_sided_trailing(
     sub = A[xp.ix_(np.arange(t0, A.shape[0]), rows)]
     sub -= (sub @ W) @ Y.T
     A[xp.ix_(np.arange(t0, A.shape[0]), rows)] = sub
-
-
-def _zero_off_band(A, b: int, xp=np) -> None:
-    n = A.shape[0]
-    i = xp.arange(n)
-    A[xp.abs(i[:, None] - i[None, :]) > b] = 0.0
 
 
 def tile_task_dag(n: int, b: int) -> list[tuple[str, int, int]]:

@@ -8,9 +8,10 @@ routine.
   with deferred rank-``2k`` updates, followed by pipelined (GPU-style)
   bulge chasing executed by the wavefront-batched engine
   (:mod:`repro.core.bc_wavefront`);
-* ``"sbr"`` (MAGMA-like) — classic single-blocking band reduction followed
-  by the same bulge-chasing engine (the ``magma`` preset caps it at one
-  sweep in flight, MAGMA's sequential chase);
+* ``"sbr"`` (MAGMA-like) — classic single-blocking band reduction, which
+  is DBBR with ``k = b``, followed by the same bulge-chasing engine (the
+  ``magma`` preset caps it at one sweep in flight, MAGMA's sequential
+  chase);
 * ``"direct"`` (cuSOLVER-like) — one-stage blocked Householder
   tridiagonalization;
 * ``"tile"`` (PLASMA-like) — tile-kernel band reduction (GEQRT/TSQRT)
@@ -40,7 +41,6 @@ from .bulge_chasing import BulgeChasingResult
 from .back_transform import apply_sbr_q, apply_sbr_q_transpose
 from .dbbr import dbbr
 from .direct_tridiag import DirectTridiagResult, direct_tridiagonalize
-from .sbr import sbr
 from .tile_sbr import TileBandReductionResult, tile_sbr
 from .validation import OperandShapeError
 
@@ -143,7 +143,6 @@ def tridiagonalize(
     bandwidth: int | None = None,
     second_block: int | None = None,
     max_sweeps: int | None = None,
-    syr2k_kind: str = "square",
     backend: str | ArrayBackend | ExecutionContext | None = None,
     tuning: str = "manual",
     device: str = "h100",
@@ -165,8 +164,6 @@ def tridiagonalize(
         Cap on concurrently in-flight sweeps ``S`` of the wavefront chase
         (:mod:`repro.core.bc_wavefront`); None = unbounded, ``1`` = the
         sequential (MAGMA) order.
-    syr2k_kind : {"square", "rect", "reference"}
-        Trailing-update schedule for DBBR.
     backend : str, ArrayBackend or ExecutionContext, optional
         Where the hot-path array work executes: a backend name
         (``"numpy"``/``"cupy"``/``"torch"``/``"auto"``), a backend
@@ -209,7 +206,6 @@ def tridiagonalize(
         bandwidth=bandwidth,
         second_block=second_block,
         max_sweeps=max_sweeps,
-        syr2k_kind=syr2k_kind,
     )
     return _run_tridiag(A, tcfg, bcfg, ctx)
 
@@ -277,14 +273,13 @@ def _run_tridiag(
 
     assert bcfg is not None and tcfg.bandwidth is not None
     b = max(1, min(tcfg.bandwidth, max(n - 2, 1)))
+    # SBR is DBBR with k = b: the planner resolves its second_block to b.
+    k = tcfg.second_block if tcfg.second_block is not None else b
 
     tile_res: TileBandReductionResult | None = None
     with ctx.stage("band_reduction", n=n, method=tcfg.method, bandwidth=b):
-        if tcfg.method == "dbbr":
-            k = tcfg.second_block if tcfg.second_block is not None else b
-            band_res = dbbr(A, b, k, syr2k_kind=tcfg.syr2k_kind or "square", ctx=ctx)
-        elif tcfg.method == "sbr":
-            band_res = sbr(A, b, ctx=ctx)
+        if tcfg.method in ("dbbr", "sbr"):
+            band_res = dbbr(A, b, k, ctx=ctx)
         elif tcfg.method == "tile":
             tile_res = tile_sbr(A, b, ctx=ctx)
             band_res = None
@@ -307,9 +302,9 @@ def _run_tridiag(
         bc_result=bc_res,
         pipeline_stats=stats,
         # The SBR back transform merges panel blocks into groups of at
-        # least this width: k for DBBR (Figure 13), b for SBR (MAGMA's
-        # ormqr order, no merging).  Tile results carry no WY blocks.
-        back_transform_group=k if tcfg.method == "dbbr" else b,
+        # least k: Figure 13 for DBBR, MAGMA's ormqr order (no merging)
+        # for SBR, where k = b.  Tile results carry no WY blocks.
+        back_transform_group=k,
         backend=ctx.backend.name,
         ctx=ctx,
     )

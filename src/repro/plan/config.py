@@ -42,15 +42,15 @@ class TridiagConfig:
     ``bandwidth``/``second_block`` hold the *resolved* ``b``/``k`` (the
     planner has already run ``auto_params`` and the ``b | k`` clamping),
     so reading a plan tells you exactly what will execute.  Fields that
-    do not apply to the method are ``None`` (``second_block`` outside
-    DBBR, every size for the one-stage direct path, whose panel width
-    is sytrd's fixed 32).
+    do not apply to the method are ``None`` (``second_block`` for the
+    tile path, every size for the one-stage direct path, whose panel
+    width is sytrd's fixed 32).  SBR is DBBR with ``k = b``, so its
+    ``second_block`` equals its ``bandwidth``.
     """
 
     method: str  # "dbbr" | "sbr" | "tile" | "direct"
     bandwidth: int | None = None
     second_block: int | None = None
-    syr2k_kind: str | None = None
 
 
 @dataclass(frozen=True)
@@ -150,8 +150,7 @@ class EVDPlan:
         else:
             parts.append(
                 "tridiag="
-                f"{t.method},b={t.bandwidth},k={t.second_block},"
-                f"syr2k={t.syr2k_kind}"
+                f"{t.method},b={t.bandwidth},k={t.second_block}"
             )
         bc = self.bulge_chase
         if bc is not None:
@@ -235,7 +234,7 @@ class EVDPlan:
         else:
             extra = ""
             if t.method == "dbbr":
-                extra = f", k={t.second_block}, syr2k={t.syr2k_kind}"
+                extra = f", k={t.second_block}"
             lines.append(f"  tridiag:        {t.method} (b={t.bandwidth}{extra})")
         bc = self.bulge_chase
         if bc is not None:

@@ -41,7 +41,6 @@ PRESETS: dict[str, dict[str, Any]] = {
 TRIDIAG_METHODS = ("dbbr", "sbr", "tile", "direct")
 EVD_METHODS = tuple(PRESETS) + TRIDIAG_METHODS + ("dense",)
 SOLVERS = ("dc", "qr", "bisect")
-SYR2K_KINDS = ("square", "rect", "reference")
 TUNINGS = ("manual", "model")
 FALLBACKS = ("none", "chain")
 PRECISIONS = ("fp64", "mixed", "fp32")
@@ -52,7 +51,6 @@ PIPELINE_KNOBS = (
     "bandwidth",
     "second_block",
     "max_sweeps",
-    "syr2k_kind",
 )
 
 
@@ -149,18 +147,17 @@ def _resolve_pipeline(
     b = max(1, min(b, max(n - 2, 1)))
 
     k: int | None = None
-    syr2k: str | None = None
-    if method == "dbbr":
-        syr2k = knobs.get("syr2k_kind", "square")
-        if syr2k not in SYR2K_KINDS:
-            raise bad_choice("syr2k_kind", syr2k, SYR2K_KINDS)
+    if method == "sbr":
+        # SBR is DBBR with k = b; a user second_block stays inert.
+        k = b
+    elif method == "dbbr":
         k = (
             _as_int("second_block", second_block)
             if second_block is not None
             else max(k_auto, b)
         )
         k = max(b, (k // b) * b)
-    tridiag = TridiagConfig(method=method, bandwidth=b, second_block=k, syr2k_kind=syr2k)
+    tridiag = TridiagConfig(method=method, bandwidth=b, second_block=k)
 
     raw_sweeps = knobs.get("max_sweeps")
     max_sweeps = _as_int("max_sweeps", raw_sweeps) if raw_sweeps is not None else None
@@ -237,7 +234,7 @@ def plan_evd(
     (``"proposed"``/``"magma"``/``"cusolver"``/``"plasma"``/``"dense"``)
     or a raw tridiagonalization method, ``**knobs`` is the historical
     ``**tridiag_kwargs`` surface (``bandwidth``, ``second_block``,
-    ``max_sweeps``, ``syr2k_kind``).
+    ``max_sweeps``).
     ``tuning="model"`` lets the calibrated cost models pick the DBBR
     ``(b, k)`` for ``device`` where the caller left them unset.
     ``fallback="chain"`` marks the plan for escalated execution

@@ -19,7 +19,6 @@ from repro.core.back_transform import (
 )
 from repro.core.bulge_chasing import bulge_chase
 from repro.core.dbbr import dbbr
-from repro.core.sbr import sbr
 from tests.conftest import make_symmetric
 
 N, B, K = 40, 4, 12
@@ -199,7 +198,7 @@ class TestMerging:
 class TestEigenvectorAssembly:
     def test_full_pipeline_eigenvectors(self):
         A = make_symmetric(36, seed=99)
-        res = sbr(A, 3)
+        res = dbbr(A, 3, 3)
         bc = bulge_chase(res.band, 3)
         from repro.band.storage import dense_from_band
 

@@ -49,10 +49,10 @@ class TestWYBlock:
 
 class TestBandReductionResult:
     def test_q_is_ordered_product(self, rng):
-        from repro.core.sbr import sbr
+        from repro.core.dbbr import dbbr
 
         A = make_symmetric(24, seed=31)
-        res = sbr(A, 3)
+        res = dbbr(A, 3, 3)
         Q = res.q()
         expect = np.eye(24)
         for blk in res.blocks:
@@ -60,10 +60,10 @@ class TestBandReductionResult:
         assert np.allclose(Q, expect, atol=1e-12)
 
     def test_reconstruct_equals_manual(self, rng):
-        from repro.core.sbr import sbr
+        from repro.core.dbbr import dbbr
 
         A = make_symmetric(18, seed=32)
-        res = sbr(A, 2)
+        res = dbbr(A, 2, 2)
         Q = res.q()
         assert np.allclose(res.reconstruct(), Q @ res.band @ Q.T, atol=1e-12)
 

@@ -7,8 +7,34 @@ import pytest
 
 from repro.band.ops import bandwidth_of, symmetric_error
 from repro.core.dbbr import dbbr
-from repro.core.sbr import sbr
+from repro.core.panel_qr import panel_qr_wy
 from tests.conftest import make_symmetric
+
+
+def textbook_sbr(A, b):
+    """Classic SBR: every width-``b`` panel updates the trailing matrix
+    at once, ``B - Y Z^T - Z Y^T`` with ``Z = B W - 1/2 Y (W^T B W)``."""
+    A = A.copy()
+    n = A.shape[0]
+    nelim = max(0, n - b - 1)
+    for j in range(0, nelim, b):
+        bw = min(b, nelim - j)
+        r0 = j + b
+        W, Y, R = panel_qr_wy(A[r0:, j : j + bw])
+        A[r0:, j : j + bw] = 0.0
+        A[r0 : r0 + bw, j : j + bw] = R
+        A[j : j + bw, r0:] = A[r0:, j : j + bw].T
+        B = A[r0:, r0:]
+        P = B @ W
+        Z = P - 0.5 * Y @ (W.T @ P)
+        A[r0:, r0:] = B - (Y @ Z.T + Z @ Y.T)
+        # Short final panel: in-band columns left of the window get Q^T S.
+        S = A[r0:, j + bw : r0]
+        S -= Y @ (W.T @ S)
+        A[j + bw : r0, r0:] = S.T
+    i = np.arange(n)
+    A[np.abs(i[:, None] - i[None, :]) > b] = 0.0
+    return A
 
 
 class TestDBBRStructure:
@@ -22,10 +48,11 @@ class TestDBBRStructure:
         assert symmetric_error(res.band) < 1e-12
 
     def test_k_equals_b_degenerates_to_sbr(self):
-        A = make_symmetric(30, seed=2)
-        r1 = dbbr(A, 4, 4, syr2k_kind="reference")
-        r2 = sbr(A, 4)
-        assert np.allclose(r1.band, r2.band, atol=1e-12)
+        # Includes a short final panel (n=23, b=3) and bandwidth 1.
+        for n, b in ((30, 4), (23, 3), (20, 1)):
+            A = make_symmetric(n, seed=2)
+            res = dbbr(A, b, b)
+            assert np.allclose(res.band, textbook_sbr(A, b), atol=1e-12)
 
     def test_k_not_multiple_of_b_rejected(self):
         with pytest.raises(ValueError):
@@ -36,8 +63,15 @@ class TestDBBRStructure:
             dbbr(make_symmetric(20), 8, 4)
 
     def test_invalid_bandwidth(self):
+        A = make_symmetric(20)
         with pytest.raises(ValueError):
-            dbbr(make_symmetric(20), 0, 4)
+            dbbr(A, 0, 4)
+        # Fractional and bool block sizes are rejected, not truncated
+        # (4.7 would run as 4, True as 1).
+        for b, k in ((4.7, 8), (True, 2), (4, 8.5), (2, True)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                dbbr(A, b, k)
+        assert np.array_equal(dbbr(A, 4.0, 8.0).band, dbbr(A, 4, 8).band)
 
     def test_input_not_modified(self):
         A = make_symmetric(25, seed=4)
@@ -54,25 +88,19 @@ class TestDBBRCorrectness:
         err = np.linalg.norm(res.reconstruct() - A) / np.linalg.norm(A)
         assert err < 1e-13
 
-    @pytest.mark.parametrize("kind", ["reference", "rect", "square"])
-    def test_all_syr2k_kinds_agree(self, kind):
-        A = make_symmetric(36, seed=6)
-        ref = dbbr(A, 4, 12, syr2k_kind="reference")
-        got = dbbr(A, 4, 12, syr2k_kind=kind)
-        assert np.allclose(got.band, ref.band, atol=1e-12)
-
     def test_same_band_as_sbr(self):
-        # DBBR computes the *same* reduction as SBR, just reordered:
-        # identical panels -> identical band matrix (up to roundoff).
+        # DBBR computes the *same* reduction as SBR (k = b), just
+        # reordered: identical panels -> identical band matrix (up to
+        # roundoff).
         A = make_symmetric(40, seed=8)
-        r_sbr = sbr(A, 4)
-        r_dbbr = dbbr(A, 4, 16, syr2k_kind="reference")
+        r_sbr = dbbr(A, 4, 4)
+        r_dbbr = dbbr(A, 4, 16)
         assert np.allclose(r_dbbr.band, r_sbr.band, atol=1e-10)
 
     def test_same_blocks_as_sbr(self):
         A = make_symmetric(32, seed=10)
-        r_sbr = sbr(A, 4)
-        r_dbbr = dbbr(A, 4, 8, syr2k_kind="reference")
+        r_sbr = dbbr(A, 4, 4)
+        r_dbbr = dbbr(A, 4, 8)
         assert len(r_sbr.blocks) == len(r_dbbr.blocks)
         for b1, b2 in zip(r_sbr.blocks, r_dbbr.blocks):
             assert b1.offset == b2.offset

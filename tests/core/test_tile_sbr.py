@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.band.ops import bandwidth_of, symmetric_error
-from repro.core.sbr import sbr
+from repro.core.dbbr import dbbr
 from repro.core.tile_sbr import tile_sbr, tile_task_dag
 from tests.conftest import make_symmetric
 
@@ -30,7 +30,7 @@ class TestTileSBR:
     def test_same_spectrum_as_panel_sbr(self):
         A = make_symmetric(32, seed=7)
         lam_tile = np.linalg.eigvalsh(tile_sbr(A, 4).band)
-        lam_panel = np.linalg.eigvalsh(sbr(A, 4).band)
+        lam_panel = np.linalg.eigvalsh(dbbr(A, 4, 4).band)
         assert np.max(np.abs(lam_tile - lam_panel)) < 1e-11
 
     def test_tile_size_one_gives_tridiagonal(self):

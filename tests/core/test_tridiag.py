@@ -174,6 +174,11 @@ class TestDriver:
         res = tridiagonalize(A, method="dbbr", bandwidth=3, second_block=9)
         assert res.back_transform_group == 9
 
+    def test_syr2k_kind_removed(self):
+        # DBBR's deferred update runs the two-GEMM syr2k; no schedule knob.
+        with pytest.raises(TypeError, match="syr2k_kind"):
+            tridiagonalize(make_symmetric(12), syr2k_kind="square")
+
     def test_back_transform_knobs_removed(self):
         A = make_symmetric(12, seed=52)
         with pytest.raises(TypeError, match="back_transform"):

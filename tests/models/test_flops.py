@@ -8,7 +8,6 @@ import pytest
 
 from repro.core.bulge_chasing import bulge_chase
 from repro.core.dbbr import dbbr
-from repro.core.sbr import sbr
 from repro.band.ops import random_symmetric_band
 from repro.models import flops as F
 from tests.conftest import make_symmetric
@@ -47,7 +46,7 @@ class TestFormulas:
 class TestAgainstImplementationCounters:
     def test_sbr_counter_close_to_formula(self):
         n, b = 96, 8
-        res = sbr(make_symmetric(n, seed=1), b)
+        res = dbbr(make_symmetric(n, seed=1), b, b)
         assert res.flops == pytest.approx(F.sbr_flops(n, b), rel=0.6)
 
     def test_dbbr_counter_close_to_formula(self):

@@ -8,6 +8,8 @@ boundary, naming the valid knobs.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -86,13 +88,23 @@ class TestChoiceValidation:
             assert knob in str(exc_info.value)
 
     def test_bad_syr2k_kind(self):
-        with pytest.raises(PlanError, match="'square', 'rect', 'reference'"):
-            plan_evd(8, method="dbbr", syr2k_kind="triangular")
+        # DBBR's deferred update runs one syr2k (the two-GEMM form); the
+        # removed schedule knob fails loudly, naming the knobs that exist.
+        assert len(PIPELINE_KNOBS) == 3
+        assert [f.name for f in fields(TridiagConfig)] == [
+            "method", "bandwidth", "second_block"
+        ]
+        for call in (lambda: plan_evd(64, "proposed", syr2k_kind="square"),
+                     lambda: repro.eigh(goe(8), syr2k_kind="reference")):
+            with pytest.raises(PlanError, match="'syr2k_kind'") as exc_info:
+                call()
+            for knob in PIPELINE_KNOBS:
+                assert knob in str(exc_info.value)
 
     def test_bad_back_transform(self):
         # One SBR back transform whose group width follows the method:
         # both removed knobs fail loudly, naming the knobs that do exist.
-        assert len(PIPELINE_KNOBS) == 4
+        assert len(PIPELINE_KNOBS) == 3
         for knob, value in (("back_transform", "blocked"), ("back_transform_group", 8)):
             with pytest.raises(PlanError, match=f"'{knob}'") as exc_info:
                 repro.eigh(goe(8), **{knob: value})
@@ -127,7 +139,7 @@ class TestChoiceValidation:
 
     def test_direct_block_is_an_unknown_knob(self):
         # The one-stage path always runs sytrd's 32-wide panels.
-        assert len(PIPELINE_KNOBS) == 4
+        assert len(PIPELINE_KNOBS) == 3
         for call in (lambda: plan_evd(64, "cusolver", direct_block=16),
                      lambda: repro.eigh(goe(8), method="cusolver", direct_block=16)):
             with pytest.raises(PlanError, match="'direct_block'") as exc_info:
@@ -384,12 +396,21 @@ class TestSerialization:
         data["tridiag"]["direct_block"] = 32
         with pytest.raises(PlanError, match="unknown tridiag field.*'direct_block'") as exc:
             EVDPlan.from_dict(data)
-        assert (
-            "valid fields are method, bandwidth, second_block, syr2k_kind"
-            in str(exc.value)
-        )
+        assert "valid fields are method, bandwidth, second_block" in str(exc.value)
         del data["tridiag"]["direct_block"]
         assert EVDPlan.from_dict(data) == plan_evd(128, "cusolver")
+
+    @pytest.mark.parametrize("method", ["proposed", "magma"])
+    def test_parent_format_syr2k_kind_field_is_a_typed_error(self, method):
+        """Plan documents written while the syr2k_kind knob existed hold
+        ``tridiag.syr2k_kind``; loading one must name the valid fields."""
+        data = plan_evd(128, method).to_dict()
+        data["tridiag"]["syr2k_kind"] = "square" if method == "proposed" else None
+        with pytest.raises(PlanError, match="unknown tridiag field.*'syr2k_kind'") as exc:
+            EVDPlan.from_dict(data)
+        assert "valid fields are method, bandwidth, second_block" in str(exc.value)
+        del data["tridiag"]["syr2k_kind"]
+        assert EVDPlan.from_dict(data) == plan_evd(128, method)
 
     def test_parent_format_back_transform_branch_is_a_typed_error(self):
         """Plan documents written before the back-transform branch was

@@ -10,7 +10,6 @@ from repro.band.ops import bandwidth_of, random_symmetric_band
 from repro.band.storage import dense_from_band
 from repro.core.bulge_chasing import bulge_chase
 from repro.core.dbbr import dbbr
-from repro.core.sbr import sbr
 from tests.conftest import chase_in_schedule
 
 
@@ -47,12 +46,12 @@ def test_dbbr_similarity_invariants(case):
 @settings(max_examples=30, deadline=None)
 @given(reduction_case())
 def test_sbr_and_dbbr_same_band(case):
-    """SBR and DBBR perform identical eliminations, so the band matrices
-    agree (deferral only reorders exact arithmetic)."""
+    """SBR (DBBR with k = b) and DBBR perform identical eliminations, so
+    the band matrices agree (deferral only reorders exact arithmetic)."""
     n, b, k, seed = case
     A = _sym(n, seed)
-    r1 = sbr(A, b)
-    r2 = dbbr(A, b, k, syr2k_kind="reference")
+    r1 = dbbr(A, b, b)
+    r2 = dbbr(A, b, k)
     assert np.allclose(r1.band, r2.band, atol=1e-8 * max(1.0, np.linalg.norm(A)))
 
 

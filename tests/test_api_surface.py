@@ -15,7 +15,7 @@ PUBLIC_API = {
     "repro": [
         "eigh", "eigh_partial", "eigh_hermitian", "eigh_generalized",
         "eigh_stacked", "matrix_fingerprint",
-        "tridiagonalize", "dbbr", "sbr",
+        "tridiagonalize", "dbbr",
         "dc_eigh", "tridiag_qr_eigh", "eigh_bisect",
         "SolverService", "ServiceConfig",
         "EVDResult", "TridiagResult", "__version__",
@@ -49,7 +49,7 @@ PUBLIC_API = {
         "larft", "panel_qr", "panel_qr_wy", "panel_qr_compact",
         "syr2k_reference", "syr2k_square_blocked", "syr2k_rect_blocked",
         "square_schedule", "rect_schedule",
-        "sbr", "dbbr", "direct_tridiagonalize",
+        "dbbr", "direct_tridiagonalize",
         "bulge_chase", "bulge_chase_wavefront",
         "pipeline_schedule", "sweep_tasks", "apply_bc_task",
         "apply_sbr_q", "q_from_blocks",
