@@ -7,7 +7,8 @@ optimized BC.
 
 ``[simulated]`` — makespan vs safety distance and vs sweeps-per-SM.
 ``[measured]`` — the lockstep round count of the real schedule
-(:func:`repro.core.bc_pipeline.pipeline_schedule`) grows with
+(:func:`repro.core.bc_pipeline.sweep_starts`, the recurrence the
+wavefront chase executes and the simulator prices) grows with
 artificially larger distances.  That the 3-task distance is exactly safe
 (the schedule reproduces the sequential chase bit for bit) is asserted
 by the test suite's ``chase_in_schedule`` oracle.
@@ -15,8 +16,10 @@ by the test suite's ``chase_in_schedule`` oracle.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.bench.reporting import banner
-from repro.core import bc_pipeline
+from repro.core.bc_pipeline import sweep_starts
 from repro.gpusim import H100, bc_task_time_gpu, simulate_bc_pipeline
 
 N, B = 49152, 32
@@ -68,13 +71,9 @@ def test_ablation_safety_distance_measured(benchmark, report):
 
     def run():
         rounds = {}
-        original = bc_pipeline.SAFETY_TASKS
-        try:
-            for dist in (3, 5, 8):
-                bc_pipeline.SAFETY_TASKS = dist
-                rounds[dist] = bc_pipeline.pipeline_schedule(n, b)[1].rounds
-        finally:
-            bc_pipeline.SAFETY_TASKS = original
+        for dist in (3, 5, 8):
+            starts, ntasks = sweep_starts(n, b, safety=dist)
+            rounds[dist] = int(np.max(starts + ntasks))
         return rounds
 
     rounds = benchmark(run)

@@ -6,7 +6,7 @@ EXPERIMENTS.md).  Serial (S = 1) is far slower than MAGMA's CPU sb2st;
 S >= 32 beats it — so the >100 SMs of an H100 suffice.
 
 ``[simulated]`` — the paper's closed-form pipeline model next to the
-discrete-event executor, with the MAGMA reference line.
+pipeline executor, with the MAGMA reference line.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def test_fig05_model_vs_executor(benchmark, report):
         return rows
 
     rows = benchmark(run)
-    report(banner("Figure 5 validation: closed form vs event simulation", "simulated"))
+    report(banner("Figure 5 validation: closed form vs pipeline executor", "simulated"))
     for S, closed, sim in rows:
         report(f"  S={S:4d}: model {closed:10.1f} s   executor {sim:10.1f} s  "
                f"ratio {closed / sim:5.2f}")

@@ -10,8 +10,7 @@ stage needs from its environment:
   :mod:`repro.backend.base`);
 * **workspace pool** — named, grow-only scratch buffers allocated on the
   backend, so steady-state inner loops allocate nothing (the wavefront
-  kernel's round buffers and the band window batcher's gather stacks
-  live here);
+  kernel's round buffers live here);
 * **event hooks** — callbacks receiving :class:`StageEvent`\\ s, the
   timing seam the benchmarks use instead of sprinkling
   ``perf_counter()`` calls through the kernels.  Per-stage wall time is

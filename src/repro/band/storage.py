@@ -23,12 +23,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..backend.context import ExecutionContext, resolve_context
-
 __all__ = [
     "LowerBandStorage",
     "PackedBandStorage",
-    "BandWindowBatcher",
     "band_from_dense",
     "dense_from_band",
 ]
@@ -166,133 +163,6 @@ class PackedBandStorage:
     def nbytes(self) -> int:
         """Bytes of the packed band — the L2 working set of Figure 10."""
         return self.data.nbytes
-
-
-class BandWindowBatcher:
-    """Batched symmetric-window gather/scatter over a lower-band array.
-
-    Operates on a ``(depth+1) x n`` working array in the
-    :class:`LowerBandStorage` convention (``data[i, j] == A[j + i, j]``),
-    typically the ``depth = 2b`` band-plus-bulge scratch of a chase in
-    progress.  Given ``S`` window origins ``los`` and one shared width
-    ``w``, :meth:`gather` materializes the stacked dense symmetric windows
-    ``A[lo:lo+w, lo:lo+w]`` as one ``(S, w, w)`` array with a *single*
-    flat-index take (no per-window or per-diagonal Python loop), and
-    :meth:`scatter` writes the stored lower-band entries back the same
-    way.  This is the data-movement half of the wavefront-batched bulge
-    chase: all in-flight windows of a pipeline round move together, the
-    direct NumPy analogue of the paper's one-kernel-per-round execution
-    over the Figure-10 packed band.
-
-    Index templates are cached per width and the ``(S, w, w)`` stacks are
-    served from the execution context's workspace pool (backend-owned
-    memory), so steady-state rounds allocate nothing.  The returned stack
-    is a view into the shared buffer: consume (and scatter) it before the
-    next ``gather`` of the same width.
-
-    Windows in one batch may overlap only in entries that no caller
-    mutates (for bulge chasing: the untouched diagonal corner shared by
-    windows exactly ``2b``-ish columns apart); scatter then rewrites equal
-    values and any write order is correct.
-
-    ``data`` may be a native array of any backend; it must belong to the
-    context's backend (the NumPy default keeps the original contract:
-    a C-contiguous float64 ndarray).
-    """
-
-    def __init__(self, data, ctx: ExecutionContext | None = None):
-        self.ctx = resolve_context(ctx)
-        if self.ctx.is_numpy and not isinstance(data, np.ndarray):
-            raise ValueError(
-                "data must be a C-contiguous float64/float32 "
-                "(depth+1) x n band array"
-            )
-        flags = getattr(data, "flags", None)
-        contiguous = (
-            flags.c_contiguous if flags is not None else data.is_contiguous()
-        )
-        if (
-            getattr(data, "ndim", 0) != 2
-            or str(data.dtype)
-            not in ("float64", "torch.float64", "float32", "torch.float32")
-            or not contiguous
-        ):
-            raise ValueError(
-                "data must be a C-contiguous float64/float32 "
-                "(depth+1) x n band array"
-            )
-        self.data = data
-        # Host-side dtype of the band values (pool buffers and gather
-        # masks must match the band's working precision).
-        self._np_dtype = (
-            np.dtype(np.float32)
-            if str(data.dtype).endswith("float32")
-            else np.dtype(np.float64)
-        )
-        self.depth = data.shape[0] - 1
-        self.n = data.shape[1]
-        self._flat = data.reshape(-1)
-        self._templates: dict[int, tuple] = {}
-        self._idx_buffers: dict[int, np.ndarray] = {}
-
-    def _template(self, w: int):
-        tpl = self._templates.get(w)
-        if tpl is None:
-            if not (1 <= w <= self.n):
-                raise ValueError(f"window width {w} outside 1..{self.n}")
-            i = np.arange(w)[:, None]
-            j = np.arange(w)[None, :]
-            r = np.abs(i - j)
-            # Dense entry (i, j) of a window at lo lives at
-            # data[|i-j|, lo + min(i, j)]; beyond the stored depth it is 0.
-            gather_flat = np.minimum(r, self.depth) * self.n + np.minimum(i, j)
-            mask = (r <= self.depth).astype(self._np_dtype)
-            si, sj = np.nonzero((i - j >= 0) & (i - j <= self.depth))
-            scatter_flat = (si - sj) * self.n + sj
-            if self.ctx.is_numpy:
-                mask_x, si_x, sj_x = mask, si, sj
-            else:  # backend-resident copies of the value-side templates
-                mask_x = self.ctx.from_numpy(mask)
-                si_x = self.ctx.from_numpy(si)
-                sj_x = self.ctx.from_numpy(sj)
-            tpl = (gather_flat, mask_x, si_x, sj_x, scatter_flat)
-            self._templates[w] = tpl
-        return tpl
-
-    def _idx_buffer(self, S: int, w: int) -> np.ndarray:
-        buf = self._idx_buffers.get(w)
-        if buf is None or buf.shape[0] < S:
-            buf = np.empty((S, w, w), dtype=np.int64)
-            self._idx_buffers[w] = buf
-        return buf[:S]
-
-    def gather(self, los: np.ndarray, w: int) -> np.ndarray:
-        """Stacked dense windows ``A[lo:lo+w, lo:lo+w]`` for each ``lo``.
-
-        Returns a ``(len(los), w, w)`` view into the reused workspace
-        (a native array of the context's backend).
-        """
-        los = np.asarray(los, dtype=np.int64)
-        gather_flat, mask, *_ = self._template(w)
-        idx = self._idx_buffer(los.size, w)
-        stack = self.ctx.workspace.stack(
-            f"bwb.{w}", (los.size, w, w), dtype=self._np_dtype
-        )
-        np.add(gather_flat[None, :, :], los[:, None, None], out=idx)
-        xp = self.ctx.xp
-        idx_x = idx if self.ctx.is_numpy else self.ctx.from_numpy(idx)
-        xp.take(self._flat, idx_x, out=stack)
-        xp.multiply(stack, mask, out=stack)
-        return stack
-
-    def scatter(self, stack: np.ndarray, los: np.ndarray, w: int) -> None:
-        """Write the stored (lower-band) entries of each window back."""
-        los = np.asarray(los, dtype=np.int64)
-        _, _, si, sj, scatter_flat = self._template(w)
-        flatidx = scatter_flat[None, :] + los[:, None]
-        if not self.ctx.is_numpy:
-            flatidx = self.ctx.from_numpy(flatidx)
-        self._flat[flatidx] = stack[:, si, sj]
 
 
 def band_from_dense(A: np.ndarray, bandwidth: int) -> LowerBandStorage:

@@ -6,7 +6,7 @@ from .back_transform import (
     q_from_blocks,
 )
 from .bc_back_transform import blocked_bc_back_time
-from .bc_pipeline import PipelineStats, pipeline_schedule
+from .bc_pipeline import PipelineStats, pipeline_schedule, sweep_starts
 from .bc_wavefront import (
     BCWavefrontGroup,
     WavefrontBCResult,
@@ -142,6 +142,7 @@ __all__ = [
     "solve_triangular_lower",
     "square_schedule",
     "svd",
+    "sweep_starts",
     "sweep_tasks",
     "symmetrize_lower",
     "syr2k_rect_blocked",

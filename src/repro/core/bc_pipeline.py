@@ -8,24 +8,30 @@ sweep ``i``'s task ``t`` may execute once sweep ``i-1`` has completed task
 **three** bulges (law ① of the Section 3.3 performance model).  Law ③ caps
 the number of in-flight sweeps at the hardware's capacity ``S``.
 
-:func:`pipeline_schedule` computes that schedule as lockstep *rounds*
-(one bulge per active sweep per round — a round is the "cycle" of the
-paper's performance model).  The tasks of a round are data-disjoint, so
-the schedule is a pure reordering of the sequential chase; the
-wavefront engine (:mod:`repro.core.bc_wavefront`) executes it one
-stacked operation per round when ``max_sweeps`` caps the pipeline, and
-the recorded statistics (rounds, occupancy, stalls) are what
-:mod:`repro.gpusim` prices and what the Figure 5 / Figure 12 benchmarks
-consume.
+A sweep that has started never stalls again (its predecessor is at least
+as far ahead as it was at the start, or finished), and sweeps finish in
+order, so the whole schedule is one recurrence over sweep start rounds
+(:func:`sweep_starts`): sweep ``i`` starts once its predecessor has
+chased ``min(3, ntasks[i-1])`` bulges and, under a cap, once sweep
+``i - S`` has finished; its task ``t`` runs in round ``starts[i] + t``.
+A round is the "cycle" of the paper's performance model.
+
+:func:`pipeline_schedule` expands that recurrence into round-major task
+arrays.  The tasks of a round are data-disjoint, so the schedule is a pure
+reordering of the sequential chase; the wavefront engine
+(:mod:`repro.core.bc_wavefront`) executes it one stacked operation per
+round, :mod:`repro.gpusim` prices the same start rounds, and the recorded
+statistics (rounds, occupancy, stalls) feed the Figure 5 / Figure 12
+benchmarks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bulge_chasing import BCTask, sweep_tasks
+import numpy as np
 
-__all__ = ["PipelineStats", "pipeline_schedule"]
+__all__ = ["PipelineStats", "pipeline_schedule", "sweep_starts", "tasks_per_sweep"]
 
 #: A sweep may start only after its predecessor chased this many bulges
 #: (law 1 in Section 3.3; the 2b spin-lock distance of Algorithm 2).
@@ -42,13 +48,12 @@ class PipelineStats:
     ``occupancy``
         Number of tasks executed in each round (len == rounds).
     ``stall_rounds``
-        Rounds in which at least one startable sweep was blocked by the
-        in-flight cap ``S`` (law 3).
+        Rounds in which the next sweep was ready to start but blocked by
+        the in-flight cap ``S`` (law 3).
     ``task_rounds``
-        Mapping ``(sweep, step) -> round`` for trace/timing consumers.
-        A stall-free schedule records only ``sweep_starts`` and
-        ``sweep_ntasks`` (task ``t`` of sweep ``i`` runs in round
-        ``sweep_starts[i] + t``) and builds the mapping on first access.
+        Mapping ``(sweep, step) -> round`` for trace/timing consumers,
+        built on first access from ``sweep_starts`` and ``sweep_ntasks``
+        (task ``t`` of sweep ``i`` runs in round ``sweep_starts[i] + t``).
     """
 
     rounds: int = 0
@@ -79,10 +84,24 @@ class PipelineStats:
         return self.total_tasks / self.rounds if self.rounds else 0.0
 
 
-def pipeline_schedule(
-    n: int, b: int, max_sweeps: int | None = None
-) -> tuple[list[list[BCTask]], PipelineStats]:
-    """Compute the round-by-round pipelined schedule (no numerics).
+def tasks_per_sweep(n: int, b: int) -> np.ndarray:
+    """Task count of every sweep: ``1 + (n - 3 - i) // b`` for ``i <= n - 3``.
+
+    Matches :func:`repro.core.bulge_chasing.num_tasks_in_sweep`; empty
+    when there is nothing to chase (``b < 2`` or ``n < 3``).
+    """
+    if b < 2 or n < 3:
+        return np.zeros(0, dtype=np.int64)
+    return 1 + (n - 3 - np.arange(n - 2, dtype=np.int64)) // b
+
+
+def sweep_starts(
+    n: int, b: int, max_sweeps: int | None = None, safety: int = SAFETY_TASKS
+) -> tuple[np.ndarray, np.ndarray]:
+    """Start round of every sweep under the spin-lock rule and the cap.
+
+    ``starts[i] = max(starts[i-1] + min(safety, ntasks[i-1]),
+    starts[i-S] + ntasks[i-S])`` — the second term only for ``i >= S``.
 
     Parameters
     ----------
@@ -91,79 +110,74 @@ def pipeline_schedule(
     max_sweeps : int or None
         The in-flight sweep cap ``S`` (None = unbounded, i.e. hardware big
         enough for every sweep — the ``3n-2`` regime of the paper's model).
+    safety : int
+        Bulges a predecessor must have chased before the next sweep
+        starts (the paper's 3; larger values are the ablation's).
 
     Returns
     -------
-    (rounds, stats)
-        ``rounds[r]`` is the list of tasks executed in round ``r``; within
-        a round tasks are ordered by sweep (a valid topological order).
+    (starts, ntasks)
+        int64 arrays, one entry per sweep; task ``t`` of sweep ``i`` runs
+        in round ``starts[i] + t``.
     """
-    all_sweeps = [sweep_tasks(n, b, i) for i in range(max(n - 2, 0))]
-    all_sweeps = [s for s in all_sweeps if s]
-    nsweeps = len(all_sweeps)
-    ntasks = [len(s) for s in all_sweeps]
-    S = max_sweeps if max_sweeps is not None else nsweeps
-    if S < 1:
+    if max_sweeps is not None and max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
+    if safety < 1:
+        raise ValueError("safety must be >= 1")
+    ntasks = tasks_per_sweep(n, b)
+    counts = ntasks.tolist()
+    cap = len(counts) if max_sweeps is None else int(max_sweeps)
+    starts = [0] * len(counts)
+    for i in range(1, len(counts)):
+        start = starts[i - 1] + min(safety, counts[i - 1])
+        if i >= cap:
+            start = max(start, starts[i - cap] + counts[i - cap])
+        starts[i] = start
+    return np.array(starts, dtype=np.int64), ntasks
 
-    completed = [0] * nsweeps  # tasks committed per sweep
-    rounds: list[list[BCTask]] = []
-    stats = PipelineStats(total_tasks=sum(ntasks))
-    done_tasks = 0
 
-    # Sweeps start strictly in order (sweep i's task 0 is blocked until
-    # sweep i-1 is >= SAFETY_TASKS ahead, which implies it started), so the
-    # live region is the window [first_active, started_count]: everything
-    # below is finished, everything above cannot move yet.  Scanning only
-    # that window makes the scheduler O(total_tasks + rounds * in_flight)
-    # instead of O(rounds * nsweeps) — the difference between milliseconds
-    # and seconds at n ~ 1000, for identical output.
-    first_active = 0  # every sweep below this index is finished
-    started_count = 0  # sweeps 0..started_count-1 have started
-    in_flight = 0  # started and unfinished, as of the round snapshot
+def pipeline_schedule(
+    n: int, b: int, max_sweeps: int | None = None
+) -> tuple[np.ndarray, np.ndarray, PipelineStats]:
+    """The pipelined schedule as round-major task arrays (no numerics).
 
-    while done_tasks < stats.total_tasks:
-        lo = first_active
-        hi = min(started_count + 1, nsweeps)  # only sweep started_count may start
-        snapshot = completed[lo:hi]
-        this_round: list[BCTask] = []
-        stalled = False
-        finished_this_round = 0
-        for i in range(lo, hi):
-            t = snapshot[i - lo]
-            if t >= ntasks[i]:
-                continue
-            # Dependency on the predecessor sweep (law 1 / gCom rule);
-            # predecessors below the window are finished and impose none.
-            if i > lo or lo > 0:
-                prev_done = snapshot[i - 1 - lo] if i > lo else ntasks[i - 1]
-                if prev_done < ntasks[i - 1] and prev_done < t + SAFETY_TASKS:
-                    continue
-            # In-flight cap (law 3).
-            if i == started_count:
-                if in_flight >= S:
-                    stalled = True
-                    continue
-                started_count += 1
-                in_flight += 1
-            this_round.append(all_sweeps[i][t])
-            stats.task_rounds[(all_sweeps[i][t].sweep, t)] = len(rounds)
-            completed[i] += 1
-            if completed[i] == ntasks[i]:
-                finished_this_round += 1
-            done_tasks += 1
-        if not this_round:  # pragma: no cover - schedule is deadlock-free
-            raise RuntimeError("pipeline schedule deadlocked")
-        # Finishes take effect at the next round's snapshot (law-3 slots
-        # free up only once the flag array shows the sweep done).
-        in_flight -= finished_this_round
-        while first_active < nsweeps and completed[first_active] >= ntasks[first_active]:
-            first_active += 1
-        rounds.append(this_round)
-        stats.occupancy.append(len(this_round))
-        if stalled:
-            stats.stall_rounds += 1
+    Parameters
+    ----------
+    n, b : int
+        Matrix size and bandwidth.
+    max_sweeps : int or None
+        The in-flight sweep cap ``S`` (None = unbounded).
 
-    stats.rounds = len(rounds)
-    stats.max_parallel = max(stats.occupancy, default=0)
-    return rounds, stats
+    Returns
+    -------
+    (sweeps, steps, stats)
+        ``(sweeps[k], steps[k])`` is the ``k``-th task in round-major
+        order; round ``r`` is the segment of the next ``stats.occupancy[r]``
+        tasks, sweeps ascending within it (a valid topological order).
+    """
+    starts, ntasks = sweep_starts(n, b, max_sweeps)
+    if ntasks.size == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, PipelineStats()
+    sweeps = np.repeat(np.arange(ntasks.size, dtype=np.int64), ntasks)
+    steps = np.arange(sweeps.size) - np.repeat(np.cumsum(ntasks) - ntasks, ntasks)
+    # A stable sort by round keeps sweeps ascending within a round.
+    order = np.argsort(np.repeat(starts, ntasks) + steps, kind="stable")
+    # Sweeps start and finish in order, so the active sweeps of round r
+    # are the contiguous run with starts[i] <= r <= fin[i].
+    fin = starts + ntasks - 1
+    r_idx = np.arange(int(fin[-1]) + 1)
+    occ = np.searchsorted(starts, r_idx, side="right") - np.searchsorted(fin, r_idx)
+    # Sweep i is ready once its predecessor chased SAFETY_TASKS bulges;
+    # every round past that it waited was a law-3 stall.
+    ready = starts[:-1] + np.minimum(SAFETY_TASKS, ntasks[:-1])
+    stats = PipelineStats(
+        rounds=int(r_idx.size),
+        occupancy=occ.tolist(),
+        stall_rounds=int(np.sum(starts[1:] - ready)),
+        max_parallel=int(occ.max()),
+        total_tasks=int(sweeps.size),
+        sweep_starts=starts.tolist(),
+        sweep_ntasks=ntasks.tolist(),
+    )
+    return sweeps[order], steps[order], stats

@@ -1,7 +1,8 @@
 """Wavefront-batched bulge chasing — each pipeline round as one stacked op.
 
-The pipelined schedule of :mod:`repro.core.bc_pipeline` proves that many
-sweeps can chase bulges concurrently under the ``2b`` spin-lock rule, but
+The pipelined schedule of :mod:`repro.core.bc_pipeline` — one sweep-start
+recurrence, expanded into round-major ``(sweep, step)`` arrays — lets many
+sweeps chase bulges concurrently under the ``2b`` spin-lock rule, but
 executing that schedule one task at a time in Python leaves all the
 parallelism on the table: it performs the same number of tiny NumPy
 calls as the sequential chase and BC dominates every wall-clock
@@ -62,7 +63,7 @@ import numpy as np
 from ..backend.context import ExecutionContext, resolve_context
 from ..band.storage import LowerBandStorage, PackedBandStorage
 from ..resilience.errors import ReproError
-from .bc_pipeline import SAFETY_TASKS, PipelineStats, pipeline_schedule
+from .bc_pipeline import PipelineStats, pipeline_schedule
 from .bc_back_transform import Q1Blocks, apply_q1_blocks, q1_blocks
 from .bulge_chasing import BCReflector, BulgeChasingResult
 from .householder import batched_make_householder
@@ -453,45 +454,6 @@ def _total_chase_flops(n: int, b: int) -> float:
     return float(total)
 
 
-def _unbounded_schedule_arrays(
-    n: int, b: int
-) -> tuple[np.ndarray, np.ndarray, PipelineStats]:
-    """Closed form of ``pipeline_schedule(n, b, None)``.
-
-    With no in-flight cap a sweep never stalls, so sweep ``i`` runs task
-    ``t`` in round ``starts[i] + t`` where ``starts[i] - starts[i-1]`` is
-    the safety distance ``min(SAFETY_TASKS, ntasks[i-1])`` (a predecessor
-    that finishes early releases its successor early).  Returns the
-    ``(sweep, step)`` of every task in round-major order (sweeps ascending
-    within a round) and the schedule statistics; equality with the
-    generic scheduler is asserted by the tests.
-    """
-    nsweeps = n - 2
-    ntasks = 1 + (n - 3 - np.arange(nsweeps, dtype=np.int64)) // b
-    starts = np.zeros(nsweeps, dtype=np.int64)
-    np.cumsum(np.minimum(SAFETY_TASKS, ntasks)[:-1], out=starts[1:])
-    total_rounds = int(starts[-1] + ntasks[-1])
-    # Active sweeps of round r are the contiguous run with
-    # starts[i] <= r <= fin[i] (both arrays increase).
-    r_idx = np.arange(total_rounds)
-    fin = starts + ntasks - 1
-    occ = np.searchsorted(starts, r_idx, side="right") - np.searchsorted(fin, r_idx)
-    # Sweep-major task arrays, then a stable sort by round: stable keeps
-    # sweeps ascending within a round.
-    sweeps = np.repeat(np.arange(nsweeps, dtype=np.int64), ntasks)
-    steps = np.arange(sweeps.size) - np.repeat(np.cumsum(ntasks) - ntasks, ntasks)
-    order = np.argsort(np.repeat(starts, ntasks) + steps, kind="stable")
-    stats = PipelineStats(
-        rounds=total_rounds,
-        occupancy=occ.tolist(),
-        max_parallel=int(occ.max(initial=0)),
-        total_tasks=int(sweeps.size),
-        sweep_starts=starts.tolist(),
-        sweep_ntasks=ntasks.tolist(),
-    )
-    return sweeps[order], steps[order], stats
-
-
 def _regular_rounds(cols: np.ndarray, bounds: np.ndarray, b: int) -> np.ndarray:
     """Per-round flag: a multi-task round whose consecutive tasks are all
     ``3b - 1`` columns apart.
@@ -543,9 +505,10 @@ def bulge_chase_wavefront(
     b : int, optional
         Bandwidth (taken from the storage object when given).
     max_sweeps : int, optional
-        In-flight sweep cap ``S`` (None = unbounded).  The unbounded
-        schedule is generated in closed form; a cap routes through
-        :func:`repro.core.bc_pipeline.pipeline_schedule`.
+        In-flight sweep cap ``S`` (None = unbounded).  Capped or not, the
+        round-major task order comes from
+        :func:`repro.core.bc_pipeline.pipeline_schedule`'s closed-form
+        sweep-start recurrence.
     ctx : ExecutionContext, optional
         Execution context: the working band lives on its backend and
         every round's gather / batched-Householder / update / scatter
@@ -588,13 +551,7 @@ def bulge_chase_wavefront(
     flops = 0.0
     if bw >= 2 and n >= 3:
         flops = _total_chase_flops(n, bw)
-        if max_sweeps is None:
-            sweeps, steps, stats = _unbounded_schedule_arrays(n, bw)
-        else:
-            rounds, stats = pipeline_schedule(n, bw, max_sweeps)
-            count = stats.total_tasks
-            sweeps = np.fromiter((t.sweep for r in rounds for t in r), np.int64, count)
-            steps = np.fromiter((t.step for r in rounds for t in r), np.int64, count)
+        sweeps, steps, stats = pipeline_schedule(n, bw, max_sweeps)
         # Round-major task arrays: round r is the segment
         # [bounds[r], bounds[r+1]), sweeps ascending, so its (at most one)
         # start task — the newest sweep — is last.  cols is the annihilated

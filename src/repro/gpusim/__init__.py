@@ -2,8 +2,8 @@
 
 Device models (H100, RTX 4090, an 8-thread MKL host), roofline and
 sustained-GEMM rate curves, kernel cost models for every operation in the
-tridiagonalization pipeline, a discrete-event executor for the pipelined
-bulge chasing, and memory-hierarchy accounting (including a mechanistic
+tridiagonalization pipeline, an executor that prices the pipelined bulge
+chasing's schedule, and memory-hierarchy accounting (including a mechanistic
 LRU replay of the Figure-10 layout claim).
 
 All *numerics* in this package's callers run for real in NumPy; this

@@ -1,4 +1,4 @@
-"""Discrete-event executor for the pipelined bulge-chasing schedule.
+"""Executor for the pipelined bulge-chasing schedule.
 
 Models the GPU execution of Algorithm 2 exactly as launched in the paper:
 sweeps are thread blocks dispatched in order; at most ``S`` are resident
@@ -7,15 +7,17 @@ except that task ``t`` must wait for the predecessor sweep's task ``t+2``
 (the ``gCom + 2b`` spin-lock, law 1).  Task durations come from the kernel
 cost models.
 
-The completion times obey the recurrence
+With a constant task duration ``dt`` the completion times obey
 
     C[i][t] = max(C[i][t-1], C[i-1][t+2], launch_gate_i) + dt
 
-which, for constant ``dt``, collapses to a prefix-max — so a full
-``n = 65536`` run (hundreds of millions of tasks) simulates in seconds as
-one vectorized pass per sweep.  The executor also accounts bytes moved,
-yielding the achieved-memory-throughput curve of Figure 12 and the
-utilization timeline used by the trace tools.
+and a launched sweep never waits again, so every time is ``dt`` times
+the start round of :func:`repro.core.bc_pipeline.sweep_starts` — the same
+recurrence the numeric wavefront chase executes.  A full ``n = 65536``
+run (hundreds of millions of tasks) therefore simulates in one ``O(n)``
+pass.  The executor also accounts bytes moved, yielding the
+achieved-memory-throughput curve of Figure 12 and the utilization
+timeline used by the trace tools.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from ..core.bc_pipeline import SAFETY_TASKS, sweep_starts, tasks_per_sweep
 
 __all__ = ["BCSimResult", "tasks_per_sweep", "simulate_bc_pipeline"]
 
@@ -69,26 +73,13 @@ class BCSimResult:
         return ts, active.astype(np.int64)
 
 
-def tasks_per_sweep(n: int, b: int) -> np.ndarray:
-    """Vector of task counts per sweep (sweeps with zero tasks dropped).
-
-    Matches :func:`repro.core.bulge_chasing.num_tasks_in_sweep`:
-    ``1 + floor((n - 3 - i) / b)`` for sweep ``i <= n - 3``.
-    """
-    if b < 2 or n < 3:
-        return np.zeros(0, dtype=np.int64)
-    i = np.arange(n - 2, dtype=np.int64)
-    counts = 1 + (n - 3 - i) // b
-    return counts[counts > 0]
-
-
 def simulate_bc_pipeline(
     n: int,
     b: int,
     max_sweeps: int | None,
     task_time_s: float,
     bytes_per_task: float = 0.0,
-    safety_tasks: int = 3,
+    safety_tasks: int = SAFETY_TASKS,
 ) -> BCSimResult:
     """Simulate the pipelined schedule with constant per-task duration.
 
@@ -109,56 +100,16 @@ def simulate_bc_pipeline(
     -------
     BCSimResult
     """
-    counts = tasks_per_sweep(n, b)
-    nsweeps = counts.size
+    starts, counts = sweep_starts(n, b, max_sweeps, safety_tasks)
     dt = float(task_time_s)
-    if nsweeps == 0:
-        return BCSimResult(
-            n=n,
-            b=b,
-            max_sweeps=max_sweeps or 0,
-            task_time_s=dt,
-            total_time_s=0.0,
-            total_tasks=0,
-            sweep_start=np.zeros(0),
-            sweep_end=np.zeros(0),
-            bytes_per_task=bytes_per_task,
-        )
-    S = int(max_sweeps) if max_sweeps is not None else nsweeps
-    if S < 1:
-        raise ValueError("max_sweeps must be >= 1")
-
-    start = np.zeros(nsweeps)
-    end = np.zeros(nsweeps)
-    prev_completion: np.ndarray | None = None
-    for i in range(int(nsweeps)):
-        m = int(counts[i])
-        # Launch gate: a slot frees when sweep i-S finishes (FIFO launch).
-        gate = end[i - S] if i >= S else 0.0
-        if prev_completion is None:
-            base = gate
-            comp = base + dt * (1.0 + np.arange(m))
-        else:
-            # Dependency vector: task t waits on predecessor's task
-            # t + safety_tasks - 1 (i.e. "first `safety_tasks` bulges").
-            idx = np.minimum(
-                np.arange(m) + (safety_tasks - 1), prev_completion.size - 1
-            )
-            a = prev_completion[idx]
-            g = np.maximum.accumulate(a - dt * np.arange(m))
-            comp = dt * (1.0 + np.arange(m)) + np.maximum(gate, g)
-        start[i] = comp[0] - dt
-        end[i] = comp[-1]
-        prev_completion = comp
-
     return BCSimResult(
         n=n,
         b=b,
-        max_sweeps=S,
+        max_sweeps=counts.size if max_sweeps is None else int(max_sweeps),
         task_time_s=dt,
-        total_time_s=float(np.max(end)),
+        total_time_s=dt * float(np.max(starts + counts, initial=0)),
         total_tasks=int(np.sum(counts)),
-        sweep_start=start,
-        sweep_end=end,
+        sweep_start=dt * starts,
+        sweep_end=dt * (starts + counts),
         bytes_per_task=bytes_per_task,
     )

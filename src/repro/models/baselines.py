@@ -9,7 +9,7 @@ the library executes it:
   ``syr2k`` with ``k = b``, with a calibrated efficiency factor for the
   two-sided bookkeeping (symmetric mirror writes, skinny panel shapes);
 * ``Dsb2st`` (MAGMA BC) — the CPU task pipeline (8 threads) through the
-  discrete-event executor;
+  pipeline executor;
 * ``Dstedc`` — divide and conquer, eigenvalues-only ``O(n^2 log n)``
   (memory-bound) or with the ``4/3 n^3`` eigenvector GEMMs;
 * ``ormqr``-style back transformations with ``k = b`` GEMMs.

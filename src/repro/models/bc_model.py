@@ -17,8 +17,8 @@ the sum the stalls that law 3 forces when ``S`` is finite (Figure 5).
 This module implements that closed form (with the obvious clamping of
 negative stall terms the paper's prose implies), converts it to seconds
 via a per-bulge time, and provides the comparison against the
-discrete-event executor — the tests require the closed form to track the
-event simulation within a modest factor across the whole ``S`` range,
+pipeline executor — the tests require the closed form to track the
+executor within a modest factor across the whole ``S`` range,
 which is precisely the claim Figure 5 rests on.
 """
 

@@ -8,7 +8,7 @@ The composition mirrors the implementation in :mod:`repro.core`:
   ``k = second_block`` per outer block — the large-``k`` rate is the whole
   point (Table 1);
 * GPU bulge chasing: per-task cost from the memory model, scheduled by the
-  discrete-event pipeline executor;
+  pipeline executor;
 * back transformation: Figure 13's batched pairwise merges up to width
   ``k`` followed by ``n/k`` width-``k`` GEMM applications, plus the
   (unoptimized, future-work) BC back transformation when eigenvectors are

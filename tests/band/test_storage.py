@@ -109,80 +109,3 @@ class TestDenseFromBand:
     def test_band_from_dense_alias(self, rng):
         A = random_symmetric_band(9, 2, rng)
         assert np.allclose(band_from_dense(A, 2).to_dense(), A)
-
-
-class TestBandWindowBatcher:
-    @staticmethod
-    def _working(A, b, depth):
-        n = A.shape[0]
-        data = np.zeros((depth + 1, n), dtype=np.float64)
-        lb = LowerBandStorage.from_dense(A, b)
-        data[: b + 1] = lb.ab
-        return data
-
-    def test_gather_matches_dense_windows(self, rng):
-        from repro.band.storage import BandWindowBatcher
-
-        n, b = 30, 3
-        A = random_symmetric_band(n, b, rng)
-        batcher = BandWindowBatcher(self._working(A, b, 2 * b))
-        los = np.array([0, 7, 15, 21])
-        w = 9
-        stack = batcher.gather(los, w)
-        assert stack.shape == (4, w, w)
-        for s, lo in enumerate(los):
-            assert np.array_equal(stack[s], A[lo : lo + w, lo : lo + w])
-
-    def test_scatter_roundtrip(self, rng):
-        from repro.band.storage import BandWindowBatcher
-
-        n, b = 24, 2
-        A = random_symmetric_band(n, b, rng)
-        data = self._working(A, b, 2 * b)
-        batcher = BandWindowBatcher(data)
-        los = np.array([2, 12])
-        w = 6
-        stack = batcher.gather(los, w)
-        stack[0, 1, 0] = stack[0, 0, 1] = 99.0
-        stack[1, 3, 3] = -7.0
-        batcher.scatter(stack, los, w)
-        assert data[1, 2] == 99.0  # A[3, 2]
-        assert data[0, 15] == -7.0  # A[15, 15]
-        # Re-gathering sees the scattered values (symmetric single copy).
-        again = batcher.gather(los, w)
-        assert again[0, 0, 1] == 99.0 and again[0, 1, 0] == 99.0
-
-    def test_entries_beyond_depth_read_zero(self, rng):
-        from repro.band.storage import BandWindowBatcher
-
-        n, b = 16, 2
-        A = random_symmetric_band(n, b, rng)
-        batcher = BandWindowBatcher(self._working(A, b, 2 * b))
-        w = 2 * b + 3  # wider than the stored depth
-        stack = batcher.gather(np.array([4]), w)
-        assert np.array_equal(stack[0], A[4 : 4 + w, 4 : 4 + w])
-        assert stack[0, w - 1, 0] == 0.0
-
-    def test_buffers_are_reused(self, rng):
-        from repro.band.storage import BandWindowBatcher
-
-        A = random_symmetric_band(40, 3, rng)
-        batcher = BandWindowBatcher(self._working(A, 3, 6))
-        s1 = batcher.gather(np.array([0, 10, 20]), 8)
-        ptr1 = s1.__array_interface__["data"][0]
-        s2 = batcher.gather(np.array([5, 15, 25]), 8)
-        assert s2.__array_interface__["data"][0] == ptr1
-
-    def test_rejects_bad_arrays(self):
-        from repro.band.storage import BandWindowBatcher
-
-        # float32 is a supported working width (mixed precision); only
-        # non-float dtypes, wrong ranks and non-contiguous arrays fail.
-        BandWindowBatcher(np.zeros((3, 8), dtype=np.float32))
-        with pytest.raises(ValueError):
-            BandWindowBatcher(np.zeros((3, 8), dtype=np.int64))
-        with pytest.raises(ValueError):
-            BandWindowBatcher(np.zeros(8))
-        batcher = BandWindowBatcher(np.zeros((3, 8)))
-        with pytest.raises(ValueError):
-            batcher.gather(np.array([0]), 9)

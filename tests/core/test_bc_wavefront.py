@@ -16,7 +16,12 @@ from repro.core.bc_wavefront import (
     bulge_chase_wavefront,
 )
 from repro.core.bulge_chasing import BulgeChasingResult, bulge_chase
-from tests.conftest import chase_in_schedule
+from tests.conftest import (
+    SCHEDULE_GRID,
+    chase_in_schedule,
+    round_by_round_schedule,
+    schedule_fields,
+)
 
 # Small enough that forward-error amplification between the two (equally
 # valid) roundoff trajectories stays well under the strict 1e-12 gate;
@@ -131,14 +136,17 @@ class TestReflectorLog:
 class TestSchedule:
     @pytest.mark.parametrize("n,b", [(20, 2), (30, 3), (41, 4), (25, 8)])
     def test_closed_form_equals_generic_scheduler(self, rng, n, b):
+        # The engine executes exactly the rounds the independent
+        # round-by-round oracle produces, capped or not.
         A = random_symmetric_band(n, b, rng)
-        _, stats = bulge_chase_wavefront(A, b)
-        _, ref = pipeline_schedule(n, b, None)
-        assert stats.rounds == ref.rounds
-        assert stats.occupancy == ref.occupancy
-        assert stats.max_parallel == ref.max_parallel
-        assert stats.total_tasks == ref.total_tasks
-        assert stats.task_rounds == ref.task_rounds
+        for S in (None, 1, 2, 3, 5, 8):
+            wf, stats = bulge_chase_wavefront(A, b, max_sweeps=S)
+            rounds, ref = round_by_round_schedule(n, b, S)
+            assert schedule_fields(stats) == schedule_fields(ref)
+            assert [
+                list(zip(g.sweeps.tolist(), g.steps.tolist()))
+                for g in wf.round_groups
+            ] == [[(t.sweep, t.step) for t in tasks] for tasks in rounds]
 
     def test_task_rounds_built_on_demand(self, rng):
         _, stats = bulge_chase_wavefront(random_symmetric_band(30, 3, rng), 3)
@@ -147,6 +155,13 @@ class TestSchedule:
         assert len(stats.task_rounds) == stats.total_tasks
 
     def test_capped_matches_oracle(self, rng):
+        for n, b, S in SCHEDULE_GRID:
+            sweeps, steps, stats = pipeline_schedule(n, b, S)
+            rounds, ref = round_by_round_schedule(n, b, S)
+            case = (n, b, S)
+            assert sweeps.tolist() == [t.sweep for r in rounds for t in r], case
+            assert steps.tolist() == [t.step for r in rounds for t in r], case
+            assert schedule_fields(stats) == schedule_fields(ref), case
         n, b = 36, 4
         A = random_symmetric_band(n, b, rng)
         seq = bulge_chase(A, b)
@@ -244,16 +259,14 @@ class TestRegularRounds:
 
     @pytest.mark.parametrize("n,b", [(20, 2), (64, 3), (150, 8), (300, 16), (300, 32)])
     def test_every_multi_task_unbounded_round_is_regular(self, n, b):
-        sweeps, steps, stats = bc_wavefront._unbounded_schedule_arrays(n, b)
+        sweeps, steps, stats = pipeline_schedule(n, b)
         bounds = np.concatenate([[0], np.cumsum(stats.occupancy)])
         regular = bc_wavefront._regular_rounds(sweeps + 1 + (steps - 1) * b, bounds, b)
         assert np.array_equal(regular, np.asarray(stats.occupancy) > 1)
 
     def test_capped_rounds_mix_regular_and_irregular(self):
         n, b = 150, 8
-        rounds, stats = pipeline_schedule(n, b, 5)
-        sweeps = np.array([t.sweep for r in rounds for t in r])
-        steps = np.array([t.step for r in rounds for t in r])
+        sweeps, steps, stats = pipeline_schedule(n, b, 5)
         bounds = np.concatenate([[0], np.cumsum(stats.occupancy)])
         regular = bc_wavefront._regular_rounds(sweeps + 1 + (steps - 1) * b, bounds, b)
         multi = np.asarray(stats.occupancy) > 1

@@ -1,13 +1,13 @@
-"""Unit tests for the discrete-event bulge-chasing pipeline executor."""
+"""Unit tests for the bulge-chasing pipeline executor."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.bc_pipeline import pipeline_schedule
 from repro.core.bulge_chasing import num_tasks_in_sweep
 from repro.gpusim.executor import simulate_bc_pipeline, tasks_per_sweep
+from tests.conftest import SCHEDULE_GRID, round_by_round_schedule
 
 
 class TestTasksPerSweep:
@@ -50,13 +50,21 @@ class TestSimulation:
         assert res.total_time_s <= 3.0 * n
 
     def test_matches_lockstep_scheduler(self):
-        # The asynchronous event simulation can only beat (or tie) the
-        # lockstep rounds of the numeric pipeline driver.
-        n, b, S = 40, 3, 4
-        _, stats = pipeline_schedule(n, b, max_sweeps=S)
-        sim = simulate_bc_pipeline(n, b, S, 1.0)
-        assert sim.total_time_s <= stats.rounds
-        assert sim.total_time_s >= stats.rounds / 3
+        # At dt = 1 the simulated times are the lockstep rounds of the
+        # independent round-by-round oracle, for every safety distance.
+        for n, b, S in SCHEDULE_GRID:
+            for safety in range(1, 6):
+                rounds, stats = round_by_round_schedule(n, b, S, safety)
+                sim = simulate_bc_pipeline(n, b, S, 1.0, safety_tasks=safety)
+                case = (n, b, S, safety)
+                assert sim.total_time_s == stats.rounds, case
+                first, last = {}, {}
+                for r, tasks in enumerate(rounds):
+                    for t in tasks:
+                        first.setdefault(t.sweep, r)
+                        last[t.sweep] = r + 1
+                assert sim.sweep_start.tolist() == list(first.values()), case
+                assert sim.sweep_end.tolist() == list(last.values()), case
 
     def test_sweep_spans_ordered(self):
         res = simulate_bc_pipeline(60, 4, 8, 1.0)
