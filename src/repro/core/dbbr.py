@@ -31,7 +31,9 @@ baseline of Figure 9): every outer block holds one panel and the deferred
 update is the immediate one, so the ``sbr`` method and the ``magma``
 preset run this function with ``second_block = bandwidth``.
 
-The deferred update is the two-GEMM ``syr2k_reference`` form.  The
+The deferred update is one GEMM ``P = Y_acc Z_acc^T`` and an in-place
+``A -= P + P^T`` (bit-identical to ``syr2k_reference`` with
+``alpha = -1``, without its three trailing-size temporaries).  The
 Figure-7 square-block schedule (:func:`repro.core.syr2k.syr2k_square_blocked`)
 is the paper's GPU kernel and stays the benchmarked one; on a host BLAS
 its many small tile GEMMs are slower than two large ones (EXPERIMENTS.md).
@@ -44,8 +46,7 @@ import numpy as np
 from ..backend.context import ExecutionContext, resolve_context
 from ..plan.planner import _as_int
 from .blocks import BandReductionResult, WYBlock
-from .panel_qr import panel_qr_wy
-from .syr2k import syr2k_reference
+from .panel_qr import _panel_wy
 
 __all__ = ["dbbr"]
 
@@ -69,7 +70,8 @@ def dbbr(
         ``b = 32, k = 1024``).  ``k == b`` is classic SBR.
     ctx : ExecutionContext, optional
         Execution context; BLAS3 work (accumulated GEMMs and the deferred
-        rank-2k update) runs on its backend, panel QR stays on the host.
+        rank-2k update) runs on its backend, panel QR stays on the host
+        (LAPACK ``?geqrt``, see :func:`repro.core.panel_qr._panel_wy`).
 
     Returns
     -------
@@ -133,8 +135,9 @@ def dbbr(
                 A[cols, urows] = xp.copy(A[urows, cols].T)
                 flops += 4.0 * (n - j) * bw * c
 
-            # Host-side panel factorization (BLAS2-bound, narrow).
-            W, Y, R = panel_qr_wy(ctx.to_numpy(A[rows, j : j + bw]))
+            # Host-side panel factorization: one LAPACK ?geqrt call, as
+            # MAGMA's sy2sb does.
+            W, Y, R = _panel_wy(ctx.to_numpy(A[rows, j : j + bw]))
             flops += 2.0 * m * bw * bw
             Wd, Yd = ctx.from_numpy(W), ctx.from_numpy(Y)
 
@@ -163,13 +166,13 @@ def dbbr(
         # Deferred rank-2k trailing update (Algorithm 1 line 15) — the
         # syr2k now runs with inner dimension kk instead of b.  The zero
         # padding of the accumulators masks each pair to its own trailing
-        # window, so one accumulated update is exact.
+        # window, so one accumulated update is exact.  In place, and
+        # ``P + P^T`` is exactly symmetric.
         t0 = i + kk
         mt = n - t0
         if mt > 0:
-            A[t0:, t0:] = syr2k_reference(
-                A[t0:, t0:], Yacc[t0:], Zacc[t0:], alpha=-1.0, ctx=ctx
-            )
+            P = Yacc[t0:] @ Zacc[t0:].T
+            A[t0:, t0:] -= P + P.T
             flops += 2.0 * mt * mt * kk
 
         Wl, Yl, r0l, bwl = last_panel
@@ -185,14 +188,16 @@ def dbbr(
         i += kk
 
     # Scrub roundoff outside the band so the output is an exact band matrix.
-    _zero_off_band(A, b, xp)
+    _zero_off_band(A, b)
     return BandReductionResult(
         band=ctx.to_numpy(A), bandwidth=b, blocks=blocks, flops=flops
     )
 
 
-def _zero_off_band(A, b: int, xp=np) -> None:
-    """Zero entries strictly outside bandwidth ``b`` (roundoff residue)."""
+def _zero_off_band(A, b: int) -> None:
+    """Zero entries strictly outside bandwidth ``b`` (roundoff residue),
+    row by row: no ``n x n`` index or mask temporary."""
     n = A.shape[0]
-    i = xp.arange(n)
-    A[xp.abs(i[:, None] - i[None, :]) > b] = 0.0
+    for r in range(n):
+        A[r, : max(r - b, 0)] = 0.0
+        A[r, r + b + 1 :] = 0.0

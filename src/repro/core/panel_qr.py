@@ -6,8 +6,17 @@ The reflectors annihilate everything below the top ``b x b`` triangle of the
 panel, which is exactly what pushes the off-band entries of the symmetric
 matrix to zero.
 
-The routines here are unblocked within the panel (the panel is narrow, so
-this is the BLAS2-bounded part the paper accepts) and return the factors in
+The production panel is :func:`_panel_wy`: one LAPACK ``?geqrt`` call on
+the host, as MAGMA's ``sy2sb`` does.  It is bound with :mod:`ctypes` from
+the OpenBLAS that NumPy itself links (ILP64 symbols ``scipy_dgeqrt_64_``
+and ``scipy_sgeqrt_64_`` in NumPy's wheels), so the solve path imports no
+scipy.  Only a NumPy built without that symbol falls back to
+``scipy.linalg.lapack``'s ``?geqrt`` — the same routine — imported at
+first use.
+
+The routines below are the unblocked per-column loops (one
+:func:`~repro.core.householder.make_householder` per column).  They are
+the test oracle for :func:`_panel_wy` and return the factors in
 whichever representation the caller wants:
 
 * :func:`panel_qr` — raw reflectors ``(V, taus, R)``;
@@ -18,11 +27,118 @@ whichever representation the caller wants:
 
 from __future__ import annotations
 
+import ctypes
+import functools
+from typing import Callable
+
 import numpy as np
 
 from .householder import accumulate_wy, larft, make_householder
 
 __all__ = ["panel_qr", "panel_qr_wy", "panel_qr_compact", "explicit_q"]
+
+
+#: ``geqrt(a, nb) -> T``: factor the F-ordered ``a`` in place (LAPACK
+#: layout: ``R`` on and above the diagonal, the reflectors below it) and
+#: return the ``nb x min(m, w)`` upper-triangular block factor ``T``.
+Geqrt = Callable[[np.ndarray, int], np.ndarray]
+
+
+def _numpy_geqrt(char: str) -> Geqrt | None:
+    """``?geqrt`` from the OpenBLAS NumPy links, or ``None`` if absent.
+
+    ``dlsym`` on the handle of NumPy's LAPACK extension also searches the
+    libraries it depends on, so the lookup needs no file path.  Only the
+    ILP64 ``scipy_?geqrt_64_`` symbol is used: its integer width is part
+    of its name.
+    """
+    try:
+        from numpy.linalg import _umath_linalg
+
+        fn = getattr(ctypes.CDLL(_umath_linalg.__file__), f"scipy_{char}geqrt_64_")
+    except (ImportError, OSError, AttributeError):
+        return None
+    i64 = ctypes.POINTER(ctypes.c_int64)
+    fn.argtypes = [i64, i64, i64, ctypes.c_void_p, i64, ctypes.c_void_p, i64,
+                   ctypes.c_void_p, i64]
+    fn.restype = None
+    dtype = np.float32 if char == "s" else np.float64
+
+    def geqrt(a: np.ndarray, nb: int) -> np.ndarray:
+        if a.dtype != dtype or not a.flags.f_contiguous or a.ndim != 2:
+            raise ValueError("geqrt needs an F-ordered 2-D array of its dtype")
+        m, w = a.shape
+        if not 1 <= nb <= min(m, w):
+            raise ValueError(f"geqrt block {nb} outside [1, {min(m, w)}]")
+        # LAPACK writes only T's upper triangle.
+        t = np.zeros((nb, min(m, w)), dtype=dtype, order="F")
+        work = np.empty(nb * w, dtype=dtype)
+        info = ctypes.c_int64(0)
+        c = ctypes.c_int64
+        fn(c(m), c(w), c(nb), a.ctypes.data, c(max(1, m)), t.ctypes.data, c(nb),
+           work.ctypes.data, info)
+        if info.value != 0:
+            raise RuntimeError(f"{char}geqrt failed: info={info.value}")
+        return t
+
+    return geqrt
+
+
+def _scipy_geqrt(char: str) -> Geqrt:
+    """``?geqrt`` through ``scipy.linalg.lapack`` (imported here, lazily)."""
+    from scipy.linalg.lapack import get_lapack_funcs
+
+    dtype = np.float32 if char == "s" else np.float64
+    fn = get_lapack_funcs(("geqrt",), dtype=dtype)[0]
+
+    def geqrt(a: np.ndarray, nb: int) -> np.ndarray:
+        out, t, info = fn(nb, a, overwrite_a=1)
+        if info != 0:
+            raise RuntimeError(f"{char}geqrt failed: info={info}")
+        a[...] = out
+        return t
+
+    return geqrt
+
+
+@functools.cache
+def _geqrt(dtype: np.dtype) -> Geqrt:
+    """The ``?geqrt`` binding for ``dtype``: NumPy's OpenBLAS, else scipy."""
+    char = "s" if dtype == np.float32 else "d"
+    return _numpy_geqrt(char) or _scipy_geqrt(char)
+
+
+def _panel_wy(panel: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Host panel QR by LAPACK ``?geqrt``, as WY factors ``(W, Y, R)``.
+
+    Factors the ``m x w`` ``panel`` with ``nb = min(m, w)`` (one block) and
+    keeps the ``r = min(m - 1, w)`` reflectors that have a subdiagonal part
+    (on a square tile ``?geqrt`` adds a trailing ``tau = 0``):
+    ``Y = V[:, :r]`` with a unit diagonal and ``W = V[:, :r] T[:r, :r]``,
+    so ``I - W Y^T = H_1 ... H_r``.  ``R`` is the ``min(m, w) x w``
+    upper-trapezoidal top of the transformed panel, and
+    ``panel == (I - W Y^T) [R; 0]``.  Same reflector convention as
+    :func:`panel_qr_wy` (``beta = -sign(alpha) ||x||``, ``tau = 0`` for an
+    annihilated column), so the two agree to roundoff — except on a
+    column whose squared entries underflow, which ``dlarfg``'s scaled
+    norm still annihilates and the oracle leaves as is.  float32 panels
+    use ``sgeqrt``; anything else is factored in float64.  ``panel`` is
+    not modified.
+    """
+    panel = np.asarray(panel)
+    dt = panel.dtype if panel.dtype in (np.float32, np.float64) else np.dtype(np.float64)
+    # LAPACK overwrites its input, so factor an F-ordered copy.
+    a = np.array(panel, dtype=dt, order="F", copy=True)
+    m, w = a.shape
+    top = min(m, w)
+    T = _geqrt(dt)(a, top)
+    r = min(m - 1, w)
+    # C order, as the WY blocks of the oracle and the back transform use;
+    # only the top r x r block holds entries above the unit diagonal.
+    Y = np.array(a[:, :r], order="C")
+    Y[:r] = np.tril(Y[:r], -1)
+    Y[np.arange(r), np.arange(r)] = 1.0
+    return Y @ T[:r, :r], Y, np.triu(a[:top])
 
 
 def panel_qr(panel: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -35,7 +35,7 @@ import numpy as np
 
 from ..backend.context import ExecutionContext, resolve_context
 from .dbbr import _zero_off_band
-from .householder import WYAccumulator, make_householder
+from .panel_qr import _panel_wy
 
 __all__ = ["TileReflector", "TileBandReductionResult", "tile_sbr", "tile_task_dag"]
 
@@ -84,44 +84,6 @@ class TileBandReductionResult:
         return Q @ self.band @ Q.T
 
 
-def _qr_wy(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """WY-form Householder QR of an arbitrary-shape block.
-
-    Factorizes ``min(m-?, w)`` columns (every column whose below-diagonal
-    part exists), returning ``(W, Y, R_block)`` with ``R_block`` the
-    transformed block (upper trapezoidal).
-    """
-    P = np.asarray(P)
-    dt = P.dtype if P.dtype in (np.float32, np.float64) else np.float64
-    A = np.array(P, dtype=dt, copy=True)
-    m, w = A.shape
-    acc = WYAccumulator(m, dtype=dt)
-    for j in range(min(m - 1, w)):
-        v, tau, beta = make_householder(A[j:, j])
-        A[j, j] = beta
-        A[j + 1 :, j] = 0.0
-        if tau != 0.0 and j + 1 < w:
-            C = A[j:, j + 1 :]
-            C -= np.outer(tau * v, v @ C)
-        vg = np.zeros(m, dtype=dt)
-        vg[j:] = v
-        acc.append(vg, tau)
-    return acc.W.copy(), acc.Y.copy(), A
-
-
-def _apply_two_sided(A: np.ndarray, rows: np.ndarray, W: np.ndarray, Y: np.ndarray) -> None:
-    """Symmetric two-sided update ``A <- Q^T A Q`` for ``Q = I - W Y^T``
-    acting on the (possibly non-contiguous) index set ``rows``."""
-    # Left: A[rows, :] <- (I - Y W^T) A[rows, :].
-    sub = A[rows, :]
-    sub -= Y @ (W.T @ sub)
-    A[rows, :] = sub
-    # Right: A[:, rows] <- A[:, rows] (I - W Y^T).
-    sub = A[:, rows]
-    sub -= (sub @ W) @ Y.T
-    A[:, rows] = sub
-
-
 def _tile_bounds(n: int, b: int) -> list[tuple[int, int]]:
     return [(t, min(t + b, n)) for t in range(0, n, b)]
 
@@ -156,8 +118,8 @@ def tile_sbr(
     for k in range(nt - 1):
         c0, c1 = tiles[k]
         r0, r1 = tiles[k + 1]
-        # GEQRT: QR of the first subdiagonal tile (host-side).
-        W, Y, R = _qr_wy(ctx.to_numpy(A[r0:r1, c0:c1]))
+        # GEQRT: LAPACK ?geqrt of the first subdiagonal tile (host-side).
+        W, Y, R = _panel_wy(ctx.to_numpy(A[r0:r1, c0:c1]))
         if W.shape[1] > 0:
             rows = np.arange(r0, r1)
             A[r0:r1, c0:c1] = ctx.from_numpy(R)
@@ -174,7 +136,7 @@ def tile_sbr(
             top = ctx.to_numpy(A[r0:r1, c0:c1])
             bot = ctx.to_numpy(A[s0:s1, c0:c1])
             stacked = np.vstack([top, bot])
-            W, Y, R = _qr_wy(stacked)
+            W, Y, R = _panel_wy(stacked)
             if W.shape[1] == 0:
                 continue
             rows = np.concatenate([np.arange(r0, r1), np.arange(s0, s1)])
@@ -187,7 +149,7 @@ def tile_sbr(
             )
             reflectors.append(TileReflector(rows=rows, W=W, Y=Y, kind="tsqrt"))
 
-    _zero_off_band(A, b, xp)
+    _zero_off_band(A, b)
     return TileBandReductionResult(
         band=ctx.to_numpy(A), bandwidth=b, reflectors=reflectors
     )

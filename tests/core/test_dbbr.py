@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.band.ops import bandwidth_of, symmetric_error
-from repro.core.dbbr import dbbr
+from repro.core.dbbr import _zero_off_band, dbbr
 from repro.core.panel_qr import panel_qr_wy
+from repro.core.syr2k import syr2k_reference
 from tests.conftest import make_symmetric
 
 
@@ -132,3 +133,27 @@ class TestDBBRCorrectness:
         f_large = dbbr(A, 4, 16).flops
         # Deferral costs extra look-ahead GEMMs.
         assert f_large > f_small
+
+
+class TestDBBRKernels:
+    """The in-place forms DBBR uses, against their full-matrix oracles."""
+
+    @pytest.mark.parametrize("n,b", [(1, 0), (5, 1), (20, 3), (33, 8), (10, 9), (8, 12)])
+    def test_zero_off_band_matches_mask(self, n, b):
+        A = np.random.default_rng(n + b).standard_normal((n, n))
+        i = np.arange(n)
+        expect = A.copy()
+        expect[np.abs(i[:, None] - i[None, :]) > b] = 0.0
+        _zero_off_band(A, b)
+        assert np.array_equal(A, expect)
+
+    @pytest.mark.parametrize("m,k", [(1, 1), (37, 4), (130, 48)])
+    def test_inplace_deferred_update_is_syr2k_reference(self, m, k):
+        rng = np.random.default_rng(m * k)
+        C = make_symmetric(m, seed=m)
+        Y, Z = rng.standard_normal((m, k)), rng.standard_normal((m, k))
+        expect = syr2k_reference(C, Y, Z, alpha=-1.0)
+        P = Y @ Z.T
+        C -= P + P.T
+        assert np.array_equal(C, expect)
+        assert np.array_equal(C, C.T)

@@ -52,6 +52,15 @@ class TestTileSBR:
         )
         assert max_gap > 1
 
+    @pytest.mark.parametrize("n,b", [(27, 4), (24, 4), (10, 1)])
+    def test_reflector_shapes(self, n, b):
+        # Every tile factor keeps the reflectors with a subdiagonal part:
+        # min(m - 1, w) of them on an m-row, w-wide (stacked) tile.
+        res = tile_sbr(make_symmetric(n, seed=n), b)
+        for r in res.reflectors:
+            m = r.rows.size
+            assert r.W.shape == r.Y.shape == (m, min(m - 1, b))
+
     def test_input_not_modified(self):
         A = make_symmetric(18, seed=10)
         A0 = A.copy()

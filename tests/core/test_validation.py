@@ -72,6 +72,38 @@ class TestCheckSymmetric:
         B = check_symmetric(A, tol=1e-3)
         assert np.array_equal(B, B.T)
 
+    def test_symmetrizes_asymmetry_whose_square_underflows(self):
+        # ||A - A^T||_F^2 = 2e-340 underflows to 0; the entries differ.
+        A = goe(10, seed=6) * 1e-160
+        A[3, 4] += 1e-170
+        assert A[3, 4] != A[4, 3]
+        B = check_symmetric(A)
+        assert np.array_equal(B, B.T)
+        assert np.array_equal(B, (A + A.T) / 2.0)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 200])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_tiled_pass_matches_full_matrix_form(self, n, dtype, order):
+        # The tile-pair pass rejects and symmetrizes exactly as the
+        # full-matrix gate ||A - A^T||_F > tol ||A||_F and (A + A^T) / 2.
+        g = np.random.default_rng(n).standard_normal((n, n))
+        S, U = (g + g.T) / 2, np.triu(g, 1)
+        # Two levels straddle the 1e-8 gate by a factor well under sqrt(2).
+        unit = np.linalg.norm(U - U.T) / np.linalg.norm(S) if n > 1 else 1.0
+        for level in (0.0, 1e-13, 1e-10, 0.85e-8 / unit, 1.15e-8 / unit, 1e-2):
+            A = np.asarray(S + level * U, order=order)
+            A64 = np.asarray(A.astype(dtype), dtype=np.float64)
+            ratio = np.linalg.norm(A64 - A64.T) / np.linalg.norm(A64)
+            if ratio > 1e-8:
+                with pytest.raises(SymmetryError):
+                    check_symmetric(A, dtype=dtype, warn_on_upcast=False)
+                continue
+            B = check_symmetric(A, dtype=dtype, warn_on_upcast=False)
+            W = A.astype(dtype)
+            assert B.dtype == dtype
+            assert np.array_equal(B, (W + W.T) / np.asarray(2.0, dtype=dtype))
+
     def test_integer_input_promoted(self):
         A = np.array([[2, 1], [1, 3]])
         B = check_symmetric(A)
