@@ -18,8 +18,6 @@ from repro.models.figures import figure_registry
 from repro.models.sensitivity import conclusions_hold, headline_metrics
 from repro.models.syr2k_model import PAPER_TABLE1
 
-BENCHMARKS_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
-
 
 def render_figure(name: str, gen) -> list[str]:
     t0 = time.perf_counter()
@@ -76,37 +74,6 @@ def render_sensitivity() -> list[str]:
     return lines
 
 
-def render_precision() -> list[str]:
-    """Run the mixed-precision benchmark (smoke scale) and summarize.
-
-    Measured on this machine; the full ``benchmarks/bench_precision.py``
-    run produces the checked-in ``BENCH_precision.json`` artifact with
-    the 1.5x tridiag-stage gate at n = 1024.
-    """
-    sys.path.insert(0, str(BENCHMARKS_DIR))
-    try:
-        import bench_precision
-    finally:
-        sys.path.remove(str(BENCHMARKS_DIR))
-    payload = bench_precision.run(smoke=True, write_json=False)
-    lines = [
-        "## Mixed precision: fp32 pipeline + refinement vs fp64 (measured, this machine)",
-        "",
-        "| n | fp64 tridiag | mixed tridiag | speedup | mixed residual | sweeps | verify |",
-        "|---|---|---|---|---|---|---|",
-    ]
-    for row in payload["rows"]:
-        r64, rmx = row["fp64"], row["mixed"]
-        lines.append(
-            f"| {r64['n']} | {r64['tridiag_s'] * 1e3:.1f} ms "
-            f"| {rmx['tridiag_s'] * 1e3:.1f} ms | {row['tridiag_speedup']:.2f}x "
-            f"| {rmx['residual']:.2e} | {rmx['refine_iterations']} "
-            f"| {'OK' if rmx['verify_ok'] else 'FAILED'} |"
-        )
-    lines.append("")
-    return lines
-
-
 def main(out_path: str = "REPORT.md") -> None:
     lines = [
         "# Reproduction report",
@@ -122,8 +89,6 @@ def main(out_path: str = "REPORT.md") -> None:
         print(f"generating {name} ...")
         lines += render_figure(name, gen)
     lines += render_sensitivity()
-    print("running mixed-precision benchmark (smoke) ...")
-    lines += render_precision()
     n_cells = sum(len(v) for v in PAPER_TABLE1.values())
     lines.append(f"*Table 1 calibration: {n_cells} published cells, "
                  "all within 35% (test-enforced).*")

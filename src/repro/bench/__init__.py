@@ -1,6 +1,6 @@
-"""Benchmark-harness support: workload generators, timing helpers, and the
-table/series printers every benchmark uses to show paper-vs-reproduced
-values with explicit measured/simulated provenance."""
+"""Benchmark-harness support: workload generators and the table/series
+printers every benchmark uses to show paper-vs-reproduced values with
+explicit measured/simulated provenance."""
 
 from .plotting import AsciiChart, bar_chart, line_chart
 from .reporting import (
@@ -9,9 +9,7 @@ from .reporting import (
     format_time,
     print_series,
     print_table,
-    write_json_artifact,
 )
-from .timing import Timing, measure
 from .workloads import (
     clustered_spectrum,
     geometric_spectrum,
@@ -26,7 +24,6 @@ from .workloads import (
 __all__ = [
     "AsciiChart",
     "Series",
-    "Timing",
     "banner",
     "bar_chart",
     "clustered_spectrum",
@@ -35,12 +32,10 @@ __all__ = [
     "goe",
     "laplacian_1d",
     "line_chart",
-    "measure",
     "print_series",
     "print_table",
     "random_band",
     "symmetric_with_spectrum",
     "uniform_spectrum",
     "wilkinson_tridiagonal",
-    "write_json_artifact",
 ]

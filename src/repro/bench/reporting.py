@@ -7,9 +7,6 @@ the honesty contract of DESIGN.md §2.
 
 from __future__ import annotations
 
-import json
-import pathlib
-import time
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -18,7 +15,6 @@ __all__ = [
     "print_series",
     "banner",
     "format_time",
-    "write_json_artifact",
 ]
 
 
@@ -39,35 +35,6 @@ def format_time(seconds: float) -> str:
     if seconds < 1.0:
         return f"{seconds * 1e3:8.2f} ms"
     return f"{seconds:8.2f} s "
-
-
-def write_json_artifact(
-    out_dir, name: str, payload: dict, backend: str = "numpy"
-) -> pathlib.Path:
-    """Write a machine-readable benchmark artifact ``BENCH_<name>.json``.
-
-    The document carries the benchmark name, a generation timestamp and an
-    ``environment`` block (array backend the numbers were measured on plus
-    the NumPy version) ahead of ``payload``, so checked-in artifacts record
-    when — and on what substrate — their numbers came.  Returns the
-    written path.
-    """
-    import numpy
-
-    out_dir = pathlib.Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"BENCH_{name}.json"
-    doc = {
-        "name": name,
-        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z", time.localtime()),
-        "environment": {
-            "backend": backend,
-            "numpy_version": numpy.__version__,
-        },
-        **payload,
-    }
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    return path
 
 
 @dataclass

@@ -13,7 +13,6 @@ Commands
 ``tridiag``      run just the tridiagonalization (any of the 4 methods)
 ``figure``       regenerate a paper figure's data from the calibrated model
 ``simulate-bc``  simulate the GPU bulge-chasing pipeline at any scale
-``serve-bench``  load-test the async solver service against a serial loop
 ``devices``      list the calibrated device presets
 
 Examples
@@ -27,7 +26,6 @@ Examples
     python -m repro tridiag --n 300 --method dbbr --bandwidth 8 --second-block 32
     python -m repro figure fig15
     python -m repro simulate-bc --n 65536 --bandwidth 32 --sweeps 128
-    python -m repro serve-bench --requests 200 --workers 4
 """
 
 from __future__ import annotations
@@ -147,24 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     bc.add_argument("--device", default="h100")
     bc.add_argument("--naive", action="store_true",
                     help="one thread block per sweep, no L2 packing")
-
-    sv = sub.add_parser("serve-bench",
-                        help="load-test the async solver service")
-    sv.add_argument("--requests", type=int, default=200)
-    sv.add_argument("--sizes", type=int, nargs="+", default=[32, 64, 128])
-    sv.add_argument("--unique", type=int, default=80)
-    sv.add_argument("--dense-fraction", type=float, default=0.5)
-    sv.add_argument("--workers", type=int, default=4)
-    sv.add_argument("--queue-limit", type=int, default=32)
-    sv.add_argument("--backpressure", default="block",
-                    choices=["block", "reject", "timeout"])
-    sv.add_argument("--max-batch", type=int, default=16)
-    sv.add_argument("--batch-window-ms", type=float, default=2.0)
-    sv.add_argument("--backend", default="numpy",
-                    choices=["numpy", "cupy", "torch", "auto"])
-    sv.add_argument("--seed", type=int, default=0)
-    sv.add_argument("--json", metavar="PATH", default=None,
-                    help="also write a BENCH_serve-style JSON artifact here")
 
     sub.add_parser("devices", help="list calibrated device presets")
     return p
@@ -376,38 +356,6 @@ def _cmd_simulate_bc(args) -> int:
     return 0
 
 
-def _cmd_serve_bench(args) -> int:
-    from repro.serve import ServiceConfig, WorkloadSpec, run_loadgen
-    from repro.serve.loadgen import print_report
-
-    spec = WorkloadSpec(
-        requests=args.requests,
-        sizes=tuple(args.sizes),
-        unique=args.unique,
-        dense_fraction=args.dense_fraction,
-        seed=args.seed,
-    )
-    config = ServiceConfig(
-        workers=args.workers,
-        backend=args.backend,
-        queue_limit=args.queue_limit,
-        backpressure=args.backpressure,
-        max_batch=args.max_batch,
-        batch_window_s=args.batch_window_ms / 1e3,
-    )
-    payload = run_loadgen(spec, config)
-    print_report(payload)
-    if args.json:
-        import json
-        import pathlib
-
-        path = pathlib.Path(args.json)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {path}")
-    return 0 if payload["determinism"]["bit_identical_to_serial"] else 1
-
-
 def _cmd_devices(args) -> int:
     from repro.gpusim import CPU_8_CORE, H100, RTX4090
 
@@ -427,7 +375,6 @@ _COMMANDS = {
     "tridiag": _cmd_tridiag,
     "figure": _cmd_figure,
     "simulate-bc": _cmd_simulate_bc,
-    "serve-bench": _cmd_serve_bench,
     "devices": _cmd_devices,
 }
 

@@ -66,7 +66,7 @@ from ..resilience.errors import ReproError
 from .bc_pipeline import PipelineStats, pipeline_schedule
 from .bc_back_transform import Q1Blocks, apply_q1_blocks, q1_blocks
 from .bulge_chasing import BCReflector, BulgeChasingResult
-from .householder import batched_make_householder
+from .householder import batched_make_householder, safe_sumsq_floor
 
 __all__ = [
     "BCWavefrontGroup",
@@ -257,6 +257,9 @@ class _RoundKernel:
         # Host-side working dtype of the band values: the round buffers
         # and reflector stacks must match the band's precision.
         self.dtype = dt = np.dtype(dtype)
+        # A tail whose sigma is below this may have lost precision to
+        # underflow; such rounds take the guarded kernel.
+        self._sumsq_floor = safe_sumsq_floor(dt)
         self._dump = 2 * b * npad  # flat slot in the never-touched row 2b
         self.chase_tmpl = self._template(npad, sl=b, wn=3 * b)
         self.start_tmpl = self._template(npad, sl=1, wn=2 * b + 1)
@@ -359,14 +362,14 @@ class _RoundKernel:
             xp.take(flat, pix, out=P)
 
         # Batched Householder on the gathered columns, on preallocated
-        # buffers; the guarded general kernel handles the rare
-        # already-annihilated (sigma == 0) rows.
+        # buffers; the guarded general kernel handles the rare rows that
+        # are already annihilated (sigma == 0) or too tiny to square.
         X1 = P[:, 1:, 0]
         sg = self._sg[:S]
         xp.matmul(X1[:, None, :], X1[:, :, None], out=sg)  # batched dot
         sigma = sg[:, 0, 0]
         alpha = xp.copy(P[:, 0, 0])
-        if sigma.all():
+        if sigma.min() >= self._sumsq_floor:
             beta = -xp.copysign(xp.sqrt(alpha * alpha + sigma), alpha)
             Vbuf = self._hv[:S]  # Vbuf[:, 0] stays 1.0 from __init__
             xp.divide(X1, (alpha - beta)[:, None], out=Vbuf[:, 1:])
@@ -412,15 +415,15 @@ class _RoundKernel:
         x1 = P[1:, 0]
         sigma = x1 @ x1
         alpha = P[0, 0]
-        v = xp.empty(b, dtype=self.dtype)
-        v[0] = 1.0
-        if sigma != 0.0:
+        if sigma >= self._sumsq_floor:
+            v = xp.empty(b, dtype=self.dtype)
+            v[0] = 1.0
             beta = -xp.copysign(xp.sqrt(alpha * alpha + sigma), alpha)
             xp.divide(x1, alpha - beta, out=v[1:])
             tau = (beta - alpha) / beta
         else:
-            v[1:] = 0.0
-            tau, beta = xp.zeros((), dtype=self.dtype), alpha
+            V, taus, betas = batched_make_householder(xp.copy(P[:, 0])[None, :], xp=xp)
+            v, tau, beta = V[0], taus[0], betas[0]
         tv = tau * v
         P -= tv[:, None] * (v @ P)[None, :]
         D = P[:, w - b :]

@@ -32,13 +32,17 @@ import numpy as np
 
 from ..backend.base import assert_f64
 
-# make_householder squares entries directly (no scale-safe dnrm2), so the
+# Both kernels square entries directly (no scale-safe dnrm2), so the
 # guard must fire while the *squares* are still full-precision normals:
 # ||x|| below sqrt(tiny)/eps puts alpha^2 + sigma in the denormal range.
-# The rescale factor itself is LAPACK dlarfg's 1/safmin.  The thresholds
-# are per working precision (slarfg vs dlarfg): judging an fp32 vector
-# against the fp64 threshold would never fire — fp32 squares underflow
-# around 1e-38, ~100 orders of magnitude above the fp64 guard.
+# Below it, the vector is scaled up once by LAPACK dlarfg's 1/safmin, a
+# power of two (2^970 in fp64, 2^103 in fp32), so the scaling is exact.
+# One step always suffices: the smallest denormal lands where its square
+# is a normal, and a vector under the guard stays below sqrt(huge) after
+# it.  The thresholds are per working precision (slarfg vs dlarfg):
+# judging an fp32 vector against the fp64 threshold would never fire —
+# fp32 squares underflow around 1e-38, ~100 orders of magnitude above the
+# fp64 guard.
 _RESCALE_BELOW = np.sqrt(np.finfo(np.float64).tiny) / np.finfo(np.float64).eps
 _SAFE_MIN = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
 _INV_SAFE_MIN = 1.0 / _SAFE_MIN
@@ -54,6 +58,19 @@ def _rescale_constants(dtype) -> tuple[float, float, float]:
     if np.dtype(dtype) == np.float32:
         return _RESCALE_BELOW_F32, _SAFE_MIN_F32, _INV_SAFE_MIN_F32
     return float(_RESCALE_BELOW), float(_SAFE_MIN), float(_INV_SAFE_MIN)
+
+
+def safe_sumsq_floor(dtype) -> float:
+    """Sum of squares below which the reflector formulas lose precision.
+
+    The Householder kernels rescale a vector whose ``alpha^2 + sigma``
+    falls below it.  A tail whose ``sigma`` alone reaches it needs no
+    guard at all: that is the one check of the unguarded fast paths,
+    here and in the wavefront chase.
+    """
+    rescale_below = _rescale_constants(dtype)[0]
+    return rescale_below * rescale_below
+
 
 __all__ = [
     "make_householder",
@@ -75,8 +92,10 @@ def make_householder(x: np.ndarray) -> tuple[np.ndarray, float, float]:
 
     Returns ``(v, tau, beta)`` such that ``(I - tau v v^T) x = beta e_1``
     with ``v[0] == 1``.  Uses the sign convention ``beta = -sign(x[0])*||x||``
-    to avoid cancellation.  If ``x[1:]`` is already (numerically) zero, the
-    reflector is the identity: ``tau = 0`` and ``beta = x[0]``.
+    to avoid cancellation.  If ``x[1:]`` is exactly zero, the reflector is
+    the identity: ``tau = 0`` and ``beta = x[0]``.  A vector whose squares
+    would underflow is scaled into the safe range first, as ``dlarfg``
+    does, so a tiny tail is still annihilated.
 
     Parameters
     ----------
@@ -93,35 +112,28 @@ def make_householder(x: np.ndarray) -> tuple[np.ndarray, float, float]:
     v[0] = 1.0
     if m == 1:
         return v, 0.0, float(x[0])
-    sigma = float(np.dot(x[1:], x[1:]))
+    tail = x[1:]
+    sigma = float(np.dot(tail, tail))
     alpha = float(x[0])
-    if sigma == 0.0:
+    # sigma == 0 alone is no proof: squares under ~1e-162 flush to zero.
+    if sigma == 0.0 and not tail.any():
         return v, 0.0, alpha
     rescale_below, safe_min, inv_safe_min = _rescale_constants(x.dtype)
     beta = -np.copysign(np.sqrt(alpha * alpha + sigma), alpha)
-    if abs(beta) < rescale_below:
-        # ||x|| is in the range where the squared terms above lose their
-        # precision to denormals.  LAPACK dlarfg's escape hatch: scale the
-        # vector up into the safe range, build the (scale-invariant)
-        # reflector there, and rescale only beta back down.
-        tail = x[1:].copy()
-        knt = 0
-        while abs(beta) < rescale_below and knt < 20:
-            tail *= inv_safe_min
-            alpha *= inv_safe_min
-            beta *= inv_safe_min
-            knt += 1
+    scaled = abs(beta) < rescale_below
+    if scaled:
+        # LAPACK dlarfg's escape hatch: build the (scale-invariant)
+        # reflector on the vector scaled into the safe range and rescale
+        # only beta back down.
+        tail = tail * inv_safe_min
+        alpha *= inv_safe_min
         sigma = float(np.dot(tail, tail))
         beta = -np.copysign(np.sqrt(alpha * alpha + sigma), alpha)
-        v0 = alpha - beta
-        v[1:] = tail / v0
-        tau = (beta - alpha) / beta
-        for _ in range(knt):
-            beta *= safe_min
-        return v, float(tau), float(beta)
     v0 = alpha - beta
-    v[1:] = x[1:] / v0
+    v[1:] = tail / v0
     tau = (beta - alpha) / beta
+    if scaled:
+        beta *= safe_min
     return v, float(tau), float(beta)
 
 
@@ -135,7 +147,8 @@ def batched_make_householder(
     with ``(I - tau[s] V[s] V[s]^T) X[s] = beta[s] e_1`` and
     ``V[s, 0] == 1``.  Same conventions and same stability choices as the
     scalar kernel (``beta`` sign against cancellation, ``tau == 0`` for
-    already-annihilated rows); results agree with the scalar kernel to the
+    rows whose tail is exactly zero, the ``dlarfg`` rescale for rows whose
+    squares would underflow); results agree with the scalar kernel to the
     last ulp up to the summation order of the inner products.
 
     This is the generation kernel of the wavefront-batched bulge chase
@@ -165,21 +178,36 @@ def batched_make_householder(
         return V, xp.zeros(S, dtype=X.dtype), xp.copy(X[:, 0])
     sigma = xp.einsum("ij,ij->i", X[:, 1:], X[:, 1:])
     alpha = xp.copy(X[:, 0])
-    nz = sigma != 0.0
-    if nz.all():
-        # Common case: no row is already annihilated, no guards needed.
+    floor = safe_sumsq_floor(X.dtype)
+    if sigma.min() >= floor:
+        # Common case: every tail is well inside the normal range, no
+        # guards needed.
         beta = -xp.copysign(xp.sqrt(alpha * alpha + sigma), alpha)
         V[:, 1:] = X[:, 1:] / (alpha - beta)[:, None]
         tau = (beta - alpha) / beta
         return V, tau, beta
+    # Identity rows are those whose tail is exactly zero; sigma == 0 alone
+    # is no proof, since squares under ~1e-162 flush to zero.
+    nz = xp.sum(xp.abs(X[:, 1:]), axis=1) != 0.0
+    small = nz & (alpha * alpha + sigma < floor)
+    rescale = bool(small.any())
+    if rescale:
+        # The scalar kernel's dlarfg rescale, on the rows that need it.
+        _, safe_min, inv_safe_min = _rescale_constants(X.dtype)
+        X = xp.copy(X)
+        X[small] *= inv_safe_min
+        sigma = xp.where(small, xp.einsum("ij,ij->i", X[:, 1:], X[:, 1:]), sigma)
+        alpha = xp.copy(X[:, 0])
     beta = xp.where(
         nz, -xp.copysign(xp.sqrt(alpha * alpha + sigma), alpha), alpha
     )
-    # v0 = alpha - beta is nonzero exactly when sigma != 0; guard the
+    # v0 = alpha - beta is nonzero exactly when the tail is; guard the
     # identity rows so the division stays silent (their numerators are 0).
     v0 = xp.where(nz, alpha - beta, 1.0)
     V[:, 1:] = X[:, 1:] / v0[:, None]
     tau = xp.where(nz, (beta - alpha) / xp.where(nz, beta, 1.0), 0.0)
+    if rescale:
+        beta[small] *= safe_min
     return V, tau, beta
 
 

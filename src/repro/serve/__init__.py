@@ -20,7 +20,6 @@ Quickstart::
 
 from .batcher import BatchPolicy, RequestQueue
 from .cache import CacheEntry, ResultCache, plan_cache_key
-from .loadgen import WorkloadSpec, make_workload, run_loadgen
 from .metrics import ServiceMetrics
 from .service import (
     ServiceClosed,
@@ -41,8 +40,5 @@ __all__ = [
     "ServiceOverloaded",
     "SolverService",
     "SubmitTimeout",
-    "WorkloadSpec",
-    "make_workload",
     "plan_cache_key",
-    "run_loadgen",
 ]

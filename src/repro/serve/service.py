@@ -112,6 +112,11 @@ __all__ = [
 ]
 
 _BACKPRESSURE_POLICIES = ("block", "reject", "timeout")
+# Reservoir size for the latency percentile estimates.
+_METRICS_SAMPLES = 2048
+# Seconds an open backend circuit breaker waits before letting a probe
+# through.
+_BREAKER_RESET_S = 30.0
 
 
 class ServiceClosed(RuntimeError):
@@ -157,8 +162,6 @@ class ServiceConfig:
         bit-for-bit.
     cache_entries : int
         LRU result-cache capacity (0 disables caching).
-    metrics_samples : int
-        Reservoir size for latency percentile estimation.
     verify : bool
         Run :func:`~repro.resilience.verify_evd` on every computed
         result (default True).  Verification never alters result bits;
@@ -177,9 +180,8 @@ class ServiceConfig:
         :class:`~repro.resilience.WorkerCrashError`.
     breaker_threshold : int
         Consecutive :class:`~repro.resilience.BackendFault` failures
-        that trip a non-NumPy backend's circuit breaker open.
-    breaker_reset_s : float
-        Seconds an open breaker waits before letting a probe through.
+        that trip a non-NumPy backend's circuit breaker open (it lets a
+        probe through after 30 s).
     """
 
     workers: int = 4
@@ -192,14 +194,12 @@ class ServiceConfig:
     adaptive_batching: bool = True
     dense_fastpath_max_n: int | None = None
     cache_entries: int = 256
-    metrics_samples: int = 2048
     verify: bool = True
     tol_residual: float | None = None
     tol_orth: float | None = None
     default_deadline_s: float | None = None
     max_crash_retries: int = 1
     breaker_threshold: int = 3
-    breaker_reset_s: float = 30.0
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -259,11 +259,11 @@ class SolverService:
 
     def __init__(self, config: ServiceConfig | None = None) -> None:
         self.config = config or ServiceConfig()
-        self.metrics = ServiceMetrics(self.config.metrics_samples)
+        self.metrics = ServiceMetrics(_METRICS_SAMPLES)
         self.cache = ResultCache(self.config.cache_entries)
         self.breakers = BreakerRegistry(
             failure_threshold=self.config.breaker_threshold,
-            reset_timeout_s=self.config.breaker_reset_s,
+            reset_timeout_s=_BREAKER_RESET_S,
         )
         self._queue = RequestQueue(self.config.queue_limit)
         self._batch_policy = BatchPolicy(

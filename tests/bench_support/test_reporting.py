@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.bench.reporting import Series, banner, format_time, print_series, print_table
-from repro.bench.timing import measure
 
 
 class TestFormatting:
@@ -43,9 +42,3 @@ class TestSeries:
         lines = []
         print_series([s1, s2], out=lines.append)
         assert any("-" in line for line in lines[2:])
-
-
-class TestMeasure:
-    def test_measure_returns_positive_times(self):
-        t = measure(lambda: sum(range(1000)), reps=3, warmup=1)
-        assert t.best > 0 and t.mean >= t.best and t.reps == 3

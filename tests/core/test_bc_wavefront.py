@@ -99,6 +99,18 @@ class TestMatchesOracle:
         assert np.linalg.norm(Q1 @ T @ Q1.T - A) / np.linalg.norm(A) < 1e-13
         assert np.linalg.norm(Q1.T @ Q1 - np.eye(n)) < 1e-12
 
+    @pytest.mark.parametrize("scale", [1e-163, 1e-300])
+    @pytest.mark.parametrize("max_sweeps", [None, 1])
+    def test_tiny_scale_chases_like_unit_scale(self, rng, scale, max_sweeps):
+        # Bulge tails whose squares underflow are still annihilated: the
+        # tridiagonal keeps the spectrum of the scaled band.
+        n, b = 64, 8
+        A = random_symmetric_band(n, b, rng)
+        wf, _ = bulge_chase_wavefront(A * scale, b, max_sweeps=max_sweeps)
+        lam = np.linalg.eigvalsh(A)
+        got = np.linalg.eigvalsh(dense_from_band(wf.d / scale, wf.e / scale))
+        assert np.max(np.abs(got - lam)) <= 200 * n * np.finfo(float).eps * np.abs(lam).max()
+
 
 class TestReflectorLog:
     def test_log_matches_pipelined_driver(self, rng):

@@ -64,21 +64,6 @@ class TestCommands:
                      "--naive"]) == 0
         assert "naive" in capsys.readouterr().out
 
-    def test_serve_bench_smoke(self, capsys, tmp_path):
-        out_json = tmp_path / "serve.json"
-        assert main([
-            "serve-bench", "--requests", "12", "--sizes", "16", "24",
-            "--unique", "6", "--workers", "2", "--json", str(out_json),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "speedup" in out and "bit-identical" in out
-        import json
-
-        payload = json.loads(out_json.read_text())
-        from repro.serve.loadgen import ARTIFACT_SCHEMA_KEYS
-
-        assert all(k in payload for k in ARTIFACT_SCHEMA_KEYS)
-
     def test_devices(self, capsys):
         assert main(["devices"]) == 0
         out = capsys.readouterr().out

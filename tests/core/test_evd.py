@@ -200,3 +200,18 @@ class TestSecularModePlumbing:
 
         with pytest.raises(PlanError, match="secular_mode"):
             eigh(make_symmetric(16, seed=1), secular_mode="turbo")
+
+
+class TestTinyScale:
+    """Inputs whose squares underflow keep their spectrum: every two-stage
+    preset and the cusolver path scale their reflectors like dlarfg."""
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160])
+    @pytest.mark.parametrize("method", ["proposed", "magma", "plasma", "cusolver"])
+    def test_eigenvalues_match_unit_scale(self, method, scale):
+        n = 64
+        A = goe(n, seed=0)
+        lam = np.linalg.eigvalsh(A)
+        res = eigh(A * scale, method=method, compute_vectors=False)
+        tol = 200 * n * np.finfo(float).eps * np.abs(lam).max()
+        assert np.max(np.abs(res.eigenvalues / scale - lam)) <= tol

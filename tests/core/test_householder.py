@@ -275,3 +275,76 @@ class TestBatchedMakeHouseholder:
             batched_make_householder(np.zeros(5))
         with pytest.raises(ValueError):
             batched_make_householder(np.zeros((3, 0)))
+
+
+def _scaled_residual(x, v, tau, beta):
+    """``||(I - tau v v^T) x - beta e_1|| / ||x||``, evaluated on ``x``
+    scaled by a power of two into the normal range (exact, and scaling
+    commutes with the reflector) so the norms cannot underflow."""
+    k = -int(np.frexp(np.abs(x).max())[1])
+    y = np.ldexp(x.astype(np.float64), k)
+    r = y - float(tau) * v * float(v @ y)
+    r[0] -= np.ldexp(float(beta), k)
+    return np.linalg.norm(r) / np.linalg.norm(y)
+
+
+class TestUnderflowRescale:
+    """Tails whose squares underflow are annihilated, not mistaken for
+    zero tails (``dlarfg``'s rescale)."""
+
+    @pytest.mark.parametrize("scale", [1e-163, 1e-300])
+    @pytest.mark.parametrize("zero_head", [False, True])
+    def test_both_kernels_annihilate(self, rng, scale, zero_head):
+        m = 20
+        x = rng.standard_normal(m) * scale
+        if zero_head:
+            x[0] = 0.0
+        assert np.dot(x[1:], x[1:]) < np.finfo(np.float64).tiny
+        tol = 10 * m * np.finfo(np.float64).eps
+        v, tau, beta = make_householder(x)
+        assert tau != 0.0 and v[0] == 1.0
+        assert _scaled_residual(x, v, tau, beta) <= tol
+        # The tiny row sits between normal ones in the batch.
+        X = np.vstack([rng.standard_normal(m), x, rng.standard_normal(m)])
+        V, taus, betas = batched_make_householder(X)
+        assert taus[1] != 0.0 and V[1, 0] == 1.0
+        for s in range(3):
+            assert _scaled_residual(X[s], V[s], taus[s], betas[s]) <= tol
+        assert abs(betas[1] - beta) <= tol * abs(beta)
+
+    def test_float32_denormal_tail(self, rng):
+        m = 12
+        x = (rng.standard_normal(m) * 64 * np.finfo(np.float32).tiny).astype(np.float32)
+        x[0] = 0.0
+        tol = 10 * m * np.finfo(np.float32).eps
+        v, tau, beta = make_householder(x)
+        assert tau != 0.0
+        assert _scaled_residual(x, v, tau, beta) <= tol
+        V, taus, betas = batched_make_householder(x[None, :])
+        assert taus[0] != 0.0
+        assert _scaled_residual(x, V[0], taus[0], betas[0]) <= tol
+
+    def test_exactly_zero_tail_stays_identity(self):
+        for head in (0.0, 1e-300, 2.0):
+            x = np.array([head, 0.0, -0.0, 0.0])
+            v, tau, beta = make_householder(x)
+            assert tau == 0.0 and beta == head
+            V, taus, betas = batched_make_householder(x[None, :])
+            assert taus[0] == 0.0 and betas[0] == head
+            assert np.array_equal(V[0], np.eye(4)[0])
+
+    def test_normal_rows_unchanged_by_a_tiny_neighbour(self, rng):
+        # A batch that takes the guarded path gives its normal rows the
+        # same bits as the unguarded fast path.
+        X = rng.standard_normal((6, 9))
+        V0, tau0, beta0 = batched_make_householder(X)
+        Xt = X.copy()
+        Xt[2] *= 1e-300
+        V, tau, beta = batched_make_householder(Xt)
+        rows = [0, 1, 3, 4, 5]
+        assert np.array_equal(V[rows], V0[rows])
+        assert np.array_equal(tau[rows], tau0[rows])
+        assert np.array_equal(beta[rows], beta0[rows])
+        # ... and the tiny row is the normal one's reflector, beta scaled.
+        np.testing.assert_allclose(V[2], V0[2], rtol=1e-14)
+        np.testing.assert_allclose(beta[2], beta0[2] * 1e-300, rtol=1e-14)

@@ -206,15 +206,16 @@ class TestPanelWYLapack:
     @pytest.mark.parametrize("b", [1, 4])
     def test_denormal_range_column(self, rng, dt, b):
         # Entries near the smallest normal: their squares underflow to 0.
-        # dlarfg's scaled norm still annihilates the column; the oracle's
-        # squared sum reads 0 and returns the identity (tau = 0), so here
-        # only the factorization's properties are checked.
+        # dlarfg's scaled norm still annihilates the column, and so does
+        # the oracle's rescale (make_householder).
         tiny = np.finfo(dt).tiny
         P = (rng.standard_normal((30, b)) * 64 * tiny).astype(dt)
         W, Y, R = _panel_wy(P)
         tol = _wy_tol(dt, 30)
         _check_factors(P, W, Y, R, tol)
         assert W[:, 0].any()
+        W0, _, _ = panel_qr_wy(P)
+        np.testing.assert_allclose(W[:, 0], W0[:, 0], rtol=0, atol=tol)
         col = P[:, 0].astype(np.float64)
         assert abs(abs(float(R[0, 0])) - np.linalg.norm(col / tiny) * tiny) <= (
             tol * np.abs(col).max()

@@ -90,14 +90,13 @@ PUBLIC_API = {
     ],
     "repro.bench": [
         "goe", "symmetric_with_spectrum", "wilkinson_tridiagonal",
-        "print_table", "print_series", "banner", "measure",
+        "print_table", "print_series", "banner",
     ],
     "repro.serve": [
         "SolverService", "ServiceConfig", "ServiceMetrics", "ResultCache",
         "CacheEntry",
         "RequestQueue", "BatchPolicy", "plan_cache_key",
         "ServiceClosed", "ServiceOverloaded", "SubmitTimeout",
-        "WorkloadSpec", "make_workload", "run_loadgen",
     ],
 }
 
