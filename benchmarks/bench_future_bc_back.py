@@ -4,12 +4,12 @@ The paper leaves the BC back transformation (61% of the eigenvector path)
 as future work.  This repo blocks the reflectors by diamonds — the
 step-``t`` reflectors of ``g`` consecutive sweeps form one compact-WY
 block of ``b+g-1`` rows and inner width ``g`` — and applies ``Q1`` as
-three GEMMs per block (``WavefrontBCResult.apply_q1``).
+three GEMMs per block (``BulgeChasingResult.apply_q1``).
 
 ``[simulated]`` — cost vs group width at device scale, against the
 rank-1 replay and the paper's calibrated baseline.
 ``[measured]`` — the production blocked ``apply_q1`` against the
-scalar-log oracle: exactness and wall time.
+rank-1 oracle ``apply_q1_reference``: exactness and wall time.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from repro.band.ops import random_symmetric_band
 from repro.bench.reporting import banner
 from repro.core.bc_back_transform import blocked_bc_back_time
 from repro.core.bc_wavefront import bulge_chase_wavefront
-from repro.core.bulge_chasing import BulgeChasingResult
+from repro.core.bulge_chasing import apply_q1_reference
 from repro.gpusim import H100
 from repro.gpusim.roofline import sustained_gemm_tflops
 from repro.models.baselines import bc_back_transform_time
@@ -47,14 +47,13 @@ def test_future_blocked_bcback_simulated(benchmark, report):
 
 def _wavefront_case(n: int = 200, b: int = 4):
     A = random_symmetric_band(n, b, np.random.default_rng(60))
-    wf, _ = bulge_chase_wavefront(A, b)
-    return wf, BulgeChasingResult(d=wf.d, e=wf.e, reflectors=wf.reflectors)
+    return bulge_chase_wavefront(A, b)[0]
 
 
 def test_future_blocked_bcback_measured(benchmark, report):
     """Real numerics: the production blocked ``apply_q1`` (blocks built
-    inside every call) matches the scalar-log oracle."""
-    wf, oracle = _wavefront_case()
+    inside every call) matches the rank-1 oracle."""
+    wf = _wavefront_case()
     X = np.eye(wf.n)
 
     def run():
@@ -64,7 +63,7 @@ def test_future_blocked_bcback_measured(benchmark, report):
 
     Y_blocked = benchmark(run)
     Y_scalar = X.copy()
-    oracle.apply_q1(Y_scalar)
+    apply_q1_reference(wf, Y_scalar)
     err = np.max(np.abs(Y_blocked - Y_scalar))
     report(banner("Future work (measured): blocked vs scalar Q1", "measured"))
     report(f"  n={wf.n}, reflectors={wf.num_reflectors}, "
@@ -75,12 +74,12 @@ def test_future_blocked_bcback_measured(benchmark, report):
 
 def test_future_scalar_bcback_measured(benchmark):
     """Scalar reference application for the pytest-benchmark comparison."""
-    _, oracle = _wavefront_case()
-    X = np.eye(oracle.n)
+    wf = _wavefront_case()
+    X = np.eye(wf.n)
 
     def run():
         Y = X.copy()
-        oracle.apply_q1(Y)
+        apply_q1_reference(wf, Y)
         return Y
 
     benchmark(run)

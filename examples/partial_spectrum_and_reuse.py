@@ -10,8 +10,8 @@ refactorizing.  This example demonstrates:
   2. `save_tridiag` / `load_tridiag` — persisting a factorization and
      back-transforming from disk;
   3. the blocked BC back transformation (the paper's future-work item)
-     applied to a wide eigenvector window, against the scalar reflector
-     replay it replaced.
+     applied to a wide eigenvector window, against the rank-1 reflector
+     replay it replaced (``apply_q1_reference``).
 
     python examples/partial_spectrum_and_reuse.py
 """
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 import repro
-from repro.core.bulge_chasing import BulgeChasingResult
+from repro.core.bulge_chasing import apply_q1_reference
 from repro.core.serialization import load_tridiag, save_tridiag
 from repro.eig.dc import dc_eigh
 
@@ -70,11 +70,10 @@ def main() -> None:
 
     # --- 3. Blocked BC back transformation (future work) ------------------
     bc = tri.bc_result
-    oracle = BulgeChasingResult(bc.d, bc.e, reflectors=bc.reflectors)
     X = rng.standard_normal((n, 50))
     t0 = time.perf_counter()
     Y_scalar = X.copy()
-    oracle.apply_q1(Y_scalar)
+    apply_q1_reference(bc, Y_scalar)
     t_scalar = time.perf_counter() - t0
     t0 = time.perf_counter()
     Y_blocked = X.copy()

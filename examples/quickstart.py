@@ -44,7 +44,7 @@ def main(n: int = 300) -> None:
     print(f"\nproposed pipeline internals:")
     print(f"  intermediate bandwidth b = {tri.bandwidth}")
     print(f"  SBR panels recorded      = {len(tri.band_result.blocks)}")
-    print(f"  BC reflectors recorded   = {len(tri.bc_result.reflectors)}")
+    print(f"  BC reflectors recorded   = {tri.bc_result.num_reflectors}")
     if tri.pipeline_stats is not None:
         s = tri.pipeline_stats
         print(f"  BC pipeline rounds       = {s.rounds} "

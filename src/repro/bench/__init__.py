@@ -1,15 +1,9 @@
-"""Benchmark-harness support: workload generators and the table/series
-printers every benchmark uses to show paper-vs-reproduced values with
-explicit measured/simulated provenance."""
+"""Benchmark-harness support: workload generators, ASCII charts and the
+banner every benchmark section uses to tag its numbers as measured or
+simulated."""
 
 from .plotting import AsciiChart, bar_chart, line_chart
-from .reporting import (
-    Series,
-    banner,
-    format_time,
-    print_series,
-    print_table,
-)
+from .reporting import banner, format_time
 from .workloads import (
     clustered_spectrum,
     geometric_spectrum,
@@ -23,7 +17,6 @@ from .workloads import (
 
 __all__ = [
     "AsciiChart",
-    "Series",
     "banner",
     "bar_chart",
     "clustered_spectrum",
@@ -32,8 +25,6 @@ __all__ = [
     "goe",
     "laplacian_1d",
     "line_chart",
-    "print_series",
-    "print_table",
     "random_band",
     "symmetric_with_spectrum",
     "uniform_spectrum",

@@ -7,14 +7,9 @@ from .back_transform import (
 )
 from .bc_back_transform import blocked_bc_back_time
 from .bc_pipeline import PipelineStats, pipeline_schedule, sweep_starts
-from .bc_wavefront import (
-    BCWavefrontGroup,
-    WavefrontBCResult,
-    bulge_chase_wavefront,
-)
+from .bc_wavefront import bulge_chase_wavefront
 from .blocks import BandReductionResult, WYBlock
 from .bulge_chasing import (
-    BCReflector,
     BCTask,
     BulgeChasingResult,
     apply_bc_task,
@@ -76,10 +71,8 @@ from .validation import (
 )
 
 __all__ = [
-    "BCWavefrontGroup",
     "BandReductionResult",
     "BidiagResult",
-    "BCReflector",
     "BCTask",
     "BulgeChasingResult",
     "DirectTridiagResult",
@@ -89,7 +82,6 @@ __all__ = [
     "TileBandReductionResult",
     "TileReflector",
     "TridiagResult",
-    "WavefrontBCResult",
     "WYAccumulator",
     "WYBlock",
     "accumulate_wy",

@@ -31,11 +31,12 @@ device scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..gpusim.device import DeviceSpec
-from ..gpusim.roofline import sustained_gemm_tflops
+if TYPE_CHECKING:
+    from ..gpusim.device import DeviceSpec
 
 __all__ = [
     "Q1_GROUP",
@@ -156,6 +157,10 @@ def blocked_bc_back_time(
     rank-1 (k = 1 .. b) rate; plus the batched ``larft`` that builds
     ``T`` (``V^T V`` and ``g`` triangular products per block).
     """
+    # Imported here: the device model imports the chase geometry, whose
+    # result type imports this module.
+    from ..gpusim.roofline import sustained_gemm_tflops
+
     m_cols = ncols if ncols is not None else n
     g = max(group, 1)
     rows = b + g - 1

@@ -39,9 +39,11 @@ round really is **one** gather / Householder / update / scatter.  Index
 templates are built once, every workspace is preallocated and reused,
 and steady-state rounds allocate almost nothing.
 
-Reflectors stay in stacked form (:class:`BCWavefrontGroup`, one group
-per round).  The BC back transformation — the Section 6.2 bottleneck —
-regroups them by diamonds (the step-``t`` reflectors of consecutive
+Each round's reflectors land in one preallocated host stack, next to
+the schedule's round-major ``(sweep, step)`` arrays: the
+:class:`~repro.core.bulge_chasing.BulgeChasingResult` both chase drivers
+return.  The BC back transformation — the Section 6.2 bottleneck —
+regroups the stack by diamonds (the step-``t`` reflectors of consecutive
 sweeps, :mod:`repro.core.bc_back_transform`) so ``apply_q1`` runs as
 three GEMMs per compact-WY block instead of one rank-1 update per
 reflector.
@@ -56,133 +58,19 @@ driver remains the correctness reference the tests compare against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..backend.context import ExecutionContext, resolve_context
 from ..band.storage import LowerBandStorage, PackedBandStorage
 from ..resilience.errors import ReproError
 from .bc_pipeline import PipelineStats, pipeline_schedule
-from .bc_back_transform import Q1Blocks, apply_q1_blocks, q1_blocks
-from .bulge_chasing import BCReflector, BulgeChasingResult
+from .bulge_chasing import BulgeChasingResult
 from .householder import batched_make_householder, safe_sumsq_floor
 
 __all__ = [
-    "BCWavefrontGroup",
     "ChaseIndexError",
-    "WavefrontBCResult",
     "bulge_chase_wavefront",
 ]
-
-
-@dataclass
-class BCWavefrontGroup:
-    """Reflectors of one pipeline round, in stacked form.
-
-    Row ``s`` encodes ``H_s = I - tau[s] V[s] V[s]^T`` acting on global
-    rows ``[offsets[s], offsets[s] + V.shape[1])``.  All row windows of a
-    round are pairwise disjoint (the spin-lock rule separates in-flight
-    sweeps by ``>= 2b - 1`` rows), so the ``H_s`` commute.
-
-    Edge-clipped reflectors are zero-padded to the group length, so
-    ``offsets[s] + length`` may exceed ``n``; the padded tails are exact
-    zeros.
-    """
-
-    offsets: np.ndarray  # (S,) int64 — global first row of each reflector
-    V: np.ndarray  # (S, m) — reflector vectors, V[:, 0] == 1
-    tau: np.ndarray  # (S,)
-    sweeps: np.ndarray  # (S,) int64
-    steps: np.ndarray  # (S,) int64
-
-    @property
-    def size(self) -> int:
-        return self.offsets.size
-
-    @property
-    def length(self) -> int:
-        return self.V.shape[1]
-
-
-class WavefrontBCResult(BulgeChasingResult):
-    """Bulge-chasing result in stacked (wavefront) reflector form.
-
-    Drop-in compatible with :class:`BulgeChasingResult` — ``reflectors``
-    materializes the scalar log lazily (round-major commit order, a valid
-    topological order of the task DAG, with the zero padding of
-    edge-clipped reflectors trimmed off) — while ``apply_q1`` /
-    ``apply_q1_transpose`` regroup the stacked groups into diamond
-    compact-WY blocks: three GEMMs per block instead of one rank-1 update
-    per reflector.
-    """
-
-    def __init__(
-        self,
-        d: np.ndarray,
-        e: np.ndarray,
-        round_groups: list[BCWavefrontGroup],
-        flops: float = 0.0,
-    ):
-        self.d = d
-        self.e = e
-        self.flops = flops
-        self.round_groups = round_groups
-        self._materialized: list[BCReflector] | None = None
-
-    @property
-    def reflectors(self) -> list[BCReflector]:  # type: ignore[override]
-        if self._materialized is None:
-            n = self.d.size
-            refl: list[BCReflector] = []
-            seq = 0
-            for g in self.round_groups:
-                m = g.length
-                for s in range(g.size):
-                    off = int(g.offsets[s])
-                    refl.append(
-                        BCReflector(
-                            sweep=int(g.sweeps[s]),
-                            step=int(g.steps[s]),
-                            offset=off,
-                            v=g.V[s, : min(m, n - off)].copy(),
-                            tau=float(g.tau[s]),
-                            seq=seq,
-                        )
-                    )
-                    seq += 1
-            self._materialized = refl
-        return self._materialized
-
-    @reflectors.setter
-    def reflectors(self, value) -> None:
-        self._materialized = list(value) if value is not None else None
-
-    @property
-    def num_reflectors(self) -> int:
-        """Reflector count without materializing the scalar log."""
-        return sum(g.size for g in self.round_groups)
-
-    def q1_blocks(self) -> Q1Blocks:
-        """The diamond WY blocks of ``Q1`` (built on every call, not cached)."""
-        gs = self.round_groups
-        if not gs:
-            return q1_blocks(np.zeros(0), np.zeros(0), np.zeros((0, 1)), np.zeros(0))
-        return q1_blocks(
-            np.concatenate([g.sweeps for g in gs]),
-            np.concatenate([g.steps for g in gs]),
-            np.concatenate([g.V for g in gs]),
-            np.concatenate([g.tau for g in gs]),
-        )
-
-    def apply_q1(self, X: np.ndarray) -> None:
-        """In place ``X <- Q1 X`` through the diamond-blocked compact WY
-        form (:mod:`repro.core.bc_back_transform`): three GEMMs per block."""
-        apply_q1_blocks(self.q1_blocks(), X)
-
-    def apply_q1_transpose(self, X: np.ndarray) -> None:
-        """In place ``X <- Q1^T X`` (forward block order, ``T^T``)."""
-        apply_q1_blocks(self.q1_blocks(), X, transpose=True)
 
 
 class ChaseIndexError(ReproError, IndexError):
@@ -374,9 +262,9 @@ class _RoundKernel:
             Vbuf = self._hv[:S]  # Vbuf[:, 0] stays 1.0 from __init__
             xp.divide(X1, (alpha - beta)[:, None], out=Vbuf[:, 1:])
             tau = (beta - alpha) / beta
-            # Groups keep the reflectors past this round: hand out a copy,
-            # use the buffer for the in-round math.
-            V = xp.copy(Vbuf)
+            # The caller copies the round's reflectors out before the
+            # next round overwrites the buffer.
+            V = Vbuf
         else:
             V, tau, beta = batched_make_householder(xp.copy(P[:, :, 0]), xp=xp)
         tv = self._tv[:S]
@@ -493,7 +381,7 @@ def bulge_chase_wavefront(
     b: int | None = None,
     max_sweeps: int | None = None,
     ctx: ExecutionContext | None = None,
-) -> tuple[WavefrontBCResult, PipelineStats]:
+) -> tuple[BulgeChasingResult, PipelineStats]:
     """Wavefront-batched bulge chasing of a symmetric band matrix.
 
     Executes the pipelined multi-sweep schedule with each round's tasks
@@ -516,17 +404,17 @@ def bulge_chase_wavefront(
         Execution context: the working band lives on its backend and
         every round's gather / batched-Householder / update / scatter
         executes there (round workspaces come from the context's pool).
-        Schedule construction and the reflector groups handed back stay
-        on the host.
+        Schedule construction and the reflector stack handed back stay on
+        the host.
 
     Returns
     -------
     (result, stats)
         ``result`` matches the sequential oracle
-        :func:`repro.core.bulge_chasing.bulge_chase` to 1e-12 and carries
-        the reflectors in stacked form; ``stats`` is the same pipeline
-        schedule statistic :func:`repro.core.bc_pipeline.pipeline_schedule`
-        reports.
+        :func:`repro.core.bulge_chasing.bulge_chase` to 1e-12; its
+        reflector stack is in the schedule's round-major order.  ``stats``
+        is the same pipeline schedule statistic
+        :func:`repro.core.bc_pipeline.pipeline_schedule` reports.
     """
     ctx = resolve_context(ctx)
     xp = ctx.xp
@@ -550,7 +438,6 @@ def bulge_chase_wavefront(
         work[i, n - i : n] = 0.0
     flat = work.reshape(-1)
 
-    round_groups: list[BCWavefrontGroup] = []
     flops = 0.0
     if bw >= 2 and n >= 3:
         flops = _total_chase_flops(n, bw)
@@ -561,7 +448,6 @@ def bulge_chase_wavefront(
         # column of chase tasks; a start task's entry i + 1 - b puts its
         # reflector offset at cols + b = i + 1 like every other task's.
         cols = sweeps + 1 + (steps - 1) * bw
-        offsets = cols + bw
         bounds = np.zeros(stats.rounds + 1, dtype=np.int64)
         np.cumsum(stats.occupancy, out=bounds[1:])
         start_of = np.where(steps[bounds[1:] - 1] == 0, sweeps[bounds[1:] - 1], -1)
@@ -569,6 +455,8 @@ def bulge_chase_wavefront(
         start_of = start_of.tolist()
         bounds = bounds.tolist()
 
+        V_all = np.empty((sweeps.size, bw), dtype=band_dtype)
+        tau_all = np.empty(sweeps.size, dtype=band_dtype)
         kernel = _RoundKernel(bw, npad, ctx, stats.max_parallel, dtype=band_dtype)
         for r in range(stats.rounds):
             lo, hi = bounds[r], bounds[r + 1]
@@ -577,20 +465,23 @@ def bulge_chase_wavefront(
                 V, tau = kernel.run(flat, cols[lo : hi - 1], start, regular[r])
             else:
                 V, tau = kernel.run(flat, cols[lo:hi], None, regular[r])
-            # Groups are host-side (the Q1 application and downstream
-            # consumers expect NumPy); on NumPy this is the identity.
-            round_groups.append(
-                BCWavefrontGroup(
-                    offsets=offsets[lo:hi],
-                    V=ctx.to_numpy(V),
-                    tau=ctx.to_numpy(tau),
-                    sweeps=sweeps[lo:hi],
-                    steps=steps[lo:hi],
-                )
-            )
+            # The stack is host-side (the Q1 application and downstream
+            # consumers expect NumPy); on NumPy to_numpy is the identity.
+            V_all[lo:hi] = ctx.to_numpy(V)
+            tau_all[lo:hi] = ctx.to_numpy(tau)
     else:
         stats = PipelineStats()
+        sweeps = steps = np.zeros(0, dtype=np.int64)
+        V_all = np.zeros((0, bw), dtype=band_dtype)
+        tau_all = np.zeros(0, dtype=band_dtype)
 
-    d = ctx.to_numpy_copy(work[0, :n])
-    e = ctx.to_numpy_copy(work[1, : n - 1])
-    return WavefrontBCResult(d=d, e=e, round_groups=round_groups, flops=flops), stats
+    result = BulgeChasingResult(
+        d=ctx.to_numpy_copy(work[0, :n]),
+        e=ctx.to_numpy_copy(work[1, : n - 1]),
+        sweeps=sweeps,
+        steps=steps,
+        V=V_all,
+        tau=tau_all,
+        flops=flops,
+    )
+    return result, stats

@@ -23,24 +23,25 @@ task geometry (:func:`sweep_tasks`, :func:`task_window`), the numeric
 kernel (:func:`apply_bc_task`), and the sequential reference driver
 (:func:`bulge_chase`) the tests check the engine against.
 
-Every reflector is logged with a global commit sequence number so that the
-orthogonal factor ``Q1`` (``B = Q1 T Q1^T``) can be applied afterwards —
-the "back transformation in BC" whose cost dominates the eigenvector path
-(Section 6.2).
+Both drivers log every reflector, in commit order, as one row of a
+stacked :class:`BulgeChasingResult` so that the orthogonal factor ``Q1``
+(``B = Q1 T Q1^T``) can be applied afterwards — the "back transformation
+in BC" whose cost dominates the eigenvector path (Section 6.2).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .bc_back_transform import Q1Blocks, apply_q1_blocks, q1_blocks
 from .householder import make_householder
 
 __all__ = [
-    "BCReflector",
     "BCTask",
     "BulgeChasingResult",
+    "apply_q1_reference",
     "sweep_tasks",
     "num_tasks_in_sweep",
     "task_window",
@@ -70,71 +71,47 @@ class BCTask:
 
 
 @dataclass
-class BCReflector:
-    """A committed reflector: ``H = I - tau v v^T`` acting on global rows
-    ``[offset, offset + len(v))``; ``seq`` is the commit order (a valid
-    topological order of the task DAG)."""
-
-    sweep: int
-    step: int
-    offset: int
-    v: np.ndarray
-    tau: float
-    seq: int
-
-
-@dataclass
 class BulgeChasingResult:
-    """Tridiagonal output ``(d, e)`` plus the reflector log.
+    """Tridiagonal output ``(d, e)`` plus the stacked reflector log.
 
-    The input band matrix ``B`` satisfies ``B = Q1 @ T @ Q1.T`` where
-    ``T = tridiag(d, e)`` and ``Q1`` is the ordered product of the logged
-    reflectors (``seq`` ascending, leftmost first).
+    Row ``s`` of the log is ``H_s = I - tau[s] V[s] V[s]^T``, the
+    reflector of sweep ``sweeps[s]`` step ``steps[s]``, acting on global
+    rows ``[o, o + b)`` with ``o = sweeps[s] + 1 + steps[s] * b``; the
+    tails of edge-clipped reflectors (rows at or past ``n``) are zero.
+    The rows are in a commit order (a topological order of the task
+    DAG), and the input band matrix ``B`` satisfies
+    ``B = Q1 @ tridiag(d, e) @ Q1.T`` with ``Q1 = H_0 H_1 ... H_{N-1}``.
     """
 
     d: np.ndarray
     e: np.ndarray
-    reflectors: list[BCReflector] = field(default_factory=list)
+    sweeps: np.ndarray  # (N,) int64
+    steps: np.ndarray  # (N,) int64
+    V: np.ndarray  # (N, b), V[:, 0] == 1
+    tau: np.ndarray  # (N,)
     flops: float = 0.0
 
     @property
     def n(self) -> int:
         return self.d.size
 
-    def _committed(self) -> list[BCReflector]:
-        """The reflector log, verified to already be in ``seq`` order.
+    @property
+    def num_reflectors(self) -> int:
+        return self.tau.size
 
-        Every driver commits reflectors in ascending ``seq`` order, so the
-        back transformation can walk the list directly instead of
-        re-sorting the full log on every call.  The monotonicity contract
-        is asserted once per result and cached.
-        """
-        if not getattr(self, "_seq_checked", False):
-            seqs = [r.seq for r in self.reflectors]
-            if any(b <= a for a, b in zip(seqs, seqs[1:])):
-                raise AssertionError(
-                    "reflector log is not in commit (seq) order"
-                )
-            self._seq_checked = True
-        return self.reflectors
+    def q1_blocks(self) -> Q1Blocks:
+        """The diamond WY blocks of ``Q1`` (built on every call, not cached)."""
+        return q1_blocks(self.sweeps, self.steps, self.V, self.tau)
 
     def apply_q1(self, X: np.ndarray) -> None:
-        """In place ``X <- Q1 X``.
-
-        ``Q1 = H_1 H_2 ... H_K`` (seq order), so reflectors are applied to
-        ``X`` in *reverse* commit order.  This is the BC back
-        transformation: cost ``O(n^2 * n/b)`` fused small updates, the
-        bottleneck the paper leaves as future work.
-        """
-        for r in reversed(self._committed()):
-            sub = X[r.offset : r.offset + r.v.size, :]
-            sub -= np.outer(r.tau * r.v, r.v @ sub)
+        """In place ``X <- Q1 X`` — the BC back transformation, applied
+        through the diamond-blocked compact WY form
+        (:mod:`repro.core.bc_back_transform`): three GEMMs per block."""
+        apply_q1_blocks(self.q1_blocks(), X)
 
     def apply_q1_transpose(self, X: np.ndarray) -> None:
-        """In place ``X <- Q1^T X`` (forward commit order)."""
-        for r in self._committed():
-            sub = X[r.offset : r.offset + r.v.size, :]
-            sub -= np.outer(r.tau * r.v, r.v @ sub)
+        """In place ``X <- Q1^T X`` (forward block order, ``T^T``)."""
+        apply_q1_blocks(self.q1_blocks(), X, transpose=True)
 
     def q1(self) -> np.ndarray:
         """Materialize ``Q1`` (tests / small matrices)."""
@@ -144,6 +121,26 @@ class BulgeChasingResult:
 
     def tridiagonal(self) -> tuple[np.ndarray, np.ndarray]:
         return self.d, self.e
+
+
+def apply_q1_reference(
+    result: BulgeChasingResult, X: np.ndarray, transpose: bool = False
+) -> None:
+    """In place ``X <- Q1 X`` (or ``Q1^T X``), one rank-1 update per
+    reflector — the unblocked oracle for :meth:`BulgeChasingResult.apply_q1`.
+
+    ``Q1 = H_0 ... H_{N-1}`` in commit order, so ``Q1 X`` applies the log
+    in reverse and ``Q1^T X`` forward.  Cost ``O(n^2 * n/b)`` in fused
+    BLAS2 updates: the bottleneck the paper leaves as future work.
+    """
+    n, b = X.shape[0], result.V.shape[1]
+    offsets = (result.sweeps + 1 + result.steps * b).tolist()
+    order = range(len(offsets))
+    for s in order if transpose else reversed(order):
+        o = offsets[s]
+        v = result.V[s, : min(b, n - o)]
+        sub = X[o : o + v.size]
+        sub -= np.outer(result.tau[s] * v, v @ sub)
 
 
 def num_tasks_in_sweep(n: int, b: int, i: int) -> int:
@@ -248,8 +245,7 @@ def bulge_chase(band: np.ndarray, b: int) -> BulgeChasingResult:
         band must be zero; use :func:`repro.band.ops.is_banded` to check).
         Not modified.
     b : int
-        The bandwidth.  ``b == 1`` returns immediately (already
-        tridiagonal).
+        The bandwidth.  ``b == 1`` has no tasks (already tridiagonal).
 
     Returns
     -------
@@ -262,20 +258,20 @@ def bulge_chase(band: np.ndarray, b: int) -> BulgeChasingResult:
     n = A.shape[0]
     if b < 1:
         raise ValueError("bandwidth must be >= 1")
-    reflectors: list[BCReflector] = []
+    tasks = [t for i in range(n - 2) for t in sweep_tasks(n, b, i)]
+    V = np.zeros((len(tasks), b), dtype=dt)
+    tau = np.zeros(len(tasks), dtype=dt)
     flops = 0.0
-    seq = 0
-    if b >= 2:
-        for i in range(n - 2):
-            for task in sweep_tasks(n, b, i):
-                off, v, tau = apply_bc_task(A, b, task)
-                reflectors.append(
-                    BCReflector(
-                        sweep=i, step=task.step, offset=off, v=v, tau=tau, seq=seq
-                    )
-                )
-                flops += bc_task_flops(task, n, b)
-                seq += 1
-    d = np.diagonal(A).copy()
-    e = np.diagonal(A, -1).copy()
-    return BulgeChasingResult(d=d, e=e, reflectors=reflectors, flops=flops)
+    for s, task in enumerate(tasks):
+        _, v, tau[s] = apply_bc_task(A, b, task)
+        V[s, : v.size] = v
+        flops += bc_task_flops(task, n, b)
+    return BulgeChasingResult(
+        d=np.diagonal(A).copy(),
+        e=np.diagonal(A, -1).copy(),
+        sweeps=np.array([t.sweep for t in tasks], dtype=np.int64),
+        steps=np.array([t.step for t in tasks], dtype=np.int64),
+        V=V,
+        tau=tau,
+        flops=flops,
+    )

@@ -4,9 +4,9 @@ A factorization ``A = Q T Q^T`` is expensive; downstream workflows often
 want to reuse the same ``Q`` (e.g. compute more eigenvector windows later
 with :func:`repro.core.evd.eigh_partial`-style back transforms).  This
 module round-trips a full :class:`~repro.core.tridiag.TridiagResult` —
-including the SBR WY blocks and the bulge-chasing reflector log (kept in
-stacked per-round form for wavefront-batched results, so a reloaded ``Q``
-application is bit-identical) — through a single compressed ``.npz`` file.
+including the SBR WY blocks and the bulge-chasing reflector stack (kept
+as is, so a reloaded ``Q`` application is bit-identical) — through a
+single compressed ``.npz`` file.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ import pathlib
 
 import numpy as np
 
-from .bc_wavefront import BCWavefrontGroup, WavefrontBCResult
 from .blocks import BandReductionResult, WYBlock
-from .bulge_chasing import BCReflector, BulgeChasingResult
+from .bulge_chasing import BulgeChasingResult
 from .direct_tridiag import DirectTridiagResult
 from .householder import accumulate_wy
 from .tile_sbr import TileBandReductionResult, TileReflector
@@ -51,31 +50,19 @@ def save_tridiag(path, result: TridiagResult) -> None:
         data["band"] = br.band
         data["band_flops"] = np.array(br.flops)
         _save_blocks(data, br.blocks)
-    if isinstance(result.bc_result, WavefrontBCResult):
-        # Keep the stacked (per-round) form: a reloaded result rebuilds
-        # the same diamond blocks from identical stacks, so ``apply_q1``
-        # stays bit-exact across the round trip.
-        wf = result.bc_result
-        groups = wf.round_groups
-        data["bc_flops"] = np.array(wf.flops)
-        data["wf_sizes"] = np.array([g.size for g in groups], dtype=np.int64)
-        if groups:
-            data["wf_offsets"] = np.concatenate([g.offsets for g in groups])
-            data["wf_sweeps"] = np.concatenate([g.sweeps for g in groups])
-            data["wf_steps"] = np.concatenate([g.steps for g in groups])
-            data["wf_tau"] = np.concatenate([g.tau for g in groups])
-            data["wf_V"] = np.concatenate([g.V for g in groups], axis=0)
-    elif result.bc_result is not None:
-        bc = result.bc_result
-        refl = sorted(bc.reflectors, key=lambda r: r.seq)
+    bc = result.bc_result
+    if bc is not None:
+        # The stack as is: a reloaded result rebuilds the same diamond
+        # blocks from identical arrays, so ``apply_q1`` stays bit-exact.
+        # ``wf_sizes`` once counted the reflectors of each pipeline round;
+        # the stack is written as a single entry.
         data["bc_flops"] = np.array(bc.flops)
-        data["refl_sweep"] = np.array([r.sweep for r in refl], dtype=np.int64)
-        data["refl_step"] = np.array([r.step for r in refl], dtype=np.int64)
-        data["refl_offset"] = np.array([r.offset for r in refl], dtype=np.int64)
-        data["refl_tau"] = np.array([r.tau for r in refl])
-        data["refl_len"] = np.array([r.v.size for r in refl], dtype=np.int64)
-        if refl:
-            data["refl_v"] = np.concatenate([r.v for r in refl])
+        data["wf_sizes"] = np.array([bc.num_reflectors], dtype=np.int64)
+        data["wf_offsets"] = bc.sweeps + 1 + bc.steps * bc.V.shape[1]
+        data["wf_sweeps"] = bc.sweeps
+        data["wf_steps"] = bc.steps
+        data["wf_tau"] = bc.tau
+        data["wf_V"] = bc.V
     if result.direct_result is not None:
         dr = result.direct_result
         _save_blocks(data, dr.blocks)
@@ -185,31 +172,33 @@ def _legacy_direct_blocks(V: np.ndarray, taus: np.ndarray) -> list[WYBlock]:
     return blocks
 
 
-def _load_reflectors(z) -> list[BCReflector]:
-    sweeps = z["refl_sweep"]
-    if sweeps.size == 0:
-        return []
-    steps = z["refl_step"]
-    offsets = z["refl_offset"]
-    taus = z["refl_tau"]
-    lens = z["refl_len"]
-    flat_v = z["refl_v"]
-    out: list[BCReflector] = []
-    pos = 0
-    for i in range(sweeps.size):
-        length = int(lens[i])
-        out.append(
-            BCReflector(
-                sweep=int(sweeps[i]),
-                step=int(steps[i]),
-                offset=int(offsets[i]),
-                v=flat_v[pos : pos + length].copy(),
-                tau=float(taus[i]),
-                seq=i,
-            )
-        )
-        pos += length
-    return out
+def _load_chase(z, d: np.ndarray, e: np.ndarray, b: int) -> BulgeChasingResult:
+    """The stored reflector stack (``wf_*``, however many entries
+    ``wf_sizes`` splits it into), or a legacy per-reflector log
+    (``refl_*``, trimmed vectors back to back) padded to ``b`` columns."""
+    if "wf_sizes" in z:
+        if "wf_V" in z:
+            sweeps, steps = z["wf_sweeps"], z["wf_steps"]
+            V, tau = z["wf_V"], z["wf_tau"]
+        else:  # an empty stack written before the arrays were always kept
+            sweeps = steps = np.zeros(0, dtype=np.int64)
+            V, tau = np.zeros((0, b)), np.zeros(0)
+    else:
+        sweeps, steps, tau = z["refl_sweep"], z["refl_step"], z["refl_tau"]
+        lens = z["refl_len"]
+        V = np.zeros((lens.size, b))
+        if lens.size:
+            starts = np.repeat(np.cumsum(lens) - lens, lens)
+            V[np.repeat(np.arange(lens.size), lens), np.arange(starts.size) - starts] = z["refl_v"]
+    return BulgeChasingResult(
+        d=d.copy(),
+        e=e.copy(),
+        sweeps=sweeps.astype(np.int64),
+        steps=steps.astype(np.int64),
+        V=V,
+        tau=tau,
+        flops=float(z["bc_flops"]),
+    )
 
 
 def load_tridiag(path) -> TridiagResult:
@@ -238,34 +227,8 @@ def load_tridiag(path) -> TridiagResult:
                 blocks=_load_blocks(z),
                 flops=float(z["band_flops"]),
             )
-        if "wf_sizes" in z:
-            groups: list[BCWavefrontGroup] = []
-            pos = 0
-            for s in z["wf_sizes"]:
-                s = int(s)
-                groups.append(
-                    BCWavefrontGroup(
-                        offsets=z["wf_offsets"][pos : pos + s].copy(),
-                        V=z["wf_V"][pos : pos + s].copy(),
-                        tau=z["wf_tau"][pos : pos + s].copy(),
-                        sweeps=z["wf_sweeps"][pos : pos + s].copy(),
-                        steps=z["wf_steps"][pos : pos + s].copy(),
-                    )
-                )
-                pos += s
-            bc_result = WavefrontBCResult(
-                d=d.copy(),
-                e=e.copy(),
-                round_groups=groups,
-                flops=float(z["bc_flops"]),
-            )
-        elif "refl_sweep" in z:
-            bc_result = BulgeChasingResult(
-                d=d.copy(),
-                e=e.copy(),
-                reflectors=_load_reflectors(z),
-                flops=float(z["bc_flops"]),
-            )
+        if "wf_sizes" in z or "refl_sweep" in z:
+            bc_result = _load_chase(z, d, e, bandwidth)
         if "direct_flops" in z:
             direct_result = DirectTridiagResult(
                 d=d.copy(),

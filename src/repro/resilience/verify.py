@@ -25,6 +25,11 @@ Default tolerances scale with problem size as ``factor * n * eps``
 (`DEFAULT_RESIDUAL_FACTOR` / ``DEFAULT_ORTH_FACTOR``): loose enough for
 every healthy path in the repo (which lands near ``n * eps``), tight
 enough that a poisoned payload or a silently-unconverged root fails.
+
+The norms square the entries, so outside ``dsyevd``'s scaling range
+``[rmin, rmax]`` they under- or overflow and every relative measure
+reads 0.  There both checks first scale ``A`` and the result's spectrum
+by one power of two (exact) that brings ``max|A|`` near 1.
 """
 
 from __future__ import annotations
@@ -114,6 +119,22 @@ def _norm_floor(A: np.ndarray) -> float:
     return max(float(np.linalg.norm(A)), float(np.finfo(np.float64).tiny))
 
 
+#: ``dsyevd``'s thresholds ``sqrt(smlnum)`` and ``sqrt(1 / smlnum)``, with
+#: ``smlnum = safmin / eps``: inside them squares neither under- nor overflow.
+_RMIN = float(np.sqrt(np.finfo(np.float64).tiny / _EPS))
+_RMAX = 1.0 / _RMIN
+
+
+def _scale_exponent(A: np.ndarray) -> int:
+    """``k`` such that ``2**k * max|A|`` lies in ``[0.5, 1)`` when
+    ``max|A|`` is outside ``[_RMIN, _RMAX]``; 0 otherwise (also for a zero
+    or non-finite ``A``)."""
+    amax = float(np.max(np.abs(A), initial=0.0))
+    if amax == 0.0 or not np.isfinite(amax) or _RMIN <= amax <= _RMAX:
+        return 0
+    return -int(np.frexp(amax)[1])
+
+
 def verify_evd(
     A: np.ndarray,
     result,
@@ -138,6 +159,9 @@ def verify_evd(
     """
     A = np.asarray(A, dtype=np.float64)
     lam = np.asarray(result.eigenvalues)
+    k = _scale_exponent(A)
+    if k:
+        A, lam = np.ldexp(A, k), np.ldexp(lam, k)
     n = int(lam.size)
     tr, to = default_tolerances(n)
     tol_residual = tr if tol_residual is None else float(tol_residual)
@@ -196,6 +220,9 @@ def verify_tridiag(
     A = np.asarray(A, dtype=np.float64)
     d = np.asarray(tri.d, dtype=np.float64)
     e = np.asarray(tri.e, dtype=np.float64)
+    k = _scale_exponent(A)
+    if k:
+        A, d, e = np.ldexp(A, k), np.ldexp(d, k), np.ldexp(e, k)
     n = int(d.size)
     tr, to = default_tolerances(n)
     tol_residual = tr if tol_residual is None else float(tol_residual)

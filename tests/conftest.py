@@ -5,10 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.bc_back_transform import Q1_GROUP, q1_blocks
 from repro.core.bc_pipeline import SAFETY_TASKS, PipelineStats, pipeline_schedule
 from repro.core.bulge_chasing import (
-    BCReflector,
     BCTask,
     BulgeChasingResult,
     apply_bc_task,
@@ -42,21 +40,6 @@ def reconstruction_error(A: np.ndarray, Q: np.ndarray, B: np.ndarray) -> float:
 def orthogonality_error(Q: np.ndarray) -> float:
     n = Q.shape[0]
     return float(np.linalg.norm(Q.T @ Q - np.eye(n)))
-
-
-def blocks_from_log(bc, b: int, group: int = Q1_GROUP):
-    """Pack a scalar reflector log into the builder's ``(N, b)`` stack."""
-    refl = bc.reflectors
-    V = np.zeros((len(refl), b))
-    for k, r in enumerate(refl):
-        V[k, : r.v.size] = r.v
-    return q1_blocks(
-        np.array([r.sweep for r in refl], dtype=np.int64),
-        np.array([r.step for r in refl], dtype=np.int64),
-        V,
-        np.array([r.tau for r in refl]),
-        group=group,
-    )
 
 
 #: Schedule grid the closed-form recurrence is checked on against
@@ -170,24 +153,16 @@ def chase_in_schedule(band: np.ndarray, b: int, max_sweeps: int | None = None):
     """
     A = np.array(band, dtype=np.float64, copy=True)
     n = A.shape[0]
-    reflectors: list[BCReflector] = []
+    sweeps = steps = np.zeros(0, dtype=np.int64)
     stats = PipelineStats()
     if b >= 2 and n >= 3:
         sweeps, steps, stats = pipeline_schedule(n, b, max_sweeps)
-        tasks = [sweep_tasks(n, b, i) for i in range(n - 2)]
-        for sweep, step in zip(sweeps.tolist(), steps.tolist()):
-            task = tasks[sweep][step]
-            off, v, tau = apply_bc_task(A, b, task)
-            reflectors.append(
-                BCReflector(
-                    sweep=task.sweep,
-                    step=task.step,
-                    offset=off,
-                    v=v,
-                    tau=tau,
-                    seq=len(reflectors),
-                )
-            )
+    tasks = [sweep_tasks(n, b, i) for i in range(max(n - 2, 0))]
+    V = np.zeros((sweeps.size, b))
+    tau = np.zeros(sweeps.size)
+    for s, (sweep, step) in enumerate(zip(sweeps.tolist(), steps.tolist())):
+        _, v, tau[s] = apply_bc_task(A, b, tasks[sweep][step])
+        V[s, : v.size] = v
     d = np.diagonal(A).copy()
     e = np.diagonal(A, -1).copy()
-    return BulgeChasingResult(d=d, e=e, reflectors=reflectors), stats
+    return BulgeChasingResult(d=d, e=e, sweeps=sweeps, steps=steps, V=V, tau=tau), stats

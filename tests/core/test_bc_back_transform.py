@@ -7,12 +7,19 @@ import pytest
 
 from repro.band.ops import random_symmetric_band
 from repro.core import load_tridiag, save_tridiag, tridiagonalize
-from repro.core.bc_back_transform import apply_q1_blocks, blocked_bc_back_time
+from repro.core.bc_back_transform import (
+    apply_q1_blocks,
+    blocked_bc_back_time,
+    q1_blocks,
+)
 from repro.core.bc_wavefront import bulge_chase_wavefront
-from repro.core.bulge_chasing import BulgeChasingResult, bulge_chase
+from repro.core.bulge_chasing import apply_q1_reference, bulge_chase
 from repro.gpusim import H100
 from repro.gpusim.roofline import sustained_gemm_tflops
-from tests.conftest import blocks_from_log
+
+
+def _blocks(bc, group):
+    return q1_blocks(bc.sweeps, bc.steps, bc.V, bc.tau, group=group)
 
 
 @pytest.fixture
@@ -26,20 +33,20 @@ class TestBlocking:
     @pytest.mark.parametrize("group", [1, 2, 4, 8, 64])
     def test_matches_scalar_application(self, chase, rng, group):
         n, b, bc = chase
-        blocks = blocks_from_log(bc, b, group)
+        blocks = _blocks(bc, group)
         X = rng.standard_normal((n, 6))
         Y_scalar = X.copy()
-        bc.apply_q1(Y_scalar)
+        apply_q1_reference(bc, Y_scalar)
         Y_blocked = X.copy()
         apply_q1_blocks(blocks, Y_blocked)
         assert np.allclose(Y_scalar, Y_blocked, atol=1e-12)
 
     def test_transpose_matches(self, chase, rng):
         n, b, bc = chase
-        blocks = blocks_from_log(bc, b, 4)
+        blocks = _blocks(bc, 4)
         X = rng.standard_normal((n, 3))
         Y1 = X.copy()
-        bc.apply_q1_transpose(Y1)
+        apply_q1_reference(bc, Y1, transpose=True)
         Y2 = X.copy()
         apply_q1_blocks(blocks, Y2, transpose=True)
         assert np.allclose(Y1, Y2, atol=1e-12)
@@ -47,13 +54,13 @@ class TestBlocking:
     def test_blocked_q_is_orthogonal(self, chase):
         n, b, bc = chase
         Q = np.eye(n)
-        apply_q1_blocks(blocks_from_log(bc, b, 8), Q)
+        apply_q1_blocks(_blocks(bc, 8), Q)
         assert np.linalg.norm(Q.T @ Q - np.eye(n)) < 1e-11
 
     def test_group_one_is_one_block_per_reflector(self, chase):
         _, b, bc = chase
-        blocks = blocks_from_log(bc, b, 1)
-        assert blocks.count == len(bc.reflectors)
+        blocks = _blocks(bc, 1)
+        assert blocks.count == bc.num_reflectors
         assert blocks.V.shape[2] == 1
 
     def test_blocks_never_mix_steps(self, chase):
@@ -61,8 +68,8 @@ class TestBlocking:
         # k's offset is i0 + 1 + t*b with i0 a multiple of g.
         _, b, bc = chase
         g = 4
-        blocks = blocks_from_log(bc, b, g)
-        keys = {(r.sweep // g, r.step) for r in bc.reflectors}
+        blocks = _blocks(bc, g)
+        keys = set(zip((bc.sweeps // g).tolist(), bc.steps.tolist()))
         assert blocks.count == len(keys)
         expected = sorted(keys, key=lambda k: (k[0], -k[1]))
         assert blocks.offsets.tolist() == [i * g + 1 + t * b for i, t in expected]
@@ -71,17 +78,17 @@ class TestBlocking:
         _, b, bc = chase
         for g in (1, 4, 8):
             # g reflectors shifted by one row each span b + g - 1 rows.
-            assert blocks_from_log(bc, b, g).V.shape[1:] == (b + g - 1, g)
+            assert _blocks(bc, g).V.shape[1:] == (b + g - 1, g)
 
     def test_invalid_group(self, chase):
         _, b, bc = chase
         with pytest.raises(ValueError):
-            blocks_from_log(bc, b, 0)
+            _blocks(bc, 0)
 
     def test_empty_reflector_log(self, rng):
         A = random_symmetric_band(10, 1, rng)
         bc = bulge_chase(A, 1)
-        assert blocks_from_log(bc, 1, 4).count == 0
+        assert _blocks(bc, 4).count == 0
 
     def test_pipelined_log_groups_and_stays_exact(self, rng):
         """The pipelined schedule commits reflectors in interleaved order;
@@ -92,35 +99,28 @@ class TestBlocking:
         n, b = 48, 4
         A = random_symmetric_band(n, b, rng)
         bc, _ = chase_in_schedule(A, b)
-        blocks = blocks_from_log(bc, b, 16)
-        assert blocks.count < len(bc.reflectors) / 3  # real compression
+        blocks = _blocks(bc, 16)
+        assert blocks.count < bc.num_reflectors / 3  # real compression
         X = rng.standard_normal((n, 4))
         Y1 = X.copy()
-        bc.apply_q1(Y1)
+        apply_q1_reference(bc, Y1)
         Y2 = X.copy()
         apply_q1_blocks(blocks, Y2)
         assert np.allclose(Y1, Y2, atol=1e-12)
 
 
-def _wavefront_and_oracle(A, b, max_sweeps=None):
-    wf, _ = bulge_chase_wavefront(A, b, max_sweeps=max_sweeps)
-    return wf, BulgeChasingResult(d=wf.d, e=wf.e, reflectors=wf.reflectors)
-
-
-def _assert_matches_oracle(wf, oracle, X, atol):
-    for wf_apply, oracle_apply in (
-        (wf.apply_q1, oracle.apply_q1),
-        (wf.apply_q1_transpose, oracle.apply_q1_transpose),
-    ):
+def _assert_matches_oracle(wf, X, atol):
+    for transpose in (False, True):
         Y1, Y2 = X.copy(), X.copy()
-        wf_apply(Y1)
-        oracle_apply(Y2)
+        (wf.apply_q1_transpose if transpose else wf.apply_q1)(Y1)
+        apply_q1_reference(wf, Y2, transpose=transpose)
         assert Y1.dtype == X.dtype
         assert np.allclose(Y1, Y2, rtol=0.0, atol=atol)
 
 
 class TestWavefrontQ1:
-    """The production ``apply_q1`` against the scalar-log oracle."""
+    """The production ``apply_q1`` against the rank-1 oracle on the same
+    reflector stack."""
 
     @pytest.mark.parametrize("max_sweeps", [None, 1, 2, 5])
     @pytest.mark.parametrize("b", [2, 3, 5, 8, 32])
@@ -129,16 +129,16 @@ class TestWavefrontQ1:
         n = {"b+1": b + 1, "2b+1": 2 * b + 1}.get(n, n)
         # b >= n - 1 makes the "band" a full matrix.
         A = random_symmetric_band(n, min(b, n - 1), rng)
-        wf, oracle = _wavefront_and_oracle(A, b, max_sweeps)
-        _assert_matches_oracle(wf, oracle, rng.standard_normal((n, 5)), 1e-12)
+        wf, _ = bulge_chase_wavefront(A, b, max_sweeps=max_sweeps)
+        _assert_matches_oracle(wf, rng.standard_normal((n, 5)), 1e-12)
 
     def test_float32_reflectors(self, rng):
         n, b = 97, 8
         A = random_symmetric_band(n, b, rng).astype(np.float32)
-        wf, oracle = _wavefront_and_oracle(A, b)
-        assert wf.round_groups[0].V.dtype == np.float32
+        wf, _ = bulge_chase_wavefront(A, b)
+        assert wf.V.dtype == wf.tau.dtype == np.float32
         X = rng.standard_normal((n, 4)).astype(np.float32)
-        _assert_matches_oracle(wf, oracle, X, 1e-5)
+        _assert_matches_oracle(wf, X, 1e-5)
 
     @pytest.mark.parametrize(
         "view",
@@ -153,16 +153,13 @@ class TestWavefrontQ1:
     )
     def test_operand_layouts(self, rng, view):
         n, b = 97, 5
-        wf, oracle = _wavefront_and_oracle(random_symmetric_band(n, b, rng), b)
+        wf, _ = bulge_chase_wavefront(random_symmetric_band(n, b, rng), b)
         U = rng.standard_normal((n, 7))
-        for wf_apply, oracle_apply in (
-            (wf.apply_q1, oracle.apply_q1),
-            (wf.apply_q1_transpose, oracle.apply_q1_transpose),
-        ):
+        for transpose in (False, True):
             # Update views in place, so the operand keeps its strides.
             Y1, Y2 = view(U.copy()), view(U.copy())
-            wf_apply(Y1)
-            oracle_apply(Y2)
+            (wf.apply_q1_transpose if transpose else wf.apply_q1)(Y1)
+            apply_q1_reference(wf, Y2, transpose=transpose)
             assert np.allclose(Y1, Y2, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["diagonal", "tridiagonal", "narrower_band"])
@@ -174,13 +171,13 @@ class TestWavefrontQ1:
         A = random_symmetric_band(n, width, rng) if width else np.diag(
             rng.standard_normal(n)
         )
-        wf, oracle = _wavefront_and_oracle(A, b)
-        assert any(r.tau == 0.0 for r in oracle.reflectors)
-        _assert_matches_oracle(wf, oracle, rng.standard_normal((n, 3)), 1e-12)
+        wf, _ = bulge_chase_wavefront(A, b)
+        assert (wf.tau == 0.0).any()
+        _assert_matches_oracle(wf, rng.standard_normal((n, 3)), 1e-12)
 
     def test_repeat_calls_bit_identical(self, rng):
         n, b = 150, 8
-        wf, _ = _wavefront_and_oracle(random_symmetric_band(n, b, rng), b)
+        wf, _ = bulge_chase_wavefront(random_symmetric_band(n, b, rng), b)
         X = rng.standard_normal((n, 6))
         Y1, Y2 = X.copy(), X.copy()
         wf.apply_q1(Y1)
@@ -189,7 +186,7 @@ class TestWavefrontQ1:
 
     def test_q1_is_orthogonal(self, rng):
         n, b = 150, 8
-        wf, _ = _wavefront_and_oracle(random_symmetric_band(n, b, rng), b)
+        wf, _ = bulge_chase_wavefront(random_symmetric_band(n, b, rng), b)
         Q = np.eye(n)
         wf.apply_q1(Q)
         assert np.linalg.norm(Q.T @ Q - np.eye(n)) < 1e-12 * n

@@ -107,7 +107,7 @@ class TestPipelinedNumerics:
         pip, _ = chase_in_schedule(B, 4, max_sweeps=S)
         assert np.array_equal(seq.d, pip.d)
         assert np.array_equal(seq.e, pip.e)
-        assert len(seq.reflectors) == len(pip.reflectors)
+        assert seq.num_reflectors == pip.num_reflectors
 
     def test_q1_valid_in_pipeline_order(self, rng):
         from repro.band.storage import dense_from_band

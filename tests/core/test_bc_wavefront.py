@@ -10,12 +10,12 @@ from repro.band.ops import random_symmetric_band
 from repro.band.storage import LowerBandStorage, PackedBandStorage, dense_from_band
 from repro.core import bc_wavefront
 from repro.core.bc_pipeline import pipeline_schedule
-from repro.core.bc_wavefront import (
-    ChaseIndexError,
-    WavefrontBCResult,
-    bulge_chase_wavefront,
+from repro.core.bc_wavefront import ChaseIndexError, bulge_chase_wavefront
+from repro.core.bulge_chasing import (
+    BulgeChasingResult,
+    apply_q1_reference,
+    bulge_chase,
 )
-from repro.core.bulge_chasing import BulgeChasingResult, bulge_chase
 from tests.conftest import (
     SCHEDULE_GRID,
     chase_in_schedule,
@@ -112,36 +112,46 @@ class TestMatchesOracle:
         assert np.max(np.abs(got - lam)) <= 200 * n * np.finfo(float).eps * np.abs(lam).max()
 
 
+def _stack(res, by_sweep_step=False):
+    """The reflector stack, optionally sorted by ``(sweep, step)``."""
+    order = np.lexsort((res.steps, res.sweeps)) if by_sweep_step else slice(None)
+    return res.sweeps[order], res.steps[order], res.V[order], res.tau[order]
+
+
 class TestReflectorLog:
     def test_log_matches_pipelined_driver(self, rng):
-        # Same schedule, same commit order: the materialized scalar log
-        # must line up reflector-for-reflector with the sequential task
-        # kernel run in the same round order.
+        # Same schedule, same commit order: the stack must line up
+        # reflector-for-reflector with the sequential task kernel run in
+        # the same round order, and after sorting by (sweep, step) with
+        # the sequential chase.
         n, b = 40, 4
         A = random_symmetric_band(n, b, rng)
-        wf, _ = bulge_chase_wavefront(LowerBandStorage.from_dense(A, b))
-        ref, _ = chase_in_schedule(A, b)
-        log = wf.reflectors
-        assert len(log) == len(ref.reflectors) == wf.num_reflectors
-        for rw, rp in zip(log, ref.reflectors):
-            assert (rw.sweep, rw.step, rw.offset) == (rp.sweep, rp.step, rp.offset)
-            assert rw.seq == rp.seq
-            # Wavefront reflectors are padded to length b then trimmed at
-            # the matrix edge; the overlap must agree, the tail be zero.
-            m = min(rw.v.size, rp.v.size)
-            assert np.allclose(rw.v[:m], rp.v[:m], atol=1e-12)
-            assert np.all(rw.v[m:] == 0.0) and np.all(rp.v[m:] == 0.0)
-            assert abs(rw.tau - rp.tau) < 1e-12
+        seq = bulge_chase(A, b)
+        for max_sweeps in (None, 1, 3):
+            wf, _ = bulge_chase_wavefront(A, b, max_sweeps=max_sweeps)
+            ref, _ = chase_in_schedule(A, b, max_sweeps)
+            for x, y in (
+                (_stack(wf), _stack(ref)),
+                (_stack(wf, True), _stack(seq, True)),
+            ):
+                assert np.array_equal(x[0], y[0]) and np.array_equal(x[1], y[1])
+                # Clipped tails are zero in both stacks.
+                assert np.allclose(x[2], y[2], rtol=0.0, atol=1e-12)
+                assert np.allclose(x[3], y[3], rtol=0.0, atol=1e-12)
 
     def test_log_is_seq_ordered(self, rng):
+        # The stack is in a commit order: every sweep's steps appear in
+        # chase order, each behind its predecessor sweep's step + 2.
         A = random_symmetric_band(30, 3, rng)
         wf, _ = bulge_chase_wavefront(A, 3)
-        seqs = [r.seq for r in wf.reflectors]
-        assert seqs == list(range(len(seqs)))
+        pos = {(i, t): p for p, (i, t) in enumerate(zip(wf.sweeps.tolist(), wf.steps.tolist()))}
+        for (i, t), p in pos.items():
+            assert t == 0 or pos[(i, t - 1)] < p
+            assert (i - 1, t + 2) not in pos or pos[(i - 1, t + 2)] < p
 
     def test_tiny_matrix_no_reflectors(self, rng):
         wf, stats = bulge_chase_wavefront(random_symmetric_band(2, 1, rng), 1)
-        assert wf.num_reflectors == 0 and wf.reflectors == []
+        assert wf.num_reflectors == 0 and wf.V.shape == (0, 1)
         assert stats.rounds == 0
 
 
@@ -155,9 +165,11 @@ class TestSchedule:
             wf, stats = bulge_chase_wavefront(A, b, max_sweeps=S)
             rounds, ref = round_by_round_schedule(n, b, S)
             assert schedule_fields(stats) == schedule_fields(ref)
+            # Round r of the stack is the next stats.occupancy[r] rows.
+            cuts = np.cumsum(stats.occupancy)[:-1]
             assert [
-                list(zip(g.sweeps.tolist(), g.steps.tolist()))
-                for g in wf.round_groups
+                list(zip(i.tolist(), t.tolist()))
+                for i, t in zip(np.split(wf.sweeps, cuts), np.split(wf.steps, cuts))
             ] == [[(t.sweep, t.step) for t in tasks] for tasks in rounds]
 
     def test_task_rounds_built_on_demand(self, rng):
@@ -201,22 +213,19 @@ class TestFlops:
 
 class TestApplyQ1:
     def test_batched_apply_matches_scalar_log(self, rng):
-        # Replaying the stacked groups must agree with walking the
-        # materialized scalar log through the base-class kernels.
+        # The diamond-blocked apply must agree with walking the stack one
+        # rank-1 update at a time.
         n, b = 48, 5
         A = random_symmetric_band(n, b, rng)
         wf, _ = bulge_chase_wavefront(A, b)
-        scalar = BulgeChasingResult(
-            d=wf.d, e=wf.e, reflectors=wf.reflectors, flops=wf.flops
-        )
         X = rng.standard_normal((n, 4))
         Y1, Y2 = X.copy(), X.copy()
         wf.apply_q1(Y1)
-        scalar.apply_q1(Y2)
+        apply_q1_reference(wf, Y2)
         assert np.allclose(Y1, Y2, atol=1e-12)
         Y1, Y2 = X.copy(), X.copy()
         wf.apply_q1_transpose(Y1)
-        scalar.apply_q1_transpose(Y2)
+        apply_q1_reference(wf, Y2, transpose=True)
         assert np.allclose(Y1, Y2, atol=1e-12)
 
     def test_transpose_inverts(self, rng):
@@ -239,17 +248,16 @@ class TestApplyQ1:
         assert np.linalg.norm(Q1 @ T @ Q1.T - A) / np.linalg.norm(A) < 1e-12
 
     def test_result_type_is_drop_in(self, rng):
-        wf, _ = bulge_chase_wavefront(random_symmetric_band(20, 3, rng), 3)
-        assert isinstance(wf, WavefrontBCResult)
-        assert isinstance(wf, BulgeChasingResult)
+        # Both chases return the one result type, so either feeds the
+        # same back transform.
+        A = random_symmetric_band(20, 3, rng)
+        wf, _ = bulge_chase_wavefront(A, 3)
+        assert type(wf) is type(bulge_chase(A, 3)) is BulgeChasingResult
 
 
 def _chase_arrays(A, b, max_sweeps):
     wf, _ = bulge_chase_wavefront(A, b, max_sweeps=max_sweeps)
-    gs = wf.round_groups
-    V = np.concatenate([g.V for g in gs]) if gs else np.zeros((0, b))
-    tau = np.concatenate([g.tau for g in gs]) if gs else np.zeros(0)
-    return wf.d, wf.e, V, tau
+    return wf.d, wf.e, wf.V, wf.tau
 
 
 class TestRegularRounds:

@@ -113,7 +113,7 @@ class TestPresetsRunTheOneEngine:
         [("fp64", True), ("fp64", False), ("mixed", True)],
     )
     def test_one_sweep_in_flight(self, method, n, precision, vectors):
-        from repro.core.bc_wavefront import WavefrontBCResult
+        from repro.core.bulge_chasing import BulgeChasingResult
         from repro.resilience import verify_evd
 
         A = goe(n, seed=n)
@@ -121,7 +121,7 @@ class TestPresetsRunTheOneEngine:
             A, method=method, bandwidth=self.B, compute_vectors=vectors,
             precision=precision,
         )
-        assert isinstance(res.tridiag.bc_result, WavefrontBCResult)
+        assert isinstance(res.tridiag.bc_result, BulgeChasingResult)
         stats = res.tridiag.pipeline_stats
         # n <= 3 clamps the band to b=1: already tridiagonal, no tasks.
         assert stats is not None and stats.max_parallel == min(1, stats.total_tasks)

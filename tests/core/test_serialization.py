@@ -187,35 +187,87 @@ class TestFormatVersion2Direct:
         assert np.linalg.norm(R - A) / np.linalg.norm(A) < 1e-13
 
 
-class TestScalarReflectorLog:
-    """Archives written while ``magma``/``plasma`` ran the scalar chase
-    hold its per-reflector log (``refl_*``); they still load bit-exact."""
+class TestOneStack:
+    """The chase's reflectors are stored as one stack: ``wf_sizes`` has a
+    single entry, and archives that split the stack by pipeline round
+    (one ``wf_sizes`` entry per round) load to the same arrays."""
 
-    @pytest.mark.parametrize("method", ["sbr", "tile"])
-    def test_round_trip(self, tmp_npz, rng, method):
-        from dataclasses import replace
-
-        from repro.core.bc_wavefront import WavefrontBCResult
-        from repro.core.bulge_chasing import bulge_chase
-
-        A = goe(40, seed=68)
-        wf = tridiagonalize(A, method=method, bandwidth=4)
-        band = (wf.band_result or wf.tile_result).band
-        bc = bulge_chase(band, 4)
-        res = replace(wf, d=bc.d, e=bc.e, bc_result=bc, pipeline_stats=None)
+    @pytest.mark.parametrize("method", ["dbbr", "sbr", "tile"])
+    def test_single_entry_and_split_archive_bit_exact(self, tmp_npz, rng, method):
+        A = goe(48, seed=70)
+        res = tridiagonalize(A, method=method, bandwidth=4, second_block=8)
+        bc = res.bc_result
         save_tridiag(tmp_npz, res)
-        with np.load(tmp_npz) as z:
-            assert "refl_sweep" in z and "wf_sizes" not in z
+        data = dict(np.load(tmp_npz))
+        assert data["wf_sizes"].tolist() == [bc.num_reflectors]
+        assert np.array_equal(data["wf_offsets"], bc.sweeps + 1 + bc.steps * 4)
+        # The per-round layout: same wf_* arrays, many wf_sizes entries.
+        data["wf_sizes"] = np.asarray(res.pipeline_stats.occupancy, dtype=np.int64)
+        assert data["wf_sizes"].size > 1
+        np.savez_compressed(tmp_npz, **data)
         loaded = load_tridiag(tmp_npz)
-        assert not isinstance(loaded.bc_result, WavefrontBCResult)
-        assert np.array_equal(loaded.d, res.d)
-        assert np.array_equal(loaded.e, res.e)
-        X = rng.standard_normal((40, 5))
+        for name in ("sweeps", "steps", "V", "tau"):
+            assert np.array_equal(getattr(loaded.bc_result, name), getattr(bc, name))
+        X = rng.standard_normal((48, 5))
         for apply in ("apply_q", "apply_q_transpose"):
             Y1, Y2 = X.copy(), X.copy()
             getattr(res, apply)(Y1)
             getattr(loaded, apply)(Y2)
             assert np.array_equal(Y1, Y2), apply
+
+    def test_empty_per_round_archive_loads(self, tmp_npz):
+        # Per-round writers stored no wf_* arrays for a chase with no tasks.
+        res = tridiagonalize(goe(3, seed=71), method="dbbr", bandwidth=4)
+        save_tridiag(tmp_npz, res)
+        data = {k: v for k, v in np.load(tmp_npz).items() if not k.startswith("wf_")}
+        data["wf_sizes"] = np.zeros(0, dtype=np.int64)
+        np.savez_compressed(tmp_npz, **data)
+        loaded = load_tridiag(tmp_npz)
+        assert loaded.bc_result.num_reflectors == 0
+        Q = loaded.q()
+        assert np.array_equal(Q, res.q())
+
+
+class TestScalarReflectorLog:
+    """Archives written while ``magma``/``plasma`` ran the scalar chase
+    hold a per-reflector log (``refl_*``, each vector trimmed at the
+    matrix edge); it loads as a stack padded to the bandwidth."""
+
+    @pytest.mark.parametrize("method", ["sbr", "tile"])
+    def test_round_trip(self, tmp_npz, rng, method):
+        from dataclasses import replace
+
+        from repro.core.bulge_chasing import apply_q1_reference, bulge_chase
+
+        n, b = 40, 4
+        A = goe(n, seed=68)
+        wf = tridiagonalize(A, method=method, bandwidth=b)
+        band = (wf.band_result or wf.tile_result).band
+        bc = bulge_chase(band, b)
+        res = replace(wf, d=bc.d, e=bc.e, bc_result=bc, pipeline_stats=None)
+        save_tridiag(tmp_npz, res)
+        data = {k: v for k, v in np.load(tmp_npz).items() if not k.startswith("wf_")}
+        offsets = bc.sweeps + 1 + bc.steps * b
+        lens = np.minimum(b, n - offsets)
+        data.update(
+            refl_sweep=bc.sweeps,
+            refl_step=bc.steps,
+            refl_offset=offsets,
+            refl_tau=bc.tau,
+            refl_len=lens,
+            refl_v=np.concatenate([v[:m] for v, m in zip(bc.V, lens)]),
+        )
+        np.savez_compressed(tmp_npz, **data)
+        loaded = load_tridiag(tmp_npz)
+        assert np.array_equal(loaded.d, res.d)
+        assert np.array_equal(loaded.e, res.e)
+        assert np.array_equal(loaded.bc_result.V, bc.V)
+        X = rng.standard_normal((n, 5))
+        for transpose in (False, True):
+            Y1, Y2 = X.copy(), X.copy()
+            apply_q1_reference(bc, Y1, transpose=transpose)
+            (loaded.bc_result.apply_q1_transpose if transpose else loaded.bc_result.apply_q1)(Y2)
+            assert np.allclose(Y1, Y2, rtol=0.0, atol=1e-12)
 
 
 class TestEVDRoundTrip:

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from repro.band.ops import random_symmetric_band
 from repro.core.back_transform import apply_sbr_q, apply_sbr_q_transpose, q_from_blocks
-from repro.core.bc_back_transform import apply_q1_blocks
-from repro.core.bulge_chasing import bulge_chase
+from repro.core.bc_back_transform import apply_q1_blocks, q1_blocks
+from repro.core.bulge_chasing import apply_q1_reference, bulge_chase
 from repro.core.dbbr import dbbr
-from tests.conftest import blocks_from_log
 
 
 def _sym(n: int, seed: int) -> np.ndarray:
@@ -67,10 +66,10 @@ def test_blocked_bc_back_exact_for_any_group(case):
     n, b, group, seed = case
     A = random_symmetric_band(n, b, np.random.default_rng(seed))
     bc = bulge_chase(A, b)
-    blocks = blocks_from_log(bc, b, group)
+    blocks = q1_blocks(bc.sweeps, bc.steps, bc.V, bc.tau, group=group)
     X = np.random.default_rng(seed + 1).standard_normal((n, 3))
     Y1 = X.copy()
-    bc.apply_q1(Y1)
+    apply_q1_reference(bc, Y1)
     Y2 = X.copy()
     apply_q1_blocks(blocks, Y2)
     assert np.allclose(Y1, Y2, atol=1e-10)

@@ -3,6 +3,8 @@ are caught by the right check."""
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -140,3 +142,46 @@ class TestVerifyTridiag:
         tri = repro.tridiagonalize(A)
         report = verify_tridiag(goe(32, seed=99), tri)
         assert "residual" in report.failures
+
+
+class TestScaleSafety:
+    """Outside dsyevd's [rmin, rmax] the Frobenius norms under- or
+    overflow; both checks rescale by a power of two first, so a wrong
+    result still fails and a correct one reports a real residual."""
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160])
+    def test_lapack_result_checked_at_extreme_scale(self, scale):
+        A = goe(64, seed=0) * scale
+        lam, V = np.linalg.eigh(A)
+        report = verify_evd(A, SimpleNamespace(eigenvalues=lam, eigenvectors=V))
+        assert report.ok, report.failures
+        assert 0.0 < report.residual <= report.tol_residual
+        off = verify_evd(A, SimpleNamespace(eigenvalues=lam * 1.01, eigenvectors=V))
+        assert "residual" in off.failures
+        assert off.residual > 1e-3
+
+    def test_pipeline_result_at_tiny_scale(self):
+        A = goe(64, seed=0) * 1e-300
+        report = verify_evd(A, repro.eigh(A))
+        assert report.ok, report.failures
+        assert report.residual > 0.0 and report.trace_error > 0.0
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160])
+    def test_tridiag_checked_at_tiny_scale(self, scale):
+        A = goe(48, seed=3) * scale
+        tri = repro.tridiagonalize(A)
+        report = verify_tridiag(A, tri)
+        assert report.ok, report.failures
+        assert report.residual > 0.0
+        tri.d = tri.d * 1.01
+        assert "residual" in verify_tridiag(A, tri).failures
+
+    def test_normal_range_report_unchanged(self):
+        # Inside [rmin, rmax] nothing is rescaled: the measures are the
+        # plain formulas.
+        A = goe(32, seed=4) * 1e-100
+        lam, V = np.linalg.eigh(A)
+        report = verify_evd(A, SimpleNamespace(eigenvalues=lam, eigenvectors=V))
+        norm = np.linalg.norm(A)
+        assert report.residual == float(np.linalg.norm(A @ V - V * lam)) / float(norm)
+        assert report.trace_error == float(abs(np.sum(lam) - np.trace(A))) / float(norm)

@@ -90,7 +90,7 @@ PUBLIC_API = {
     ],
     "repro.bench": [
         "goe", "symmetric_with_spectrum", "wilkinson_tridiagonal",
-        "print_table", "print_series", "banner",
+        "banner", "format_time",
     ],
     "repro.serve": [
         "SolverService", "ServiceConfig", "ServiceMetrics", "ResultCache",

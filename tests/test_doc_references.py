@@ -1,6 +1,7 @@
 """The docs, the CI workflow and the verify notes name only things that
 exist: every cited repository path, every ``python -m repro``
-subcommand and every dotted ``repro.*`` name.
+subcommand, every dotted ``repro.*`` name and every backticked class
+name.
 
 A deleted script, module or CLI command leaves its references behind
 unless something fails; this is that something.
@@ -8,12 +9,19 @@ unless something fails; this is that something.
 
 from __future__ import annotations
 
+import builtins
+import concurrent.futures
+import dataclasses
+import functools
 import importlib
 import pathlib
+import pkgutil
 import re
 
+import numpy.linalg
 import pytest
 
+import repro
 from repro.cli import build_parser
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -33,6 +41,14 @@ GENERATED = {"benchmarks/out/"}
 _PATH = re.compile(r"(?<![\w/.-])((?:benchmarks|scripts|examples|src/repro)/[\w./*<>-]*)")
 _SUBCOMMAND = re.compile(r"python3? -m repro ([\w|-]+)")
 _DOTTED = re.compile(r"(?<![\w./-])(repro(?:\.[A-Za-z_]\w*)+)")
+# A backticked CamelCase name, optionally with attributes or a call:
+# `TridiagResult`, `BulgeChasingResult.apply_q1`, `SolverService()`.
+_CLASS = re.compile(r"`([A-Z]\w*?[a-z]\w*(?:\.\w+)*)(?:\(\))?`")
+
+# Names the docs cite from outside the package: exceptions raised
+# through the API, and LAPACK routines.
+_EXTERNAL = (builtins, concurrent.futures, numpy.linalg)
+_LAPACK = {"Dsb2st", "Dstedc", "Dsy2sb", "Dsyr2k", "Dsytrd"}
 
 
 def _texts():
@@ -98,3 +114,36 @@ def test_cited_dotted_names_resolve():
     assert cited
     dangling = [f"{dotted} (in {name})" for dotted, name in cited if not _resolves(dotted)]
     assert not dangling, "dangling repro.* references:\n" + "\n".join(dangling)
+
+
+@functools.cache
+def _package_names() -> dict:
+    """Every name bound at module level anywhere in ``repro``."""
+    names: dict = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not info.name.endswith("__main__"):  # runs the CLI on import
+            names.update(vars(importlib.import_module(info.name)))
+    return names
+
+
+def _class_resolves(cited: str) -> bool:
+    name, *attrs = cited.split(".")
+    if name in _LAPACK or any(hasattr(mod, name) for mod in _EXTERNAL):
+        return True
+    if name not in _package_names():
+        return False
+    obj = _package_names()[name]
+    for attr in attrs:
+        if dataclasses.is_dataclass(obj) and attr in {f.name for f in dataclasses.fields(obj)}:
+            return True  # a field without a class-level default
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def test_cited_class_names_resolve():
+    cited = _cited(_CLASS)
+    assert cited
+    dangling = [f"{name} (in {doc})" for name, doc in cited if not _class_resolves(name)]
+    assert not dangling, "dangling class references:\n" + "\n".join(dangling)
