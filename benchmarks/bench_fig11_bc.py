@@ -70,6 +70,9 @@ def test_fig11_pipelined_bc_measured(benchmark, report):
            f"(mean parallel sweeps {stats.mean_parallel:.1f})")
     assert stats.rounds < serial_stats.rounds / 2
     assert res.d.size == n
+    T = np.diag(res.d) + np.diag(res.e, 1) + np.diag(res.e, -1)
+    err = np.max(np.abs(np.linalg.eigvalsh(T) - np.linalg.eigvalsh(Bm)))
+    assert err <= 200 * n * np.finfo(float).eps * np.linalg.norm(Bm)
 
 
 def test_fig11_serial_bc_measured(benchmark):

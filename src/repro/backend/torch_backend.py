@@ -193,7 +193,13 @@ class _TorchNamespace:
     # -- BLAS3 / reductions / gather ----------------------------------
     @staticmethod
     def matmul(a, b, out=None):
-        return _torch.matmul(_torch.as_tensor(a), _torch.as_tensor(b), out=out)
+        a, b = _torch.as_tensor(a), _torch.as_tensor(b)
+        if out is None or out.is_contiguous():
+            return _torch.matmul(a, b, out=out)
+        # The kernels write into strided views of preallocated stacks
+        # (the bulge chase's rank-2 factor rows); write through them.
+        out.copy_(_torch.matmul(a, b))
+        return out
 
     @staticmethod
     def einsum(spec, *ops):

@@ -22,10 +22,13 @@ separates their windows), so each round:
    moves);
 2. generates the round's reflectors with one **batched Householder**
    (same arithmetic as
-   :func:`repro.core.householder.batched_make_householder`);
-3. applies the left update to the whole parallelogram stack and the
-   right update to the diagonal-block slice (reading the left-updated
-   values, as the dense kernel's aliased views do) as batched matmuls —
+   :func:`repro.core.householder.batched_make_householder`), written
+   straight into the result's reflector rows;
+3. applies the two-sided update as **one rank-2 batched GEMM**,
+   ``P <- P - L R`` with ``L = [tau v | u']`` and ``R = [v^T P ; 0 |
+   tau v^T]`` — the left update of the whole parallelogram and the right
+   update of the diagonal block (which reads the left-updated values,
+   as the dense kernel's aliased views do) in one pass over the stack:
    the one-kernel-per-round execution of the paper's Algorithm 2, in
    NumPy dress; and
 4. **scatters** the stacks back through the same cached index template.
@@ -50,10 +53,13 @@ reflector.
 
 The result is numerically the same chase as the sequential oracle
 (:func:`repro.core.bulge_chasing.bulge_chase`): the schedule only
-reorders commuting tasks and the batched kernels perform the same
-floating-point work per task up to summation order of the inner products
-(``allclose`` at 1e-12; asserted over the test grid).  The sequential
-driver remains the correctness reference the tests compare against.
+reorders commuting tasks, and per task the batched kernels perform the
+same two-sided update, regrouped (the rank-2 form rounds in a different
+order than the two rank-1 updates; ``allclose`` at 1e-12, asserted over
+the test grid).  Single-task rounds — every round of the one-sweep
+``max_sweeps=1`` order — run plain 2-D rank-1 updates instead, bit for
+bit the dense kernel's.  The sequential driver remains the correctness
+reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -108,8 +114,9 @@ class _RoundKernel:
     * column 0 is the annihilated column (one gather serves the batched
       Householder and the update);
     * the diagonal-block columns are permuted to the *end* — the right
-      update then hits a contiguous trailing slice (the gather does not
-      care about column order);
+      update's factor row ``[0 | tau v^T]`` is nonzero only on a
+      contiguous trailing slice (the gather does not care about column
+      order);
     * the narrower start template is padded with *dump* columns aimed at
       row ``2b`` of the working array, which no task ever touches (fill
       depth is at most ``2b - 1``): they gather zeros, update to zeros,
@@ -133,6 +140,16 @@ class _RoundKernel:
     index stack crosses to the backend, together with the gathered
     values it addresses.  The regular stacks are used on the NumPy
     backend only.
+
+    **The update.**  With ``wr = v^T P`` the left update is ``P - (tau v)
+    wr``; the right update then subtracts ``u' (tau v)^T`` from the
+    diagonal block ``D``, where ``u' = (D - tau v wr_D) v = D v - tau v
+    (wr_D . v)`` is the left-updated block times ``v``.  The gathered
+    ``D`` is exactly symmetric (both triangles read the same stored
+    slots), so ``D v`` is ``wr_D`` itself.  Both updates are one batched
+    ``(S, b, 2) @ (S, 2, 3b)`` GEMM and one subtraction.  On NumPy the
+    reflectors are formed in the caller's result rows; other backends
+    form them in pooled stacks and copy them to the host once per round.
     """
 
     def __init__(
@@ -171,13 +188,20 @@ class _RoundKernel:
         self._pi = np.empty((cap, b, w), dtype=np.int64)
         # Value stacks on the backend, pooled across runs.
         self._pv = pool.stack("bc.pv", (cap, b, w), dtype=dt)
-        self._wr = pool.stack("bc.wr", (cap, 1, w), dtype=dt)
-        self._u = pool.stack("bc.u", (cap, b, 1), dtype=dt)
         self._tmp = pool.stack("bc.tmp", (cap, b, w), dtype=dt)
-        self._hv = pool.stack("bc.hv", (cap, b), dtype=dt)
-        self._hv[:, 0] = 1.0
-        self._tv = pool.stack("bc.tv", (cap, b), dtype=dt)
+        # The rank-2 factors P <- P - L R: L = [tau v | u'] and R = [v^T P ;
+        # 0 | tau v^T], whose second row is zero left of the diagonal block.
+        self._L = pool.stack("bc.L", (cap, b, 2), dtype=dt)
+        self._R = pool.stack("bc.R", (cap, 2, w), dtype=dt)
+        self._R[:, 1, : w - b] = 0.0
         self._sg = pool.stack("bc.sg", (cap, 1, 1), dtype=dt)
+        self._dot = pool.stack("bc.dot", (cap, 1, 1), dtype=dt)
+        if not ctx.is_numpy:
+            # Off NumPy the reflectors are formed on the backend and copied
+            # out; on NumPy they are written straight into the caller's rows.
+            self._hv = pool.stack("bc.hv", (cap, b), dtype=dt)
+            self._hv[:, 0] = 1.0
+            self._htau = pool.stack("bc.htau", (cap,), dtype=dt)
 
     def _template(self, npad: int, sl: int, wn: int) -> np.ndarray:
         b, w = self.b, self.w
@@ -196,31 +220,39 @@ class _RoundKernel:
         chase_los: np.ndarray,
         start_lo: int | None,
         regular: bool,
-    ) -> tuple[np.ndarray, np.ndarray]:
+        V_out: np.ndarray,
+        tau_out: np.ndarray,
+    ) -> None:
         """Execute one round — chase stack plus optional start task.
 
-        Returns ``(V, tau)`` with the chase reflectors first (sweep
-        ascending, as the scheduler orders them) and the start reflector
-        last.  Mirrors :func:`repro.core.bulge_chasing.apply_bc_task`:
-        annihilate the column, left-update the full parallelogram, then
-        right-update the diagonal block reading the left-updated values.
-        (The left update also touches gathered column 0, whose final
-        value — ``beta e_1`` — is simply written over it before the
-        scatter.)  ``regular`` marks a round with the regular spacing
-        (see the class docstring); it gathers through the precomputed
-        stacks.
+        Writes the round's reflectors into the host rows ``V_out`` /
+        ``tau_out`` with the chase reflectors first (sweep ascending, as
+        the scheduler orders them) and the start reflector last.  Same
+        task as :func:`repro.core.bulge_chasing.apply_bc_task`: annihilate
+        the column, left-update the full parallelogram, right-update the
+        diagonal block reading the left-updated values — here both
+        updates in one rank-2 product ``P <- P - L R`` (class docstring).
+        (The update also touches gathered column 0, whose final value —
+        ``beta e_1`` — is simply written over it before the scatter.)
+        ``regular`` marks a round with the regular spacing (see the class
+        docstring); it gathers through the precomputed stacks.
         """
         nc = chase_los.size
         S = nc + (start_lo is not None)
         if S == 1:
             if nc:
-                return self._run_one(flat, self.chase_tmpl, int(chase_los[0]))
-            return self._run_one(flat, self.start_tmpl, start_lo)
+                V, tau = self._run_one(flat, self.chase_tmpl, int(chase_los[0]))
+            else:
+                V, tau = self._run_one(flat, self.start_tmpl, start_lo)
+            V_out[...] = self.ctx.to_numpy(V)
+            tau_out[...] = self.ctx.to_numpy(tau)
+            return
         b, w = self.b, self.w
         xp = self.xp
+        on_host = self.ctx.is_numpy
 
         P = self._pv[:S]
-        if regular and self.ctx.is_numpy:
+        if regular and on_host:
             if start_lo is None:
                 base = int(chase_los[-1])
                 p = self._chase_rel.shape[0] - S
@@ -246,47 +278,50 @@ class _RoundKernel:
                 np.add(self.start_tmpl, start_lo, out=pi[nc])
             # The only per-round host->backend crossing: the index stack.
             target = flat
-            pix = pi if self.ctx.is_numpy else self.ctx.from_numpy(pi)
+            pix = pi if on_host else self.ctx.from_numpy(pi)
             xp.take(flat, pix, out=P)
 
-        # Batched Householder on the gathered columns, on preallocated
-        # buffers; the guarded general kernel handles the rare rows that
-        # are already annihilated (sigma == 0) or too tiny to square.
+        # Batched Householder on the gathered columns, written straight
+        # into the result rows on NumPy; the guarded general kernel handles
+        # the rare rows that are already annihilated (sigma == 0) or too
+        # tiny to square.
         X1 = P[:, 1:, 0]
         sg = self._sg[:S]
         xp.matmul(X1[:, None, :], X1[:, :, None], out=sg)  # batched dot
         sigma = sg[:, 0, 0]
-        alpha = xp.copy(P[:, 0, 0])
+        alpha = P[:, 0, 0]  # read before the update below touches P
         if sigma.min() >= self._sumsq_floor:
+            V = V_out if on_host else self._hv[:S]
+            tau = tau_out if on_host else self._htau[:S]
+            V[:, 0] = 1.0
             beta = -xp.copysign(xp.sqrt(alpha * alpha + sigma), alpha)
-            Vbuf = self._hv[:S]  # Vbuf[:, 0] stays 1.0 from __init__
-            xp.divide(X1, (alpha - beta)[:, None], out=Vbuf[:, 1:])
-            tau = (beta - alpha) / beta
-            # The caller copies the round's reflectors out before the
-            # next round overwrites the buffer.
-            V = Vbuf
+            xp.divide(X1, (alpha - beta)[:, None], out=V[:, 1:])
+            xp.subtract(beta, alpha, out=tau)
+            xp.divide(tau, beta, out=tau)
         else:
             V, tau, beta = batched_make_householder(xp.copy(P[:, :, 0]), xp=xp)
-        tv = self._tv[:S]
+
+        # Both updates as one rank-2 product P <- P - L R (class docstring).
+        L, R = self._L[:S], self._R[:S]
+        tv, u = L[:, :, 0], L[:, :, 1]
         xp.multiply(tau[:, None], V, out=tv)
-
-        wr = self._wr[:S]
-        xp.matmul(V[:, None, :], P, out=wr)  # (S, 1, w)
+        xp.matmul(V[:, None, :], P, out=R[:, :1, :])  # R row 0: wr
+        wrD = R[:, 0, w - b :]
+        dot = self._dot[:S]
+        xp.matmul(wrD[:, None, :], V[:, :, None], out=dot)  # wr_D . v
+        xp.multiply(tv, dot[:, 0], out=u)
+        xp.subtract(wrD, u, out=u)
+        R[:, 1, w - b :] = tv
         tmp = self._tmp[:S]
-        xp.multiply(tv[:, :, None], wr, out=tmp)
+        xp.matmul(L, R, out=tmp)
         xp.subtract(P, tmp, out=P)
-
-        D = P[:, :, w - b :]  # diagonal block, contiguous tail
-        u = self._u[:S]
-        xp.matmul(D, V[:, :, None], out=u)  # (S, b, 1)
-        tmpD = tmp[:, :, w - b :]
-        xp.multiply(u, tv[:, None, :], out=tmpD)
-        xp.subtract(D, tmpD, out=D)
 
         P[:, :, 0] = 0.0
         P[:, 0, 0] = beta
         target[pix] = P
-        return V, tau
+        if V is not V_out:
+            V_out[...] = self.ctx.to_numpy(V)
+            tau_out[...] = self.ctx.to_numpy(tau)
 
     def _run_one(
         self, flat: np.ndarray, tmpl: np.ndarray, lo: int
@@ -461,14 +496,13 @@ def bulge_chase_wavefront(
         for r in range(stats.rounds):
             lo, hi = bounds[r], bounds[r + 1]
             start = start_of[r]
-            if start >= 0:
-                V, tau = kernel.run(flat, cols[lo : hi - 1], start, regular[r])
-            else:
-                V, tau = kernel.run(flat, cols[lo:hi], None, regular[r])
+            chase = cols[lo : hi - 1] if start >= 0 else cols[lo:hi]
             # The stack is host-side (the Q1 application and downstream
-            # consumers expect NumPy); on NumPy to_numpy is the identity.
-            V_all[lo:hi] = ctx.to_numpy(V)
-            tau_all[lo:hi] = ctx.to_numpy(tau)
+            # consumers expect NumPy); each round fills its own rows.
+            kernel.run(
+                flat, chase, start if start >= 0 else None, regular[r],
+                V_all[lo:hi], tau_all[lo:hi],
+            )
     else:
         stats = PipelineStats()
         sweeps = steps = np.zeros(0, dtype=np.int64)

@@ -34,6 +34,7 @@ from ..backend.base import ArrayBackend
 from ..backend.context import ExecutionContext, resolve_context
 from ..plan.config import BulgeChaseConfig, EVDPlan, TridiagConfig
 from ..plan.planner import auto_params, plan_tridiag
+from ..resilience.errors import NonFiniteError
 from .bc_pipeline import PipelineStats
 from .bc_wavefront import bulge_chase_wavefront
 from .blocks import BandReductionResult, WYBlock
@@ -191,6 +192,11 @@ def tridiagonalize(
     ValueError / SymmetryError
         Non-square input, NaN/Inf entries, or asymmetry beyond roundoff
         (see :mod:`repro.core.validation`).
+    NonFiniteError
+        ``d`` or ``e`` came out non-finite: entries so large (max|A|
+        beyond ~1e154 in float64) that the reflector norms overflow.
+        A :class:`~repro.resilience.VerificationError`, so
+        ``fallback="chain"`` escalates on it.
     """
     from .validation import NonSquareError
 
@@ -258,7 +264,7 @@ def _run_tridiag(
     if tcfg.method == "direct":
         with ctx.stage("tridiag_direct", n=n):
             res = direct_tridiagonalize(A)
-        return TridiagResult(
+        return _require_finite(A, TridiagResult(
             d=res.d,
             e=res.e,
             method="direct",
@@ -269,7 +275,7 @@ def _run_tridiag(
             back_transform_group=auto_params(n)[1],
             backend=ctx.backend.name,
             ctx=ctx,
-        )
+        ))
 
     assert bcfg is not None and tcfg.bandwidth is not None
     b = max(1, min(tcfg.bandwidth, max(n - 2, 1)))
@@ -292,7 +298,7 @@ def _run_tridiag(
             band_matrix, b, max_sweeps=bcfg.max_sweeps, ctx=ctx
         )
 
-    return TridiagResult(
+    return _require_finite(A, TridiagResult(
         d=bc_res.d,
         e=bc_res.e,
         method=tcfg.method,
@@ -307,4 +313,17 @@ def _run_tridiag(
         back_transform_group=k,
         backend=ctx.backend.name,
         ctx=ctx,
+    ))
+
+
+def _require_finite(A: np.ndarray, res: TridiagResult) -> TridiagResult:
+    """Hand ``res`` back, or raise :class:`NonFiniteError` if ``(d, e)``
+    is not finite — never return an overflowed tridiagonal silently."""
+    if np.isfinite(res.d).all() and np.isfinite(res.e).all():
+        return res
+    raise NonFiniteError(
+        f"{res.method} tridiagonalization of an n={res.n} matrix produced "
+        f"non-finite d/e: max|A| = {np.abs(A).max():.3g} overflows the "
+        "reflector norms",
+        site="tridiagonalize",
     )

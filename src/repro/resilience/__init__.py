@@ -25,6 +25,7 @@ from .errors import (
     FallbackExhausted,
     FaultInjectionError,
     InjectedWorkerCrash,
+    NonFiniteError,
     ReproError,
     VerificationError,
     WorkerCrashError,
@@ -64,6 +65,7 @@ __all__ = [
     "ReproError",
     "ConvergenceError",
     "VerificationError",
+    "NonFiniteError",
     "WorkerCrashError",
     "DeadlineExceeded",
     "BackendFault",

@@ -7,9 +7,10 @@ write one ``except ReproError`` and know it has covered every
 deliberate rejection: input validation (:mod:`repro.core.validation`),
 plan validation (:mod:`repro.plan.errors`), convergence guards
 (:class:`ConvergenceError`), result verification
-(:class:`VerificationError`), and the service-level fault-tolerance
-machinery (:class:`WorkerCrashError`, :class:`DeadlineExceeded`,
-:class:`BackendFault`, :class:`FallbackExhausted`).
+(:class:`VerificationError`, :class:`NonFiniteError`), and the
+service-level fault-tolerance machinery (:class:`WorkerCrashError`,
+:class:`DeadlineExceeded`, :class:`BackendFault`,
+:class:`FallbackExhausted`).
 
 The pre-existing error types keep their historical base classes
 (``ValueError`` for validation/plan errors, ``numpy.linalg.LinAlgError``
@@ -34,6 +35,7 @@ __all__ = [
     "ReproError",
     "ConvergenceError",
     "VerificationError",
+    "NonFiniteError",
     "WorkerCrashError",
     "DeadlineExceeded",
     "BackendFault",
@@ -87,6 +89,21 @@ class VerificationError(ReproError):
     def __init__(self, message: str, report=None) -> None:
         super().__init__(message)
         self.report = report
+
+
+class NonFiniteError(VerificationError):
+    """A stage turned finite input into non-finite output.
+
+    :func:`repro.core.tridiag.tridiagonalize` raises it when ``d`` or
+    ``e`` is not finite — an input whose max|A| nears the overflow
+    threshold squares past it in the reflector norms.  It is a
+    :class:`VerificationError`, so fallback chains and the
+    mixed-precision driver escalate on it; ``site`` names the stage.
+    """
+
+    def __init__(self, message: str, site: str | None = None) -> None:
+        super().__init__(message)
+        self.site = site
 
 
 class WorkerCrashError(ReproError):

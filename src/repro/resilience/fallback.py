@@ -129,6 +129,7 @@ def resolve_fallback_chain(plan) -> list:
 
 
 def _is_recoverable(exc: Exception) -> bool:
+    # NonFiniteError (a non-finite tridiagonal) is a VerificationError.
     return isinstance(exc, (ConvergenceError, VerificationError))
 
 

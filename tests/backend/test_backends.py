@@ -70,6 +70,23 @@ class TestProtocolConformance:
         got = backend.to_numpy(backend.from_numpy(A) @ backend.from_numpy(B))
         assert np.allclose(got, A @ B, atol=1e-14)
 
+    def test_out_into_strided_views(self, backend):
+        # The bulge chase writes v^T P into row 0 of an (S, 2, w) stack
+        # and tau v into column 0 of an (S, b, 2) stack.
+        xp = backend.xp
+        rng = np.random.default_rng(10)
+        V, P = rng.standard_normal((3, 4)), rng.standard_normal((3, 4, 6))
+        R = xp.zeros((3, 2, 6), dtype=np.float64)
+        xp.matmul(backend.from_numpy(V)[:, None, :], backend.from_numpy(P),
+                  out=R[:, :1, :])
+        got = backend.to_numpy(R)
+        assert np.allclose(got[:, 0, :], np.einsum("sb,sbw->sw", V, P), atol=1e-14)
+        assert not got[:, 1, :].any()
+        L = xp.zeros((3, 4, 2), dtype=np.float64)
+        xp.multiply(backend.from_numpy(V), 2.0, out=L[:, :, 0])
+        got = backend.to_numpy(L)
+        assert np.array_equal(got[:, :, 0], 2.0 * V) and not got[:, :, 1].any()
+
     def test_take_with_out(self, backend):
         xp = backend.xp
         flat = backend.from_numpy(np.arange(20, dtype=np.float64))

@@ -12,7 +12,9 @@ from repro.core import bc_wavefront
 from repro.core.bc_pipeline import pipeline_schedule
 from repro.core.bc_wavefront import ChaseIndexError, bulge_chase_wavefront
 from repro.core.bulge_chasing import (
+    BCTask,
     BulgeChasingResult,
+    apply_bc_task,
     apply_q1_reference,
     bulge_chase,
 )
@@ -307,7 +309,132 @@ class TestRegularRounds:
         kernel = bc_wavefront._RoundKernel(b, npad, ExecutionContext(), cap=4)
         flat = np.zeros((2 * b + 1) * npad)
         chase = np.array([1 + 2 * (3 * b - 1), 1 + (3 * b - 1), 1], dtype=np.int64)
+        V, tau = np.empty((3, b)), np.empty(3)
         with pytest.raises(ChaseIndexError):
-            kernel.run(flat, chase, None, regular=True)
+            kernel.run(flat, chase, None, True, V, tau)
         with pytest.raises(ChaseIndexError):
-            kernel.run(flat, np.array([5 * b - 1, 2 * b]), 0, regular=True)
+            kernel.run(flat, np.array([5 * b - 1, 2 * b]), 0, True, V, tau)
+
+
+def _to_work(M, b, npad):
+    """Dense symmetric ``M`` (lower bandwidth < 2b) as the kernel's
+    ``(2b+1) x npad`` working band: ``work[d, j] = M[j + d, j]``."""
+    n = M.shape[0]
+    work = np.zeros((2 * b + 1, npad), dtype=M.dtype)
+    for d in range(2 * b):
+        work[d, : n - d] = np.diagonal(M, -d)
+    return work
+
+
+def _from_work(work, n, b):
+    M = np.zeros((n, n))
+    for d in range(2 * b):
+        j = np.arange(n - d)
+        M[j + d, j] = M[j, j + d] = work[d, : n - d]
+    return M
+
+
+class TestRoundKernel:
+    """``_RoundKernel.run`` task by task against the dense task kernel
+    :func:`repro.core.bulge_chasing.apply_bc_task` on random windows."""
+
+    b = 4
+
+    def _round(self, n, chase_cols, start, dtype, seed=0, tweak=None):
+        """Run one round both ways; return the kernel's and the oracle's
+        ``(M, V, tau)`` (oracle in float64 from the same rounded input)."""
+        b = self.b
+        npad = n + 3 * b
+        rng = np.random.default_rng(seed)
+        G = rng.standard_normal((n, n))
+        M = np.tril(np.triu(G + G.T, -(2 * b - 1)), 2 * b - 1)
+        if tweak is not None:
+            tweak(M)
+        M = M.astype(dtype)
+        tasks = [
+            BCTask(sweep=c - 1, step=1, col=c, row0=c + b, row1=min(c + 2 * b, n))
+            for c in chase_cols
+        ]
+        if start is not None:
+            tasks.append(
+                BCTask(sweep=start, step=0, col=start, row0=start + 1,
+                       row1=min(start + 1 + b, n))
+            )
+        ref = M.astype(np.float64)
+        ref_V = np.zeros((len(tasks), b))
+        ref_tau = np.zeros(len(tasks))
+        for q, task in enumerate(tasks):
+            _, v, tau = apply_bc_task(ref, b, task)
+            ref_V[q, : v.size], ref_tau[q] = v, tau
+
+        work = _to_work(M, b, npad)
+        kernel = bc_wavefront._RoundKernel(
+            b, npad, ExecutionContext(), cap=len(tasks), dtype=dtype
+        )
+        V = np.empty((len(tasks), b), dtype=dtype)
+        tau = np.empty(len(tasks), dtype=dtype)
+        regular = len(tasks) > 1 and all(
+            x - y == 3 * b - 1 for x, y in zip(chase_cols, chase_cols[1:])
+        ) and (start is None or chase_cols[-1] - start == 2 * b)
+        kernel.run(
+            work.reshape(-1), np.asarray(chase_cols, dtype=np.int64), start,
+            regular, V, tau,
+        )
+        # The dump row and the slots past the matrix stay zero.
+        assert not work[2 * b].any()
+        for d in range(1, 2 * b):
+            assert not work[d, n - d :].any()
+        return (_from_work(work, n, b), V, tau), (ref, ref_V, ref_tau)
+
+    def _check(self, got, want, dtype):
+        (M, V, tau), (ref, ref_V, ref_tau) = got, want
+        # Forward error of one two-sided update of a b x 3b window.
+        tol = 4 * self.b * np.finfo(dtype).eps * max(1.0, np.abs(ref).max())
+        n = ref.shape[0]
+        band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) < 2 * self.b
+        assert np.max(np.abs(M - np.where(band, ref, 0.0))) < tol
+        assert not np.where(band, 0.0, ref).any()
+        assert np.max(np.abs(V - ref_V)) < tol
+        assert np.max(np.abs(tau - ref_tau)) < tol
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize(
+        "chase_cols,start",
+        [
+            ([31, 20, 9], 1),  # regular round: three chase tasks + start task
+            ([31, 20, 9], None),  # regular round without a start task
+            ([30, 17, 5], None),  # irregular spacing
+            ([26, 13], 2),  # irregular, start task with dump columns
+            ([9], None),  # one task: the scalar path
+            (None, 1),  # one start task
+        ],
+    )
+    def test_matches_task_kernel(self, dtype, chase_cols, start):
+        # n = 37 clips the oldest task (col 31) to reflector rows [35, 37):
+        # its window runs into the zero padding.
+        got, want = self._round(37, chase_cols or [], start, dtype)
+        self._check(got, want, dtype)
+
+    def test_edge_clipped_start_task(self):
+        # The start task's reflector rows [n-2, n) hold two rows only (no
+        # chase task fits to its right, so it runs alone).
+        n = 20
+        got, want = self._round(n, [], n - 3, np.float64)
+        self._check(got, want, np.float64)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("tail", [0.0, 1e-170])
+    def test_guarded_householder_row(self, dtype, tail):
+        # One task's annihilated column is already zero (tau = 0) or so
+        # tiny its squares underflow: the round takes the guarded
+        # batched_make_householder path, the other tasks ride along.
+        if dtype == np.float32 and tail:
+            tail = 1e-25
+
+        def tweak(M):
+            M[20 + self.b + 1 : 20 + 2 * self.b, 20] = tail
+            M[20, 20 + self.b + 1 : 20 + 2 * self.b] = tail
+
+        got, want = self._round(37, [31, 20, 9], 1, dtype, tweak=tweak)
+        self._check(got, want, dtype)
+        assert (got[2][1] == 0.0) == (tail == 0.0)

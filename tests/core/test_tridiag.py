@@ -9,7 +9,7 @@ import repro
 from repro.band.storage import dense_from_band
 from repro.core.tridiag import auto_params, tridiagonalize
 from repro.core.validation import OperandShapeError
-from repro.resilience import ReproError
+from repro.resilience import NonFiniteError, ReproError, VerificationError
 from tests.conftest import make_symmetric
 
 
@@ -185,3 +185,22 @@ class TestDriver:
             tridiagonalize(A, back_transform="blocked")
         with pytest.raises(TypeError, match="back_transform_group"):
             tridiagonalize(A, back_transform_group=8)
+
+
+class TestNonFiniteOutput:
+    """Entries near the overflow threshold overflow the chase's reflector
+    norms; the tridiagonalization raises instead of returning inf/NaN."""
+
+    @pytest.mark.parametrize("scale", [1e155, 1e160, 1e300])
+    def test_overflowed_tridiagonal_raises(self, scale):
+        A = make_symmetric(64, seed=0) * scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError) as info:
+                tridiagonalize(A, method="dbbr")
+        assert info.value.site == "tridiagonalize"
+        assert isinstance(info.value, VerificationError)
+
+    def test_normal_range_unaffected(self):
+        A = make_symmetric(64, seed=0) * 1e150
+        res = tridiagonalize(A, method="dbbr")
+        assert np.isfinite(res.d).all() and np.isfinite(res.e).all()

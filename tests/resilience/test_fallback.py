@@ -12,12 +12,14 @@ from repro.plan import plan_evd
 from repro.resilience import (
     FallbackExhausted,
     FaultSpec,
+    NonFiniteError,
     VerificationError,
     clear_faults,
     execute_plan_with_fallback,
     injected_faults,
     resolve_fallback_chain,
 )
+from repro.resilience.fallback import _is_recoverable
 
 
 @pytest.fixture(autouse=True)
@@ -115,6 +117,28 @@ class TestExecutor:
         plan = plan_evd(8, "proposed", fallback="chain")
         with pytest.raises(SymmetryError):
             execute_plan_with_fallback(np.triu(np.ones((8, 8))), plan)
+
+    def test_overflowed_tridiagonal_escalates_to_dense(self):
+        # At max|A| ~ 1e160 the chase's reflector norms overflow: the
+        # proposed link raises NonFiniteError and the dense link (LAPACK,
+        # which scales internally) answers.
+        A = goe(64, seed=0)
+        plan = plan_evd(64, "proposed", fallback="chain")
+        with np.errstate(over="ignore", invalid="ignore"):
+            outcome = execute_plan_with_fallback(A * 1e160, plan)
+        assert outcome.plan.method == "dense"
+        (rec,) = outcome.escalations
+        assert (rec.step, rec.method, rec.error_type) == (
+            0, "proposed", "NonFiniteError"
+        )
+        ref = np.linalg.eigvalsh(A)
+        got = outcome.result.eigenvalues / 1e160
+        assert np.max(np.abs(got - ref)) <= 200 * 64 * np.finfo(float).eps * (
+            np.linalg.norm(A)
+        )
+
+    def test_non_finite_error_is_recoverable(self):
+        assert _is_recoverable(NonFiniteError("overflow", site="tridiagonalize"))
 
     def test_verify_false_still_rejects_non_finite(self):
         A = goe(24, seed=6)

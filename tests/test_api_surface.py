@@ -24,7 +24,7 @@ PUBLIC_API = {
         "verify_evd", "verify_tridiag", "execute_plan_with_fallback",
     ],
     "repro.resilience": [
-        "ReproError", "ConvergenceError", "VerificationError",
+        "ReproError", "ConvergenceError", "VerificationError", "NonFiniteError",
         "WorkerCrashError", "DeadlineExceeded", "BackendFault",
         "FallbackExhausted", "FaultInjectionError", "InjectedWorkerCrash",
         "VerificationReport", "verify_evd", "verify_tridiag",
