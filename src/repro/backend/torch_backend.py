@@ -37,6 +37,7 @@ def _dtype(dt):
     name = getattr(dt, "__name__", None) or str(np.dtype(dt))
     return {
         "float64": _torch.float64,
+        "float32": _torch.float32,
         "int64": _torch.int64,
         "bool": _torch.bool,
     }.get(name, _torch.float64)
@@ -59,6 +60,7 @@ class _TorchNamespace:
 
     linalg = _TorchLinalg()
     float64 = np.float64  # kernels pass dtype=xp.float64; mapped by _dtype
+    float32 = np.float32
     int64 = np.int64
 
     # -- creation -----------------------------------------------------
@@ -66,7 +68,9 @@ class _TorchNamespace:
     def asarray(x, dtype=None):
         t = _torch.as_tensor(x)
         want = _dtype(dtype) if dtype is not None else (
-            t.dtype if t.dtype in (_torch.int64, _torch.bool) else _torch.float64
+            t.dtype
+            if t.dtype in (_torch.int64, _torch.bool, _torch.float32)
+            else _torch.float64
         )
         return t.to(want) if t.dtype != want else t
 
@@ -243,9 +247,11 @@ class TorchBackend(ArrayBackend):
         return t.to(self.device) if t.device != self.device else t
 
     def from_numpy(self, x: np.ndarray):
-        return _torch.as_tensor(np.ascontiguousarray(x), dtype=_torch.float64).to(
-            self.device
-        )
+        # A float32 host array keeps the mixed-precision working width,
+        # as on the NumPy backend; anything else becomes float64.
+        x = np.ascontiguousarray(x)
+        dt = _torch.float32 if x.dtype == np.float32 else _torch.float64
+        return _torch.as_tensor(x, dtype=dt).to(self.device)
 
     def to_numpy(self, x) -> np.ndarray:
         if isinstance(x, np.ndarray):

@@ -21,12 +21,23 @@ feed.
 
 **Clusters.**  The division blows up when ``λ̃_j - λ̃_i`` is of the
 order of the current error, so nearly-degenerate eigenvalues are
-grouped (connected components of the gap graph at an error-scaled
-threshold).  Within a group the update falls back to the Newton–Schulz
-orthogonalization correction ``E_{ij} = R_{ij}/2`` — which restores
-orthogonality but not the invariant subspace mixing — and each group is
-then resolved exactly by a small Rayleigh–Ritz rotation: diagonalize
-``V_cᵀ A V_c`` (``|c| × |c|``, fp64) and rotate the cluster's columns.
+grouped: the sorted Rayleigh quotients split into connected components
+wherever two neighbours lie more than a threshold apart, and every pair
+*inside* a component — its two ends too, however far the chain
+stretches — skips the division.  The threshold is
+``max(CLUSTER_FACTOR · err_scale, ε‖A‖_F / tol_orth)``: the first term
+follows the current error, the second is an accuracy floor, since fp64
+roundoff in ``S`` lets the division resolve a pair ``δ`` apart only to
+about ``ε‖A‖_F / δ`` in orthogonality.  Within a component the update
+falls back to the Newton–Schulz orthogonalization correction
+``E_{ij} = R_{ij}/2`` — which restores orthogonality but not the
+invariant subspace mixing — and each component is then resolved
+exactly by a small Rayleigh–Ritz rotation: diagonalize ``V_cᵀ A V_c``
+(``|c| × |c|``, fp64) and rotate its columns.
+
+**Cost.**  A sweep first measures (``AV`` and ``G``); ``S = VᵀAV`` and
+the update follow only when the tolerances are not met, so the final,
+converged sweep is two GEMMs.
 
 **Failure.**  Refinement that stops making progress (a wildly wrong
 start, an injected fault at site ``"precision.refine"``) raises the
@@ -55,8 +66,9 @@ _EPS64 = float(np.finfo(np.float64).eps)
 #: orders of magnitude per step; anything below 2x is a stall).
 STALL_FACTOR = 2.0
 
-#: Eigenvalue pairs closer than ``CLUSTER_FACTOR * err_scale`` are
-#: grouped (the division in the update cannot resolve them).
+#: Neighbouring eigenvalues closer than ``CLUSTER_FACTOR * err_scale``
+#: (or than the accuracy floor) join one component (the division in the
+#: update cannot resolve them).
 CLUSTER_FACTOR = 10.0
 
 
@@ -110,24 +122,26 @@ class RefinementReport:
         }
 
 
-def _cluster_slices(lam: np.ndarray, gap: float) -> list[slice]:
-    """Connected components of consecutive eigenvalues closer than
-    ``gap`` (ascending input): the groups the elementwise update cannot
-    separate.  Returns only the nontrivial (size >= 2) groups."""
-    n = lam.size
-    if n < 2:
-        return []
-    close = np.diff(lam) <= gap
-    groups: list[slice] = []
-    start = 0
-    for i in range(n - 1):
-        if not close[i]:
-            if i + 1 - start >= 2:
-                groups.append(slice(start, i + 1))
-            start = i + 1
-    if n - start >= 2:
-        groups.append(slice(start, n))
-    return groups
+def _components(lam: np.ndarray, gap: float) -> tuple[np.ndarray, np.ndarray]:
+    """Connected components of the gap graph: eigenvalues closer than
+    ``gap`` are joined, and so, transitively, are chains of them.
+
+    Returns the stable ascending ``order`` of ``lam`` and one component
+    id per eigenvalue (in ``lam``'s own order); ids ascend along
+    ``order``, so each component is a contiguous run of the sorted
+    eigenvalues."""
+    order = np.argsort(lam, kind="stable")
+    ids = np.empty(lam.size, dtype=np.intp)
+    ids[order] = np.concatenate(([0], np.cumsum(np.diff(lam[order]) > gap)))
+    return order, ids
+
+
+def _groups(sorted_ids: np.ndarray) -> list[slice]:
+    """The nontrivial (size >= 2) components as slices of the sorted
+    eigenvalues, given their ids in ascending order."""
+    starts = np.flatnonzero(np.diff(sorted_ids, prepend=-1))
+    stops = np.append(starts[1:], sorted_ids.size)
+    return [slice(a, b) for a, b in zip(starts.tolist(), stops.tolist()) if b - a >= 2]
 
 
 def _rayleigh_ritz_clusters(
@@ -193,6 +207,10 @@ def refine_eigh(
     tol_residual = tr if tol_residual is None else float(tol_residual)
     tol_orth = to if tol_orth is None else float(tol_orth)
     norm = max(float(np.linalg.norm(A)), float(np.finfo(np.float64).tiny))
+    # The division separates a pair ``delta`` apart only to about
+    # ``eps * ||A|| / delta`` in orthogonality; closer pairs go to
+    # Rayleigh–Ritz whatever the current error.
+    gap_floor = _EPS64 * norm / max(tol_orth, _EPS64)
     eye = np.eye(n)
     report = RefinementReport(tol_residual=tol_residual, tol_orth=tol_orth)
 
@@ -201,7 +219,6 @@ def refine_eigh(
         maybe_raise("precision.refine")
         AV = A @ V
         G = V.T @ V
-        S = V.T @ AV
         res = float(np.linalg.norm(AV - V * lam[None, :])) / norm
         orth = float(np.linalg.norm(G - eye))
         report.residuals.append(res)
@@ -219,23 +236,30 @@ def refine_eigh(
                     site="precision.refine",
                     iterations=report.iterations,
                 )
-        # Ogita–Aishima update (all fp64 BLAS-3).
+        # Ogita–Aishima update (all fp64 BLAS-3); S only now that another
+        # update is certain.
+        S = V.T @ AV
+        del AV
         diag_G = np.diagonal(G).copy()
         lam_new = np.diagonal(S) / np.where(diag_G > 0.0, diag_G, 1.0)
-        R = eye - G
-        numer = S + R * lam_new[None, :]
-        denom = lam_new[None, :] - lam_new[:, None]
+        R = np.subtract(eye, G, out=G)
         err_scale = max(res * norm, float(n) * _EPS64 * norm)
-        gap = CLUSTER_FACTOR * err_scale
-        separated = np.abs(denom) > gap
-        E = np.where(separated, numer / np.where(separated, denom, 1.0), R / 2.0)
-        np.fill_diagonal(E, np.diagonal(R) / 2.0)
-        V[...] = V + V @ E
+        gap = max(CLUSTER_FACTOR * err_scale, gap_floor)
+        order, ids = _components(lam_new, gap)
+        # Pairs in different components take the division; pairs in one
+        # component (the diagonal included) take R/2 and are left to
+        # Rayleigh–Ritz.
+        same = ids[:, None] == ids[None, :]
+        denom = lam_new[None, :] - lam_new[:, None]
+        denom[same] = 1.0
+        S += R * lam_new[None, :]
+        E = np.divide(S, denom, out=S)
+        E[same] = R[same] / 2.0
+        np.add(V, V @ E, out=V)
         lam[...] = lam_new
-        groups = _cluster_slices(np.sort(lam_new), gap)
+        groups = _groups(ids[order])
         if groups:
             report.clusters = max(report.clusters, len(groups))
-            order = np.argsort(lam, kind="stable")
             lam[...] = lam[order]
             V[...] = V[:, order]
             _rayleigh_ritz_clusters(A, V, lam, groups)

@@ -53,6 +53,22 @@ class TestProtocolConformance:
         ar = backend.to_numpy(xp.arange(5))
         assert np.array_equal(ar, np.arange(5))
 
+    def test_float32_requests_stay_float32(self, backend):
+        # The mixed-precision chase asks for float32 workspaces and
+        # hands float32 host arrays over; neither may widen to float64.
+        xp = backend.xp
+        made = [
+            xp.empty((2, 3), dtype=xp.float32),
+            xp.zeros((3,), dtype=np.float32),
+            xp.full((2,), 1.5, dtype=np.float32),
+            xp.eye(2, dtype=np.float32),
+            xp.asarray(backend.from_numpy(np.ones(2, dtype=np.float32))),
+        ]
+        for buf in made:
+            assert backend.to_numpy(buf).dtype == np.float32
+        pool = WorkspacePool(backend)
+        assert backend.to_numpy(pool.stack("t", (2, 2), dtype=np.float32)).dtype == np.float32
+
     def test_matmul_with_out(self, backend):
         xp = backend.xp
         rng = np.random.default_rng(7)

@@ -103,6 +103,17 @@ class TestEscalation:
         assert np.array_equal(res.eigenvectors, base.eigenvectors)
         verify_evd(A, res).raise_if_failed()
 
+    def test_fp32_overflow_escalates_without_an_injected_fault(self):
+        # Entries near 1e30 square past float32's range in the chase's
+        # reflector norms; the fp64 twin handles them.
+        n = 128
+        A = goe(n, seed=22) * 1e30
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = execute_plan(A, plan_evd(n, "proposed", precision="mixed"))
+        assert res.refinement is not None and res.refinement.escalated
+        assert res.refinement.escalations[0].error_type == "NonFiniteError"
+        verify_evd(A, res).raise_if_failed()
+
     def test_escalated_result_is_deterministic(self):
         A = goe(48, seed=21)
         outs = []

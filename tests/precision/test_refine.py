@@ -4,6 +4,9 @@ spectra, quadratic residual contraction, typed stalls."""
 import numpy as np
 import pytest
 
+from repro.bench.workloads import clustered_spectrum, symmetric_with_spectrum
+from repro.plan import plan_evd
+from repro.plan.runner import execute_plan
 from repro.precision import RefinementStalled, refine_eigh
 from repro.resilience import verify_evd
 
@@ -102,6 +105,73 @@ class TestClusteredSpectra:
         assert np.allclose(lam, 1.0, atol=1e-8)
         assert np.linalg.norm(V.T @ V - np.eye(n)) <= 200.0 * n * EPS64
         del rng
+
+
+def clustered(n: int, clusters: int, spread: float, seed: int = 0) -> np.ndarray:
+    """A random-basis matrix whose spectrum is ``clusters`` groups of
+    standard deviation ``spread``."""
+    rng = np.random.default_rng((seed, n, clusters, round(-np.log10(spread))))
+    lam = clustered_spectrum(n, clusters=clusters, spread=spread, seed=rng)
+    return symmetric_with_spectrum(lam, seed=rng)
+
+
+def solve(A: np.ndarray, precision: str):
+    return execute_plan(A, plan_evd(A.shape[0], method="proposed", precision=precision))
+
+
+class TestClusterComponents:
+    """Eigenvalues joined through a chain of close neighbours form one
+    component: the update must not divide by the gap between any two of
+    them, however far apart the chain's ends are."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pipeline_start_on_two_tight_clusters_converges(self, seed):
+        # Two clusters of spread 1e-9: their ends sit a few 1e-9 apart,
+        # near the error after one sweep.
+        A = clustered(256, clusters=2, spread=1e-9, seed=seed)
+        start = solve(A, "fp32")  # the mixed pipeline, unrefined
+        lam, V, report = refine_eigh(A, start.eigenvalues, start.eigenvectors)
+        assert report.converged
+        assert report.clusters == 2
+        norm = np.linalg.norm(A)
+        bound = 200.0 * A.shape[0] * EPS64
+        assert np.linalg.norm(A @ V - V * lam[None, :]) / norm <= bound
+        assert np.linalg.norm(V.T @ V - np.eye(A.shape[0])) <= bound
+
+    @pytest.mark.parametrize("spacing", [5e-5, 1e-4])
+    def test_long_chain_is_one_component(self, spacing):
+        # 64 eigenvalues in a row, each pair of neighbours inside the
+        # grouping threshold but pairs further along the chain outside
+        # it: dividing by those gaps stalls refinement.
+        n = 256
+        lam = np.sort(np.concatenate(
+            [np.linspace(-1.0, 1.0, n - 64), 0.503 + spacing * np.arange(64)]
+        ))
+        A = symmetric_with_spectrum(lam, seed=64)
+        start = solve(A, "fp32")
+        _, _, report = refine_eigh(A, start.eigenvalues, start.eigenvectors)
+        assert report.converged
+        assert report.iterations <= 4
+
+    @pytest.mark.parametrize(
+        "clusters,spread",
+        [(c, s) for s in (1e-12, 1e-9, 1e-7, 1e-5) for c in (2, 8, 32)]
+        + [(0, 0.0)],
+        ids=lambda v: f"{v:g}",
+    )
+    def test_mixed_solve_never_escalates(self, clusters, spread):
+        n = 256
+        if clusters:
+            A = clustered(n, clusters=clusters, spread=spread)
+        else:  # eigenvalues 1e-8..1: one long chain of widening gaps
+            A = symmetric_with_spectrum(np.logspace(-8, 0, n), seed=n)
+        res = solve(A, "mixed")
+        assert res.refinement is not None
+        assert not res.refinement.escalated
+        assert res.refinement.converged
+        verify_evd(A, res).raise_if_failed()
+        err = np.max(np.abs(res.eigenvalues - np.linalg.eigvalsh(A)))
+        assert err <= 200.0 * n * EPS64 * np.linalg.norm(A)
 
 
 class TestStall:
