@@ -11,8 +11,10 @@ operations listed below, never through ``numpy`` directly.
 Contract
 --------
 A backend owns arrays of one *native* type (``numpy.ndarray``,
-``torch.Tensor``, ``cupy.ndarray``, ...), always in float64 — the
-pipeline is an FP64 algorithm and backends must not silently downcast.
+``torch.Tensor``, ``cupy.ndarray``, ...) in float64, or in float32
+where the caller hands float32 over (the mixed-precision working
+width).  Backends must neither silently downcast float64 nor widen
+float32.
 The required surface is:
 
 =====================  =====================================================
@@ -83,7 +85,8 @@ class ArrayBackend:
 
     # -- conversion ---------------------------------------------------
     def asarray(self, x: Any) -> Any:
-        """Coerce ``x`` to a native float64 array (no copy if possible)."""
+        """Coerce ``x`` to a native array (no copy if possible): float32
+        stays float32, every other dtype becomes float64."""
         raise NotImplementedError
 
     def from_numpy(self, x: np.ndarray) -> Any:

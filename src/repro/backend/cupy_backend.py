@@ -42,10 +42,13 @@ class CupyBackend(ArrayBackend):
         self.xp = _cupy
 
     def asarray(self, x):
-        return _cupy.asarray(x, dtype=_cupy.float64)
+        # As NumpyBackend: float32 keeps the mixed-precision working
+        # width, anything else becomes float64.
+        dt = np.float32 if getattr(x, "dtype", None) == np.float32 else np.float64
+        return _cupy.asarray(x, dtype=dt)
 
     def from_numpy(self, x: np.ndarray):
-        return _cupy.asarray(x, dtype=_cupy.float64)
+        return self.asarray(x)
 
     def to_numpy(self, x) -> np.ndarray:
         if isinstance(x, np.ndarray):

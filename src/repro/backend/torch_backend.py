@@ -243,8 +243,13 @@ class TorchBackend(ArrayBackend):
         self.xp = _TorchNamespace()
 
     def asarray(self, x):
-        t = _torch.as_tensor(x, dtype=_torch.float64)
-        return t.to(self.device) if t.device != self.device else t
+        # As NumpyBackend: float32 keeps the mixed-precision working
+        # width, anything else becomes float64.  Non-tensors go through
+        # NumPy first, so a list of floats is float64 as it is there
+        # (torch's own default would be float32).
+        t = _torch.as_tensor(x if _torch.is_tensor(x) else np.asarray(x))
+        dt = _torch.float32 if t.dtype == _torch.float32 else _torch.float64
+        return t.to(device=self.device, dtype=dt)
 
     def from_numpy(self, x: np.ndarray):
         # A float32 host array keeps the mixed-precision working width,

@@ -9,7 +9,6 @@ from .secular import (
     secular_eigenvectors,
     secular_f,
     solve_all_roots,
-    solve_secular_root,
 )
 from .sturm import (
     eigh_bisect,
@@ -31,7 +30,6 @@ __all__ = [
     "secular_eigenvectors",
     "secular_f",
     "solve_all_roots",
-    "solve_secular_root",
     "sturm_count",
     "tridiag_qr_eigh",
     "tridiag_solve_shifted",

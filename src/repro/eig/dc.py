@@ -26,10 +26,10 @@ every merge its three sub-stages (``dc_deflate``, ``dc_secular``,
 hooks, so ``SolverService.stats()`` and the benchmark artifacts can
 attribute D&C time below the ``tridiag_solver`` line.
 
-The secular stage runs ``dlaed4``-style rational sweeps over L2-sized
-tiles of roots (``secular_mode="batched"``, what every plan executes);
-``secular_mode="scalar"`` selects the original per-root guarded-Newton
-loops, an oracle the tests compare against.
+The secular stage solves each root by one host LAPACK ``dlaed4`` call,
+as MAGMA's merge (``dlaex3``) does, then refines ``z`` by Löwner's
+formula and forms the eigenvectors in L2-sized tiles
+(:mod:`repro.eig.secular`).
 
 Like ``dstedc``, the solver scales ``(d, e)`` on entry by the power of
 two that brings ``max |T|`` into ``[0.5, 1)`` and unscales the
@@ -72,8 +72,6 @@ class DCStats:
     sizes: list[int] = field(default_factory=list)
     levels: int = 0
     leaves: int = 0
-    #: Most root-solver sweeps any merge needed (batched secular mode).
-    secular_sweeps: int = 0
 
     @property
     def deflation_fraction(self) -> float:
@@ -88,7 +86,6 @@ def _rank_one_update(
     Q: np.ndarray,
     stats: DCStats,
     ctx: ExecutionContext,
-    secular_mode: str,
     rows_only: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigensystem of ``diag(D) + rho z z^T`` expressed through ``Q``.
@@ -101,7 +98,7 @@ def _rank_one_update(
     if rho < 0.0:
         # eig(D + rho z z^T) = -rev(eig(-rev(D) + |rho| rev(z) rev(z)^T))
         lam_r, Q_r = _rank_one_update(
-            -D[::-1], z[::-1], -rho, Q[:, ::-1], stats, ctx, secular_mode, rows_only
+            -D[::-1], z[::-1], -rho, Q[:, ::-1], stats, ctx, rows_only
         )
         return -lam_r[::-1], Q_r[:, ::-1]
 
@@ -154,24 +151,21 @@ def _rank_one_update(
         order = np.argsort(D, kind="stable")
         return D[order], Q[:, order]
 
-    # The secular tiles (and the vector mode's (N, N) matrix) come from
-    # the context's pool in batched mode, so back-to-back merges at one
+    # The Löwner and eigenvector tiles (and the vector mode's (N, N)
+    # matrix) come from the context's pool, so back-to-back merges at one
     # level allocate nothing.
-    pool = ctx.workspace if (secular_mode == "batched" and ctx.is_numpy) else None
-    with ctx.stage("dc_secular", n=int(nd.size), mode=secular_mode):
+    pool = ctx.workspace if ctx.is_numpy else None
+    with ctx.stage("dc_secular", n=int(nd.size)):
         maybe_raise("dc.merge")
-        roots = solve_all_roots(D[nd], z[nd], rho, mode=secular_mode, workspace=pool)
-        stats.secular_sweeps = max(stats.secular_sweeps, roots.sweeps)
+        roots = solve_all_roots(D[nd], z[nd], rho)
         lam_nd = roots.values
-        zhat = refine_z(roots, z[nd], rho, mode=secular_mode, workspace=pool)
+        zhat = refine_z(roots, z[nd], rho, workspace=pool)
         if rows_only:
             # The 2-row basis is multiplied in tile by tile: eigenvalues-only
             # merges never form the (N, N) eigenvector matrix.
-            Q_nd = secular_eigenvectors(
-                roots, zhat, mode=secular_mode, workspace=pool, basis=Q[:, nd]
-            )
+            Q_nd = secular_eigenvectors(roots, zhat, workspace=pool, basis=Q[:, nd])
         else:
-            S = secular_eigenvectors(roots, zhat, mode=secular_mode, workspace=pool)
+            S = secular_eigenvectors(roots, zhat, workspace=pool)
     if not rows_only:
         with ctx.stage("dc_gemm", rows=int(Q.shape[0]), k=int(nd.size)):
             # Mixed precision: the secular stage always runs fp64, but the
@@ -251,7 +245,6 @@ def _dc_level_order(
     base_size: int,
     stats: DCStats,
     ctx: ExecutionContext,
-    secular_mode: str,
     vector_dtype: np.dtype = np.float64,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Execute the merge tree level by level.
@@ -325,9 +318,7 @@ def _dc_level_order(
             Q = _block_diag_rows(Q1, Q2, rows_only)
             stats.merges += 1
             stats.sizes.append(t - s)
-            done[(s, t)] = _rank_one_update(
-                D, z, rho, Q, stats, ctx, secular_mode, rows_only
-            )
+            done[(s, t)] = _rank_one_update(D, z, rho, Q, stats, ctx, rows_only)
 
     return done[(0, n)]
 
@@ -336,10 +327,9 @@ def dc_eigh(
     d: np.ndarray,
     e: np.ndarray,
     compute_vectors: bool = True,
-    base_size: int = 24,
+    base_size: int = 128,
     return_stats: bool = False,
     ctx: ExecutionContext | None = None,
-    secular_mode: str = "batched",
     vector_dtype: np.dtype | None = None,
 ):
     """Eigendecomposition of ``tridiag(d, e)`` by divide and conquer.
@@ -353,19 +343,18 @@ def dc_eigh(
         through the recursion (``O(n^2)`` total).
     base_size : int
         Subproblems at or below this size are leaves, solved by LAPACK in
-        one stacked call per leaf size.
+        one stacked call per leaf size.  The default 128 is MAGMA's
+        ``magma_get_smlsize_divideconquer()``; it measured fastest of
+        24–128 on whole solves on a 2-vCPU host (EXPERIMENTS.md).
     return_stats : bool
         Also return a :class:`DCStats` with merge/deflation counters.
     ctx : ExecutionContext, optional
         Execution context: the per-level eigenvector merge GEMM runs on
-        its backend, batched secular scratch comes from its workspace
-        pool, and the leaves emit ``dc_leaf`` and every merge
+        its backend, the secular Löwner and eigenvector tiles come from
+        its workspace pool, and the leaves emit ``dc_leaf`` and every merge
         ``dc_deflate`` / ``dc_secular`` / ``dc_gemm`` stage events through
         its hooks (eigenvalues-only merges have no ``dc_gemm``: their
         two-row product runs inside ``dc_secular``).
-    secular_mode : {"batched", "scalar"}
-        ``"batched"`` (default) runs the vectorized secular machinery;
-        ``"scalar"`` the original per-root loops (the test oracle).
     vector_dtype : dtype, optional
         Working dtype of the eigenvector carrying and per-level merge
         GEMMs (the O(n^3) cost).  The eigenvalue/secular machinery —
@@ -383,8 +372,8 @@ def dc_eigh(
     Raises
     ------
     ConvergenceError
-        A LAPACK leaf solve failed (site ``"dc.leaf"``) or a secular root
-        sweep stalled (site ``"secular.newton"``).
+        A LAPACK leaf solve failed (site ``"dc.leaf"``) or ``dlaed4``
+        did not converge on a secular root (site ``"secular.newton"``).
     """
     d = np.asarray(d, dtype=np.float64)
     e = np.asarray(e, dtype=np.float64)
@@ -393,10 +382,6 @@ def dc_eigh(
         raise ValueError(f"e must have length n-1={n - 1}, got {e.size}")
     if base_size < 3:
         raise ValueError("base_size must be >= 3")
-    if secular_mode not in ("batched", "scalar"):
-        raise ValueError(
-            f"unknown secular_mode {secular_mode!r}; expected 'batched' or 'scalar'"
-        )
     vdt = np.dtype(np.float64) if vector_dtype is None else np.dtype(vector_dtype)
     if vdt not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise ValueError(f"vector_dtype must be float32 or float64, got {vdt}")
@@ -413,7 +398,6 @@ def dc_eigh(
         base_size,
         stats,
         resolve_context(ctx),
-        secular_mode,
         vector_dtype=vdt,
     )
     lam = np.ldexp(lam, expo)

@@ -11,10 +11,10 @@ whose eigenvalues are the roots of the *secular equation*
 one root strictly inside each interval ``(d_i, d_{i+1})`` plus one beyond
 ``d_N`` (interlacing).  This module provides:
 
-* :func:`solve_secular_root` — a guarded Newton iteration for a single
-  root, returning the root as ``(anchor index, offset)`` so that
+* :func:`solve_all_roots` — all ``N`` roots, each by one call of LAPACK
+  ``dlaed4``, as MAGMA's ``Dstedc`` merge (``dlaex3``) solves them on the
+  host.  A root is returned as ``(anchor index, offset)`` so that
   ``lam - d_j`` can later be formed without cancellation;
-* :func:`solve_all_roots` — all ``N`` roots;
 * :func:`refine_z` — the Gu–Eisenstat trick: recompute the rank-one vector
   ``z_hat`` from the *computed* roots (Löwner's formula), which makes the
   analytic eigenvector formula numerically orthogonal even for tightly
@@ -23,19 +23,15 @@ one root strictly inside each interval ``(d_i, d_{i+1})`` plus one beyond
   (d_j - lam_i)`` built from the refined vector, or their product with a
   few basis rows.
 
-Each of the three stages comes in two modes (``mode="batched"`` default,
-``mode="scalar"``).  The scalar mode is the original one-root-at-a-time
-guarded Newton, kept as a cross-check oracle for the tests; production
-(:func:`repro.eig.dc_eigh` under every plan) runs batched.  The batched
-mode walks the roots in row tiles of about 1 MiB (``_TILE_BYTES``), so a
-tile's pole differences stay in L2 while it iterates:
+``dlaed4`` is bound with :mod:`ctypes` from NumPy's own OpenBLAS (the
+ILP64 ``scipy_dlaed4_64_``), like the band-reduction panels'
+``?geqrt`` in :mod:`repro.core.panel_qr`; where that symbol is missing,
+the ``dlaed4`` capsule of ``scipy.linalg.cython_lapack`` is used.  Each
+root costs ``O(N)`` per iteration and ``dlaed4`` converges in a few.
 
-* the roots take LAPACK ``dlaed4``'s steps: a two-pole quadratic from the
-  interval midpoint as the starting guess, then the fixed-weight rational
-  step (Li; Gragg) with the last root's pole split handled separately —
-  guarded by the per-root bracket with bisection fallback, stopped at
-  the backward-error floor, and compressed to the still-active rows of
-  the tile each sweep;
+The refinement and the eigenvectors walk L2-sized tiles of about 1 MiB
+(``_TILE_BYTES``):
+
 * the Löwner refinement evaluates the paired ratios
   ``(lam_i - d_j) / (d_{i or i+1} - d_j)`` in column tiles (each ratio is
   O(1) by interlacing, so the column products stay bounded) and reduces
@@ -44,17 +40,21 @@ tile's pole differences stay in L2 while it iterates:
   normalization per tile of roots; given basis rows, each tile is
   multiplied in at once and the ``(N, N)`` matrix is never formed.
 
-Every root, ratio column and eigenvector is computed independently of the
+Every ratio column and eigenvector is computed independently of the
 others, so results do not depend on the tile size.  Scratch can be served
 from a caller-provided workspace pool (``workspace=``, duck-typed to
 :meth:`repro.backend.WorkspacePool.matrix`) so repeated merges inside the
-divide-and-conquer tree allocate nothing in steady state.
+divide-and-conquer tree allocate nothing in steady state.  The scalar
+per-root oracles these kernels are tested against live with the tests.
 
 ``rho < 0`` is handled by the caller (:mod:`repro.eig.dc`) through the
 reflection ``eig(D + rho z z^T) = -rev(eig(-rev(D) + |rho| rev(z) rev(z)^T))``.
 """
 
 from __future__ import annotations
+
+import ctypes
+import functools
 
 import numpy as np
 
@@ -63,25 +63,15 @@ from ..resilience.faults import maybe_raise
 
 __all__ = [
     "SecularRoots",
-    "solve_secular_root",
     "solve_all_roots",
     "refine_z",
     "secular_eigenvectors",
     "secular_f",
 ]
 
-_EPS = np.finfo(np.float64).eps
-
-_MODES = ("batched", "scalar")
-
-# Bytes of float64 scratch per batched tile: about half of a 2 MiB L2,
-# so a tile's pole-difference rows stay cache-resident across sweeps.
+# Bytes of float64 scratch per tile: about half of a 2 MiB L2, so a
+# Löwner or eigenvector tile stays cache-resident while it is formed.
 _TILE_BYTES = 1 << 20
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in _MODES:
-        raise ValueError(f"unknown secular mode {mode!r}; expected one of {_MODES}")
 
 
 def _scratch_matrix(workspace, tag: str, shape: tuple[int, int]) -> np.ndarray:
@@ -110,13 +100,10 @@ class SecularRoots:
         d: np.ndarray,
         anchors: np.ndarray,
         offsets: np.ndarray,
-        sweeps: int = 0,
     ):
         self.d = d
         self.anchors = anchors
         self.offsets = offsets
-        #: Most sweeps any root tile needed (0 from the scalar oracle).
-        self.sweeps = sweeps
 
     @property
     def values(self) -> np.ndarray:
@@ -132,109 +119,134 @@ class SecularRoots:
         return (self.d - self.d[self.anchors[i]]) - self.offsets[i]
 
 
-def solve_secular_root(
-    d: np.ndarray,
-    z2: np.ndarray,
-    rho: float,
-    i: int,
-    max_iter: int = 256,
-) -> tuple[int, float]:
-    """Find root ``i`` of the secular equation (``rho > 0``).
+def _numpy_dlaed4():
+    """``dlaed4`` from the OpenBLAS NumPy links, or ``None`` if absent.
 
-    Root ``i`` lies in ``(d_i, d_{i+1})`` for ``i < N-1`` and in
-    ``(d_{N-1}, d_{N-1} + rho ||z||^2)`` for ``i == N-1``.  The root is
-    anchored to whichever interval endpoint it is closer to (decided by the
-    sign of ``f`` at the midpoint) and found by a guarded Newton iteration
-    on the offset, with bisection fallback; convergence is to relative
-    machine precision of the offset.
+    ``dlsym`` on the handle of NumPy's LAPACK extension also searches the
+    libraries it depends on, so the lookup needs no file path.  Only the
+    ILP64 ``scipy_dlaed4_64_`` symbol is used: its integer width is part
+    of its name.  The handle is a :class:`ctypes.PyDLL`, so a call keeps
+    the GIL: a call takes microseconds, and releasing and re-taking the
+    GIL around each one made two solver threads no faster.
+    """
+    try:
+        from numpy.linalg import _umath_linalg
 
-    Returns ``(anchor, mu)`` with ``lam = d[anchor] + mu``.
+        fn = ctypes.PyDLL(_umath_linalg.__file__).scipy_dlaed4_64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    fn.argtypes = [ctypes.c_void_p] * 8
+    fn.restype = None
+    return fn, ctypes.c_int64
+
+
+def _scipy_dlaed4():
+    """``dlaed4`` from the capsule in ``scipy.linalg.cython_lapack`` (LP64,
+    imported here, lazily), called with the GIL held like the NumPy one."""
+    from scipy.linalg.cython_lapack import __pyx_capi__
+
+    capsule = __pyx_capi__["dlaed4"]
+    api = ctypes.pythonapi
+    api.PyCapsule_GetName.restype = ctypes.c_char_p
+    api.PyCapsule_GetName.argtypes = [ctypes.py_object]
+    api.PyCapsule_GetPointer.restype = ctypes.c_void_p
+    api.PyCapsule_GetPointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
+    addr = api.PyCapsule_GetPointer(capsule, api.PyCapsule_GetName(capsule))
+    return ctypes.PYFUNCTYPE(None, *[ctypes.c_void_p] * 8)(addr), ctypes.c_int32
+
+
+@functools.cache
+def _dlaed4():
+    """``(dlaed4, its integer type)``: NumPy's OpenBLAS, else scipy."""
+    return _numpy_dlaed4() or _scipy_dlaed4()
+
+
+def _two_pole_roots(d: np.ndarray, z2: np.ndarray, rho: float) -> SecularRoots:
+    """The roots of ``N <= 2`` in closed form, as LAPACK's ``dlaed5``
+    (which ``dlaed4`` calls for ``N = 2``, returning an eigenvector
+    instead of pole differences)."""
+    N = d.size
+    anchors = np.arange(N, dtype=np.int64)
+    offsets = rho * z2[:N]
+    if N == 2:
+        gap = d[1] - d[0]
+        w = rho * (z2[0] + z2[1])
+        # Offsets tau from d_1 solve tau^2 - b tau - c = 0.
+        b, c = w - gap, rho * z2[1] * gap
+        disc = np.sqrt(b * b + 4.0 * c)
+        offsets[1] = (b + disc) / 2.0 if b > 0.0 else 2.0 * c / (disc - b)
+        if 1.0 + 2.0 * rho * (z2[1] - z2[0]) / gap > 0.0:
+            # f(midpoint) > 0: root 0 is nearer d_0, whose offsets solve
+            # tau^2 - (gap + w) tau + rho z_0^2 gap = 0 (smaller root).
+            b0, c0 = gap + w, rho * z2[0] * gap
+            offsets[0] = 2.0 * c0 / (b0 + np.sqrt(abs(b0 * b0 - 4.0 * c0)))
+        else:
+            anchors[0] = 1
+            offsets[0] = -2.0 * c / (b + disc) if b > 0.0 else (b - disc) / 2.0
+    return SecularRoots(d, anchors, offsets)
+
+
+def solve_all_roots(d: np.ndarray, z: np.ndarray, rho: float) -> SecularRoots:
+    """All ``N`` secular roots for ``D + rho z z^T`` (``rho > 0``,
+    ``d`` strictly ascending, ``z`` fully non-deflated).
+
+    Each root is one LAPACK ``dlaed4`` call on ``z / ||z||`` and
+    ``rho ||z||^2`` (``dlaed4`` assumes a unit ``z``, as ``dlaed2``
+    arranges).  ``dlaed4`` returns ``DELTA_j = (d_j - d_origin) - tau``
+    for the pole it iterated from; the root is anchored to the bracketing
+    pole with the smaller ``|DELTA|`` and its offset is ``-DELTA`` there,
+    so ``lam - d_j`` stays cancellation-free downstream.  ``N <= 2`` is
+    solved in closed form.
 
     Raises
     ------
     ConvergenceError
-        The iteration hit ``max_iter`` without reaching the backward-
-        error floor or a sub-ulp step (site ``"secular.newton"``).
+        ``dlaed4`` reported ``INFO != 0`` for a root (site
+        ``"secular.newton"``, carrying its index) — it ran out of its
+        fixed iteration budget, e.g. on a zero ``z`` entry left
+        undeflated.
     """
-    N = d.size
-    if not 0 <= i < N:
-        raise IndexError(f"root index {i} out of range 0..{N - 1}")
+    maybe_raise("secular.newton")
     if rho <= 0:
-        raise ValueError("solve_secular_root requires rho > 0")
-
-    if i < N - 1:
-        left, right = d[i], d[i + 1]
-        mid = 0.5 * (left + right)
-        f_mid = 1.0 + rho * float(np.sum(z2 / (d - mid)))
-        # f increasing on the interval: root left of mid iff f(mid) > 0.
-        anchor = i if f_mid > 0 else i + 1
-    else:
-        left = d[N - 1]
-        right = d[N - 1] + rho * float(np.sum(z2))
-        anchor = N - 1
-
-    delta = d - d[anchor]
-    # Bracketing interval for the offset mu.
-    lo = left - d[anchor]
-    hi = right - d[anchor]
-    # Keep strictly inside the poles.
-    span = hi - lo
-    if span <= 0:
-        return anchor, 0.0
-    mu = 0.5 * (lo + hi)
-
-    for _ in range(max_iter):
-        diff = delta - mu
-        if np.any(diff == 0.0):
-            # Exactly on a pole (can only happen at bracket endpoints):
-            # nudge one ulp toward the interval interior and re-evaluate.
-            mu = np.nextafter(mu, 0.5 * (lo + hi))
-            diff = delta - mu
-            if np.any(diff == 0.0):  # pragma: no cover - degenerate poles
-                mu = np.nextafter(mu, 0.5 * (lo + hi))
-                diff = delta - mu
-        terms = z2 / diff
-        f = 1.0 / rho + float(np.sum(terms))
-        fp = float(np.sum(terms / diff))  # f' / rho, always > 0
-        # Backward-error floor: |f| already at the roundoff level of its
-        # own evaluation — iterating further is pure noise.
-        fscale = 1.0 / rho + float(np.sum(np.abs(terms)))
-        if abs(f) <= 2.0 * _EPS * fscale:
-            break
-        if f > 0:
-            hi = mu
-        else:
-            lo = mu
-        # Newton step on the monotone function.
-        step = -f / fp if fp > 0 else 0.0
-        mu_new = mu + step
-        if not (lo < mu_new < hi):
-            mu_new = 0.5 * (lo + hi)
-        if abs(mu_new - mu) <= _EPS * max(abs(mu_new), abs(mu)):
-            mu = mu_new
-            break
-        mu = mu_new
-    else:
-        raise ConvergenceError(
-            f"secular Newton iteration for root {i} did not converge in "
-            f"{max_iter} iterations",
-            site="secular.newton",
-            iterations=max_iter,
-            indices=[i],
-        )
-    return anchor, float(mu)
-
-
-def _solve_all_roots_scalar(
-    d: np.ndarray, z2: np.ndarray, rho: float, max_iter: int = 256
-) -> SecularRoots:
+        raise ValueError("solve_all_roots requires rho > 0")
+    d = np.ascontiguousarray(d, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
+    if d.ndim != 1 or z.shape != d.shape:
+        raise ValueError(f"d and z must be vectors of one length, got {d.shape} and {z.shape}")
     N = d.size
-    anchors = np.zeros(N, dtype=np.int64)
-    offsets = np.zeros(N, dtype=np.float64)
+    if N <= 2:
+        return _two_pole_roots(d, z * z, rho)
+
+    fn, cint = _dlaed4()
+    znorm2 = float(z @ z)
+    zu = np.ascontiguousarray(z / np.sqrt(znorm2))
+    delta = np.empty(N, dtype=np.float64)
+    # Python floats from a ctypes view: cheaper per root than indexing NumPy.
+    dv = (ctypes.c_double * N).from_buffer(delta)
+    n_c, i_c, info = cint(N), cint(0), cint(0)
+    rho_c, dlam = ctypes.c_double(rho * znorm2), ctypes.c_double(0.0)
+    args = (
+        ctypes.addressof(n_c), ctypes.addressof(i_c), d.ctypes.data,
+        zu.ctypes.data, delta.ctypes.data, ctypes.addressof(rho_c),
+        ctypes.addressof(dlam), ctypes.addressof(info),
+    )
+    anchors = np.empty(N, dtype=np.int64)
+    offsets = np.empty(N, dtype=np.float64)
     for i in range(N):
-        a, mu = solve_secular_root(d, z2, rho, i, max_iter=max_iter)
+        i_c.value = i + 1
+        fn(*args)
+        if info.value != 0:
+            raise ConvergenceError(
+                f"dlaed4 did not converge on secular root {i} of {N} "
+                f"(INFO={info.value})",
+                site="secular.newton",
+                indices=[i],
+            )
+        # The last root is anchored to d_{N-1}, the others to their
+        # nearer bracketing pole.
+        a = i if i == N - 1 or abs(dv[i]) <= abs(dv[i + 1]) else i + 1
         anchors[i] = a
-        offsets[i] = mu
+        offsets[i] = -dv[a]
     return SecularRoots(d, anchors, offsets)
 
 
@@ -246,310 +258,28 @@ def _row_tiles(rows: int, cols: int):
         yield slice(start, min(start + step, rows))
 
 
-def _initial_guess(
-    d: np.ndarray,
-    z2: np.ndarray,
-    rho: float,
-    upper: float,
-    r: np.ndarray,
-    i_lo: np.ndarray,
-    i_hi: np.ndarray,
-    W: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Anchor side and starting offset of the roots ``r``, as ``dlaed4``.
-
-    The secular function is evaluated at each root's interval midpoint
-    (``W`` is ``(len(r), N)`` scratch): its sign says whether root ``i``
-    sits left of the midpoint, i.e. is anchored to its lower pole
-    (``orgati``), and the sum minus its two nearest-pole terms is the
-    constant of the two-pole quadratic whose root is the guess.  The last
-    root is anchored to ``d_{N-1}``.  Returns ``(orgati, offset)``.
-    """
-    N = d.size
-    last = r == N - 1
-    mids = np.where(last, d[N - 1] + 0.5 * upper, 0.5 * (d[i_lo] + d[i_hi]))
-    np.subtract(d[None, :], mids[:, None], out=W)
-    np.divide(z2[None, :], W, out=W)
-    s = W.sum(axis=1)
-    orgati = ~last & (1.0 + rho * s > 0.0)
-
-    rr = np.arange(r.size)
-    c = (1.0 / rho + s) - W[rr, i_lo] - W[rr, i_hi]
-    z2_lo, z2_hi = z2[i_lo], z2[i_hi]
-    gap = d[i_hi] - d[i_lo]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # Interior roots, offset from the anchor pole.
-        a = np.where(orgati, c * gap + z2_lo + z2_hi, c * gap - z2_lo - z2_hi)
-        b = np.where(orgati, z2_lo, z2_hi) * gap
-        disc = np.sqrt(np.abs(a * a - 4.0 * np.where(orgati, b, -b) * c))
-        tau = np.where(
-            orgati,
-            np.where(a > 0.0, 2.0 * b / (a + disc), (a - disc) / (2.0 * c)),
-            np.where(a < 0.0, 2.0 * b / (a - disc), -(a + disc) / (2.0 * c)),
-        )
-        # The last root, offset from d_{N-1} into (0, upper].
-        a_n = z2_lo + z2_hi - c * gap
-        disc_n = np.sqrt(a_n * a_n + 4.0 * b * c)
-        tau_n = np.where(a_n < 0.0, 2.0 * b / (disc_n - a_n), (a_n + disc_n) / (2.0 * c))
-        beyond_mid = (1.0 / rho + s <= 0.0) & (c <= z2_lo / (gap + upper) + z2_hi / upper)
-        tau = np.where(last, np.where(beyond_mid | (N == 1), upper, tau_n), tau)
-    return orgati, tau
-
-
-def _fixed_weight_step(
-    w: np.ndarray,
-    dw: np.ndarray,
-    p_lo: np.ndarray,
-    p_hi: np.ndarray,
-    z2_lo: np.ndarray,
-    z2_hi: np.ndarray,
-    gap: np.ndarray,
-    orgati: np.ndarray,
-    last: np.ndarray,
-) -> np.ndarray:
-    """``dlaed4``'s fixed-weight rational step (Li; Gragg), per row.
-
-    ``w``/``dw`` are the secular function (over ``rho``) and its
-    derivative at the current iterate; ``p_lo``/``p_hi`` are the
-    distances ``d_j - lam`` to the two poles bracketing the root.  The
-    secular function is interpolated by those two poles plus a constant:
-    the anchor pole keeps its exact weight ``z_j^2``, and the other
-    pole's weight and the constant match the value and derivative; the
-    step is the interpolant's root.  The last root has no pole above, so
-    its two nearest poles split the derivative as ``dlaed4`` does.  Rows
-    where the model has no usable root fall back to the Newton step.
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        pp = p_lo * p_hi
-        a = (p_lo + p_hi) * w - pp * dw
-        b = pp * w
-        dphi = z2_hi / (p_hi * p_hi)
-        c = np.where(
-            last,
-            np.abs(w - p_lo * (dw - dphi) - p_hi * dphi),
-            np.where(
-                orgati,
-                w - p_hi * dw + gap * z2_lo / (p_lo * p_lo),
-                w - p_lo * dw - gap * dphi,
-            ),
-        )
-        disc = np.sqrt(np.abs(a * a - 4.0 * b * c))
-        eta = np.where(
-            last,
-            np.where(a >= 0.0, (a + disc) / (2.0 * c), 2.0 * b / (a - disc)),
-            np.where(a <= 0.0, (a - disc) / (2.0 * c), 2.0 * b / (a + disc)),
-        )
-        # The step must move against w; otherwise take Newton's.
-        bad = ~np.isfinite(eta) | (w * eta >= 0.0)
-        eta[bad] = -w[bad] / dw[bad]
-    return eta
-
-
-def _solve_tile(
-    d: np.ndarray,
-    z2: np.ndarray,
-    rho: float,
-    upper: float,
-    rows: slice,
-    anchors: np.ndarray,
-    offsets: np.ndarray,
-    workspace,
-    max_iter: int,
-) -> int:
-    """Iterate the roots of ``rows`` to convergence; returns the sweeps
-    spent.  Every row is independent, so the results do not depend on
-    how the roots are tiled."""
-    N = d.size
-    r = np.arange(rows.start, rows.stop)
-    last = r == N - 1
-    # The poles bracketing each root; the last root pairs with N-2, N-1.
-    i_lo = np.maximum(np.minimum(r, N - 2), 0)
-    i_hi = np.minimum(i_lo + 1, N - 1)
-    # One (rows, N) scratch block serves the midpoint evaluation, then
-    # the pole offsets of the sweeps.
-    delta = _scratch_matrix(workspace, "secular.tile", (r.size, N))
-    orgati, mu = _initial_guess(d, z2, rho, upper, r, i_lo, i_hi, delta)
-    anchor = np.where(orgati | last, r, r + 1)
-    anchors[rows] = anchor
-    d_anchor = d[anchor]
-    # Offset bracket: root i in (d_i, d_{i+1}), the last in
-    # (d_{N-1}, d_{N-1} + rho ||z||^2].
-    lo = np.where(last, 0.0, d[i_lo] - d_anchor)
-    hi = np.where(last, upper, d[i_hi] - d_anchor)
-    # Start inside the bracket; only the last root's upper end is no pole.
-    inside = (lo < mu) & np.where(last, mu <= hi, mu < hi)
-    mu = np.where(inside, mu, 0.5 * (lo + hi))
-    # Pole offsets of the two bracketing poles; p = pole - lam = pole - mu.
-    pole_lo = d[i_lo] - d_anchor
-    pole_hi = d[i_hi] - d_anchor
-    gap = d[i_hi] - d[i_lo]
-    z2_lo, z2_hi = z2[i_lo], z2[i_hi]
-
-    # delta[i, j] = d_j - d_anchor_i: the pole offsets seen by root i.
-    np.subtract(d[None, :], d_anchor[:, None], out=delta)
-
-    idx = np.flatnonzero(hi > lo)
-    inv_rho = 1.0 / rho
-    sweeps = 0
-    for _ in range(max_iter):
-        if idx.size == 0:
-            break
-        sweeps += 1
-        delta_a = delta if idx.size == delta.shape[0] else delta[idx]
-        mu_a = mu[idx]
-        lo_a = lo[idx]
-        hi_a = hi[idx]
-        diff = delta_a - mu_a[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = z2[None, :] / diff
-            f = inv_rho + terms.sum(axis=1)
-            # A non-finite sum means the iterate sits exactly on a pole
-            # (only possible at a bracket end): nudge those rows one ulp
-            # toward the interval interior and re-evaluate them.
-            for _nudge in range(2):
-                hit = np.flatnonzero(~np.isfinite(f))
-                if hit.size == 0:
-                    break
-                mu_a[hit] = np.nextafter(mu_a[hit], 0.5 * (lo_a[hit] + hi_a[hit]))
-                diff[hit] = delta_a[hit] - mu_a[hit, None]
-                terms[hit] = z2[None, :] / diff[hit]
-                f[hit] = inv_rho + terms[hit].sum(axis=1)
-        np.divide(terms, diff, out=diff)
-        fp = diff.sum(axis=1)  # f' / rho, always > 0
-        # Backward-error floor, per root: |f| at the roundoff level of
-        # its own evaluation — iterating further is pure noise.
-        np.abs(terms, out=terms)
-        fscale = inv_rho + terms.sum(axis=1)
-        at_floor = np.abs(f) <= 2.0 * _EPS * fscale
-        # Bracket update on the monotone function, then the rational
-        # step guarded by bisection — all rows at once.
-        f_pos = f > 0.0
-        hi_a = np.where(f_pos, mu_a, hi_a)
-        lo_a = np.where(f_pos, lo_a, mu_a)
-        eta = _fixed_weight_step(
-            f,
-            fp,
-            pole_lo[idx] - mu_a,
-            pole_hi[idx] - mu_a,
-            z2_lo[idx],
-            z2_hi[idx],
-            gap[idx],
-            orgati[idx],
-            last[idx],
-        )
-        mu_new = mu_a + eta
-        inside = (lo_a < mu_new) & (mu_new < hi_a)
-        mu_new = np.where(inside, mu_new, 0.5 * (lo_a + hi_a))
-        tiny_step = np.abs(mu_new - mu_a) <= _EPS * np.maximum(
-            np.abs(mu_new), np.abs(mu_a)
-        )
-        # Roots at the residual floor keep their current mu; roots whose
-        # step collapsed accept the step and stop; the rest keep going.
-        mu[idx] = np.where(at_floor, mu_a, mu_new)
-        lo[idx] = lo_a
-        hi[idx] = hi_a
-        idx = idx[~(at_floor | tiny_step)]
-
-    if idx.size > 0:
-        # Stagnant brackets must fail loudly: exiting here with silently
-        # unconverged roots poisons every eigenvector built from them.
-        bad = r[idx]
-        raise ConvergenceError(
-            f"secular sweep left {bad.size} of {N} roots unconverged "
-            f"after {max_iter} iterations (root indices {bad[:8].tolist()}"
-            f"{'...' if bad.size > 8 else ''})",
-            site="secular.newton",
-            iterations=max_iter,
-            indices=bad,
-        )
-    offsets[rows] = mu
-    return sweeps
-
-
-def _solve_all_roots_batched(
-    d: np.ndarray,
-    z2: np.ndarray,
-    rho: float,
-    workspace=None,
-    max_iter: int = 256,
-) -> SecularRoots:
-    """All roots, one L2-sized row tile at a time: each tile picks its
-    anchors, then runs stacked rational sweeps over its ``(rows, N)``
-    pole-difference block with per-root bracket and convergence state."""
-    if rho <= 0:
-        raise ValueError("solve_all_roots requires rho > 0")
-    N = d.size
-    anchors = np.arange(N, dtype=np.int64)
-    offsets = np.zeros(N, dtype=np.float64)
-    sweeps = 0
-    upper = rho * float(np.sum(z2))
-    for rows in _row_tiles(N, N):
-        sweeps = max(
-            sweeps,
-            _solve_tile(d, z2, rho, upper, rows, anchors, offsets, workspace, max_iter),
-        )
-    return SecularRoots(d, anchors, offsets, sweeps=sweeps)
-
-
-def solve_all_roots(
-    d: np.ndarray,
-    z: np.ndarray,
-    rho: float,
-    mode: str = "batched",
-    workspace=None,
-    max_iter: int = 256,
-) -> SecularRoots:
-    """All ``N`` secular roots for ``D + rho z z^T`` (``rho > 0``,
-    ``d`` strictly ascending, ``z`` fully non-deflated).
-
-    ``mode="batched"`` (default) iterates the roots tile by tile with
-    vectorized rational sweeps and records the most sweeps a tile needed
-    in ``.sweeps``; ``mode="scalar"`` is the original per-root guarded
-    Newton, kept as a cross-check oracle.  ``workspace`` optionally pools
-    the tile scratch (batched mode only).
-
-    Raises
-    ------
-    ConvergenceError
-        Any root's bracket is still active after ``max_iter`` sweeps
-        (site ``"secular.newton"``, carrying the offending root
-        indices) — in either mode; stagnant roots never exit silently.
-    """
-    _check_mode(mode)
-    maybe_raise("secular.newton")
-    d = np.asarray(d, dtype=np.float64)
-    z2 = np.asarray(z, dtype=np.float64) ** 2
-    if mode == "scalar":
-        return _solve_all_roots_scalar(d, z2, rho, max_iter=max_iter)
-    return _solve_all_roots_batched(d, z2, rho, workspace=workspace, max_iter=max_iter)
-
-
-def _refine_z_scalar(roots: SecularRoots, z: np.ndarray, rho: float) -> np.ndarray:
-    d = roots.d
-    N = d.size
-    zhat = np.zeros(N, dtype=np.float64)
-    for j in range(N):
-        lam_minus_dj = roots.minus_d(j)  # lam_i - d_j for all i
-        val = lam_minus_dj[N - 1] / rho
-        for i in range(j):
-            val *= lam_minus_dj[i] / (d[i] - d[j])
-        for i in range(j, N - 1):
-            val *= lam_minus_dj[i] / (d[i + 1] - d[j])
-        # Roundoff can leave a tiny negative value for hard clusters.
-        zhat[j] = np.copysign(np.sqrt(abs(val)), z[j])
-    return zhat
-
-
-def _refine_z_batched(
+def refine_z(
     roots: SecularRoots, z: np.ndarray, rho: float, workspace=None
 ) -> np.ndarray:
-    """Löwner evaluation in paired-ratio matrix form: every factor
+    """Gu–Eisenstat refinement: the rank-one vector consistent with the
+    *computed* roots.
+
+    By Löwner's formula, exact roots ``lam_i`` of ``D + rho z z^T`` satisfy
+
+        z_j^2 = prod_i (lam_i - d_j) / (rho * prod_{i != j} (d_i - d_j)).
+
+    Evaluating this with the computed roots yields ``z_hat`` such that the
+    computed roots are *exact* for ``D + rho z_hat z_hat^T``; eigenvectors
+    formed from ``z_hat`` are then orthogonal to machine precision.
+
+    The products are accumulated as paired ratios: every factor
     ``(lam_i - d_j) / (d_p - d_j)`` pairs a root with the pole on the same
     side (``p = i`` below the diagonal, ``p = i + 1`` at/above), so each
     ratio is O(1) by interlacing and the column products stay bounded —
     no logs needed, no Python loops per entry.  The ``(N, N)`` ratio
     matrix is walked in L2-sized column tiles (poles ``j``); each column's
-    product runs over all roots in order, so the tiling changes no bit."""
+    product runs over all roots in order, so the tiling changes no bit.
+    """
     d = roots.d
     N = d.size
     lam_anchor = d[roots.anchors]
@@ -577,50 +307,25 @@ def _refine_z_batched(
     return np.copysign(np.sqrt(np.abs(val)), z)
 
 
-def refine_z(
+def secular_eigenvectors(
     roots: SecularRoots,
-    z: np.ndarray,
-    rho: float,
-    mode: str = "batched",
+    zhat: np.ndarray,
     workspace=None,
+    basis: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Gu–Eisenstat refinement: the rank-one vector consistent with the
-    *computed* roots.
+    """Eigenvector matrix of ``D + rho z_hat z_hat^T`` from the analytic
+    formula ``u_i(j) = z_hat_j / (d_j - lam_i)``, columns normalized.
 
-    By Löwner's formula, exact roots ``lam_i`` of ``D + rho z z^T`` satisfy
+    The matrix is built in L2-sized tiles of roots, each one broadcasted
+    outer division plus a row normalization.  When ``workspace`` is given
+    the returned matrix is pool-backed scratch — valid until the next
+    secular call on the same pool (the divide-and-conquer merge consumes
+    it immediately in its GEMM).
 
-        z_j^2 = prod_i (lam_i - d_j) / (rho * prod_{i != j} (d_i - d_j)).
-
-    Evaluating this with the computed roots yields ``z_hat`` such that the
-    computed roots are *exact* for ``D + rho z_hat z_hat^T``; eigenvectors
-    formed from ``z_hat`` are then orthogonal to machine precision.
-    Products are accumulated as paired ratios, each O(1) by interlacing —
-    as L2-sized column tiles of the ``(N, N)`` ratio matrix in batched
-    mode, or the original per-entry double loop with ``mode="scalar"``.
+    With ``basis`` (``k x N``) the product ``basis @ U`` is returned
+    instead, multiplied in tile by tile, so the ``(N, N)`` matrix is never
+    formed (the eigenvalues-only merge, ``k = 2``).
     """
-    _check_mode(mode)
-    if mode == "scalar":
-        return _refine_z_scalar(roots, z, rho)
-    return _refine_z_batched(roots, z, rho, workspace=workspace)
-
-
-def _secular_eigenvectors_scalar(roots: SecularRoots, zhat: np.ndarray) -> np.ndarray:
-    N = zhat.size
-    U = np.zeros((N, N), dtype=np.float64)
-    for i in range(N):
-        denom = roots.gaps(i)  # d_j - lam_i, cancellation-free
-        U[:, i] = zhat / denom
-        U[:, i] /= np.linalg.norm(U[:, i])
-    return U
-
-
-def _secular_eigenvectors_batched(
-    roots: SecularRoots, zhat: np.ndarray, workspace=None, basis=None
-) -> np.ndarray:
-    """Normalized ``z_hat_j / (d_j - lam_i)`` rows, one L2-sized tile of
-    roots at a time.  Without ``basis`` the tiles fill a pooled ``(N, N)``
-    matrix whose transpose is the eigenvector matrix; with it each tile is
-    multiplied into ``basis`` at once and no ``(N, N)`` matrix is formed."""
     d = roots.d
     N = zhat.size
     lam_anchor = d[roots.anchors]
@@ -642,30 +347,3 @@ def _secular_eigenvectors_batched(
             out[:, rows] = basis @ T.T
     return UT.T if basis is None else out
 
-
-def secular_eigenvectors(
-    roots: SecularRoots,
-    zhat: np.ndarray,
-    mode: str = "batched",
-    workspace=None,
-    basis: np.ndarray | None = None,
-) -> np.ndarray:
-    """Eigenvector matrix of ``D + rho z_hat z_hat^T`` from the analytic
-    formula ``u_i(j) = z_hat_j / (d_j - lam_i)``, columns normalized.
-
-    Batched mode builds the matrix in L2-sized tiles of roots, each one
-    broadcasted outer division plus a row normalization; ``mode="scalar"``
-    is the original column-at-a-time loop.  When ``workspace`` is given
-    the returned matrix is pool-backed scratch — valid until the next
-    batched secular call on the same pool (the divide-and-conquer merge
-    consumes it immediately in its GEMM).
-
-    With ``basis`` (``k x N``) the product ``basis @ U`` is returned
-    instead; batched mode then multiplies tile by tile and never forms
-    the ``(N, N)`` matrix (the eigenvalues-only merge, ``k = 2``).
-    """
-    _check_mode(mode)
-    if mode == "scalar":
-        U = _secular_eigenvectors_scalar(roots, zhat)
-        return U if basis is None else basis @ U
-    return _secular_eigenvectors_batched(roots, zhat, workspace=workspace, basis=basis)

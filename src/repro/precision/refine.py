@@ -48,6 +48,7 @@ chain recognizes it as recoverable and escalates to full fp64.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -144,18 +145,33 @@ def _groups(sorted_ids: np.ndarray) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts.tolist(), stops.tolist()) if b - a >= 2]
 
 
+#: Columns multiplied by ``A`` at once in the Rayleigh–Ritz step.  One
+#: pass over ``A`` serves every narrow group of a batch; at this width the
+#: product is already compute-bound, so wider batches would only hold
+#: more memory (an ``n x width`` copy of ``V`` and its product).
+_RR_BATCH = 128
+
+
 def _rayleigh_ritz_clusters(
     A: np.ndarray, V: np.ndarray, lam: np.ndarray, groups: list[slice]
 ) -> None:
     """Resolve each nearly-degenerate group exactly: diagonalize the
     small fp64 Rayleigh quotient ``V_cᵀ A V_c`` and rotate the group's
-    columns in place (``O(n^2 |c|)`` per group)."""
-    for sl in groups:
-        Vc = V[:, sl]
-        M = Vc.T @ (A @ Vc)
-        w, W = np.linalg.eigh((M + M.T) / 2.0)
-        V[:, sl] = Vc @ W
-        lam[sl] = w
+    columns in place.  Consecutive groups are multiplied by ``A`` together,
+    about ``_RR_BATCH`` columns at a time, so many narrow groups read
+    ``A`` once rather than once each."""
+    offsets = np.cumsum([0] + [sl.stop - sl.start for sl in groups[:-1]])
+    for _, run in itertools.groupby(zip(offsets // _RR_BATCH, groups), key=lambda t: t[0]):
+        batch = [sl for _, sl in run]
+        AV = A @ V[:, batch[0] if len(batch) == 1 else np.r_[tuple(batch)]]
+        k = 0
+        for sl in batch:
+            Vc = V[:, sl]
+            M = Vc.T @ AV[:, k : k + Vc.shape[1]]
+            k += Vc.shape[1]
+            w, W = np.linalg.eigh((M + M.T) / 2.0)
+            V[:, sl] = Vc @ W
+            lam[sl] = w
 
 
 def refine_eigh(

@@ -70,8 +70,8 @@ __all__ = [
 
 #: Registered injection sites -> where they live in production code.
 FAULT_SITES: dict[str, str] = {
-    "secular.newton": "repro.eig.secular.solve_all_roots — the batched "
-    "rational / scalar guarded-Newton root sweep",
+    "secular.newton": "repro.eig.secular.solve_all_roots — the LAPACK "
+    "dlaed4 secular roots of one divide-and-conquer merge",
     "dc.leaf": "repro.eig.dc._dc_level_order — the stacked LAPACK leaf solves "
     "of divide and conquer",
     "dc.merge": "repro.eig.dc._rank_one_update — the secular stage of one "

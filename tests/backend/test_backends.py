@@ -45,6 +45,20 @@ class TestProtocolConformance:
         assert str(native.dtype) in ("float64", "torch.float64")
         assert_f64(native)  # must not raise
 
+    def test_asarray_and_from_numpy_keep_float32(self, backend):
+        # Like NumpyBackend, every backend keeps a float32 operand at the
+        # mixed-precision working width and widens anything else.
+        # (torch runs this in CI's backend-torch job.)
+        f32 = np.arange(4, dtype=np.float32).reshape(2, 2)
+        for native in (
+            backend.asarray(f32),
+            backend.asarray(backend.from_numpy(f32)),
+            backend.from_numpy(f32),
+        ):
+            assert backend.to_numpy(native).dtype == np.float32
+        for x in (f32.astype(np.float64), f32.astype(np.int64), [[1.5, 2.5]]):
+            assert backend.to_numpy(backend.asarray(x)).dtype == np.float64
+
     def test_creation_ops(self, backend):
         xp = backend.xp
         assert tuple(xp.empty((2, 3), dtype=np.float64).shape) == (2, 3)

@@ -114,19 +114,20 @@ class TestVerifyCommand:
 
 class TestFaultInjectionFlags:
     def test_faults_flag_fails_without_fallback(self, capsys):
-        assert main(["evd", "--n", "40",
+        # n above the D&C leaf size (128), so there is a merge to fault.
+        assert main(["evd", "--n", "160",
                      "--faults", "dc.merge:convergence"]) == 1
         assert "ConvergenceError" in capsys.readouterr().err
 
     def test_faults_flag_recovers_with_chain(self, capsys):
-        assert main(["evd", "--n", "40", "--faults", "dc.merge:convergence",
+        assert main(["evd", "--n", "160", "--faults", "dc.merge:convergence",
                      "--fallback", "chain"]) == 0
         assert "residual" in capsys.readouterr().out
 
     def test_env_hook_arms_faults(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "dc.merge:convergence")
         try:
-            assert main(["evd", "--n", "40"]) == 1
+            assert main(["evd", "--n", "160"]) == 1
         finally:
             from repro.resilience import clear_faults
 

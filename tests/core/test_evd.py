@@ -160,17 +160,17 @@ class TestCusolverBlockedBackTransform:
 
 
 class TestSecularModePlumbing:
-    """`eigh` runs the batched secular mode; the scalar per-root loops
-    are a `dc_eigh` oracle only."""
+    """`eigh` runs the one secular engine; the scalar per-root loops are
+    a tests-side `dc_eigh` oracle only."""
 
     def test_modes_agree_end_to_end(self, rng):
         from repro.core.evd import EVDResult
-        from repro.eig import dc_eigh
+        from tests.oracles import dc_eigh_scalar
 
-        A = make_symmetric(72, seed=11)
+        A = make_symmetric(200, seed=11)  # above the 128 leaf size: merges
         rb = eigh(A)
         tri = rb.tridiag
-        lam_s, U_s = dc_eigh(tri.d, tri.e, secular_mode="scalar")
+        lam_s, U_s = dc_eigh_scalar(tri.d, tri.e)
         tri.apply_q(U_s)
         rs = EVDResult(eigenvalues=lam_s, eigenvectors=U_s, tridiag=tri, solver="dc")
         scale = max(float(np.max(np.abs(rs.eigenvalues))), 1.0)
@@ -181,7 +181,7 @@ class TestSecularModePlumbing:
         from repro.backend.context import ExecutionContext
 
         ctx = ExecutionContext()
-        A = make_symmetric(64, seed=3)
+        A = make_symmetric(160, seed=3)  # above the 128 leaf size: merges
         eigh(A, backend=ctx)
         assert {"dc_deflate", "dc_secular", "dc_gemm"} <= set(ctx.stage_times)
         # The sub-stages nest inside the solver stage, so they cannot

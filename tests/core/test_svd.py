@@ -124,7 +124,7 @@ class TestContextThreading:
 
         events = []
         ctx = ExecutionContext(hooks=[events.append])
-        A = rng.standard_normal((36, 30))  # GK tridiagonal size 60: real merges
+        A = rng.standard_normal((96, 80))  # GK tridiagonal size 160: real merges
         s, U, V = svd(A, backend=ctx)
         stages = {ev.stage for ev in events}
         # The bidiagonalization, the tridiagonal solve, and the D&C
@@ -139,8 +139,8 @@ class TestContextThreading:
         from repro.backend.context import ExecutionContext
 
         ctx = ExecutionContext()
-        svd(rng.standard_normal((40, 40)), backend=ctx)
-        # Batched secular scratch was drawn from *this* pool.
+        svd(rng.standard_normal((80, 80)), backend=ctx)
+        # The secular tiles of its merge were drawn from *this* pool.
         assert ctx.workspace.nbytes > 0
 
     def test_backend_string_accepted(self, rng):
@@ -150,18 +150,16 @@ class TestContextThreading:
         assert np.array_equal(s_default, s_named)
 
     def test_gk_solve_matches_scalar_secular_oracle(self, rng):
-        # svd runs the batched secular mode; solving its Golub-Kahan
-        # tridiagonal with the scalar dc_eigh oracle gives the same values.
-        from repro.eig import dc_eigh
+        # Solving svd's Golub-Kahan tridiagonal with the scalar dc_eigh
+        # oracle gives the same values.
+        from tests.oracles import dc_eigh_scalar
 
         n = 18
         A = rng.standard_normal((n, n))
         s_b, _, _ = svd(A)
         bd = bidiagonalize(A)
-        lam, _ = dc_eigh(
-            *golub_kahan_tridiagonal(bd.d, bd.f),
-            compute_vectors=False,
-            secular_mode="scalar",
+        lam, _ = dc_eigh_scalar(
+            *golub_kahan_tridiagonal(bd.d, bd.f), compute_vectors=False
         )
         s_s = np.maximum(lam[2 * n - 1 : n - 1 : -1], 0.0)
         assert np.max(np.abs(s_b - s_s)) < 1e-12 * max(s_s[0], 1.0)

@@ -13,7 +13,8 @@ from repro.eig.dc import dc_eigh
 
 def check_decomposition(d, e, atol=5e-13):
     n = d.size
-    lam, U = dc_eigh(d, e)
+    # Leaves of 24, so these small inputs run real merges.
+    lam, U = dc_eigh(d, e, base_size=24)
     lref = eigh_tridiagonal(d, e, eigvals_only=True) if n > 1 else np.sort(d)
     scale = max(float(np.max(np.abs(lref))), 1.0)
     assert np.max(np.abs(lam - lref)) < atol * scale
@@ -69,7 +70,7 @@ class TestStructuredMatrices:
         d = np.ones(80)
         d[40:] = 2.0
         e = np.full(79, 1e-14)
-        lam, U, stats = dc_eigh(d, e, return_stats=True)
+        lam, U, stats = dc_eigh(d, e, return_stats=True, base_size=24)
         assert stats.deflation_fraction > 0.5
         check_decomposition(d, e)
 

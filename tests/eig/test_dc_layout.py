@@ -1,7 +1,7 @@
 """The divide-and-conquer layout: stacked LAPACK leaf solves, L2-tiled
-rational secular sweeps, exact power-of-two scaling and the typed leaf
-failure — each held to LAPACK (``eigh_tridiagonal``) as an independent
-oracle."""
+Löwner refinement and secular eigenvectors, exact power-of-two scaling
+and the typed leaf failure — each held to LAPACK (``eigh_tridiagonal``)
+as an independent oracle."""
 
 from __future__ import annotations
 
@@ -52,7 +52,8 @@ def secular_problem(N: int, seed: int = 0):
 
 
 class TestTileBudget:
-    """Each secular row is independent, so the tiling changes no bit."""
+    """Each Löwner column and eigenvector row is independent, so the
+    tiling changes no bit (the roots are solved one by one, untiled)."""
 
     @pytest.mark.parametrize("N", [1, 2, 7, 40])
     def test_roots_and_vectors_bit_identical_across_tilings(self, monkeypatch, N):
@@ -145,20 +146,6 @@ class TestHardSpectra:
         for vectors in (True, False):
             lam, _ = dc_eigh(d, e, compute_vectors=vectors)
             assert_matches_lapack(d, e, lam)
-
-
-class TestSweepCounter:
-    @pytest.mark.parametrize("n", [256, 512])
-    def test_every_merge_converges_in_few_sweeps(self, n):
-        for seed in range(3):
-            d, e = goe_tridiagonal(n, seed=seed)
-            _, _, stats = dc_eigh(d, e, compute_vectors=False, return_stats=True)
-            assert 1 <= stats.secular_sweeps <= 16
-
-    def test_scalar_oracle_reports_no_sweeps(self, rng):
-        d, e = rng.standard_normal(60), rng.standard_normal(59)
-        _, _, stats = dc_eigh(d, e, secular_mode="scalar", return_stats=True)
-        assert stats.secular_sweeps == 0
 
 
 class TestScaling:

@@ -1,10 +1,12 @@
-"""Batched vs scalar secular modes through the full divide-and-conquer tree.
+"""The production secular stage against the scalar oracle through the
+full divide-and-conquer tree.
 
-The acceptance grid of the batched rewrite: clustered spectra, heavy and
-*full* deflation, ``rho < 0`` reflection, and degenerate merge sizes —
-each solved with both ``secular_mode`` settings and held to the scalar
-oracle at machine-precision scale (eigenvalues to ``~4*eps*||T||``,
-eigenvector orthogonality/residual at roundoff).
+The acceptance grid: clustered spectra, heavy and *full* deflation,
+``rho < 0`` reflection, and degenerate merge sizes — each solved by
+``dc_eigh`` and by ``dc_eigh`` over the scalar secular oracles of
+``tests/oracles.py``, and held to the oracle at machine-precision scale
+(eigenvalues to ``~4*eps*||T||``, eigenvector orthogonality/residual at
+roundoff).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from scipy.linalg import eigh_tridiagonal
 from repro.backend.context import ExecutionContext
 from repro.band.storage import dense_from_band
 from repro.eig.dc import dc_eigh
+from tests.oracles import dc_eigh_scalar
 
 _EPS = np.finfo(np.float64).eps
 
@@ -26,8 +29,8 @@ def tridiag_scale(d, e):
 
 
 def solve_both(d, e, **kwargs):
-    lam_s, U_s = dc_eigh(d, e, secular_mode="scalar", **kwargs)
-    lam_b, U_b = dc_eigh(d, e, secular_mode="batched", **kwargs)
+    lam_s, U_s = dc_eigh_scalar(d, e, **kwargs)
+    lam_b, U_b = dc_eigh(d, e, **kwargs)
     return lam_s, U_s, lam_b, U_b
 
 
@@ -134,28 +137,29 @@ class TestLevelOrderExecution:
         ctx = ExecutionContext(hooks=[events.append])
         d = rng.standard_normal(80)
         e = rng.standard_normal(79)
-        dc_eigh(d, e, ctx=ctx)
+        dc_eigh(d, e, ctx=ctx, base_size=24)
         stages = {ev.stage for ev in events}
         assert {"dc_leaf", "dc_deflate", "dc_secular", "dc_gemm"} <= stages
         assert {"dc_leaf", "dc_deflate", "dc_secular", "dc_gemm"} <= set(
             ctx.stage_times
         )
-        # Secular events carry the mode and problem size for attribution.
+        # Secular events carry the problem size for attribution.
         sec = [ev for ev in events if ev.stage == "dc_secular" and ev.phase == "end"]
-        assert sec and all(ev.meta["mode"] == "batched" for ev in sec)
+        assert sec and all(ev.meta["n"] >= 1 for ev in sec)
         assert all(ev.duration_s >= 0.0 for ev in sec)
 
     def test_eigenvalues_only_matches_vector_path_both_modes(self, rng):
         d = rng.standard_normal(90)
         e = rng.standard_normal(89)
-        for mode in ("scalar", "batched"):
-            lam_v, _ = dc_eigh(d, e, compute_vectors=True, secular_mode=mode)
-            lam_n, U = dc_eigh(d, e, compute_vectors=False, secular_mode=mode)
+        for solve in (dc_eigh_scalar, dc_eigh):
+            lam_v, _ = solve(d, e, compute_vectors=True)
+            lam_n, U = solve(d, e, compute_vectors=False)
             assert U is None
             assert np.max(np.abs(lam_v - lam_n)) < 1e-13
 
     def test_unknown_secular_mode_rejected(self, rng):
-        with pytest.raises(ValueError):
+        # There is one secular engine: the retired knob fails loudly.
+        with pytest.raises(TypeError):
             dc_eigh(np.zeros(8), np.zeros(7), secular_mode="turbo")
 
     def test_workspace_pool_reused_across_merges(self, rng):
@@ -164,6 +168,6 @@ class TestLevelOrderExecution:
         e = rng.standard_normal(255)
         dc_eigh(d, e, ctx=ctx)
         first = ctx.workspace.nbytes
-        assert first > 0  # batched secular scratch lives in the pool
+        assert first > 0  # Löwner and eigenvector tiles live in the pool
         dc_eigh(d, e, ctx=ctx)
         assert ctx.workspace.nbytes == first  # steady state: no growth

@@ -1,10 +1,16 @@
 """Unit tests for the secular equation solver and Gu-Eisenstat refinement.
 
-Every numerical test runs twice — once per ``mode`` — so the vectorized
-batched kernels and the scalar oracle loops are exercised identically.
+Every numerical test runs twice, once per ``mode``: ``batched`` is the
+production path (``dlaed4`` roots, tiled Löwner refinement and
+eigenvectors, one call per merge) and ``scalar`` the per-root oracle
+loops of ``tests/oracles.py``, so both are held to the same invariants.
 """
 
 from __future__ import annotations
+
+import ctypes
+import importlib
+import types
 
 import numpy as np
 import pytest
@@ -14,12 +20,34 @@ from repro.eig.secular import (
     secular_eigenvectors,
     secular_f,
     solve_all_roots,
+)
+from repro.resilience import ConvergenceError
+from tests.oracles import (
+    refine_z_scalar,
+    secular_eigenvectors_scalar,
+    solve_all_roots_scalar,
     solve_secular_root,
 )
 
-pytestmark = pytest.mark.parametrize("mode", ["scalar", "batched"])
+secular = importlib.import_module("repro.eig.secular")
 
 _EPS = np.finfo(np.float64).eps
+
+_IMPLS = {
+    "batched": types.SimpleNamespace(
+        roots=solve_all_roots, refine=refine_z, vectors=secular_eigenvectors
+    ),
+    "scalar": types.SimpleNamespace(
+        roots=solve_all_roots_scalar,
+        refine=refine_z_scalar,
+        vectors=secular_eigenvectors_scalar,
+    ),
+}
+
+
+@pytest.fixture(params=["scalar", "batched"])
+def mode(request):
+    return _IMPLS[request.param]
 
 
 def random_problem(rng, N=20, zscale=1.0):
@@ -34,7 +62,7 @@ def random_problem(rng, N=20, zscale=1.0):
 class TestRoots:
     def test_interlacing(self, rng, mode):
         d, z, rho = random_problem(rng)
-        roots = solve_all_roots(d, z, rho, mode=mode)
+        roots = mode.roots(d, z, rho)
         lam = roots.values
         # rho > 0: d_i < lam_i < d_{i+1} (lam_N beyond d_N).
         assert np.all(lam[:-1] > d[:-1]) and np.all(lam[:-1] < d[1:])
@@ -42,14 +70,14 @@ class TestRoots:
 
     def test_matches_dense_eigensolver(self, rng, mode):
         d, z, rho = random_problem(rng, N=30)
-        lam = solve_all_roots(d, z, rho, mode=mode).values
+        lam = mode.roots(d, z, rho).values
         lam_ref = np.linalg.eigvalsh(np.diag(d) + rho * np.outer(z, z))
         assert np.max(np.abs(np.sort(lam) - lam_ref) / (1 + np.abs(lam_ref))) < 1e-13
 
     def test_residual_of_each_root(self, rng, mode):
         d, z, rho = random_problem(rng, N=15)
         z2 = z * z
-        roots = solve_all_roots(d, z, rho, mode=mode)
+        roots = mode.roots(d, z, rho)
         for lam in roots.values:
             # |f| should be at roundoff of its own evaluation.
             scale = 1.0 + rho * float(np.sum(np.abs(z2 / (d - lam))))
@@ -58,13 +86,13 @@ class TestRoots:
     def test_trace_identity(self, rng, mode):
         # sum lam = sum d + rho ||z||^2.
         d, z, rho = random_problem(rng, N=25)
-        lam = solve_all_roots(d, z, rho, mode=mode).values
+        lam = mode.roots(d, z, rho).values
         assert abs(np.sum(lam) - (np.sum(d) + rho * float(z @ z))) < 1e-10
 
     def test_large_z_scale(self, rng, mode):
         d, z, rho = random_problem(rng, N=20, zscale=1e4)
         M = np.diag(d) + rho * np.outer(z, z)
-        lam = solve_all_roots(d, z, rho, mode=mode).values
+        lam = mode.roots(d, z, rho).values
         lam_ref = np.linalg.eigvalsh(M)
         # Backward-error normalization: absolute errors scale with ||M||.
         scale = np.linalg.norm(M)
@@ -74,7 +102,7 @@ class TestRoots:
         d = np.array([0.0, 1.0, 2.0])
         z = np.array([1.0, 1e-10, 1.0])
         rho = 0.5
-        roots = solve_all_roots(d, z, rho, mode=mode)
+        roots = mode.roots(d, z, rho)
         lam = roots.values
         # Root 1 sits within ~rho*z^2 of its pole.
         assert abs(lam[1] - 1.0) < 1e-18
@@ -89,38 +117,40 @@ class TestRoots:
         with pytest.raises(ValueError):
             solve_secular_root(d, z**2, -rho, 0)
         with pytest.raises(ValueError):
-            solve_all_roots(d, z, -rho, mode=mode)
+            mode.roots(d, z, -rho)
 
     def test_anchor_offset_consistency(self, rng, mode):
         d, z, rho = random_problem(rng, N=12)
-        roots = solve_all_roots(d, z, rho, mode=mode)
+        roots = mode.roots(d, z, rho)
         lam = roots.values
         for i in range(12):
             assert abs(lam[i] - (d[roots.anchors[i]] + roots.offsets[i])) == 0.0
 
     def test_unknown_mode_rejected(self, rng, mode):
+        # There is one root engine: a mode switch fails loudly rather
+        # than being ignored.
         d, z, rho = random_problem(rng, N=5)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             solve_all_roots(d, z, rho, mode="vectorised")
 
 
 class TestRefineZ:
     def test_refined_close_to_original(self, rng, mode):
         d, z, rho = random_problem(rng, N=20)
-        roots = solve_all_roots(d, z, rho, mode=mode)
-        zhat = refine_z(roots, z, rho, mode=mode)
+        roots = mode.roots(d, z, rho)
+        zhat = mode.refine(roots, z, rho)
         assert np.max(np.abs(zhat - z) / np.abs(z)) < 1e-8
 
     def test_signs_preserved(self, rng, mode):
         d, z, rho = random_problem(rng, N=16)
-        roots = solve_all_roots(d, z, rho, mode=mode)
-        zhat = refine_z(roots, z, rho, mode=mode)
+        roots = mode.roots(d, z, rho)
+        zhat = mode.refine(roots, z, rho)
         assert np.all(np.sign(zhat) == np.sign(z))
 
     def test_roots_exact_for_refined_problem(self, rng, mode):
         d, z, rho = random_problem(rng, N=12)
-        roots = solve_all_roots(d, z, rho, mode=mode)
-        zhat = refine_z(roots, z, rho, mode=mode)
+        roots = mode.roots(d, z, rho)
+        zhat = mode.refine(roots, z, rho)
         lam_hat = np.linalg.eigvalsh(np.diag(d) + rho * np.outer(zhat, zhat))
         assert np.max(np.abs(np.sort(roots.values) - lam_hat)) < 1e-11
 
@@ -128,15 +158,15 @@ class TestRefineZ:
 class TestEigenvectors:
     def test_orthonormal(self, rng, mode):
         d, z, rho = random_problem(rng, N=25)
-        roots = solve_all_roots(d, z, rho, mode=mode)
-        U = secular_eigenvectors(roots, refine_z(roots, z, rho, mode=mode), mode=mode)
+        roots = mode.roots(d, z, rho)
+        U = mode.vectors(roots, mode.refine(roots, z, rho))
         assert np.linalg.norm(U.T @ U - np.eye(25)) < 1e-12
 
     def test_residual(self, rng, mode):
         d, z, rho = random_problem(rng, N=25)
         M = np.diag(d) + rho * np.outer(z, z)
-        roots = solve_all_roots(d, z, rho, mode=mode)
-        U = secular_eigenvectors(roots, refine_z(roots, z, rho, mode=mode), mode=mode)
+        roots = mode.roots(d, z, rho)
+        U = mode.vectors(roots, mode.refine(roots, z, rho))
         lam = roots.values
         assert np.linalg.norm(M @ U - U * lam) / np.linalg.norm(M) < 1e-11
 
@@ -146,24 +176,25 @@ class TestEigenvectors:
         d = np.sort(np.concatenate([np.zeros(5), np.ones(5)]) + 1e-7 * np.arange(N))
         z = rng.standard_normal(N)
         rho = 1.0
-        roots = solve_all_roots(d, z, rho, mode=mode)
-        U = secular_eigenvectors(roots, refine_z(roots, z, rho, mode=mode), mode=mode)
+        roots = mode.roots(d, z, rho)
+        U = mode.vectors(roots, mode.refine(roots, z, rho))
         assert np.linalg.norm(U.T @ U - np.eye(N)) < 1e-10
 
 
 class TestBatchedOracleAgreement:
-    """The batched kernels against the scalar oracle on hostile inputs."""
+    """Production (``dlaed4`` roots, tiled kernels) against the scalar
+    oracle on hostile inputs."""
 
-    def _full_stack(self, d, z, rho, mode):
-        roots = solve_all_roots(d, z, rho, mode=mode)
-        zhat = refine_z(roots, z, rho, mode=mode)
-        U = secular_eigenvectors(roots, zhat, mode=mode)
+    def _full_stack(self, d, z, rho, impl):
+        roots = impl.roots(d, z, rho)
+        zhat = impl.refine(roots, z, rho)
+        U = impl.vectors(roots, zhat)
         return roots, zhat, U
 
     def assert_modes_agree(self, d, z, rho, mode):
         del mode  # both run explicitly; keeps the shared parametrization
-        rs, zs, Us = self._full_stack(d, z, rho, "scalar")
-        rb, zb, Ub = self._full_stack(d, z, rho, "batched")
+        rs, zs, Us = self._full_stack(d, z, rho, _IMPLS["scalar"])
+        rb, zb, Ub = self._full_stack(d, z, rho, _IMPLS["batched"])
         assert np.array_equal(rs.anchors, rb.anchors)
         scale = max(float(np.max(np.abs(d))) + rho * float(z @ z), 1.0)
         assert np.max(np.abs(rs.values - rb.values)) <= 4.0 * _EPS * scale
@@ -199,20 +230,123 @@ class TestBatchedOracleAgreement:
         self.assert_modes_agree(d, z, 0.5, mode)
 
 
+def assert_roots_match(d, z, rho, factor=4.0):
+    """Each ``dlaed4`` root against the scalar oracle (same anchor, value
+    within ``factor`` eps of the problem's scale) and against
+    ``eigvalsh`` of the dense ``D + rho z z^T``."""
+    got = solve_all_roots(d, z, rho)
+    ref = solve_all_roots_scalar(d, z, rho)
+    scale = max(float(np.max(np.abs(d))) + rho * float(z @ z), 1.0)
+    assert np.array_equal(got.anchors, ref.anchors)
+    assert np.max(np.abs(got.values - ref.values)) <= factor * _EPS * scale
+    dense = np.linalg.eigvalsh(np.diag(d) + rho * np.outer(z, z))
+    assert np.max(np.abs(got.values - dense)) <= 8.0 * d.size * _EPS * scale
+    return got
+
+
+class TestDlaed4Roots:
+    """The per-root LAPACK engine on the geometries ``dlaed4`` special-cases."""
+
+    def test_poles_1e12_apart(self, rng):
+        d = np.sort(np.concatenate([rng.standard_normal(6), 0.5 + 1e-12 * np.arange(6)]))
+        z = rng.standard_normal(d.size)
+        z[np.abs(z) < 1e-2] = 1e-2
+        roots = assert_roots_match(d, z, 0.9)
+        # The clustered roots sit between their poles, offsets resolved
+        # far below the pole spacing.
+        lam = roots.values
+        assert np.all(lam[:-1] >= d[:-1]) and np.all(lam[:-1] <= d[1:])
+
+    def test_tiny_z(self, rng):
+        d = np.sort(rng.standard_normal(20)) + 1e-6 * np.arange(20)
+        z = rng.standard_normal(20)
+        z[::4] = 1e-9
+        roots = assert_roots_match(d, z, 0.7)
+        # A tiny weight pins a root to its pole: anchored there, with an
+        # offset of order rho z_j^2 that the anchor/offset split keeps.
+        for j in range(0, 20, 4):
+            near = roots.anchors == j
+            assert np.min(np.abs(roots.offsets[near])) < 1e-15
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_smallest_sizes(self, rng, N):
+        for _ in range(20):
+            d = np.sort(rng.standard_normal(N)) + 1e-3 * np.arange(N)
+            z = rng.standard_normal(N)
+            assert_roots_match(d, z, float(abs(rng.standard_normal()) + 0.05))
+
+    def test_n2_both_anchor_sides(self):
+        # f(midpoint) > 0 anchors root 0 to the lower pole, < 0 to the
+        # upper one; both branches of the closed form.
+        d = np.array([0.0, 1.0])
+        for z in (np.array([0.1, 1.0]), np.array([1.0, 0.1])):
+            roots = assert_roots_match(d, z, 2.0)
+            assert roots.anchors[0] == (0 if z[0] < z[1] else 1)
+
+    def test_large_merge(self):
+        rng = np.random.default_rng(7)
+        N = 2000
+        d = np.sort(rng.standard_normal(N)) + 1e-9 * np.arange(N)
+        z = rng.standard_normal(N)
+        z /= np.linalg.norm(z)
+        assert_roots_match(d, z, 0.6, factor=16.0)
+
+    def test_unnormalized_z_and_rho(self, rng):
+        # dlaed4 wants a unit z; the scaling into rho must be exact enough.
+        d = np.sort(rng.standard_normal(30)) + 1e-6 * np.arange(30)
+        for zscale in (1e-6, 1e5):
+            assert_roots_match(d, rng.standard_normal(30) * zscale, 0.3, factor=8.0)
+
+    def test_mismatched_lengths_rejected(self):
+        # dlaed4 reads N entries of each buffer: a short z must not reach it.
+        with pytest.raises(ValueError):
+            solve_all_roots(np.arange(4.0), np.ones(3), 1.0)
+
+    def test_undeflated_zero_z_is_info_1(self):
+        d = np.array([0.0, 1.0, 2.0, 3.0])
+        z = np.array([0.5, 0.0, 0.5, 0.5])
+        with pytest.raises(ConvergenceError) as info:
+            solve_all_roots(d, z, 1.0)
+        assert info.value.site == "secular.newton"
+        assert "INFO=1" in str(info.value)
+
+    def test_scipy_fallback_gives_identical_roots(self, monkeypatch):
+        assert secular._numpy_dlaed4() is not None
+        rng = np.random.default_rng(3)
+        d = np.sort(rng.standard_normal(64)) + 1e-6 * np.arange(64)
+        z = rng.standard_normal(64)
+        ref = solve_all_roots(d, z, 0.8)
+        assert secular._dlaed4()[1] is ctypes.c_int64
+        # A NumPy without the ILP64 symbol: the lookup fails and the
+        # scipy LP64 capsule takes over.
+        class NoSymbols:
+            def __init__(self, path):
+                pass
+
+        monkeypatch.setattr(ctypes, "PyDLL", NoSymbols)
+        assert secular._numpy_dlaed4() is None
+        secular._dlaed4.cache_clear()
+        try:
+            assert secular._dlaed4()[1] is ctypes.c_int32
+            got = solve_all_roots(d, z, 0.8)
+        finally:
+            secular._dlaed4.cache_clear()
+        assert np.array_equal(got.anchors, ref.anchors)
+        assert np.array_equal(got.offsets, ref.offsets)
+
+
 class TestWorkspacePooling:
     def test_pool_backed_results_match_fresh(self, rng, mode):
         from repro.backend.context import ExecutionContext
 
         d, z, rho = random_problem(rng, N=30)
         pool = ExecutionContext().workspace
-        roots_p = solve_all_roots(d, z, rho, mode=mode, workspace=pool)
-        roots_f = solve_all_roots(d, z, rho, mode=mode)
-        assert np.array_equal(roots_p.values, roots_f.values)
-        zh_p = refine_z(roots_p, z, rho, mode=mode, workspace=pool)
-        zh_f = refine_z(roots_f, z, rho, mode=mode)
+        roots = mode.roots(d, z, rho)
+        zh_p = mode.refine(roots, z, rho, workspace=pool)
+        zh_f = mode.refine(roots, z, rho)
         assert np.array_equal(zh_p, zh_f)
-        U_p = secular_eigenvectors(roots_p, zh_p, mode=mode, workspace=pool)
-        U_f = secular_eigenvectors(roots_f, zh_f, mode=mode)
+        U_p = mode.vectors(roots, zh_p, workspace=pool)
+        U_f = mode.vectors(roots, zh_f)
         assert np.array_equal(np.asarray(U_p), U_f)
 
     def test_pool_reuse_across_shrinking_sizes(self, rng, mode):
@@ -221,9 +355,8 @@ class TestWorkspacePooling:
         pool = ExecutionContext().workspace
         for N in (40, 24, 8):
             d, z, rho = random_problem(rng, N=N)
-            roots = solve_all_roots(d, z, rho, mode=mode, workspace=pool)
-            U = secular_eigenvectors(
-                roots, refine_z(roots, z, rho, mode=mode, workspace=pool),
-                mode=mode, workspace=pool,
+            roots = mode.roots(d, z, rho)
+            U = mode.vectors(
+                roots, mode.refine(roots, z, rho, workspace=pool), workspace=pool
             )
             assert np.linalg.norm(np.asarray(U).T @ U - np.eye(N)) < 1e-12

@@ -19,6 +19,7 @@ from repro.backend import ExecutionContext
 from repro.core.svd import svd
 from repro.eig import dc_eigh, eigh_bisect, tridiag_qr_eigh
 from repro.plan import make_solver_config, plan_evd, solve_tridiagonal_planned
+from tests.oracles import dc_eigh_scalar
 
 PRESET_KWARGS = {
     "proposed": dict(method="dbbr"),
@@ -34,12 +35,13 @@ def goe(n: int, seed: int = 0) -> np.ndarray:
 
 
 def oracle_eigh(A, method, solver, compute_vectors, secular_mode="batched"):
-    """The pre-refactor ``eigh`` body, composed by hand."""
+    """The pre-refactor ``eigh`` body, composed by hand; ``secular_mode=
+    "scalar"`` solves with the tests-side scalar secular oracle."""
     ctx = ExecutionContext(backend="numpy")
     tri = repro.tridiagonalize(A, backend=ctx, **PRESET_KWARGS[method])
     if solver == "dc":
-        lam, U = dc_eigh(tri.d, tri.e, compute_vectors=compute_vectors,
-                         ctx=ctx, secular_mode=secular_mode)
+        solve = dc_eigh if secular_mode == "batched" else dc_eigh_scalar
+        lam, U = solve(tri.d, tri.e, compute_vectors=compute_vectors, ctx=ctx)
     elif solver == "qr":
         lam, U = tridiag_qr_eigh(tri.d, tri.e, compute_vectors=compute_vectors)
     else:
@@ -93,8 +95,8 @@ def test_magma_back_transform_is_ormqr_order(n, solver):
 
 @pytest.mark.parametrize("secular_mode", ["batched", "scalar"])
 def test_secular_modes_bitexact(secular_mode):
-    """Plans always run the batched secular mode; at this size the
-    scalar ``dc_eigh`` oracle composes to the same bits."""
+    """Plans run the one secular engine; at this size (a single leaf)
+    the scalar ``dc_eigh`` oracle composes to the same bits."""
     A = goe(24, seed=9)
     got = repro.eigh(A, method="proposed")
     lam, V, _ = oracle_eigh(A, "proposed", "dc", True, secular_mode=secular_mode)

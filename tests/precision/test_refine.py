@@ -174,6 +174,36 @@ class TestClusterComponents:
         assert err <= 200.0 * n * EPS64 * np.linalg.norm(A)
 
 
+class TestRayleighRitzGroups:
+    def test_narrow_groups_share_one_product_with_a(self):
+        from repro.precision.refine import _rayleigh_ritz_clusters
+
+        class CountingMatrix(np.ndarray):
+            products = 0
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul:
+                    type(self).products += 1
+                inputs = tuple(np.asarray(x) for x in inputs)
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        A = goe(96, seed=5)
+        lam, V = fp32_start(A)
+        # Narrow groups, far below the batch width: A is read once.
+        groups = [slice(3, 5), slice(10, 13), slice(40, 42), slice(90, 96)]
+        lam_ref, V_ref = lam.copy(), V.copy()
+        for sl in groups:  # the group-by-group definition
+            Vc = V_ref[:, sl]
+            M = Vc.T @ (A @ Vc)
+            w, W = np.linalg.eigh((M + M.T) / 2.0)
+            V_ref[:, sl] = Vc @ W
+            lam_ref[sl] = w
+        _rayleigh_ritz_clusters(A.view(CountingMatrix), V, lam, groups)
+        assert CountingMatrix.products == 1
+        assert np.max(np.abs(lam - lam_ref)) <= 1e-13 * np.linalg.norm(A)
+        assert np.max(np.abs(np.abs(V) - np.abs(V_ref))) <= 1e-12
+
+
 class TestStall:
     def test_garbage_start_raises_typed_stall(self):
         n = 48

@@ -55,7 +55,8 @@ def goe(n: int, seed: int) -> np.ndarray:
 
 def workload(seed: int, count: int = 10):
     rng = np.random.default_rng(1000 + seed)
-    return [goe(int(rng.integers(8, 40)), seed=int(rng.integers(0, 2**31)))
+    # Sizes straddle the 128 D&C leaf size, so merge faults can fire.
+    return [goe(int(rng.integers(8, 200)), seed=int(rng.integers(0, 2**31)))
             for _ in range(count)]
 
 
@@ -125,7 +126,7 @@ class TestFaultsOffBitIdentity:
     def test_spent_fault_budget_restores_bit_identity(self, seed):
         # After a plan's budget is exhausted the instrumented sites are
         # pass-through: results must match the unfaulted bits again.
-        A = goe(32, seed=seed)
+        A = goe(160, seed=seed)  # above the 128 leaf size: merges
         baseline = repro.eigh(A)
         with injected_faults(
             FaultSpec("dc.merge", "convergence", times=1, seed=seed)

@@ -70,8 +70,8 @@ class TestExecutor:
                                       direct.eigenvectors)
 
     def test_convergence_failure_escalates_to_dense(self):
-        A = goe(48, seed=2)
-        plan = plan_evd(48, "proposed", fallback="chain")
+        A = goe(160, seed=2)  # above the 128 leaf size: merges
+        plan = plan_evd(160, "proposed", fallback="chain")
         with injected_faults(FaultSpec("dc.merge", "convergence", times=1)):
             outcome = execute_plan_with_fallback(A, plan)
         assert outcome.escalated
@@ -151,7 +151,7 @@ class TestExecutor:
 
 class TestEighEntryPoint:
     def test_eigh_fallback_chain_survives_dc_failure(self):
-        A = goe(40, seed=7)
+        A = goe(160, seed=7)  # above the 128 leaf size: merges
         with injected_faults(FaultSpec("dc.merge", "convergence", times=1)):
             res = repro.eigh(A, fallback="chain")
         dense = repro.eigh(A, method="dense")

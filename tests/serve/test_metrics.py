@@ -119,7 +119,7 @@ class TestDCStageAttribution:
         from repro.serve import ServiceConfig, SolverService
 
         rng = np.random.default_rng(5)
-        g = rng.standard_normal((48, 48))
+        g = rng.standard_normal((160, 160))  # above the 128 leaf size
         A = (g + g.T) / 2.0
         cfg = ServiceConfig(workers=1, dense_fastpath_max_n=0, cache_entries=0)
         with SolverService(cfg) as svc:

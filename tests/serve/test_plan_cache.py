@@ -186,7 +186,7 @@ class TestEscalatedResultsNeverPoisonTheCache:
         import repro
         from repro.resilience import FaultSpec, clear_faults, injected_faults
 
-        A = goe(32, seed=21)
+        A = goe(160, seed=21)  # above the 128 leaf size: merges
         try:
             with SolverService(ServiceConfig(workers=1)) as svc:
                 with injected_faults(FaultSpec("dc.merge", "convergence", times=1)):

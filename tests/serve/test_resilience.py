@@ -70,7 +70,7 @@ class TestFallbackThroughService:
     def test_escalation_visible_in_stats(self):
         with injected_faults(FaultSpec("dc.merge", "convergence", times=1)):
             with SolverService(ServiceConfig(workers=1)) as svc:
-                A = goe(40, 3)
+                A = goe(160, 3)  # above the 128 leaf size: merges
                 out = svc.submit(A, fallback="chain").result(timeout=60)
                 st = svc.stats()
         dense = repro.eigh(A, method="dense")
@@ -79,7 +79,7 @@ class TestFallbackThroughService:
         assert st["cache"]["escalated_rejections"] == 1
 
     def test_escalated_result_never_caches_under_original_key(self):
-        A = goe(40, 4)
+        A = goe(160, 4)  # above the 128 leaf size: merges
         with SolverService(ServiceConfig(workers=1)) as svc:
             with injected_faults(FaultSpec("dc.merge", "convergence", times=1)):
                 svc.submit(A, fallback="chain").result(timeout=60)

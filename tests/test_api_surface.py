@@ -64,7 +64,7 @@ PUBLIC_API = {
     "repro.eig": [
         "dc_eigh", "tridiag_qr_eigh", "eigh_bisect", "eigvals_bisect",
         "sturm_count", "inverse_iteration", "tridiag_solve_shifted",
-        "solve_all_roots", "solve_secular_root", "refine_z",
+        "solve_all_roots", "refine_z",
         "secular_eigenvectors", "jacobi_eigh", "DCStats",
     ],
     "repro.band": [
