@@ -151,10 +151,11 @@ class TestContextThreading:
 
     def test_gk_solve_matches_scalar_secular_oracle(self, rng):
         # Solving svd's Golub-Kahan tridiagonal with the scalar dc_eigh
-        # oracle gives the same values.
+        # oracle gives the same values.  Its size 2n = 160 is above the
+        # 128-wide D&C leaf, so both solves run a merge.
         from tests.oracles import dc_eigh_scalar
 
-        n = 18
+        n = 80
         A = rng.standard_normal((n, n))
         s_b, _, _ = svd(A)
         bd = bidiagonalize(A)

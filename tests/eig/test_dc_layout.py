@@ -106,8 +106,9 @@ class TestLeafLayout:
     @pytest.mark.parametrize("n", [1, 2, 3, 24, 25])
     @pytest.mark.parametrize("vectors", [True, False])
     def test_boundary_sizes(self, rng, n, vectors):
+        # 24-wide leaves: n = 25 is the first size that merges.
         d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
-        lam, U = dc_eigh(d, e, compute_vectors=vectors)
+        lam, U = dc_eigh(d, e, compute_vectors=vectors, base_size=24)
         assert_matches_lapack(d, e, lam)
         if vectors:
             T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
@@ -155,7 +156,8 @@ class TestScaling:
         n = 120
         d = rng.standard_normal(n) * scale
         e = rng.standard_normal(n - 1) * scale
-        lam, U = dc_eigh(d, e, compute_vectors=vectors)
+        # 24-wide leaves, so the merges run at the extreme scales too.
+        lam, U = dc_eigh(d, e, compute_vectors=vectors, base_size=24)
         assert np.all(np.isfinite(lam))
         assert_matches_lapack(d, e, lam)
         if vectors:
@@ -163,13 +165,13 @@ class TestScaling:
 
     def test_power_of_two_scaling_is_exact(self, rng):
         d, e = rng.standard_normal(90), rng.standard_normal(89)
-        lam, U = dc_eigh(d, e)
-        lam_s, U_s = dc_eigh(d * 2.0**40, e * 2.0**40)
+        lam, U = dc_eigh(d, e, base_size=24)
+        lam_s, U_s = dc_eigh(d * 2.0**40, e * 2.0**40, base_size=24)
         assert np.array_equal(lam_s, lam * 2.0**40)
         assert np.array_equal(U_s, U)
 
     def test_zero_matrix(self):
-        lam, U = dc_eigh(np.zeros(30), np.zeros(29))
+        lam, U = dc_eigh(np.zeros(30), np.zeros(29), base_size=24)
         assert np.array_equal(lam, np.zeros(30))
         assert np.linalg.norm(U.T @ U - np.eye(30)) < 1e-14
 

@@ -28,16 +28,22 @@ def tridiag_scale(d, e):
     return max(float(np.linalg.norm(T, ord=1)), 1.0), T
 
 
-def solve_both(d, e, **kwargs):
-    lam_s, U_s = dc_eigh_scalar(d, e, **kwargs)
-    lam_b, U_b = dc_eigh(d, e, **kwargs)
+def solve_both(d, e, base_size=24, merges=True, **kwargs):
+    """Both solves over ``base_size``-wide leaves.  Unless ``merges`` is
+    false the tree must merge: a single leaf is LAPACK in both solves and
+    would compare nothing of the secular stage."""
+    lam_s, U_s = dc_eigh_scalar(d, e, base_size=base_size, **kwargs)
+    lam_b, U_b, stats = dc_eigh(
+        d, e, base_size=base_size, return_stats=True, **kwargs
+    )
+    assert stats.merges > 0 or not merges
     return lam_s, U_s, lam_b, U_b
 
 
-def assert_oracle_agreement(d, e, base_size=24):
+def assert_oracle_agreement(d, e, base_size=24, merges=True):
     n = d.size
     scale, T = tridiag_scale(d, e)
-    lam_s, U_s, lam_b, U_b = solve_both(d, e, base_size=base_size)
+    lam_s, U_s, lam_b, U_b = solve_both(d, e, base_size=base_size, merges=merges)
     # Eigenvalues: batched tracks the scalar oracle to a few eps of ||T||.
     assert np.max(np.abs(lam_s - lam_b)) <= 4.0 * _EPS * scale
     # Both factorizations stand on their own at machine precision.
@@ -62,7 +68,8 @@ class TestOracleGrid:
 
     def test_full_deflation_merges(self, rng):
         # Constant diagonal + negligible coupling: every z entry deflates,
-        # so merges hit the nd.size == 0 early-out in both modes.
+        # so merges hit the nd.size == 0 early-out in production and
+        # in the oracle.
         d = np.ones(96)
         e = np.full(95, 1e-16)
         lam_s, U_s, lam_b, U_b = solve_both(d, e)
@@ -118,7 +125,8 @@ class TestDegenerateMerges:
     def test_tiny_problems(self, rng, n):
         d = rng.standard_normal(n)
         e = rng.standard_normal(max(n - 1, 0))
-        assert_oracle_agreement(d, e, base_size=3)
+        # n <= 3 is a single leaf; from n = 4 the tree merges.
+        assert_oracle_agreement(d, e, base_size=3, merges=n > 3)
 
 
 class TestLevelOrderExecution:
@@ -152,8 +160,8 @@ class TestLevelOrderExecution:
         d = rng.standard_normal(90)
         e = rng.standard_normal(89)
         for solve in (dc_eigh_scalar, dc_eigh):
-            lam_v, _ = solve(d, e, compute_vectors=True)
-            lam_n, U = solve(d, e, compute_vectors=False)
+            lam_v, _ = solve(d, e, compute_vectors=True, base_size=24)
+            lam_n, U = solve(d, e, compute_vectors=False, base_size=24)
             assert U is None
             assert np.max(np.abs(lam_v - lam_n)) < 1e-13
 

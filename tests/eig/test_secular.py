@@ -311,7 +311,8 @@ class TestDlaed4Roots:
         assert "INFO=1" in str(info.value)
 
     def test_scipy_fallback_gives_identical_roots(self, monkeypatch):
-        assert secular._numpy_dlaed4() is not None
+        if secular._numpy_dlaed4() is None:
+            pytest.skip("this NumPy has no scipy_dlaed4_64_: the fallback is the default")
         rng = np.random.default_rng(3)
         d = np.sort(rng.standard_normal(64)) + 1e-6 * np.arange(64)
         z = rng.standard_normal(64)
@@ -331,8 +332,10 @@ class TestDlaed4Roots:
             got = solve_all_roots(d, z, 0.8)
         finally:
             secular._dlaed4.cache_clear()
+        # Two LAPACK builds: the same anchors, offsets equal to roundoff.
         assert np.array_equal(got.anchors, ref.anchors)
-        assert np.array_equal(got.offsets, ref.offsets)
+        scale = max(float(np.max(np.abs(d))) + 0.8 * float(z @ z), 1.0)
+        assert np.max(np.abs(got.offsets - ref.offsets)) <= 4.0 * _EPS * scale
 
 
 class TestWorkspacePooling:
