@@ -30,9 +30,8 @@ Public API highlights
     pipeline (``eigh(A, backend="torch")``).
 ``repro.serve``
     The request-serving layer: :class:`~repro.serve.SolverService` with
-    future-based submission, adaptive micro-batching (stacked dense tier
-    for small ``n``), a content-addressed result cache, backpressure and
-    metrics (``svc.submit(A).result()``).
+    future-based submission, a stacked dense tier, a content-addressed
+    result cache, backpressure and metrics (``svc.submit(A).result()``).
 ``repro.resilience``
     Numerical-health verification (``verify_evd``/``verify_tridiag``),
     the typed :class:`~repro.resilience.ReproError` hierarchy, solver

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, fields
 from typing import Any, TypeVar
 
-from .errors import PlanError
+from .errors import PlanError, bad_choice
 
 __all__ = [
     "TridiagConfig",
@@ -87,6 +87,27 @@ def _branch(cls: type[_Branch], name: str, data: dict[str, Any]) -> _Branch:
             f"valid fields are {', '.join(valid)}"
         )
     return cls(**data)
+
+
+def _check_choices(plan: "EVDPlan") -> None:
+    """Reject a loaded plan whose choice fields hold a value the planner
+    would refuse, with the planner's typed error."""
+    # The planner imports this module, so its choice lists load here.
+    from .planner import EVD_METHODS, FALLBACKS, PRECISIONS, SOLVERS, TRIDIAG_METHODS
+
+    checks: list[tuple[str, str, tuple[str, ...]]] = [
+        ("method", plan.method, EVD_METHODS),
+        ("tridiagonal solver", plan.solver.kind, SOLVERS + ("dense",)),
+        ("precision", plan.precision, PRECISIONS),
+        ("fallback", plan.fallback, FALLBACKS),
+    ]
+    if plan.tridiag is not None:
+        checks.append(
+            ("tridiagonalization method", plan.tridiag.method, TRIDIAG_METHODS)
+        )
+    for knob, value, choices in checks:
+        if value not in choices:
+            raise bad_choice(knob, value, choices)
 
 
 @dataclass(frozen=True)
@@ -186,7 +207,10 @@ class EVDPlan:
         Raises :class:`PlanError` naming the unknown and the valid keys
         when the document or one of its config branches carries a key
         this version does not know (e.g. a plan document that still holds
-        a removed knob or branch).
+        a removed knob or branch), and naming the valid choices when a
+        ``method``, ``tridiag.method``, ``solver.kind``, ``precision`` or
+        ``fallback`` value is one this version cannot execute (e.g. a
+        retired method).
         """
         valid = [f.name for f in fields(cls)] + ["cache_token"]
         unknown = sorted(set(data) - set(valid))
@@ -195,7 +219,7 @@ class EVDPlan:
                 f"unknown plan key(s) {', '.join(repr(k) for k in unknown)}: "
                 f"valid keys are {', '.join(valid)}"
             )
-        return cls(
+        plan = cls(
             n=int(data["n"]),
             method=str(data["method"]),
             backend=str(data["backend"]),
@@ -213,6 +237,8 @@ class EVDPlan:
             ),
             solver=_branch(SolverConfig, "solver", data["solver"]),
         )
+        _check_choices(plan)
+        return plan
 
     # -- display -------------------------------------------------------
     def describe(self) -> str:

@@ -29,8 +29,8 @@ plan's cache token.
 The raw ``"fp32"`` policy skips refinement *and* verification: it is
 the speed tier for callers that accept single-precision accuracy, and
 its results will generally not pass fp64 ``verify_evd`` tolerances
-(serve with ``verify=True`` will fail such requests unless they carry
-``fallback="chain"`` or looser explicit tolerances).
+(:class:`~repro.serve.SolverService`, which verifies every result, fails
+such requests unless they plan ``fallback="chain"``).
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
 """repro.serve — batched asynchronous EVD solver service.
 
 The request-serving layer over the EVD pipeline: an in-process
-:class:`SolverService` with future-based submission, a bounded priority
+:class:`SolverService` with future-based submission, a bounded FIFO
 queue with configurable backpressure, worker threads owning long-lived
-execution contexts, adaptive micro-batching with a stacked small-``n``
-dense tier, a content-addressed LRU result cache, and full metric
-instrumentation.  See ``docs/serve.md`` for the architecture and the
-determinism contract.
+execution contexts, a stacked dense tier that batches the compatible
+requests already queued, a content-addressed LRU result cache, and full
+metric instrumentation.  See ``docs/serve.md`` for the architecture and
+the determinism contract.
 
 Quickstart::
 
@@ -18,8 +18,8 @@ Quickstart::
         print(svc.stats()["cache"])
 """
 
-from .batcher import BatchPolicy, RequestQueue
-from .cache import CacheEntry, ResultCache, plan_cache_key
+from .batcher import RequestQueue
+from .cache import ResultCache, plan_cache_key
 from .metrics import ServiceMetrics
 from .service import (
     ServiceClosed,
@@ -30,8 +30,6 @@ from .service import (
 )
 
 __all__ = [
-    "BatchPolicy",
-    "CacheEntry",
     "RequestQueue",
     "ResultCache",
     "ServiceClosed",

@@ -1,23 +1,12 @@
-"""Bounded priority queue + adaptive micro-batching for the solver service.
+"""Bounded FIFO request queue with batched dequeue for the solver service.
 
 The paper's central discipline — aggregate many small, inefficient
 operations into one large, efficient one — applied at the request level:
-compatible solve requests (same ``n``, same solver params, same backend)
-that arrive close together are coalesced into one *batch* and executed
-together, either as a single stacked ``(m, n, n)`` dense call (the
-dense tier, :func:`repro.core.evd.eigh_stacked`) or as a run
-of per-item pipeline solves that amortize one worker's warm
-:class:`~repro.backend.ExecutionContext`.
-
-Batching must not buy throughput with unconditional latency: the batch
-window is **adaptive**.  After popping the highest-priority request, a
-worker waits up to ``window_s`` for more compatible requests *only when
-the observed arrival rate makes another arrival plausible within the
-window* (an EWMA of inter-arrival times, maintained on ``put``).  An
-idle service therefore serves single requests with zero added latency,
-while a loaded service coalesces aggressively — the request-level
-analogue of the bulge-chasing wavefront, which stacks whatever tasks the
-current round actually has.
+a worker that pops a batchable request (the dense tier) takes the
+compatible requests already queued behind it (same ``signature``) and
+executes them together as one stacked ``(m, n, n)`` call
+(:func:`repro.core.evd.eigh_stacked`).  It never waits for more to
+arrive, so a lone request is served with no added latency.
 
 Backpressure is the queue's second job: ``put`` on a full queue either
 blocks (``"block"``), raises immediately (``"reject"``), or blocks up to
@@ -30,10 +19,10 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from typing import Any, Callable
 
 __all__ = [
-    "BatchPolicy",
     "RequestQueue",
     "QueueClosed",
     "QueueFull",
@@ -53,66 +42,26 @@ class QueueTimeout(RuntimeError):
     """``timeout`` backpressure: capacity did not free up in time."""
 
 
-class BatchPolicy:
-    """Adaptive micro-batching knobs.
-
-    Parameters
-    ----------
-    max_batch : int
-        Hard cap on requests coalesced into one execution.
-    window_s : float
-        Longest a worker will hold an under-full batch open waiting for
-        more compatible arrivals.
-    adaptive : bool
-        When True (default), the window is only opened while the EWMA
-        request inter-arrival time is at most ``window_s`` — i.e. when
-        waiting is statistically likely to pay.  When False, the window
-        is always opened (predictable, benchmark-friendly behaviour).
-    """
-
-    def __init__(self, max_batch: int = 32, window_s: float = 0.002,
-                 adaptive: bool = True) -> None:
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        self.max_batch = int(max_batch)
-        self.window_s = float(window_s)
-        self.adaptive = bool(adaptive)
-
-    def should_wait(self, ewma_interarrival_s: float | None) -> bool:
-        if self.window_s <= 0.0 or self.max_batch <= 1:
-            return False
-        if not self.adaptive:
-            return True
-        return (
-            ewma_interarrival_s is not None
-            and ewma_interarrival_s <= self.window_s
-        )
-
-
 class RequestQueue:
-    """Bounded priority queue with batched dequeue.
+    """Bounded FIFO queue with batched dequeue.
 
-    Entries are arbitrary objects ordered by a ``(priority, seq)`` key
-    (lower first; ``seq`` preserves FIFO within a priority level).  The
-    queue is intentionally a plain list under a condition variable — at
-    serving depths (hundreds) linear scans are cheaper than maintaining
-    a heap that supports arbitrary removal for batch collection.
+    A plain deque under a condition variable — at serving depths
+    (hundreds) the linear scan that collects a batch costs less than
+    any index over the signatures.
     """
 
     def __init__(self, limit: int = 256) -> None:
         if limit < 1:
             raise ValueError("queue limit must be >= 1")
         self.limit = int(limit)
-        self._items: list[tuple[tuple[int, int], Any]] = []
+        self._items: deque[Any] = deque()
         self._cond = threading.Condition()
         self._closed = False
         self._draining = True  # on close: serve out remaining items?
-        self._last_arrival: float | None = None
-        self._ewma_interarrival: float | None = None
 
     # -- producer side -------------------------------------------------
-    def put(self, item: Any, priority: int, seq: int,
-            policy: str = "block", timeout_s: float | None = None) -> None:
+    def put(self, item: Any, policy: str = "block",
+            timeout_s: float | None = None) -> None:
         """Enqueue under the given backpressure policy.
 
         Raises :class:`QueueClosed`, :class:`QueueFull` (policy
@@ -144,42 +93,34 @@ class RequestQueue:
                             )
                 else:
                     self._cond.wait()
-            now = time.monotonic()
-            if self._last_arrival is not None:
-                dt = now - self._last_arrival
-                self._ewma_interarrival = (
-                    dt
-                    if self._ewma_interarrival is None
-                    else 0.8 * self._ewma_interarrival + 0.2 * dt
-                )
-            self._last_arrival = now
-            self._items.append(((int(priority), int(seq)), item))
+            self._items.append(item)
             self._cond.notify_all()
 
-    def requeue(self, item: Any, priority: int, seq: int) -> None:
-        """Put a previously-dequeued item back (worker-crash recovery).
+    def requeue(self, items: list[Any]) -> None:
+        """Put previously-dequeued items back at the front, in their
+        original order (worker-crash recovery), so a retried request
+        keeps its place.
 
-        Bypasses the capacity limit — the item already held a queue slot
+        Bypasses the capacity limit — the items already held queue slots
         once, and blocking a crash-recovery path on backpressure could
-        deadlock the supervisor.  Keeps the item's original
-        ``(priority, seq)`` so it re-executes in its original order.
-        Raises :class:`QueueClosed` only when the queue was closed
-        *without* drain (a draining queue still serves requeued work).
+        deadlock the supervisor.  Raises :class:`QueueClosed` only when
+        the queue was closed *without* drain (a draining queue still
+        serves requeued work).
         """
         with self._cond:
             if self._closed and not self._draining:
                 raise QueueClosed("queue is closed and not draining")
-            self._items.append(((int(priority), int(seq)), item))
+            self._items.extendleft(reversed(items))
             self._cond.notify_all()
 
     # -- consumer side -------------------------------------------------
     def pop_batch(
         self,
         signature: Callable[[Any], Any],
-        policy: BatchPolicy,
+        max_batch: int,
     ) -> tuple[list[Any], int] | None:
-        """Dequeue the highest-priority request plus up to
-        ``policy.max_batch - 1`` compatible ones (same ``signature``).
+        """Dequeue the oldest request plus up to ``max_batch - 1``
+        compatible ones (same ``signature``) already queued.
 
         Blocks while the queue is empty; returns ``None`` when the queue
         is closed and (in drain mode) emptied — the worker-exit signal —
@@ -196,39 +137,19 @@ class RequestQueue:
                 return None
 
             depth_at_dequeue = len(self._items)
-            first = min(self._items, key=lambda entry: entry[0])
-            self._items.remove(first)
-            batch = [first[1]]
-            sig = signature(first[1])
-            if sig is not None:
-                self._collect_compatible(batch, sig, signature, policy.max_batch)
-                if (
-                    len(batch) < policy.max_batch
-                    and not self._closed
-                    and policy.should_wait(self._ewma_interarrival)
-                ):
-                    deadline = time.monotonic() + policy.window_s
-                    while len(batch) < policy.max_batch and not self._closed:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0.0:
-                            break
-                        self._cond.wait(remaining)
-                        self._collect_compatible(
-                            batch, sig, signature, policy.max_batch
-                        )
+            first = self._items.popleft()
+            batch = [first]
+            sig = signature(first)
+            if sig is not None and self._items:
+                kept: deque[Any] = deque()
+                for item in self._items:
+                    if len(batch) < max_batch and signature(item) == sig:
+                        batch.append(item)
+                    else:
+                        kept.append(item)
+                self._items = kept
             self._cond.notify_all()  # capacity freed: wake blocked producers
             return batch, depth_at_dequeue
-
-    def _collect_compatible(self, batch, sig, signature, max_batch) -> None:
-        if len(batch) >= max_batch:
-            return
-        kept: list[tuple[tuple[int, int], Any]] = []
-        for entry in sorted(self._items, key=lambda e: e[0]):
-            if len(batch) < max_batch and signature(entry[1]) == sig:
-                batch.append(entry[1])
-            else:
-                kept.append(entry)
-        self._items = kept
 
     # -- shutdown ------------------------------------------------------
     def close(self, drain: bool = True) -> list[Any]:
@@ -240,7 +161,7 @@ class RequestQueue:
             self._draining = bool(drain)
             removed: list[Any] = []
             if not drain:
-                removed = [item for _, item in self._items]
+                removed = list(self._items)
                 self._items.clear()
             self._cond.notify_all()
             return removed
@@ -248,8 +169,3 @@ class RequestQueue:
     def __len__(self) -> int:
         with self._cond:
             return len(self._items)
-
-    @property
-    def ewma_interarrival_s(self) -> float | None:
-        with self._cond:
-            return self._ewma_interarrival

@@ -26,21 +26,16 @@ rather than risking a wrong-key collision.
 (:class:`~repro.resilience.FallbackOutcome` with records) did *not* run
 the plan its cache token names — caching it under the submitting plan's
 key would poison bit-identical replay with another pipeline's bits.
-Entries therefore carry an ``escalated`` provenance flag
-(:class:`CacheEntry`), and :meth:`ResultCache.put` **refuses** (drops
-and counts) any store marked ``escalated=True`` — the structural
-guarantee that no caller can poison the original key.  The serving
-layer stores escalated results through :meth:`ResultCache.put_escalated`
-under :func:`plan_cache_key` of the plan that actually *produced* them
-(where the bits are exactly what direct execution of that plan yields),
-and failed results are never cached at all.
+The serving layer therefore stores an escalated result only under
+:func:`plan_cache_key` of the plan that actually *produced* it (where
+the bits are exactly what direct execution of that plan yields), and
+failed results are never cached at all.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -49,7 +44,6 @@ from ..core.validation import matrix_fingerprint
 from ..plan.config import EVDPlan
 
 __all__ = [
-    "CacheEntry",
     "ResultCache",
     "plan_cache_key",
 ]
@@ -79,86 +73,47 @@ def _freeze(result) -> None:
                 arr.setflags(write=False)
 
 
-@dataclass
-class CacheEntry:
-    """One cached result plus its provenance.
-
-    ``escalated`` records that the result was produced by a fallback
-    escalation — such entries only ever live under the *producing*
-    plan's key (see :meth:`ResultCache.put_escalated`).
-    """
-
-    result: Any
-    escalated: bool = False
-
-
 class ResultCache:
     """Bounded LRU mapping cache keys to solved results.
 
-    ``max_entries <= 0`` disables caching entirely (every ``get`` misses,
-    ``put`` drops).  Hit/miss/eviction counters are exposed through
-    :meth:`stats` and surface in ``SolverService.stats()``.
+    Hit/miss/eviction counters are exposed through :meth:`stats` and
+    surface in ``SolverService.stats()``.  A ``None`` key (an
+    uncacheable request) is transparent: it never hits, never stores
+    and is not counted.
     """
 
     def __init__(self, max_entries: int = 256) -> None:
+        if max_entries < 1:
+            raise ValueError("max_entries must be >= 1")
         self.max_entries = int(max_entries)
-        self._entries: OrderedDict[str, CacheEntry] = OrderedDict()
+        self._entries: OrderedDict[str, Any] = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        self._escalated_rejections = 0
 
     def get(self, key: str | None):
         """Return the cached result (promoting it to most-recent) or None."""
-        entry = self.get_entry(key)
-        return None if entry is None else entry.result
-
-    def get_entry(self, key: str | None) -> CacheEntry | None:
-        """Like :meth:`get` but returning the full :class:`CacheEntry`
-        (result + ``escalated`` provenance flag)."""
-        if key is None or self.max_entries <= 0:
+        if key is None:
             return None
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
+            result = self._entries.get(key)
+            if result is None:
                 self._misses += 1
                 return None
             self._entries.move_to_end(key)
             self._hits += 1
-            return entry
+            return result
 
-    def put(self, key: str | None, result, escalated: bool = False) -> None:
-        """Cache ``result`` under ``key``.
-
-        ``escalated=True`` stores are *refused* (dropped and counted in
-        :meth:`stats` as ``escalated_rejections``): an escalated result
-        was not produced by the plan whose token is in ``key``, and
-        caching it there would poison bit-identical replay.  Use
-        :meth:`put_escalated` with the producing plan's key instead.
-        """
-        if escalated:
-            with self._lock:
-                self._escalated_rejections += 1
+    def put(self, key: str | None, result) -> None:
+        """Cache ``result`` (its arrays frozen) under ``key``, evicting
+        the least recently used entry past capacity."""
+        if key is None:
             return
-        self._store(key, CacheEntry(result, escalated=False))
-
-    def put_escalated(self, producer_key: str | None, result) -> None:
-        """Cache a fallback-escalated result under the key of the plan
-        that *produced* it (where its bits equal direct execution), with
-        the ``escalated`` provenance flag set."""
-        self._store(producer_key, CacheEntry(result, escalated=True))
-
-    def _store(self, key: str | None, entry: CacheEntry) -> None:
-        if key is None or self.max_entries <= 0:
-            return
-        _freeze(entry.result)
+        _freeze(result)
         with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                self._entries[key] = entry
-                return
-            self._entries[key] = entry
+            self._entries[key] = result
+            self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
                 self._evictions += 1
@@ -180,6 +135,5 @@ class ResultCache:
                 "hits": self._hits,
                 "misses": self._misses,
                 "evictions": self._evictions,
-                "escalated_rejections": self._escalated_rejections,
                 "hit_rate": (self._hits / lookups) if lookups else 0.0,
             }

@@ -8,7 +8,7 @@ a request-serving engine:
   ``repro.eigh(A, **solver_opts)`` call would produce — **bit-identical**,
   regardless of how requests interleave, batch, or hit the cache (the
   service's determinism contract, property-tested);
-* requests flow through a bounded priority queue with pluggable
+* requests flow through a bounded FIFO queue with pluggable
   backpressure (``block`` / ``reject`` / ``timeout``,
   :mod:`repro.serve.batcher`);
 * worker threads each own a long-lived
@@ -16,9 +16,9 @@ a request-serving engine:
   backend state amortize across requests instead of being rebuilt per
   call (contexts are single-threaded by contract — the pool's
   owning-thread assertion enforces it);
-* compatible requests are micro-batched adaptively; small-``n`` dense-tier
-  requests execute as one stacked ``(m, n, n)`` call
-  (:func:`~repro.core.evd.eigh_stacked`), everything else runs the full
+* a dense-tier request takes the compatible requests queued behind it
+  and they execute as one stacked ``(m, n, n)`` call
+  (:func:`~repro.core.evd.eigh_stacked`); everything else runs the full
   DBBR + wavefront-BC pipeline per item on the worker's warm context;
 * results are cached content-addressed
   (:mod:`repro.serve.cache`) for bit-identical replay of repeated
@@ -38,22 +38,22 @@ production traffic — the contract is *no future is ever lost*: every
 :class:`~repro.resilience.ReproError` subclass.
 
 * every computed result is run through
-  :func:`~repro.resilience.verify_evd` (``config.verify``, on by
-  default): residual/orthogonality land in ``stats()`` histograms and a
-  failing check fails the future with a typed
+  :func:`~repro.resilience.verify_evd` at the size-scaled
+  :func:`~repro.resilience.default_tolerances`: residual/orthogonality
+  land in ``stats()`` histograms and a failing check fails the future
+  with a typed
   :class:`~repro.resilience.VerificationError` — or escalates, when the
   request planned ``fallback="chain"``
   (:func:`~repro.resilience.execute_plan_with_fallback`); escalated
   results are *re-keyed* in the cache under the plan that actually
   produced them, never the submitted plan's token;
-* per-request **deadlines** (``submit(..., deadline_s=...)`` or
-  ``config.default_deadline_s``) are enforced cooperatively at execution
-  boundaries: an expired request fails with
+* per-request **deadlines** (``submit(..., deadline_s=...)``) are
+  enforced cooperatively at execution boundaries: an expired request fails with
   :class:`~repro.resilience.DeadlineExceeded` instead of occupying a
   worker;
 * **worker supervision**: a worker thread dying mid-batch (any
   ``BaseException``) re-enqueues its unfinished in-flight requests (up
-  to ``config.max_crash_retries`` each, then a typed
+  to ``_MAX_CRASH_RETRIES`` each, then a typed
   :class:`~repro.resilience.WorkerCrashError`) and respawns a
   replacement worker;
 * a per-backend **circuit breaker**
@@ -85,7 +85,6 @@ from ..core.evd import eigh_stacked
 from ..core.validation import check_symmetric
 from ..plan.config import EVDPlan
 from ..plan.planner import plan_evd
-from ..plan.runner import execute_plan
 from ..resilience.breaker import BreakerRegistry
 from ..resilience.errors import (
     BackendFault,
@@ -97,7 +96,7 @@ from ..resilience.errors import (
 from ..resilience.fallback import execute_plan_with_fallback
 from ..resilience.faults import maybe_raise
 from ..resilience.verify import verify_evd
-from .batcher import BatchPolicy, QueueClosed, QueueFull, QueueTimeout, RequestQueue
+from .batcher import QueueClosed, QueueFull, QueueTimeout, RequestQueue
 from .cache import ResultCache, plan_cache_key
 from .metrics import ServiceMetrics
 
@@ -115,6 +114,16 @@ _METRICS_SAMPLES = 2048
 # Seconds an open backend circuit breaker waits before letting a probe
 # through.
 _BREAKER_RESET_S = 30.0
+# Consecutive BackendFault failures that trip a non-NumPy backend's
+# circuit breaker open.
+_BREAKER_THRESHOLD = 3
+# Most dense-tier requests stacked into one eigh_stacked call.
+_MAX_BATCH = 16
+# Result-cache capacity (LRU entries).
+_CACHE_ENTRIES = 256
+# Times a request orphaned by a worker crash is re-enqueued before it
+# fails with WorkerCrashError.
+_MAX_CRASH_RETRIES = 1
 
 
 class ServiceClosed(RuntimeError):
@@ -133,7 +142,7 @@ class SubmitTimeout(RuntimeError):
 
 @dataclass
 class ServiceConfig:
-    """Tuning knobs for :class:`SolverService`.
+    """Settings of a :class:`SolverService`.
 
     Attributes
     ----------
@@ -150,30 +159,6 @@ class ServiceConfig:
         ``submit_timeout_s`` then raise :class:`SubmitTimeout`.
     submit_timeout_s : float
         Deadline for the ``"timeout"`` policy.
-    max_batch, batch_window_s, adaptive_batching
-        Micro-batching knobs (see :class:`~repro.serve.batcher.BatchPolicy`).
-    cache_entries : int
-        LRU result-cache capacity (0 disables caching).
-    verify : bool
-        Run :func:`~repro.resilience.verify_evd` on every computed
-        result (default True).  Verification never alters result bits;
-        a failing check fails the future with
-        :class:`~repro.resilience.VerificationError` (or escalates a
-        ``fallback="chain"`` request).
-    tol_residual, tol_orth : float or None
-        Verification tolerances (``None`` = size-scaled defaults,
-        :func:`repro.resilience.default_tolerances`).
-    default_deadline_s : float or None
-        Deadline applied to requests that do not pass their own
-        ``deadline_s`` (``None`` = no deadline).
-    max_crash_retries : int
-        How many times a request orphaned by a worker crash is
-        re-enqueued before failing with
-        :class:`~repro.resilience.WorkerCrashError`.
-    breaker_threshold : int
-        Consecutive :class:`~repro.resilience.BackendFault` failures
-        that trip a non-NumPy backend's circuit breaker open (it lets a
-        probe through after 30 s).
     """
 
     workers: int = 4
@@ -181,16 +166,6 @@ class ServiceConfig:
     queue_limit: int = 256
     backpressure: str = "block"
     submit_timeout_s: float = 1.0
-    max_batch: int = 16
-    batch_window_s: float = 0.002
-    adaptive_batching: bool = True
-    cache_entries: int = 256
-    verify: bool = True
-    tol_residual: float | None = None
-    tol_orth: float | None = None
-    default_deadline_s: float | None = None
-    max_crash_retries: int = 1
-    breaker_threshold: int = 3
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -200,10 +175,6 @@ class ServiceConfig:
                 f"backpressure must be one of {_BACKPRESSURE_POLICIES}, "
                 f"got {self.backpressure!r}"
             )
-        if self.max_crash_retries < 0:
-            raise ValueError("max_crash_retries must be >= 0")
-        if self.breaker_threshold < 1:
-            raise ValueError("breaker_threshold must be >= 1")
 
 
 @dataclass
@@ -219,12 +190,10 @@ class _Request:
 
     ``deadline`` is an absolute ``time.monotonic()`` instant (``None`` =
     unbounded); ``crashes`` counts worker-crash orphanings (bounded by
-    ``config.max_crash_retries``); ``started`` records that the future
+    ``_MAX_CRASH_RETRIES``); ``started`` records that the future
     already transitioned to RUNNING, so a crash-requeued request does
     not call ``set_running_or_notify_cancel`` twice."""
 
-    seq: int
-    priority: int
     A: np.ndarray
     solver_opts: dict[str, Any]
     n: int | None
@@ -244,25 +213,19 @@ class SolverService:
     Use as a context manager for deterministic shutdown::
 
         with SolverService(ServiceConfig(workers=4)) as svc:
-            futs = svc.submit_many(matrices)
+            futs = [svc.submit(A) for A in matrices]
             results = [f.result() for f in futs]
     """
 
     def __init__(self, config: ServiceConfig | None = None) -> None:
         self.config = config or ServiceConfig()
         self.metrics = ServiceMetrics(_METRICS_SAMPLES)
-        self.cache = ResultCache(self.config.cache_entries)
+        self.cache = ResultCache(_CACHE_ENTRIES)
         self.breakers = BreakerRegistry(
-            failure_threshold=self.config.breaker_threshold,
+            failure_threshold=_BREAKER_THRESHOLD,
             reset_timeout_s=_BREAKER_RESET_S,
         )
         self._queue = RequestQueue(self.config.queue_limit)
-        self._batch_policy = BatchPolicy(
-            max_batch=self.config.max_batch,
-            window_s=self.config.batch_window_s,
-            adaptive=self.config.adaptive_batching,
-        )
-        self._seq = itertools.count()
         self._worker_ids = itertools.count()
         self._closed = False
         self._close_lock = threading.Lock()
@@ -284,14 +247,13 @@ class SolverService:
         t.start()
 
     # -- request intake ------------------------------------------------
-    def submit(self, A: np.ndarray, priority: int = 0, **solver_opts) -> Future:
+    def submit(self, A: np.ndarray, **solver_opts) -> Future:
         """Enqueue one solve; returns a future of the ``EVDResult``.
 
-        ``priority`` orders dequeueing (lower value first, FIFO within a
-        level).  ``solver_opts`` are the keyword arguments of
-        :func:`repro.eigh` (``method``, ``solver``, ``compute_vectors``,
-        ``fallback``, ...) plus the service-level ``deadline_s`` (float
-        seconds from now; an expired request fails with
+        ``solver_opts`` are the keyword arguments of :func:`repro.eigh`
+        (``method``, ``solver``, ``compute_vectors``, ``fallback``, ...)
+        plus the service-level ``deadline_s`` (float seconds from now;
+        an expired request fails with
         :class:`~repro.resilience.DeadlineExceeded`).  Result arrays are
         shared with the cache and therefore read-only.
 
@@ -307,16 +269,12 @@ class SolverService:
             raise ServiceClosed("service is closed")
         self.metrics.submitted.inc()
         deadline_s = solver_opts.pop("deadline_s", None)
-        if deadline_s is None:
-            deadline_s = self.config.default_deadline_s
         A = np.asarray(A)
         n = A.shape[0] if (A.ndim == 2 and A.shape[0] == A.shape[1]) else None
         plan = self._plan_for(n, solver_opts)
         cache_key = plan_cache_key(A, plan)
         t_submit = time.monotonic()
         req = _Request(
-            seq=next(self._seq),
-            priority=int(priority),
             A=A,
             solver_opts=solver_opts,
             n=n,
@@ -325,25 +283,14 @@ class SolverService:
             t_submit=t_submit,
             deadline=(t_submit + float(deadline_s)) if deadline_s is not None else None,
         )
-        cached = self.cache.get(cache_key)
-        if cached is not None:
-            self.metrics.cache_hits_at_submit.inc()
-            req.future.set_result(cached)
-            self._finish(req)
-            return req.future
         if cache_key is not None:
-            # Single-flight: attach to an identical in-flight request
-            # instead of queueing a duplicate computation.
+            # Single-flight first: a request identical to one queued or
+            # running attaches to it.  Otherwise the one cache lookup of
+            # this request — a leader puts its result in the cache before
+            # it completes, so nothing slips between the two.
             with self._inflight_lock:
                 leader = self._inflight.get(cache_key)
-                if leader is None:
-                    self._inflight[cache_key] = req.future
-                    req.future.add_done_callback(
-                        lambda _f, key=cache_key, fut=req.future: (
-                            self._inflight_pop(key, fut)
-                        )
-                    )
-                else:
+                if leader is not None and not leader.done():
                     follower: Future = Future()
                     self.metrics.coalesced.inc()
                     leader.add_done_callback(
@@ -352,12 +299,23 @@ class SolverService:
                         )
                     )
                     return follower
+                cached = self.cache.get(cache_key)
+                if cached is None:
+                    self._inflight[cache_key] = req.future
+                    req.future.add_done_callback(
+                        lambda _f, key=cache_key, fut=req.future: (
+                            self._inflight_pop(key, fut)
+                        )
+                    )
+            if cached is not None:
+                self.metrics.cache_hits_at_submit.inc()
+                req.future.set_result(cached)
+                self._finish(req)
+                return req.future
         req.t_enqueue = time.monotonic()
         try:
             self._queue.put(
                 req,
-                priority=req.priority,
-                seq=req.seq,
                 policy=self.config.backpressure,
                 timeout_s=self.config.submit_timeout_s,
             )
@@ -373,12 +331,6 @@ class SolverService:
             req.future.cancel()
             raise SubmitTimeout(str(exc)) from exc
         return req.future
-
-    def submit_many(
-        self, matrices, priority: int = 0, **solver_opts
-    ) -> list[Future]:
-        """Submit a sequence of matrices with shared options."""
-        return [self.submit(A, priority=priority, **solver_opts) for A in matrices]
 
     def _plan_for(
         self, n: int | None, solver_opts: dict[str, Any]
@@ -480,7 +432,7 @@ class SolverService:
                 hooks=[self.metrics.stage_times.hook],
             )
         while True:
-            popped = self._queue.pop_batch(self._signature, self._batch_policy)
+            popped = self._queue.pop_batch(self._signature, _MAX_BATCH)
             if popped is None:
                 return
             batch, depth = popped
@@ -500,34 +452,37 @@ class SolverService:
 
     def _handle_worker_crash(self, batch: list[_Request], exc: BaseException) -> None:
         """No future is ever lost: every unfinished request of a crashed
-        worker's batch is re-enqueued (keeping its original priority/seq)
-        or failed with a typed :class:`WorkerCrashError` once its retry
-        budget is spent."""
+        worker's batch goes back to the front of the queue, or fails
+        with a typed :class:`WorkerCrashError` once its retry budget is
+        spent."""
         self.metrics.worker_crashes.inc()
+        retry: list[_Request] = []
         for req in batch:
             if req.future.done():
                 continue
             req.crashes += 1
-            if req.crashes > self.config.max_crash_retries or self._closed:
-                self.metrics.failed.inc()
-                req.future.set_exception(
-                    WorkerCrashError(
-                        f"worker thread died while executing this request "
-                        f"(crash {req.crashes}, retry budget "
-                        f"{self.config.max_crash_retries}): {exc!r}"
-                    )
-                )
-                continue
-            try:
-                self._queue.requeue(req, req.priority, req.seq)
-                self.metrics.crash_requeues.inc()
-            except QueueClosed:
-                self.metrics.failed.inc()
-                req.future.set_exception(
-                    WorkerCrashError(
-                        f"worker thread died and the service is closed: {exc!r}"
-                    )
-                )
+            if req.crashes > _MAX_CRASH_RETRIES or self._closed:
+                self._fail(req, WorkerCrashError(
+                    f"worker thread died while executing this request "
+                    f"(crash {req.crashes}, retry budget "
+                    f"{_MAX_CRASH_RETRIES}): {exc!r}"
+                ))
+            else:
+                retry.append(req)
+        if not retry:
+            return
+        try:
+            self._queue.requeue(retry)
+            self.metrics.crash_requeues.inc(len(retry))
+        except QueueClosed:
+            for req in retry:
+                self._fail(req, WorkerCrashError(
+                    f"worker thread died and the service is closed: {exc!r}"
+                ))
+
+    def _fail(self, req: _Request, exc: BaseException) -> None:
+        self.metrics.failed.inc()
+        req.future.set_exception(exc)
 
     def _begin(self, req: _Request) -> bool:
         """Transition the request's future to RUNNING (idempotent across
@@ -545,37 +500,17 @@ class SolverService:
         if req.deadline is None or time.monotonic() <= req.deadline:
             return False
         self.metrics.deadline_expired.inc()
-        self.metrics.failed.inc()
-        req.future.set_exception(
-            DeadlineExceeded(
-                f"request deadline expired before execution "
-                f"(deadline was {req.deadline - req.t_submit:.3f}s after submit)"
-            )
-        )
+        self._fail(req, DeadlineExceeded(
+            f"request deadline expired before execution "
+            f"(deadline was {req.deadline - req.t_submit:.3f}s after submit)"
+        ))
         return True
 
     def _execute_batch(self, ctx: ExecutionContext, batch: list[_Request]) -> None:
-        # Re-check the cache: an identical request may have completed
-        # while this one sat in the queue.
-        live: list[_Request] = []
-        for req in batch:
-            cached = self.cache.get(req.cache_key)
-            if cached is not None:
-                if self._begin(req):
-                    req.future.set_result(cached)
-                    self._finish(req)
-            else:
-                live.append(req)
-        if not live:
-            return
-        if (
-            live[0].plan is not None
-            and live[0].plan.is_dense
-            and "backend" not in live[0].solver_opts
-        ):
-            self._execute_dense_stacked(ctx, live)
+        if self._signature(batch[0]) is not None:
+            self._execute_dense_stacked(ctx, batch)
         else:
-            for req in live:
+            for req in batch:
                 self._execute_single(ctx, req)
 
     def _execute_single(self, ctx: ExecutionContext, req: _Request) -> None:
@@ -624,32 +559,20 @@ class SolverService:
                     )
                     else None
                 )
-                if plan.fallback == "chain" or self.config.verify:
-                    outcome = execute_plan_with_fallback(
-                        req.A,
-                        plan,
-                        ctx=use_ctx,
-                        verify=self.config.verify,
-                        tol_residual=self.config.tol_residual,
-                        tol_orth=self.config.tol_orth,
-                    )
-                    result = outcome.result
-                else:
-                    result = execute_plan(req.A, plan, ctx=use_ctx)
+                outcome = execute_plan_with_fallback(req.A, plan, ctx=use_ctx)
+                result = outcome.result
         except BackendFault as exc:
             self.metrics.backend_faults.inc()
             if breaker is not None:
                 breaker.record_failure()
-            self.metrics.failed.inc()
-            req.future.set_exception(exc)
+            self._fail(req, exc)
             return
         except Exception as exc:
             if isinstance(exc, VerificationError):
                 self.metrics.verification_failures.inc()
             if isinstance(exc, FallbackExhausted):
                 self.metrics.fallback_exhausted.inc()
-            self.metrics.failed.inc()
-            req.future.set_exception(exc)
+            self._fail(req, exc)
             return
         if breaker is not None:
             breaker.record_success()
@@ -659,15 +582,11 @@ class SolverService:
             self.metrics.refinement_iterations.observe(refinement.iterations)
             if refinement.escalated:
                 self.metrics.precision_escalations.inc()
-        if outcome is not None and outcome.escalated:
-            # Never under the submitted plan's token (structurally
-            # refused by the cache) — re-keyed under the producing plan.
-            self.cache.put(req.cache_key, result, escalated=True)
-            self.cache.put_escalated(plan_cache_key(req.A, outcome.plan), result)
-        elif rerouted:
-            # Produced by the NumPy reroute, not the submitted plan:
-            # cache only under the plan that actually ran.
-            self.cache.put(plan_cache_key(req.A, plan), result)
+        if outcome is not None and (outcome.escalated or rerouted):
+            # Produced by a fallback link or the NumPy reroute, not the
+            # submitted plan: cache only under the plan that actually
+            # ran, never under the submitted plan's token.
+            self.cache.put(plan_cache_key(req.A, outcome.plan), result)
         else:
             self.cache.put(req.cache_key, result)
         req.future.set_result(result)
@@ -675,21 +594,22 @@ class SolverService:
 
     def _record_outcome(self, outcome) -> None:
         """Verification / escalation accounting for a fallback-executor
-        outcome (``None`` when the request ran the plain path)."""
+        outcome (``None`` for an unplannable request's raw call)."""
         if outcome is None:
             return
-        report = outcome.report
-        if report is not None:
-            self.metrics.verifications.inc()
-            if report.residual is not None:
-                self.metrics.residuals.observe(report.residual)
-            if report.orth_error is not None:
-                self.metrics.orth_errors.observe(report.orth_error)
+        self._record_report(outcome.report)
         if outcome.escalated:
             self.metrics.escalations.inc(len(outcome.escalations))
             for rec in outcome.escalations:
                 if rec.error_type == "VerificationError":
                     self.metrics.verification_failures.inc()
+
+    def _record_report(self, report) -> None:
+        self.metrics.verifications.inc()
+        if report.residual is not None:
+            self.metrics.residuals.observe(report.residual)
+        if report.orth_error is not None:
+            self.metrics.orth_errors.observe(report.orth_error)
 
     def _execute_dense_stacked(
         self, ctx: ExecutionContext, batch: list[_Request]
@@ -712,8 +632,7 @@ class SolverService:
                 clean.append(check_symmetric(req.A))
                 started.append(req)
             except Exception as exc:
-                self.metrics.failed.inc()
-                req.future.set_exception(exc)
+                self._fail(req, exc)
         if not started:
             return
         maybe_raise("serve.worker")
@@ -729,39 +648,22 @@ class SolverService:
             results = eigh_stacked(
                 np.stack(clean), compute_vectors=compute_vectors, backend=exec_backend
             )
-        except BackendFault as exc:
-            self.metrics.backend_faults.inc()
-            for req in started:
-                self.metrics.failed.inc()
-                req.future.set_exception(exc)
-            return
         except Exception as exc:
+            if isinstance(exc, BackendFault):
+                self.metrics.backend_faults.inc()
             for req in started:
-                self.metrics.failed.inc()
-                req.future.set_exception(exc)
+                self._fail(req, exc)
             return
         self.metrics.stacked_batches.inc()
         for req, A_clean, result in zip(started, clean, results):
-            if self.config.verify:
-                report = verify_evd(
-                    A_clean,
-                    result,
-                    tol_residual=self.config.tol_residual,
-                    tol_orth=self.config.tol_orth,
-                    ctx=ctx,
-                )
-                self.metrics.verifications.inc()
-                if report.residual is not None:
-                    self.metrics.residuals.observe(report.residual)
-                if report.orth_error is not None:
-                    self.metrics.orth_errors.observe(report.orth_error)
-                try:
-                    report.raise_if_failed()
-                except VerificationError as exc:
-                    self.metrics.verification_failures.inc()
-                    self.metrics.failed.inc()
-                    req.future.set_exception(exc)
-                    continue
+            report = verify_evd(A_clean, result, ctx=ctx)
+            self._record_report(report)
+            try:
+                report.raise_if_failed()
+            except VerificationError as exc:
+                self.metrics.verification_failures.inc()
+                self._fail(req, exc)
+                continue
             self.cache.put(req.cache_key, result)
             req.future.set_result(result)
             self._finish(req)
@@ -827,16 +729,7 @@ class SolverService:
             "queue_depth": len(self._queue),
             "queue_limit": self.config.queue_limit,
             "backpressure": self.config.backpressure,
-            "max_batch": self.config.max_batch,
-            "batch_window_s": self.config.batch_window_s,
-            "adaptive_batching": self.config.adaptive_batching,
-            "ewma_interarrival_s": self._queue.ewma_interarrival_s,
             "cache": self.cache.stats(),
             "metrics": self.metrics.snapshot(),
-            "resilience": {
-                "verify": self.config.verify,
-                "default_deadline_s": self.config.default_deadline_s,
-                "max_crash_retries": self.config.max_crash_retries,
-                "breakers": self.breakers.stats(),
-            },
+            "resilience": {"breakers": self.breakers.stats()},
         }

@@ -8,6 +8,7 @@ boundary, naming the valid knobs.
 
 from __future__ import annotations
 
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -439,6 +440,30 @@ class TestSerialization:
             assert key in str(exc.value)
         del data["back_transform"]
         assert EVDPlan.from_dict(data) == plan_evd(128, "proposed")
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("tridiag", "method"), "tile",
+             "unknown tridiagonalization method 'tile': valid choices are "
+             "'dbbr', 'sbr', 'direct'"),
+            (("solver", "kind"), "qr",
+             "unknown tridiagonal solver 'qr': valid choices are "
+             "'dc', 'bisect', 'dense'"),
+            (("method",), "plasma", "unknown method 'plasma'"),
+            (("precision",), "bf16", "unknown precision 'bf16'"),
+            (("fallback",), "retry", "unknown fallback 'retry'"),
+        ],
+    )
+    def test_retired_or_unknown_choice_is_a_typed_error(self, path, value, message):
+        """A plan document whose choice field holds a value the planner
+        refuses (a retired ``tile`` method, the retired ``qr`` solver)
+        fails to load instead of failing later inside ``execute_plan``."""
+        data = plan_evd(64, "magma").to_dict()
+        *branch, field = path
+        (data[branch[0]] if branch else data)[field] = value
+        with pytest.raises(PlanError, match=re.escape(message)):
+            EVDPlan.from_dict(data)
 
     @pytest.mark.parametrize("branch", ["tridiag", "bulge_chase"])
     def test_unknown_field_in_any_branch(self, branch):

@@ -73,7 +73,7 @@ class TestNoFutureIsEverLost:
     def test_every_future_resolves_typed_or_verified(self, fault_class, seed):
         matrices = workload(seed)
         specs = FAULT_CLASSES[fault_class](seed)
-        config = ServiceConfig(workers=2, cache_entries=0)
+        config = ServiceConfig(workers=2)
         with injected_faults(*specs):
             with SolverService(config) as svc:
                 futures = [svc.submit(A, fallback="chain") for A in matrices]
@@ -96,7 +96,7 @@ class TestNoFutureIsEverLost:
         # With the fallback chain armed, a D&C convergence fault is not
         # even a failure: every future succeeds via escalation.
         matrices = workload(seed, count=6)
-        config = ServiceConfig(workers=2, cache_entries=0)
+        config = ServiceConfig(workers=2)
         with injected_faults(
             FaultSpec("dc.merge", "convergence", times=3, probability=0.7,
                       seed=seed)

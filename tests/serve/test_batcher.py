@@ -1,4 +1,4 @@
-"""Unit tests for the bounded priority queue and batching policy."""
+"""Unit tests for the bounded FIFO request queue and its batched dequeue."""
 
 from __future__ import annotations
 
@@ -8,53 +8,39 @@ import time
 import pytest
 
 from repro.serve.batcher import (
-    BatchPolicy,
     QueueClosed,
     QueueFull,
     QueueTimeout,
     RequestQueue,
 )
 
-SINGLE = BatchPolicy(max_batch=1)
+
+def put_all(q, items):
+    for item in items:
+        q.put(item)
 
 
-def put_all(q, items, priority=0):
-    for seq, item in enumerate(items):
-        q.put(item, priority=priority, seq=seq)
-
-
-class TestBatchPolicy:
-    def test_rejects_bad_max_batch(self):
-        with pytest.raises(ValueError):
-            BatchPolicy(max_batch=0)
-
-    def test_no_wait_when_window_zero_or_unbatched(self):
-        assert not BatchPolicy(window_s=0.0).should_wait(1e-6)
-        assert not BatchPolicy(max_batch=1).should_wait(1e-6)
-
-    def test_non_adaptive_always_waits(self):
-        assert BatchPolicy(adaptive=False).should_wait(None)
-
-    def test_adaptive_needs_fast_arrivals(self):
-        p = BatchPolicy(window_s=0.002, adaptive=True)
-        assert not p.should_wait(None)        # no traffic observed yet
-        assert not p.should_wait(0.1)         # arrivals slower than window
-        assert p.should_wait(0.001)           # arrivals within the window
+def pop_single(q):
+    return q.pop_batch(lambda _: None, 1)
 
 
 class TestOrdering:
-    def test_priority_then_fifo(self):
+    def test_fifo_order(self):
         q = RequestQueue(limit=8)
-        q.put("low-1", priority=5, seq=0)
-        q.put("high", priority=0, seq=1)
-        q.put("low-2", priority=5, seq=2)
-        popped = [q.pop_batch(lambda _: None, SINGLE)[0][0] for _ in range(3)]
-        assert popped == ["high", "low-1", "low-2"]
+        put_all(q, ["a", "b", "c"])
+        assert [pop_single(q)[0][0] for _ in range(3)] == ["a", "b", "c"]
+
+    def test_requeue_goes_to_front_in_order(self):
+        q = RequestQueue(limit=2)
+        put_all(q, ["c", "d"])
+        q.requeue(["a", "b"])  # past the limit: crash recovery never blocks
+        assert len(q) == 4
+        assert [pop_single(q)[0][0] for _ in range(4)] == ["a", "b", "c", "d"]
 
     def test_depth_at_dequeue(self):
         q = RequestQueue(limit=8)
         put_all(q, ["a", "b", "c"])
-        _, depth = q.pop_batch(lambda _: None, SINGLE)
+        _, depth = pop_single(q)
         assert depth == 3 and len(q) == 2
 
 
@@ -62,38 +48,30 @@ class TestBatching:
     def test_groups_compatible_up_to_max(self):
         q = RequestQueue(limit=16)
         put_all(q, ["x1", "x2", "y1", "x3", "x4"])
-        policy = BatchPolicy(max_batch=3, window_s=0.0)
-        batch, _ = q.pop_batch(lambda item: item[0], policy)
+        batch, _ = q.pop_batch(lambda item: item[0], 3)
         assert batch == ["x1", "x2", "x3"]
-        batch, _ = q.pop_batch(lambda item: item[0], policy)
+        batch, _ = q.pop_batch(lambda item: item[0], 3)
         assert batch == ["y1"]
-        batch, _ = q.pop_batch(lambda item: item[0], policy)
+        batch, _ = q.pop_batch(lambda item: item[0], 3)
         assert batch == ["x4"]
 
     def test_none_signature_pops_singly(self):
         q = RequestQueue(limit=8)
         put_all(q, ["a", "b"])
-        batch, _ = q.pop_batch(lambda _: None, BatchPolicy(max_batch=8, window_s=0.0))
+        batch, _ = q.pop_batch(lambda _: None, 8)
         assert batch == ["a"] and len(q) == 1
 
-    def test_window_collects_late_arrival(self):
+    def test_does_not_wait_for_late_arrival(self):
         q = RequestQueue(limit=8)
-        # Prime the EWMA with a fast arrival pair so the window opens.
-        q.put("x1", priority=0, seq=0)
-        q.put("x2", priority=0, seq=1)
-        q.pop_batch(lambda item: item[0], SINGLE)
-        q.pop_batch(lambda item: item[0], SINGLE)
-        assert q.ewma_interarrival_s is not None
-
-        q.put("x3", priority=0, seq=2)
-        policy = BatchPolicy(max_batch=2, window_s=0.25, adaptive=False)
-        late = threading.Thread(
-            target=lambda: (time.sleep(0.02), q.put("x4", priority=0, seq=3))
-        )
+        q.put("x1")
+        late = threading.Thread(target=lambda: (time.sleep(0.2), q.put("x2")))
         late.start()
-        batch, _ = q.pop_batch(lambda item: item[0], policy)
+        t0 = time.monotonic()
+        batch, _ = q.pop_batch(lambda item: item[0], 16)
+        waited = time.monotonic() - t0
         late.join()
-        assert batch == ["x3", "x4"]
+        assert batch == ["x1"] and waited < 0.1
+        assert pop_single(q)[0] == ["x2"]
 
 
 class TestBackpressure:
@@ -101,39 +79,37 @@ class TestBackpressure:
         q = RequestQueue(limit=2)
         put_all(q, ["a", "b"])
         with pytest.raises(QueueFull):
-            q.put("c", priority=0, seq=9, policy="reject")
+            q.put("c", policy="reject")
 
     def test_timeout_when_full(self):
         q = RequestQueue(limit=1)
-        q.put("a", priority=0, seq=0)
+        q.put("a")
         t0 = time.monotonic()
         with pytest.raises(QueueTimeout):
-            q.put("b", priority=0, seq=1, policy="timeout", timeout_s=0.05)
+            q.put("b", policy="timeout", timeout_s=0.05)
         assert time.monotonic() - t0 >= 0.04
 
     def test_block_until_capacity(self):
         q = RequestQueue(limit=1)
-        q.put("a", priority=0, seq=0)
+        q.put("a")
         done = threading.Event()
 
         def producer():
-            q.put("b", priority=0, seq=1, policy="block")
+            q.put("b", policy="block")
             done.set()
 
         t = threading.Thread(target=producer)
         t.start()
         time.sleep(0.02)
         assert not done.is_set()  # still blocked on the full queue
-        q.pop_batch(lambda _: None, SINGLE)
+        pop_single(q)
         t.join(timeout=2.0)
         assert done.is_set()
 
     def test_pop_blocks_until_put(self):
         q = RequestQueue(limit=4)
-        threading.Thread(
-            target=lambda: (time.sleep(0.02), q.put("a", priority=0, seq=0))
-        ).start()
-        batch, _ = q.pop_batch(lambda _: None, SINGLE)
+        threading.Thread(target=lambda: (time.sleep(0.02), q.put("a"))).start()
+        batch, _ = pop_single(q)
         assert batch == ["a"]
 
 
@@ -142,28 +118,34 @@ class TestShutdown:
         q = RequestQueue(limit=4)
         q.close()
         with pytest.raises(QueueClosed):
-            q.put("a", priority=0, seq=0)
+            q.put("a")
 
     def test_drain_serves_out_then_signals_exit(self):
         q = RequestQueue(limit=4)
         put_all(q, ["a", "b"])
         assert q.close(drain=True) == []
-        assert q.pop_batch(lambda _: None, SINGLE)[0] == ["a"]
-        assert q.pop_batch(lambda _: None, SINGLE)[0] == ["b"]
-        assert q.pop_batch(lambda _: None, SINGLE) is None
+        assert pop_single(q)[0] == ["a"]
+        assert pop_single(q)[0] == ["b"]
+        assert pop_single(q) is None
 
     def test_non_drain_returns_removed(self):
         q = RequestQueue(limit=4)
         put_all(q, ["a", "b"])
         assert q.close(drain=False) == ["a", "b"]
-        assert q.pop_batch(lambda _: None, SINGLE) is None
+        assert pop_single(q) is None
+
+    def test_requeue_after_non_drain_close_raises(self):
+        q = RequestQueue(limit=4)
+        q.close(drain=False)
+        with pytest.raises(QueueClosed):
+            q.requeue(["a"])
 
     def test_close_wakes_blocked_consumer(self):
         q = RequestQueue(limit=4)
         got = []
 
         def consumer():
-            got.append(q.pop_batch(lambda _: None, SINGLE))
+            got.append(pop_single(q))
 
         t = threading.Thread(target=consumer)
         t.start()

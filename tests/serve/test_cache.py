@@ -49,10 +49,9 @@ class TestResultCache:
         # uncacheable requests must not pollute the counters
         assert stats["hits"] == 0 and stats["misses"] == 0 and len(cache) == 0
 
-    def test_zero_capacity_disables(self):
-        cache = ResultCache(max_entries=0)
-        cache.put("k", fake_result())
-        assert cache.get("k") is None and len(cache) == 0
+    def test_zero_capacity_is_rejected(self):
+        with pytest.raises(ValueError, match="max_entries"):
+            ResultCache(max_entries=0)
 
     def test_entries_are_frozen(self):
         cache = ResultCache(max_entries=2)

@@ -121,7 +121,7 @@ class TestDCStageAttribution:
         rng = np.random.default_rng(5)
         g = rng.standard_normal((160, 160))  # above the 128 leaf size
         A = (g + g.T) / 2.0
-        cfg = ServiceConfig(workers=1, cache_entries=0)
+        cfg = ServiceConfig(workers=1)
         with SolverService(cfg) as svc:
             svc.submit(A).result(timeout=60)
             stage_times = svc.stats()["metrics"]["stage_times"]

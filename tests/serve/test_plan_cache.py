@@ -118,32 +118,6 @@ class TestEscalatedResultsNeverPoisonTheCache:
     must never be cached under the original plan's cache token — the
     escalated bits belong to a different pipeline."""
 
-    def _dummy(self, n=6):
-        class Dummy:
-            eigenvalues = np.zeros(n)
-            eigenvectors = None
-            tridiag = None
-
-        return Dummy()
-
-    def test_put_refuses_escalated_stores(self):
-        cache = ResultCache(max_entries=4)
-        A = goe(6)
-        key = plan_cache_key(A, plan_evd(6, "proposed"))
-        cache.put(key, self._dummy(), escalated=True)
-        assert cache.get(key) is None
-        assert len(cache) == 0
-        assert cache.stats()["escalated_rejections"] == 1
-
-    def test_put_escalated_keys_under_producing_plan(self):
-        cache = ResultCache(max_entries=4)
-        A = goe(6)
-        producer = plan_cache_key(A, plan_evd(6, "dense"))
-        cache.put_escalated(producer, self._dummy())
-        entry = cache.get_entry(producer)
-        assert entry is not None and entry.escalated
-        assert cache.get(producer) is entry.result
-
     def test_failed_solve_is_never_cached(self):
         import repro
         from repro.resilience import (
@@ -179,7 +153,6 @@ class TestEscalatedResultsNeverPoisonTheCache:
                 with injected_faults(FaultSpec("dc.merge", "convergence", times=1)):
                     svc.submit(A, fallback="chain").result(timeout=60)
                 stats = svc.stats()["cache"]
-                assert stats["escalated_rejections"] == 1
                 assert stats["entries"] == 1  # only the producing key
                 # A direct dense submission replays the escalated entry.
                 dense_hit = svc.submit(A, method="dense").result(timeout=60)

@@ -17,6 +17,7 @@ from repro.resilience import (
     injected_faults,
 )
 from repro.serve import ServiceConfig, SolverService
+from repro.serve.service import _BREAKER_THRESHOLD, _MAX_CRASH_RETRIES
 
 
 @pytest.fixture(autouse=True)
@@ -34,7 +35,7 @@ def goe(n: int, seed: int = 0) -> np.ndarray:
 class TestVerificationWiring:
     def test_every_result_is_verified_by_default(self):
         with SolverService(ServiceConfig(workers=2)) as svc:
-            futs = svc.submit_many([goe(24, i) for i in range(5)])
+            futs = [svc.submit(goe(24, i)) for i in range(5)]
             for f in futs:
                 f.result(timeout=60)
             res = svc.stats()["metrics"]["resilience"]
@@ -51,13 +52,6 @@ class TestVerificationWiring:
                     fut.result(timeout=60)
                 res = svc.stats()["metrics"]["resilience"]
         assert res["verification_failures"] == 1
-
-    def test_verify_off_skips_verification(self):
-        cfg = ServiceConfig(workers=1, verify=False)
-        with SolverService(cfg) as svc:
-            svc.submit(goe(16, 1)).result(timeout=60)
-            res = svc.stats()["metrics"]["resilience"]
-        assert res["verifications"] == 0
 
     def test_verify_stage_surfaces_in_stage_times(self):
         with SolverService(ServiceConfig(workers=1)) as svc:
@@ -76,7 +70,6 @@ class TestFallbackThroughService:
         dense = repro.eigh(A, method="dense")
         np.testing.assert_array_equal(out.eigenvalues, dense.eigenvalues)
         assert st["metrics"]["resilience"]["escalations"] == 1
-        assert st["cache"]["escalated_rejections"] == 1
 
     def test_escalated_result_never_caches_under_original_key(self):
         A = goe(160, 4)  # above the 128 leaf size: merges
@@ -100,12 +93,6 @@ class TestDeadlines:
                 fut.result(timeout=60)
             assert svc.stats()["metrics"]["resilience"]["deadline_expired"] == 1
 
-    def test_config_default_deadline_applies(self):
-        cfg = ServiceConfig(workers=1, default_deadline_s=-1.0)
-        with SolverService(cfg) as svc:
-            with pytest.raises(DeadlineExceeded):
-                svc.submit(goe(16, 6)).result(timeout=60)
-
     def test_generous_deadline_succeeds(self):
         with SolverService(ServiceConfig(workers=1)) as svc:
             out = svc.submit(goe(16, 7), deadline_s=600.0).result(timeout=60)
@@ -126,12 +113,17 @@ class TestWorkerSupervision:
         assert res["worker_respawns"] == 1
 
     def test_retry_budget_exhaustion_fails_typed(self):
-        with injected_faults(FaultSpec("serve.worker", "crash", times=5)):
-            cfg = ServiceConfig(workers=1, max_crash_retries=1)
-            with SolverService(cfg) as svc:
+        # One crash more than the retry budget: the first run and every
+        # retry die, and the request fails typed instead of looping.
+        crashes = _MAX_CRASH_RETRIES + 1
+        with injected_faults(FaultSpec("serve.worker", "crash", times=crashes)):
+            with SolverService(ServiceConfig(workers=1)) as svc:
                 fut = svc.submit(goe(16, 9))
                 with pytest.raises(WorkerCrashError):
                     fut.result(timeout=60)
+                res = svc.stats()["metrics"]["resilience"]
+        assert res["worker_crashes"] == crashes
+        assert res["crash_requeues"] == _MAX_CRASH_RETRIES
 
     def test_service_survives_crash_and_keeps_serving(self):
         with injected_faults(FaultSpec("serve.worker", "crash", times=1)):
@@ -143,11 +135,12 @@ class TestWorkerSupervision:
 
 class TestCircuitBreaker:
     def test_trips_open_and_reroutes_to_numpy(self):
-        with injected_faults(FaultSpec("serve.backend", "backend", times=3)):
-            cfg = ServiceConfig(workers=1, backend="torch",
-                                breaker_threshold=3, cache_entries=0)
+        # Distinct matrices: every request computes (none is a cache hit).
+        trips = _BREAKER_THRESHOLD
+        with injected_faults(FaultSpec("serve.backend", "backend", times=trips)):
+            cfg = ServiceConfig(workers=1, backend="torch")
             with SolverService(cfg) as svc:
-                for i in range(3):
+                for i in range(trips):
                     with pytest.raises(BackendFault):
                         svc.submit(goe(16, i)).result(timeout=60)
                 # Breaker open: the next request reroutes to numpy and
@@ -156,7 +149,7 @@ class TestCircuitBreaker:
                 st = svc.stats()
         assert out.eigenvalues.size == 16
         res = st["metrics"]["resilience"]
-        assert res["backend_faults"] == 3
+        assert res["backend_faults"] == trips
         assert res["breaker_fallbacks"] == 1
         br = st["resilience"]["breakers"]["torch"]
         assert br["state"] == "open" and br["trips"] == 1
@@ -171,8 +164,5 @@ class TestStatsSchema:
     def test_resilience_sections_present(self):
         with SolverService(ServiceConfig(workers=1)) as svc:
             st = svc.stats()
-        assert st["resilience"]["verify"] is True
-        assert st["resilience"]["max_crash_retries"] == 1
-        assert "breakers" in st["resilience"]
-        assert "escalated_rejections" in st["cache"]
+        assert set(st["resilience"]) == {"breakers"}
         assert "resilience" in st["metrics"]

@@ -47,7 +47,7 @@ class TestSubmission:
     def test_submit_many(self):
         mats = [goe(16, seed=s) for s in range(5)]
         with SolverService(small_config()) as svc:
-            futs = svc.submit_many(mats, method="dense")
+            futs = [svc.submit(A, method="dense") for A in mats]
             results = [f.result(timeout=30) for f in futs]
         for A, res in zip(mats, results):
             ref = repro.eigh(A, method="dense")
@@ -65,7 +65,7 @@ class TestSubmission:
             stats = svc.stats()
         assert set(stats) >= {
             "workers", "backend", "closed", "queue_depth", "queue_limit",
-            "backpressure", "cache", "metrics", "ewma_interarrival_s",
+            "backpressure", "cache", "metrics", "resilience",
         }
         assert stats["metrics"]["completed"] >= 1
 
@@ -103,11 +103,16 @@ class TestCacheAndCoalescing:
             assert np.array_equal(res.eigenvectors, results[0].eigenvectors)
 
     def test_cache_disabled_still_correct(self):
-        A = goe(16, seed=7)
-        with SolverService(small_config(cache_entries=0)) as svc:
-            r1 = svc.submit(A, method="dense").result(timeout=30)
-            r2 = svc.submit(A, method="dense").result(timeout=30)
-        assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
+        """Requests the cache cannot serve (distinct matrices) each
+        compute, and compute the direct call's bits."""
+        mats = [goe(16, seed=s) for s in (7, 8)]
+        with SolverService(small_config()) as svc:
+            got = [svc.submit(A, method="dense").result(timeout=30) for A in mats]
+            cache = svc.stats()["cache"]
+        assert cache["hits"] == 0 and cache["misses"] == 2
+        for A, res in zip(mats, got):
+            ref = repro.eigh(A, method="dense")
+            assert np.array_equal(res.eigenvalues, ref.eigenvalues)
 
 
 class TestDenseFastpath:
@@ -165,7 +170,7 @@ class TestBackpressure:
         cfg = small_config(workers=2, queue_limit=2, backpressure="block")
         mats = [goe(32, seed=s) for s in range(8)]
         with SolverService(cfg) as svc:
-            futs = svc.submit_many(mats, method="dense")
+            futs = [svc.submit(A, method="dense") for A in mats]
             results = [f.result(timeout=60) for f in futs]
         assert len(results) == 8
 
@@ -209,22 +214,26 @@ class TestRobustness:
         bad = goe(16, seed=14)
         bad[0, 0] = np.inf
         goods = [goe(16, seed=s) for s in range(20, 26)]
-        cfg = small_config(workers=1, max_batch=8, adaptive_batching=False)
-        with SolverService(cfg) as svc:
+        with SolverService(small_config(workers=1)) as svc:
+            # A pipeline solve holds the one worker while the dense
+            # requests queue up behind it, so they pop as one batch.
+            blocker = svc.submit(goe(160, seed=15))
             futs = [svc.submit(A, method="dense") for A in [bad] + goods]
+            blocker.result(timeout=60)
             with pytest.raises(NonFiniteError):
                 futs[0].result(timeout=30)
             for A, f in zip(goods, futs[1:]):
                 ref = repro.eigh(A, method="dense")
                 assert np.array_equal(f.result(timeout=30).eigenvalues,
                                       ref.eigenvalues)
+            assert svc.stats()["metrics"]["batch_sizes"].get("7") == 1
 
 
 class TestShutdown:
     def test_drain_completes_queued_work(self):
         mats = [goe(24, seed=s) for s in range(6)]
         svc = SolverService(small_config(workers=1))
-        futs = svc.submit_many(mats, method="dense")
+        futs = [svc.submit(A, method="dense") for A in mats]
         svc.close(drain=True)
         for A, f in zip(mats, futs):
             ref = repro.eigh(A, method="dense")

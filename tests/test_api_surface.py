@@ -91,8 +91,7 @@ PUBLIC_API = {
     ],
     "repro.serve": [
         "SolverService", "ServiceConfig", "ServiceMetrics", "ResultCache",
-        "CacheEntry",
-        "RequestQueue", "BatchPolicy", "plan_cache_key",
+        "RequestQueue", "plan_cache_key",
         "ServiceClosed", "ServiceOverloaded", "SubmitTimeout",
     ],
 }
@@ -113,6 +112,7 @@ REMOVED_API = {
         "sbmv", "band_frobenius_norm", "band_inf_norm", "band_gershgorin",
         "band_trace", "band_quadratic_form", "tridiag_matvec",
     ],
+    "repro.serve": ["BatchPolicy", "CacheEntry"],
 }
 
 
