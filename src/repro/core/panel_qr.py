@@ -7,12 +7,9 @@ panel, which is exactly what pushes the off-band entries of the symmetric
 matrix to zero.
 
 The production panel is :func:`_panel_wy`: one LAPACK ``?geqrt`` call on
-the host, as MAGMA's ``sy2sb`` does.  It is bound with :mod:`ctypes` from
-the OpenBLAS that NumPy itself links (ILP64 symbols ``scipy_dgeqrt_64_``
-and ``scipy_sgeqrt_64_`` in NumPy's wheels), so the solve path imports no
-scipy.  Only a NumPy built without that symbol falls back to
-``scipy.linalg.lapack``'s ``?geqrt`` — the same routine — imported at
-first use.
+the host, as MAGMA's ``sy2sb`` does, bound by
+:func:`repro.backend.lapack.lapack_function` (NumPy's OpenBLAS, else
+scipy's ``cython_lapack``), so the solve path imports no scipy.
 
 The routines below are the unblocked per-column loops (one
 :func:`~repro.core.householder.make_householder` per column).  They are
@@ -28,84 +25,38 @@ whichever representation the caller wants:
 from __future__ import annotations
 
 import ctypes
-import functools
-from typing import Callable
 
 import numpy as np
 
+from ..backend.lapack import lapack_function
 from .householder import accumulate_wy, larft, make_householder
 
 __all__ = ["panel_qr", "panel_qr_wy", "panel_qr_compact", "explicit_q"]
 
 
-#: ``geqrt(a, nb) -> T``: factor the F-ordered ``a`` in place (LAPACK
-#: layout: ``R`` on and above the diagonal, the reflectors below it) and
-#: return the ``nb x min(m, w)`` upper-triangular block factor ``T``.
-Geqrt = Callable[[np.ndarray, int], np.ndarray]
-
-
-def _numpy_geqrt(char: str) -> Geqrt | None:
-    """``?geqrt`` from the OpenBLAS NumPy links, or ``None`` if absent.
-
-    ``dlsym`` on the handle of NumPy's LAPACK extension also searches the
-    libraries it depends on, so the lookup needs no file path.  Only the
-    ILP64 ``scipy_?geqrt_64_`` symbol is used: its integer width is part
-    of its name.
-    """
-    try:
-        from numpy.linalg import _umath_linalg
-
-        fn = getattr(ctypes.CDLL(_umath_linalg.__file__), f"scipy_{char}geqrt_64_")
-    except (ImportError, OSError, AttributeError):
-        return None
-    i64 = ctypes.POINTER(ctypes.c_int64)
-    fn.argtypes = [i64, i64, i64, ctypes.c_void_p, i64, ctypes.c_void_p, i64,
-                   ctypes.c_void_p, i64]
-    fn.restype = None
-    dtype = np.float32 if char == "s" else np.float64
-
-    def geqrt(a: np.ndarray, nb: int) -> np.ndarray:
-        if a.dtype != dtype or not a.flags.f_contiguous or a.ndim != 2:
-            raise ValueError("geqrt needs an F-ordered 2-D array of its dtype")
-        m, w = a.shape
-        if not 1 <= nb <= min(m, w):
-            raise ValueError(f"geqrt block {nb} outside [1, {min(m, w)}]")
-        # LAPACK writes only T's upper triangle.
-        t = np.zeros((nb, min(m, w)), dtype=dtype, order="F")
-        work = np.empty(nb * w, dtype=dtype)
-        info = ctypes.c_int64(0)
-        c = ctypes.c_int64
-        fn(c(m), c(w), c(nb), a.ctypes.data, c(max(1, m)), t.ctypes.data, c(nb),
-           work.ctypes.data, info)
-        if info.value != 0:
-            raise RuntimeError(f"{char}geqrt failed: info={info.value}")
-        return t
-
-    return geqrt
-
-
-def _scipy_geqrt(char: str) -> Geqrt:
-    """``?geqrt`` through ``scipy.linalg.lapack`` (imported here, lazily)."""
-    from scipy.linalg.lapack import get_lapack_funcs
-
-    dtype = np.float32 if char == "s" else np.float64
-    fn = get_lapack_funcs(("geqrt",), dtype=dtype)[0]
-
-    def geqrt(a: np.ndarray, nb: int) -> np.ndarray:
-        out, t, info = fn(nb, a, overwrite_a=1)
-        if info != 0:
-            raise RuntimeError(f"{char}geqrt failed: info={info}")
-        a[...] = out
-        return t
-
-    return geqrt
-
-
-@functools.cache
-def _geqrt(dtype: np.dtype) -> Geqrt:
-    """The ``?geqrt`` binding for ``dtype``: NumPy's OpenBLAS, else scipy."""
-    char = "s" if dtype == np.float32 else "d"
-    return _numpy_geqrt(char) or _scipy_geqrt(char)
+def _geqrt(a: np.ndarray, nb: int) -> np.ndarray:
+    """Factor the F-ordered float32/float64 ``a`` in place by LAPACK
+    ``?geqrt`` (``R`` on and above the diagonal, the reflectors below it)
+    and return the ``nb x min(m, w)`` upper-triangular block factor ``T``."""
+    dtype = a.dtype
+    if dtype not in (np.float32, np.float64) or a.ndim != 2 or not a.flags.f_contiguous:
+        raise ValueError("geqrt needs an F-ordered 2-D float32 or float64 array")
+    m, w = a.shape
+    if not 1 <= nb <= min(m, w):
+        raise ValueError(f"geqrt block {nb} outside [1, {min(m, w)}]")
+    name = "sgeqrt" if dtype == np.float32 else "dgeqrt"
+    fn, cint = lapack_function(name, 9)
+    # LAPACK writes only T's upper triangle.
+    t = np.zeros((nb, min(m, w)), dtype=dtype, order="F")
+    work = np.empty(nb * w, dtype=dtype)
+    info = cint(0)
+    ref = ctypes.byref
+    # M, N, NB, A, LDA, T, LDT, WORK, INFO
+    fn(ref(cint(m)), ref(cint(w)), ref(cint(nb)), a.ctypes.data,
+       ref(cint(max(1, m))), t.ctypes.data, ref(cint(nb)), work.ctypes.data, ref(info))
+    if info.value != 0:
+        raise RuntimeError(f"{name} failed: info={info.value}")
+    return t
 
 
 def _panel_wy(panel: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -131,7 +82,7 @@ def _panel_wy(panel: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a = np.array(panel, dtype=dt, order="F", copy=True)
     m, w = a.shape
     top = min(m, w)
-    T = _geqrt(dt)(a, top)
+    T = _geqrt(a, top)
     r = min(m - 1, w)
     # C order, as the WY blocks of the oracle and the back transform use;
     # only the top r x r block holds entries above the unit diagonal.

@@ -2,12 +2,6 @@
 
 from .dc import DCStats, dc_eigh
 from .jacobi import jacobi_eigh
-from .secular import (
-    SecularRoots,
-    refine_z,
-    secular_eigenvectors,
-    solve_all_roots,
-)
 from .sturm import (
     eigh_bisect,
     eigvals_bisect,
@@ -18,15 +12,11 @@ from .sturm import (
 
 __all__ = [
     "DCStats",
-    "SecularRoots",
     "dc_eigh",
     "eigh_bisect",
     "eigvals_bisect",
     "inverse_iteration",
     "jacobi_eigh",
-    "refine_z",
-    "secular_eigenvectors",
-    "solve_all_roots",
     "sturm_count",
     "tridiag_solve_shifted",
 ]

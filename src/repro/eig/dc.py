@@ -7,29 +7,28 @@ tridiagonal ``T`` into two halves plus a rank-one coupling,
     T = diag(T1', T2') + rho v v^T,   rho = e_{m-1},  v = e_{m-1} + e_m,
 
 solves the halves, and merges them through the symmetric rank-one update
-``D + rho z z^T`` (``z = Q^T v``) using the secular machinery of
-:mod:`repro.eig.secular`, with the two standard deflation rules
-(negligible ``z_j``; Givens rotation of (near-)equal poles) from LAPACK's
-``dlaed2``.  Eigenvector merging is one big GEMM per level — the BLAS3
-shape that makes D&C the method of choice on GPUs.
+``D + rho z z^T`` (``z = Q^T v``) by one LAPACK ``dlaed9`` call
+(:func:`repro.eig.secular.rank_one_eigh`), after the two standard
+deflation rules (negligible ``z_j``; Givens rotation of (near-)equal
+poles) from LAPACK's ``dlaed2``.  Eigenvector merging is one big GEMM
+per level — the BLAS3 shape that makes D&C the method of choice on GPUs.
 
 Execution is an explicit *level-order* walk over the merge tree rather
 than a recursion: the diagonal is torn once up front (every tear touches
 a disjoint index pair), the leaves are solved by host LAPACK as in
 MAGMA's ``Dstedc`` — one stacked ``numpy.linalg.eigh`` call per leaf size
 (the halving tree has at most two) — and then each level's independent
-merges execute back-to-back sharing the context's
-:class:`~repro.backend.WorkspacePool` — the same wavefront shape the
+merges execute back-to-back — the same wavefront shape the
 bulge-chasing engine uses per round.  The leaves report ``dc_leaf`` and
 every merge its three sub-stages (``dc_deflate``, ``dc_secular``,
 ``dc_gemm``) through the :class:`~repro.backend.ExecutionContext` timing
 hooks, so ``SolverService.stats()`` and the benchmark artifacts can
 attribute D&C time below the ``tridiag_solver`` line.
 
-The secular stage solves each root by one host LAPACK ``dlaed4`` call,
-as MAGMA's merge (``dlaex3``) does, then refines ``z`` by Löwner's
-formula and forms the eigenvectors in L2-sized tiles
-(:mod:`repro.eig.secular`).
+The secular stage is host LAPACK, as in MAGMA's merge
+(``magma_dlaex3``): one ``dlaed9`` call solves the roots, refines ``z``
+by Löwner's formula and forms the ``K x K`` secular eigenvectors; only
+the merge GEMM runs on the context's backend.
 
 Like ``dstedc``, the solver scales ``(d, e)`` on entry by the power of
 two that brings ``max |T|`` into ``[0.5, 1)`` and unscales the
@@ -39,10 +38,10 @@ end of the exponent range solve as accurately as unit-scale ones.
 The eigenvalues-only path never forms eigenvectors: the tree carries
 just the *first and last rows* of each subproblem's eigenvector matrix
 (all a merge needs to build ``z``), and each merge multiplies those two
-rows into the secular eigenvectors tile by tile, so no ``(N, N)`` matrix
-is formed — turning the ``O(n^3)`` vector cost into ``O(n^2)``, mirroring
-the cheap `Dstedc`-eigenvalues-only mode whose time share Figure 4
-reports at a few percent.
+rows into the secular eigenvectors, so no ``(N, N)`` basis is carried
+and no merge GEMM runs — turning the ``O(n^3)`` vector cost into
+``O(n^2)`` per merge, mirroring the cheap `Dstedc`-eigenvalues-only
+mode whose time share Figure 4 reports at a few percent.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ import numpy as np
 from ..backend.context import ExecutionContext, resolve_context
 from ..resilience.errors import ConvergenceError
 from ..resilience.faults import maybe_raise
-from .secular import refine_z, secular_eigenvectors, solve_all_roots
+from .secular import rank_one_eigh
 
 __all__ = ["DCStats", "dc_eigh"]
 
@@ -151,21 +150,13 @@ def _rank_one_update(
         order = np.argsort(D, kind="stable")
         return D[order], Q[:, order]
 
-    # The Löwner and eigenvector tiles (and the vector mode's (N, N)
-    # matrix) come from the context's pool, so back-to-back merges at one
-    # level allocate nothing.
-    pool = ctx.workspace if ctx.is_numpy else None
     with ctx.stage("dc_secular", n=int(nd.size)):
         maybe_raise("dc.merge")
-        roots = solve_all_roots(D[nd], z[nd], rho)
-        lam_nd = roots.values
-        zhat = refine_z(roots, z[nd], rho, workspace=pool)
+        lam_nd, S = rank_one_eigh(D[nd], z[nd], rho)
         if rows_only:
-            # The 2-row basis is multiplied in tile by tile: eigenvalues-only
-            # merges never form the (N, N) eigenvector matrix.
-            Q_nd = secular_eigenvectors(roots, zhat, workspace=pool, basis=Q[:, nd])
-        else:
-            S = secular_eigenvectors(roots, zhat, workspace=pool)
+            # Eigenvalues-only merges carry two basis rows: their O(K^2)
+            # product stays on the host, inside the secular stage.
+            Q_nd = Q[:, nd] @ S
     if not rows_only:
         with ctx.stage("dc_gemm", rows=int(Q.shape[0]), k=int(nd.size)):
             # Mixed precision: the secular stage always runs fp64, but the
@@ -303,7 +294,7 @@ def _dc_level_order(
                 done[seg] = (lam[k], Q)
 
     # Merge wave: deepest level first; the merges inside one level are
-    # independent and run back-to-back over the shared workspace pool.
+    # independent and run back-to-back.
     for level_nodes in reversed(levels):
         for s, t, m in level_nodes:
             lam1, Q1 = done.pop((s, m))
@@ -350,15 +341,14 @@ def dc_eigh(
         Also return a :class:`DCStats` with merge/deflation counters.
     ctx : ExecutionContext, optional
         Execution context: the per-level eigenvector merge GEMM runs on
-        its backend, the secular Löwner and eigenvector tiles come from
-        its workspace pool, and the leaves emit ``dc_leaf`` and every merge
+        its backend, and the leaves emit ``dc_leaf`` and every merge
         ``dc_deflate`` / ``dc_secular`` / ``dc_gemm`` stage events through
         its hooks (eigenvalues-only merges have no ``dc_gemm``: their
         two-row product runs inside ``dc_secular``).
     vector_dtype : dtype, optional
         Working dtype of the eigenvector carrying and per-level merge
         GEMMs (the O(n^3) cost).  The eigenvalue/secular machinery —
-        leaf solves, deflation, secular roots, z refinement — always
+        leaf solves, deflation, the ``dlaed9`` secular stage — always
         runs float64 on the float64 ``(d, e)``.  ``None`` (the default,
         and the only value fp64 plans ever pass) is bit-identical to
         ``np.float64``.  Ignored in eigenvalues-only mode, whose 2-row
@@ -372,7 +362,7 @@ def dc_eigh(
     Raises
     ------
     ConvergenceError
-        A LAPACK leaf solve failed (site ``"dc.leaf"``) or ``dlaed4``
+        A LAPACK leaf solve failed (site ``"dc.leaf"``) or ``dlaed9``
         did not converge on a secular root (site ``"secular.newton"``).
     """
     d = np.asarray(d, dtype=np.float64)

@@ -70,12 +70,12 @@ __all__ = [
 
 #: Registered injection sites -> where they live in production code.
 FAULT_SITES: dict[str, str] = {
-    "secular.newton": "repro.eig.secular.solve_all_roots — the LAPACK "
-    "dlaed4 secular roots of one divide-and-conquer merge",
+    "secular.newton": "repro.eig.secular.rank_one_eigh — the LAPACK "
+    "dlaed9 roots and secular eigenvectors of one divide-and-conquer merge",
     "dc.leaf": "repro.eig.dc._dc_level_order — the stacked LAPACK leaf solves "
     "of divide and conquer",
     "dc.merge": "repro.eig.dc._rank_one_update — the secular stage of one "
-    "divide-and-conquer merge",
+    "divide-and-conquer merge, before its rank_one_eigh call",
     "jacobi.sweep": "repro.eig.jacobi.jacobi_eigh — the cyclic Jacobi sweep",
     "runner.result": "repro.plan.runner.execute_plan — the assembled result "
     "payload (NaN corruption target)",

@@ -118,10 +118,6 @@ class ResultCache:
                 self._entries.popitem(last=False)
                 self._evictions += 1
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)

@@ -154,7 +154,6 @@ class ServiceMetrics:
         self.failed = Counter()
         self.rejected = Counter()
         self.cancelled = Counter()
-        self.cache_hits_at_submit = Counter()
         self.coalesced = Counter()
         self.batches = Counter()
         self.stacked_batches = Counter()
@@ -188,7 +187,6 @@ class ServiceMetrics:
             "failed": self.failed.value,
             "rejected": self.rejected.value,
             "cancelled": self.cancelled.value,
-            "cache_hits_at_submit": self.cache_hits_at_submit.value,
             "coalesced": self.coalesced.value,
             "batches": self.batches.value,
             "stacked_batches": self.stacked_batches.value,

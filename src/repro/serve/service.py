@@ -308,7 +308,6 @@ class SolverService:
                         )
                     )
             if cached is not None:
-                self.metrics.cache_hits_at_submit.inc()
                 req.future.set_result(cached)
                 self._finish(req)
                 return req.future
@@ -717,9 +716,6 @@ class SolverService:
         return self._closed
 
     # -- introspection -------------------------------------------------
-    def queue_depth(self) -> int:
-        return len(self._queue)
-
     def stats(self) -> dict:
         """Full service snapshot: config, queue, cache, metric histograms."""
         return {

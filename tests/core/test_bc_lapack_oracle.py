@@ -3,7 +3,7 @@
 ``dsytrd_sb2st`` is LAPACK's second stage (band to tridiagonal), the
 routine ``dsyevd_2stage`` runs after ``dsytrd_sy2sb``.  It is bound with
 :mod:`ctypes` from the OpenBLAS NumPy links, as
-:func:`repro.core.panel_qr._numpy_geqrt` binds ``?geqrt``; the test is
+:func:`repro.backend.lapack.lapack_function` binds ``?geqrt``; the test is
 skipped where NumPy's wheel lacks the symbol.  Its tridiagonal and the
 engine's must have the same eigenvalues.
 """

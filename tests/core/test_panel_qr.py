@@ -2,28 +2,21 @@
 
 from __future__ import annotations
 
-import importlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from repro.backend import lapack
 from repro.core.householder import build_q_from_wy
 from repro.core.panel_qr import (
-    _numpy_geqrt,
     _panel_wy,
-    _scipy_geqrt,
     explicit_q,
     panel_qr,
     panel_qr_compact,
     panel_qr_wy,
 )
-
-# The module itself, for monkeypatching its binding: on the package,
-# ``repro.core.panel_qr`` is the function of that name.
-PQ = importlib.import_module("repro.core.panel_qr")
-
 
 class TestPanelQR:
     def test_r_is_upper_triangular(self, rng):
@@ -244,9 +237,13 @@ class TestPanelWYLapack:
         pytest.importorskip("scipy.linalg")
         P = rng.standard_normal((100, 16)).astype(dt)
         W, Y, R = _panel_wy(P)
-        char = "s" if dt == np.float32 else "d"
-        monkeypatch.setattr(PQ, "_geqrt", lambda dtype: _scipy_geqrt(char))
-        Ws, Ys, Rs = _panel_wy(P)
+        # A NumPy without the ILP64 symbol: the scipy LP64 capsule takes over.
+        monkeypatch.setattr(lapack, "_numpy_symbol", lambda name, nargs: None)
+        lapack.lapack_function.cache_clear()
+        try:
+            Ws, Ys, Rs = _panel_wy(P)
+        finally:
+            lapack.lapack_function.cache_clear()
         tol = _wy_tol(dt, 100)
         np.testing.assert_allclose(Ws, W, rtol=0, atol=tol)
         np.testing.assert_allclose(Ys, Y, rtol=0, atol=tol)
@@ -254,7 +251,7 @@ class TestPanelWYLapack:
         _check_factors(P, Ws, Ys, Rs, tol)
 
     def test_solve_path_does_not_import_scipy(self):
-        if _numpy_geqrt("d") is None:
+        if lapack._numpy_symbol("dgeqrt", 9) is None:
             pytest.skip("this NumPy's LAPACK has no ILP64 dgeqrt symbol")
         code = (
             "import sys, numpy as np, repro\n"

@@ -1,7 +1,6 @@
-"""The divide-and-conquer layout: stacked LAPACK leaf solves, L2-tiled
-Löwner refinement and secular eigenvectors, exact power-of-two scaling
-and the typed leaf failure — each held to LAPACK (``eigh_tridiagonal``)
-as an independent oracle."""
+"""The divide-and-conquer layout: stacked LAPACK leaf solves, exact
+power-of-two scaling and the typed leaf failure — each held to LAPACK
+(``eigh_tridiagonal``) as an independent oracle."""
 
 from __future__ import annotations
 
@@ -12,9 +11,7 @@ from scipy.linalg import eigh_tridiagonal
 import repro
 from repro.bench.workloads import goe, wilkinson_tridiagonal
 from repro.eig import dc as dc_module
-from repro.eig import secular
 from repro.eig.dc import _merge_tree, dc_eigh
-from repro.eig.secular import refine_z, secular_eigenvectors, solve_all_roots
 from repro.resilience import ConvergenceError, FaultSpec, clear_faults, injected_faults
 
 _EPS = np.finfo(np.float64).eps
@@ -41,55 +38,6 @@ def assert_matches_lapack(d, e, lam, factor=200.0):
     ref = eigh_tridiagonal(d, e, eigvals_only=True) if n > 1 else np.sort(d)
     norm = max(float(np.max(np.abs(ref))), np.finfo(np.float64).tiny)
     assert np.max(np.abs(lam - ref)) <= factor * n * _EPS * norm
-
-
-def secular_problem(N: int, seed: int = 0):
-    rng = np.random.default_rng(seed)
-    d = np.sort(rng.standard_normal(N)) + 1e-6 * np.arange(N)
-    z = rng.standard_normal(N)
-    z[np.abs(z) < 1e-3] = 1e-3
-    return d, z, float(abs(rng.standard_normal()) + 0.1)
-
-
-class TestTileBudget:
-    """Each Löwner column and eigenvector row is independent, so the
-    tiling changes no bit (the roots are solved one by one, untiled)."""
-
-    @pytest.mark.parametrize("N", [1, 2, 7, 40])
-    def test_roots_and_vectors_bit_identical_across_tilings(self, monkeypatch, N):
-        d, z, rho = secular_problem(N, seed=N)
-
-        def run(tile_rows):
-            monkeypatch.setattr(secular, "_TILE_BYTES", 8 * N * tile_rows)
-            roots = solve_all_roots(d, z, rho)
-            zhat = refine_z(roots, z, rho)
-            U = np.array(secular_eigenvectors(roots, zhat))
-            return roots, zhat, U
-
-        ref_roots, ref_zhat, ref_U = run(N + 1)  # one tile
-        for tile_rows in sorted({1, 3, max(N - 1, 1), N, N + 1}):
-            roots, zhat, U = run(tile_rows)
-            assert np.array_equal(roots.anchors, ref_roots.anchors)
-            assert np.array_equal(roots.offsets, ref_roots.offsets)
-            assert np.array_equal(zhat, ref_zhat)
-            assert np.array_equal(U, ref_U)
-
-    def test_basis_product_matches_formed_matrix(self, monkeypatch, rng):
-        d, z, rho = secular_problem(50, seed=3)
-        basis = rng.standard_normal((2, 50))
-        monkeypatch.setattr(secular, "_TILE_BYTES", 8 * 50 * 7)  # 8 tiles
-        roots = solve_all_roots(d, z, rho)
-        zhat = refine_z(roots, z, rho)
-        P = secular_eigenvectors(roots, zhat, basis=basis)
-        S = np.array(secular_eigenvectors(roots, zhat))
-        assert np.max(np.abs(P - basis @ S)) <= 64 * _EPS * np.max(np.abs(basis))
-
-    def test_dc_eigenvalues_bit_identical_across_tilings(self, monkeypatch):
-        d, e = goe_tridiagonal(200, seed=1)
-        lam_ref, _ = dc_eigh(d, e, compute_vectors=False)
-        monkeypatch.setattr(secular, "_TILE_BYTES", 8 * 200 * 5)
-        lam, _ = dc_eigh(d, e, compute_vectors=False)
-        assert np.array_equal(lam, lam_ref)
 
 
 class TestLeafLayout:

@@ -17,6 +17,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from repro.backend.context import ExecutionContext
 from repro.band.storage import dense_from_band
+from repro.eig import dc as dc_module
 from repro.eig.dc import dc_eigh
 from tests.oracles import dc_eigh_scalar
 
@@ -141,6 +142,39 @@ class TestDegenerateMerges:
         assert np.max(np.abs(lam_s - lam_b)) <= 4.0 * _EPS * 3.0
         assert np.linalg.norm(U_b.T @ U_b - np.eye(48)) < 1e-12
 
+    # n = 4 over 3-wide leaves is one merge of two 2 x 2 leaves torn at
+    # e[1].  With e[0] = e[2] = 0 the leaves are diagonal, so two of the
+    # four z entries are zero and deflate; equal poles d[1] = d[2] then
+    # Givens-deflate one of the other two.  A negative e[1] makes the
+    # merge's rho negative (the reflection).
+    @pytest.mark.parametrize(
+        "d, rho, survivors",
+        [
+            ([0.3, 1.0, 2.0, -0.7], 0.5, 2),
+            ([0.3, 1.0, 1.0, -0.7], 0.5, 1),
+            ([0.3, 1.0, 2.0, -0.7], -0.5, 2),
+            ([0.3, 1.0, 1.0, -0.7], -0.5, 1),
+        ],
+    )
+    def test_dlaed9_tiny_survivors(self, monkeypatch, d, rho, survivors):
+        d, e = np.array(d), np.array([0.0, rho, 0.0])
+        lam_s, U_s = dc_eigh_scalar(d, e, base_size=3)
+        sizes = []
+        production = dc_module.rank_one_eigh
+
+        def spy(dk, zk, rhok):
+            sizes.append(dk.size)
+            return production(dk, zk, rhok)
+
+        monkeypatch.setattr(dc_module, "rank_one_eigh", spy)
+        lam, U, stats = dc_eigh(d, e, base_size=3, return_stats=True)
+        assert stats.merges > 0 and sizes == [survivors]
+        T = dense_from_band(d, e)
+        assert np.max(np.abs(lam - np.linalg.eigvalsh(T))) <= 8.0 * _EPS * 2.0
+        assert np.max(np.abs(lam - lam_s)) <= 4.0 * _EPS * 2.0
+        assert np.linalg.norm(U.T @ U - np.eye(4)) < 1e-14
+        assert np.linalg.norm(T @ U - U * lam) < 1e-14
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_tiny_problems(self, rng, n):
         d = rng.standard_normal(n)
@@ -189,13 +223,3 @@ class TestLevelOrderExecution:
         # There is one secular engine: the retired knob fails loudly.
         with pytest.raises(TypeError):
             dc_eigh(np.zeros(8), np.zeros(7), secular_mode="turbo")
-
-    def test_workspace_pool_reused_across_merges(self, rng):
-        ctx = ExecutionContext()
-        d = rng.standard_normal(256)
-        e = rng.standard_normal(255)
-        dc_eigh(d, e, ctx=ctx)
-        first = ctx.workspace.nbytes
-        assert first > 0  # Löwner and eigenvector tiles live in the pool
-        dc_eigh(d, e, ctx=ctx)
-        assert ctx.workspace.nbytes == first  # steady state: no growth

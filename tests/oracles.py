@@ -5,12 +5,15 @@ independent of the production kernels, which is what makes them useful
 as oracles.
 
 Secular equation (``D + rho z z^T``, ``rho > 0``): the residual
-:func:`secular_f`, the cancellation-free differences
-:func:`roots_minus_d` and :func:`roots_gaps`, the per-root guarded
-Newton :func:`solve_secular_root` and the per-entry loops
+:func:`secular_f`, the roots as anchor + offset (:class:`SecularRoots`)
+with their cancellation-free differences :func:`roots_minus_d` and
+:func:`roots_gaps`, the per-root guarded Newton
+:func:`solve_secular_root` and the per-entry loops
 :func:`solve_all_roots_scalar`, :func:`refine_z_scalar` and
-:func:`secular_eigenvectors_scalar`.  :func:`dc_eigh_scalar` runs
-:func:`repro.eig.dc_eigh` with these in place of the production secular
+:func:`secular_eigenvectors_scalar`.  :func:`rank_one_eigh_scalar`
+composes the three into the signature of the production
+:func:`repro.eig.secular.rank_one_eigh`, and :func:`dc_eigh_scalar` runs
+:func:`repro.eig.dc_eigh` with it in place of the production secular
 stage.
 
 Tridiagonal eigenproblem: the implicit-shift QL iteration
@@ -25,11 +28,30 @@ from unittest import mock
 import numpy as np
 
 from repro.eig import dc as dc_module
-from repro.eig.secular import SecularRoots
 from repro.resilience.errors import ConvergenceError
 from repro.resilience.faults import maybe_raise
 
 _EPS = np.finfo(np.float64).eps
+
+
+class SecularRoots:
+    """Roots stored as ``lam_i = d[anchor_i] + offset_i``.
+
+    Keeping the anchor/offset split lets the oracles compute
+    ``lam_i - d_j = (d[anchor_i] - d_j) + offset_i`` with one subtraction
+    of exact inputs plus one small correction — no catastrophic
+    cancellation next to a pole.
+    """
+
+    def __init__(self, d: np.ndarray, anchors: np.ndarray, offsets: np.ndarray):
+        self.d = d
+        self.anchors = anchors
+        self.offsets = offsets
+
+    @property
+    def values(self) -> np.ndarray:
+        """The eigenvalues ``lam`` (ascending)."""
+        return self.d[self.anchors] + self.offsets
 
 
 def secular_f(lam: float, d: np.ndarray, z2: np.ndarray, rho: float) -> float:
@@ -157,12 +179,8 @@ def solve_all_roots_scalar(
     return SecularRoots(d, anchors, offsets)
 
 
-def refine_z_scalar(
-    roots: SecularRoots, z: np.ndarray, rho: float, workspace=None
-) -> np.ndarray:
-    """Löwner's formula for ``z_hat``, one entry and one factor at a time
-    (``workspace`` is accepted and ignored, matching the production
-    signature)."""
+def refine_z_scalar(roots: SecularRoots, z: np.ndarray, rho: float) -> np.ndarray:
+    """Löwner's formula for ``z_hat``, one entry and one factor at a time."""
     d = roots.d
     N = d.size
     zhat = np.zeros(N, dtype=np.float64)
@@ -178,29 +196,31 @@ def refine_z_scalar(
     return zhat
 
 
-def secular_eigenvectors_scalar(
-    roots: SecularRoots, zhat: np.ndarray, workspace=None, basis=None
-) -> np.ndarray:
-    """The eigenvector formula one column at a time; ``basis @ U`` when
-    ``basis`` is given (``workspace`` is accepted and ignored)."""
+def secular_eigenvectors_scalar(roots: SecularRoots, zhat: np.ndarray) -> np.ndarray:
+    """The eigenvector formula one column at a time."""
     N = zhat.size
     U = np.zeros((N, N), dtype=np.float64)
     for i in range(N):
         denom = roots_gaps(roots, i)  # d_j - lam_i, cancellation-free
         U[:, i] = zhat / denom
         U[:, i] /= np.linalg.norm(U[:, i])
-    return U if basis is None else basis @ U
+    return U
+
+
+def rank_one_eigh_scalar(
+    d: np.ndarray, z: np.ndarray, rho: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(lam, S)`` of ``diag(d) + rho z z^T`` from the scalar roots,
+    Löwner refinement and eigenvector loops: the oracle of
+    :func:`repro.eig.secular.rank_one_eigh`."""
+    roots = solve_all_roots_scalar(d, z, rho)
+    return roots.values, secular_eigenvectors_scalar(roots, refine_z_scalar(roots, z, rho))
 
 
 def dc_eigh_scalar(d, e, **kwargs):
-    """:func:`repro.eig.dc_eigh` with the scalar secular oracles in place
-    of the production roots, refinement and eigenvector kernels."""
-    with mock.patch.multiple(
-        dc_module,
-        solve_all_roots=solve_all_roots_scalar,
-        refine_z=refine_z_scalar,
-        secular_eigenvectors=secular_eigenvectors_scalar,
-    ):
+    """:func:`repro.eig.dc_eigh` with :func:`rank_one_eigh_scalar` in
+    place of the production ``dlaed9`` secular stage."""
+    with mock.patch.object(dc_module, "rank_one_eigh", rank_one_eigh_scalar):
         return dc_module.dc_eigh(d, e, **kwargs)
 
 

@@ -68,5 +68,5 @@ class TestPlanCacheKeyDtype:
             r64 = svc.submit(A).result(timeout=60)
             r32 = svc.submit(A32).result(timeout=60)
             stats = svc.stats()
-        assert stats["metrics"]["cache_hits_at_submit"] == 0
+        assert stats["cache"]["hits"] == 0
         assert not np.array_equal(r64.eigenvalues, r32.eigenvalues)

@@ -62,9 +62,3 @@ class TestResultCache:
             got.eigenvalues[0] = 99.0
         with pytest.raises(ValueError):
             got.eigenvectors[0, 0] = 99.0
-
-    def test_clear(self):
-        cache = ResultCache(max_entries=4)
-        cache.put("k", fake_result())
-        cache.clear()
-        assert len(cache) == 0 and cache.get("k") is None

@@ -91,7 +91,7 @@ class TestServiceMetrics:
         snap = m.snapshot()
         assert set(snap) == {
             "submitted", "completed", "failed", "rejected", "cancelled",
-            "cache_hits_at_submit", "coalesced", "batches", "stacked_batches",
+            "coalesced", "batches", "stacked_batches",
             "latency_s", "queue_wait_s", "batch_sizes",
             "queue_depth_at_dequeue", "stage_times", "resilience",
             "precision",

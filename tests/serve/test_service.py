@@ -78,7 +78,7 @@ class TestCacheAndCoalescing:
             time.sleep(0.05)  # let the leader's done-callbacks settle
             second = svc.submit(A.copy(), method="dense").result(timeout=30)
             stats = svc.stats()
-        assert stats["metrics"]["cache_hits_at_submit"] == 1
+        assert stats["cache"]["hits"] == 1
         assert np.array_equal(first.eigenvalues, second.eigenvalues)
         assert np.array_equal(first.eigenvectors, second.eigenvectors)
 

@@ -62,8 +62,7 @@ PUBLIC_API = {
     "repro.eig": [
         "dc_eigh", "eigh_bisect", "eigvals_bisect",
         "sturm_count", "inverse_iteration", "tridiag_solve_shifted",
-        "solve_all_roots", "refine_z",
-        "secular_eigenvectors", "jacobi_eigh", "DCStats",
+        "jacobi_eigh", "DCStats",
     ],
     "repro.band": [
         "LowerBandStorage", "PackedBandStorage", "dense_from_band",
@@ -107,7 +106,10 @@ REMOVED_API = {
         "eigh_hermitian", "golub_kahan_tridiagonal", "solve_triangular_lower",
         "svd", "tile_sbr", "tile_task_dag",
     ],
-    "repro.eig": ["tridiag_qr_eigh", "secular_f"],
+    "repro.eig": [
+        "tridiag_qr_eigh", "secular_f",
+        "SecularRoots", "solve_all_roots", "refine_z", "secular_eigenvectors",
+    ],
     "repro.band": [
         "sbmv", "band_frobenius_norm", "band_inf_norm", "band_gershgorin",
         "band_trace", "band_quadratic_form", "tridiag_matvec",
