@@ -5,8 +5,9 @@ persist the factors, then answer many cheap spectral queries later —
 selected eigenvalue windows, extreme eigenpairs, quadratic forms — without
 refactorizing.  This example demonstrates:
 
-  1. `repro.eigh_partial` — selected eigenpairs (Sturm bisection + inverse
-     iteration + a back transform over only the requested columns);
+  1. `repro.eigh_partial` — selected eigenpairs (LAPACK `dstebz` bisection
+     + `dstein` inverse iteration + a back transform over only the
+     requested columns);
   2. `save_tridiag` / `load_tridiag` — persisting a factorization and
      back-transforming from disk;
   3. the blocked BC back transformation (the paper's future-work item)

@@ -4,8 +4,8 @@ Principal component analysis is the first application the paper lists for
 large symmetric EVD (Section 7.2).  This example builds an RBF kernel
 matrix over synthetic clustered data — a dense symmetric matrix whose top
 eigenvectors embed the data — and extracts the leading components with
-``repro.eigh_partial`` (the top-k path: Sturm bisection + inverse
-iteration + a back transform over k columns only).
+``repro.eigh_partial`` (the top-k path: LAPACK ``dstebz`` bisection +
+``dstein`` inverse iteration + a back transform over k columns only).
 
 The quality check is intrinsic: the embedding must separate the planted
 clusters (measured by the ratio of between- to within-cluster distances),

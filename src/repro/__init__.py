@@ -13,7 +13,8 @@ Public API highlights
     All the building blocks (Householder/WY machinery, panel QR, syr2k
     schedules, DBBR band reduction, bulge chasing, back transformation).
 ``repro.eig``
-    Tridiagonal eigensolvers (divide & conquer, bisection).
+    Tridiagonal eigensolvers (divide & conquer; LAPACK ``dstebz`` +
+    ``dstein`` selection of a window of eigenpairs).
 ``repro.band``
     Band-matrix storage (LAPACK lower band + the paper's packed layout).
 ``repro.plan``
@@ -69,7 +70,7 @@ from .core import (
     matrix_fingerprint,
     tridiagonalize,
 )
-from .eig import dc_eigh, eigh_bisect
+from .eig import dc_eigh
 from .plan import EVDPlan, PlanError, execute_plan, explain_plan, plan_evd
 from .precision import (
     PrecisionPolicy,
@@ -114,7 +115,6 @@ __all__ = [
     "dc_eigh",
     "eig",
     "eigh",
-    "eigh_bisect",
     "eigh_partial",
     "eigh_stacked",
     "execute_plan",

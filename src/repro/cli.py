@@ -51,7 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     evd.add_argument("--n", type=int, default=300)
     evd.add_argument("--method", default="proposed",
                      choices=["proposed", "magma", "cusolver"])
-    evd.add_argument("--solver", default="dc", choices=["dc", "bisect"])
     evd.add_argument("--no-vectors", action="store_true")
     evd.add_argument("--seed", type=int, default=0)
     evd.add_argument("--backend", default="numpy",
@@ -98,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="pipeline preset or tridiagonalization method "
                          "(proposed, magma, cusolver, dense, "
                          "dbbr, sbr, direct)")
-    pl.add_argument("--solver", default="dc", choices=["dc", "bisect"])
     pl.add_argument("--no-vectors", action="store_true")
     pl.add_argument("--backend", default="numpy",
                     choices=["numpy", "cupy", "torch", "auto"])
@@ -157,7 +155,7 @@ def _cmd_evd(args) -> int:
     A = (A + A.T) / 2.0
     t0 = time.perf_counter()
     try:
-        res = repro.eigh(A, method=args.method, solver=args.solver,
+        res = repro.eigh(A, method=args.method,
                          compute_vectors=not args.no_vectors,
                          backend=args.backend, fallback=args.fallback,
                          precision=args.precision)
@@ -174,7 +172,7 @@ def _cmd_evd(args) -> int:
         return 1
     dt = time.perf_counter() - t0
     tri_backend = res.tridiag.backend if res.tridiag is not None else args.backend
-    print(f"EVD ({args.method}/{args.solver}) of {args.n} x {args.n} "
+    print(f"EVD ({args.method}) of {args.n} x {args.n} "
           f"in {dt:.2f} s  [backend: {tri_backend}]")
     if res.refinement is not None:
         ref = res.refinement
@@ -253,7 +251,6 @@ def _cmd_plan(args) -> int:
             args.n,
             args.method,
             compute_vectors=not args.no_vectors,
-            solver=args.solver,
             backend=args.backend,
             precision=args.precision,
             **knobs,

@@ -17,9 +17,9 @@ Three presets mirror the paper's comparison:
 * ``method="cusolver"`` — direct one-stage tridiagonalization + divide &
   conquer.
 
-The tridiagonal solver is divide & conquer (``"dc"``, MAGMA's
-``Dstedc``); ``"bisect"`` (Sturm bisection + inverse iteration) is the
-one alternative, the solver :func:`eigh_partial` runs.
+The tridiagonal solver is divide & conquer (MAGMA's ``Dstedc``);
+:func:`eigh_partial` selects its eigenpairs with LAPACK ``dstebz`` +
+``dstein`` instead.
 """
 
 from __future__ import annotations
@@ -137,7 +137,6 @@ def eigh(
     A: np.ndarray,
     method: str = "proposed",
     compute_vectors: bool = True,
-    solver: str = "dc",
     backend: str | ArrayBackend | ExecutionContext | None = None,
     fallback: str = "none",
     precision: str = "fp64",
@@ -157,8 +156,6 @@ def eigh(
         — the small-``n`` serving tier (``result.tridiag`` is ``None``).
     compute_vectors : bool
         Compute eigenvectors (the expensive back-transformation path).
-    solver : {"dc", "bisect"}
-        Tridiagonal eigensolver.
     backend : str, ArrayBackend or ExecutionContext, optional
         Execution substrate for the whole pipeline (see
         :func:`repro.core.tridiag.tridiagonalize`); stage times land in
@@ -178,9 +175,11 @@ def eigh(
         two-stage reduction and the D&C eigenvector GEMMs in float32,
         then promotes and iteratively refines the eigenpairs back to
         fp64 accuracy (escalating to the full fp64 pipeline if the
-        refinement stalls).  ``"fp32"`` runs in float32 and refines, but
-        accepts float32-level tolerances.  Non-fp64 policies require the
-        NumPy backend and ``compute_vectors=True`` for ``"mixed"``.
+        refinement stalls).  ``"fp32"`` runs the same float32 stages
+        and returns their fp64-promoted result as is: it neither refines
+        nor verifies, so the result has float32-level accuracy.  Non-fp64
+        policies require the NumPy backend and ``compute_vectors=True``
+        for ``"mixed"``.
     **tridiag_kwargs
         The pipeline knob surface (``bandwidth``, ``second_block``,
         ``max_sweeps``) — parsed into a typed
@@ -201,7 +200,6 @@ def eigh(
         A.shape[0],
         method,
         compute_vectors=compute_vectors,
-        solver=solver,
         backend=ctx.backend.name,
         fallback=fallback,
         precision=precision,
@@ -224,11 +222,12 @@ def eigh_partial(
 ) -> EVDResult:
     """Selected eigenpairs ``indices = (lo, hi)`` (inclusive, 0 = smallest).
 
-    Tridiagonalizes once, then uses Sturm bisection for exactly the
-    requested eigenvalues and inverse iteration + back transformation for
-    their eigenvectors — the back transform touches only ``hi - lo + 1``
-    columns, so a small window costs ``O(n^2 m)`` instead of ``O(n^3)``
-    (the expensive path Section 6.2 laments).
+    Tridiagonalizes once, then selects exactly the requested eigenpairs
+    of the tridiagonal with LAPACK ``dstebz`` (bisection) and ``dstein``
+    (inverse iteration) and back-transforms their eigenvectors — the back
+    transform touches only ``hi - lo + 1`` columns, so a small window
+    costs ``O(n^2 m)`` instead of ``O(n^3)`` (the expensive path
+    Section 6.2 laments).
 
     Returns an :class:`EVDResult` whose arrays have ``hi - lo + 1``
     entries/columns.
@@ -240,15 +239,11 @@ def eigh_partial(
     if A.shape[0] == 0:
         raise EmptyMatrixError("expected a non-empty matrix, got shape (0, 0)")
     A = np.asarray(A, dtype=np.float64)
-    n = A.shape[0]
-    if not (0 <= lo <= hi < n):
-        raise ValueError(f"indices {indices} out of range for n = {n}")
     ctx = resolve_context(backend)
     plan = plan_evd(
-        n,
+        A.shape[0],
         method,
         compute_vectors=compute_vectors,
-        solver="bisect",
         backend=ctx.backend.name,
         **tridiag_kwargs,
     )

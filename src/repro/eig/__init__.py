@@ -1,22 +1,11 @@
-"""Tridiagonal eigensolvers: divide & conquer and bisection (plus Jacobi)."""
+"""Tridiagonal eigensolvers: divide & conquer, and LAPACK selection of a
+window of eigenpairs."""
 
 from .dc import DCStats, dc_eigh
-from .jacobi import jacobi_eigh
-from .sturm import (
-    eigh_bisect,
-    eigvals_bisect,
-    inverse_iteration,
-    sturm_count,
-    tridiag_solve_shifted,
-)
+from .select import select_eigh
 
 __all__ = [
     "DCStats",
     "dc_eigh",
-    "eigh_bisect",
-    "eigvals_bisect",
-    "inverse_iteration",
-    "jacobi_eigh",
-    "sturm_count",
-    "tridiag_solve_shifted",
+    "select_eigh",
 ]

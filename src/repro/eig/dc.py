@@ -55,7 +55,7 @@ from ..resilience.errors import ConvergenceError
 from ..resilience.faults import maybe_raise
 from .secular import rank_one_eigh
 
-__all__ = ["DCStats", "dc_eigh"]
+__all__ = ["DCStats", "dc_eigh", "scale_tridiagonal"]
 
 _EPS = np.finfo(np.float64).eps
 
@@ -76,6 +76,16 @@ class DCStats:
     def deflation_fraction(self) -> float:
         tot = self.deflated + self.secular_size_total
         return self.deflated / tot if tot else 0.0
+
+
+def scale_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(d', e', expo)`` with ``(d', e') = (d, e) * 2**-expo``, the power of
+    two that brings ``max |T|`` into ``[0.5, 1)``, as ``dstedc``'s
+    ``dlascl`` does.  The scaling is exact; eigenvalues of the scaled
+    tridiagonal unscale by ``np.ldexp(lam, expo)``."""
+    amax = max(np.max(np.abs(d), initial=0.0), np.max(np.abs(e), initial=0.0))
+    expo = int(np.frexp(amax)[1])
+    return np.ldexp(d, -expo), np.ldexp(e, -expo), expo
 
 
 def _rank_one_update(
@@ -375,15 +385,13 @@ def dc_eigh(
     vdt = np.dtype(np.float64) if vector_dtype is None else np.dtype(vector_dtype)
     if vdt not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise ValueError(f"vector_dtype must be float32 or float64, got {vdt}")
-    # Scale like dstedc's dlascl: the power of two that brings max|T| into
-    # [0.5, 1) is exact, and keeps 1/rho, z^2/(d - lam) and their squares
-    # in range for tridiagonals near the ends of the exponent range.
-    amax = max(np.max(np.abs(d), initial=0.0), np.max(np.abs(e), initial=0.0))
-    expo = int(np.frexp(amax)[1])
+    # Scaling keeps 1/rho, z^2/(d - lam) and their squares in range for
+    # tridiagonals near the ends of the exponent range.
+    d, e, expo = scale_tridiagonal(d, e)
     stats = DCStats()
     lam, Q = _dc_level_order(
-        np.ldexp(d, -expo),
-        np.ldexp(e, -expo),
+        d,
+        e,
         not compute_vectors,
         base_size,
         stats,

@@ -69,7 +69,7 @@ class BulgeChaseConfig:
 class SolverConfig:
     """Stage 3: the tridiagonal eigensolver (or the dense tier)."""
 
-    kind: str  # "dc" | "bisect" | "dense"
+    kind: str  # "dc" | "dense"
     compute_vectors: bool = True
 
 
@@ -93,11 +93,11 @@ def _check_choices(plan: "EVDPlan") -> None:
     """Reject a loaded plan whose choice fields hold a value the planner
     would refuse, with the planner's typed error."""
     # The planner imports this module, so its choice lists load here.
-    from .planner import EVD_METHODS, FALLBACKS, PRECISIONS, SOLVERS, TRIDIAG_METHODS
+    from .planner import EVD_METHODS, FALLBACKS, PRECISIONS, TRIDIAG_METHODS
 
     checks: list[tuple[str, str, tuple[str, ...]]] = [
         ("method", plan.method, EVD_METHODS),
-        ("tridiagonal solver", plan.solver.kind, SOLVERS + ("dense",)),
+        ("tridiagonal solver", plan.solver.kind, ("dc", "dense")),
         ("precision", plan.precision, PRECISIONS),
         ("fallback", plan.fallback, FALLBACKS),
     ]

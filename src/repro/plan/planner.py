@@ -33,7 +33,6 @@ PRESETS: dict[str, dict[str, Any]] = {
 
 TRIDIAG_METHODS = ("dbbr", "sbr", "direct")
 EVD_METHODS = tuple(PRESETS) + TRIDIAG_METHODS + ("dense",)
-SOLVERS = ("dc", "bisect")
 FALLBACKS = ("none", "chain")
 PRECISIONS = ("fp64", "mixed", "fp32")
 
@@ -90,11 +89,9 @@ def _check_unknown(knobs: dict[str, Any]) -> None:
         )
 
 
-def make_solver_config(solver: str, compute_vectors: bool) -> SolverConfig:
-    """Validated :class:`SolverConfig`."""
-    if solver not in SOLVERS + ("dense",):
-        raise bad_choice("tridiagonal solver", solver, SOLVERS)
-    return SolverConfig(kind=solver, compute_vectors=bool(compute_vectors))
+def make_solver_config(compute_vectors: bool) -> SolverConfig:
+    """The :class:`SolverConfig` of a tridiagonal plan: divide and conquer."""
+    return SolverConfig(kind="dc", compute_vectors=bool(compute_vectors))
 
 
 def _resolve_pipeline(
@@ -164,7 +161,6 @@ def plan_evd(
     method: str = "proposed",
     *,
     compute_vectors: bool = True,
-    solver: str = "dc",
     backend: str = "numpy",
     fallback: str = "none",
     precision: str = "fp64",
@@ -193,7 +189,7 @@ def plan_evd(
     Raises
     ------
     PlanError
-        Unknown method/solver/knob name, or an invalid knob value — at
+        Unknown method/knob name, or an invalid knob value — at
         planning time, naming the valid choices, instead of a
         ``TypeError`` deep inside the pipeline.
     """
@@ -236,8 +232,8 @@ def plan_evd(
 
     if method == "dense":
         # The dense tier bypasses the pipeline entirely: every pipeline
-        # knob and the solver choice are inert (eigh has always ignored
-        # them here) — normalize so equivalent requests coalesce.
+        # knob is inert (eigh has always ignored them here) — normalize
+        # so equivalent requests coalesce.
         return EVDPlan(
             n=n,
             method="dense",
@@ -254,7 +250,6 @@ def plan_evd(
     else:
         merged = dict(knobs)
         raw_method = method
-    solver_cfg = make_solver_config(solver, compute_vectors)
     tridiag, bulge = _resolve_pipeline(
         n,
         raw_method,
@@ -265,7 +260,7 @@ def plan_evd(
         n=n,
         method=method,
         backend=backend,
-        solver=solver_cfg,
+        solver=make_solver_config(compute_vectors),
         tridiag=tridiag,
         bulge_chase=bulge,
         fallback=fallback,

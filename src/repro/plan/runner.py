@@ -11,7 +11,7 @@ reduction, multi-device sharding) is a change to *one* dispatch site.
 The runner is bit-identical to the historical per-entry-point dispatch:
 stage boundaries, stage-event metadata, array copies and argument
 defaulting are reproduced exactly (regression-tested over the full
-preset x solver grid in ``tests/plan/test_runner_bitexact.py``).
+preset grid in ``tests/plan/test_runner_bitexact.py``).
 
 Imports of :mod:`repro.core` are deferred to call time: ``core``
 modules import the planner while they are being imported, so a
@@ -28,7 +28,6 @@ from ..backend.context import ExecutionContext, resolve_context
 from ..resilience.faults import maybe_corrupt
 from .config import EVDPlan, SolverConfig
 from .errors import PlanError, bad_choice
-from .planner import SOLVERS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.evd import EVDResult
@@ -76,34 +75,26 @@ def solve_tridiagonal_planned(
     ctx: ExecutionContext | None = None,
     vector_dtype: np.dtype | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Run the plan's tridiagonal eigensolver on ``(d, e)``.
-
-    The one dispatch point over ``"dc"``/``"bisect"``, called by
-    :func:`execute_plan`.
+    """Run the plan's tridiagonal eigensolver, divide and conquer, on
+    ``(d, e)``; called by :func:`execute_plan` and the precision driver.
 
     ``vector_dtype`` (mixed-precision policies only) drops the D&C
     eigenvector carrying and merge GEMMs to the given dtype; the
     eigenvalue/secular machinery always runs fp64.  ``None`` — the
     default and the only value the fp64 path ever passes — is
-    bit-identical to the historical solver.  The ``"bisect"`` solver
-    ignores it (its vectors are fp64 and the precision driver casts
-    afterwards).
+    bit-identical to the historical solver.
     """
     from ..eig.dc import dc_eigh
-    from ..eig.sturm import eigh_bisect
 
-    if solver.kind == "dc":
-        lam, U = dc_eigh(
-            d,
-            e,
-            compute_vectors=solver.compute_vectors,
-            ctx=ctx,
-            vector_dtype=vector_dtype,
-        )
-        return lam, U
-    if solver.kind == "bisect":
-        return eigh_bisect(d, e, compute_vectors=solver.compute_vectors)
-    raise bad_choice("tridiagonal solver", solver.kind, SOLVERS)
+    if solver.kind != "dc":
+        raise bad_choice("tridiagonal solver", solver.kind, ("dc",))
+    return dc_eigh(
+        d,
+        e,
+        compute_vectors=solver.compute_vectors,
+        ctx=ctx,
+        vector_dtype=vector_dtype,
+    )
 
 
 def execute_plan(
@@ -167,12 +158,13 @@ def execute_plan_partial(
     ctx: ExecutionContext | Any | None = None,
 ) -> "EVDResult":
     """Selected eigenpairs ``indices = (lo, hi)`` through the plan's
-    tridiagonalization, Sturm bisection for exactly the requested
-    eigenvalues, and inverse iteration + the plan's back transformation
-    for their eigenvectors (the :func:`repro.eigh_partial` flow)."""
+    tridiagonalization, LAPACK ``dstebz`` + ``dstein`` for exactly the
+    requested eigenpairs of ``T`` (:func:`repro.eig.select.select_eigh`)
+    and the plan's back transformation of their eigenvectors (the
+    :func:`repro.eigh_partial` flow)."""
     from ..core.evd import EVDResult
     from ..core.tridiag import tridiagonalize_planned
-    from ..eig.sturm import eigvals_bisect, inverse_iteration
+    from ..eig.select import select_eigh
 
     if plan.is_dense:
         raise PlanError(
@@ -184,26 +176,11 @@ def execute_plan_partial(
     A = np.asarray(A)
     _check_plan_matches(A, plan)
     lo, hi = int(indices[0]), int(indices[1])
-    n = plan.n
-    if not (0 <= lo <= hi < n):
-        raise ValueError(f"indices {(lo, hi)} out of range for n = {n}")
+    if not (0 <= lo <= hi < plan.n):
+        raise ValueError(f"indices {(lo, hi)} out of range for n = {plan.n}")
     with ctx.stage("tridiagonalize", method=plan.method):
         tri = tridiagonalize_planned(A, plan, ctx=ctx)
-    idx = np.arange(lo, hi + 1)
-    lam = eigvals_bisect(tri.d, tri.e, indices=idx)
-    V: np.ndarray | None = None
-    if plan.solver.compute_vectors:
-        m = idx.size
-        U = np.zeros((n, m))
-        scale = max(float(np.max(np.abs(lam))), 1.0)
-        cluster: list[np.ndarray] = []
-        for j in range(m):
-            against = cluster if (j > 0 and lam[j] - lam[j - 1] <= 1e-3 * scale) else None
-            if against is None:
-                cluster = []
-            v = inverse_iteration(tri.d, tri.e, float(lam[j]), against=against)
-            U[:, j] = v
-            cluster.append(v)
-        V = U
+    lam, V = select_eigh(tri.d, tri.e, lo, hi, plan.solver.compute_vectors)
+    if V is not None:
         tri.apply_q(V)
-    return EVDResult(eigenvalues=lam, eigenvectors=V, tridiag=tri, solver="bisect")
+    return EVDResult(eigenvalues=lam, eigenvectors=V, tridiag=tri, solver="stebz")

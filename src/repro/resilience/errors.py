@@ -57,9 +57,9 @@ class ConvergenceError(ReproError, np.linalg.LinAlgError):
     and the ``indices`` of the offending roots/eigenvalues (when the
     kernel tracks per-root state).
 
-    Subclasses :class:`numpy.linalg.LinAlgError` so callers that caught
-    the historical ``LinAlgError`` raises from the Jacobi sweep and the
-    LAPACK kernels keep working.
+    Subclasses :class:`numpy.linalg.LinAlgError` so callers that catch
+    the ``LinAlgError`` NumPy's own LAPACK kernels raise also catch the
+    failures of the LAPACK routines the solve path binds itself.
     """
 
     def __init__(

@@ -76,7 +76,6 @@ FAULT_SITES: dict[str, str] = {
     "of divide and conquer",
     "dc.merge": "repro.eig.dc._rank_one_update — the secular stage of one "
     "divide-and-conquer merge, before its rank_one_eigh call",
-    "jacobi.sweep": "repro.eig.jacobi.jacobi_eigh — the cyclic Jacobi sweep",
     "runner.result": "repro.plan.runner.execute_plan — the assembled result "
     "payload (NaN corruption target)",
     "serve.worker": "repro.serve.SolverService worker executing a request "

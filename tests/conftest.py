@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.bench.workloads import wilkinson_tridiagonal
 from repro.core.bc_pipeline import SAFETY_TASKS, PipelineStats, pipeline_schedule
 from repro.core.bulge_chasing import (
     BCTask,
@@ -30,6 +31,16 @@ def sym64(rng) -> np.ndarray:
 def make_symmetric(n: int, seed: int = 0) -> np.ndarray:
     g = np.random.default_rng(seed).standard_normal((n, n))
     return (g + g.T) / 2.0
+
+
+def glued_wilkinson(copies: int = 4, m: int = 21, glue: float = 1e-12):
+    """``(d, e)`` of ``copies`` Wilkinson ``W_m^+`` blocks joined by ``glue``
+    couplings: every eigenvalue comes in a cluster of ``copies`` near-equal
+    values."""
+    dw, ew = wilkinson_tridiagonal(m)
+    d = np.tile(dw, copies)
+    e = np.concatenate([np.append(ew, glue)] * copies)[:-1]
+    return d, e
 
 
 def reconstruction_error(A: np.ndarray, Q: np.ndarray, B: np.ndarray) -> float:

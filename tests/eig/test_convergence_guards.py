@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.eig.secular import rank_one_eigh
-from repro.eig.jacobi import jacobi_eigh
 from repro.resilience import (
     ConvergenceError,
     FaultSpec,
@@ -69,14 +68,6 @@ class TestSecularGuard:
 
 
 class TestInjectedGuards:
-    def test_jacobi_sweep_site_raises_in_context(self):
-        A = np.random.default_rng(5).standard_normal((8, 8))
-        A = (A + A.T) / 2
-        with injected_faults(FaultSpec("jacobi.sweep", "convergence")):
-            with pytest.raises(ConvergenceError) as info:
-                jacobi_eigh(A)
-        assert info.value.site == "jacobi.sweep"
-
     def test_secular_site_fires_before_any_work(self):
         d, z, rho = secular_problem(16, seed=6)
         with injected_faults(FaultSpec("secular.newton", "convergence")):

@@ -1,4 +1,4 @@
-"""Unit tests for the cyclic Jacobi eigensolver."""
+"""Unit tests for the cyclic Jacobi test oracle."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.bench.workloads import goe, symmetric_with_spectrum
-from repro.eig.jacobi import jacobi_eigh
+from tests.oracles import jacobi_eigh
 
 
 class TestJacobi:

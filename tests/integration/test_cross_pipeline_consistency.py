@@ -8,7 +8,7 @@ import pytest
 
 import repro
 from repro.bench.workloads import goe
-from repro.eig.jacobi import jacobi_eigh
+from tests.oracles import jacobi_eigh
 
 
 class TestJacobiVsPipeline:

@@ -16,6 +16,7 @@ from repro.bench.workloads import (
     symmetric_with_spectrum,
     uniform_spectrum,
 )
+from repro.eig.select import select_eigh
 from tests.oracles import tridiag_qr_eigh
 
 
@@ -82,23 +83,24 @@ class TestEVDWorkloads:
         assert np.all(res.eigenvalues < 0)
         assert res.residual(A) < 1e-12
 
-    @pytest.mark.parametrize("solver", ["dc", "bisect"])
+    @pytest.mark.parametrize("solver", ["dc"])
     def test_three_solvers_one_matrix(self, solver):
         A = goe(56, seed=6)
-        res = repro.eigh(A, solver=solver, bandwidth=4, second_block=8)
+        res = repro.eigh(A, bandwidth=4, second_block=8)
+        assert res.solver == solver
         assert np.max(np.abs(res.eigenvalues - np.linalg.eigvalsh(A))) < 1e-10
 
 
 class TestCrossSolverConsistency:
     def test_tridiagonal_solvers_agree(self, rng):
-        # D&C, bisection and the QL oracle are fully independent and must
-        # agree with each other — a correctness oracle with no SciPy involved.
+        # D&C, LAPACK's bisection (dstebz) and the QL oracle are fully
+        # independent and must agree with each other.
         n = 120
         d = rng.standard_normal(n)
         e = rng.standard_normal(n - 1)
         lam_dc, _ = repro.dc_eigh(d, e, compute_vectors=False)
         lam_qr, _ = tridiag_qr_eigh(d, e, compute_vectors=False)
-        lam_bi, _ = repro.eigh_bisect(d, e, compute_vectors=False)
+        lam_bi, _ = select_eigh(d, e, 0, n - 1, compute_vectors=False)
         scale = max(np.max(np.abs(lam_dc)), 1.0)
         assert np.max(np.abs(lam_dc - lam_qr)) < 1e-12 * scale
         assert np.max(np.abs(lam_dc - lam_bi)) < 1e-11 * scale

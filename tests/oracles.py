@@ -19,6 +19,9 @@ stage.
 Tridiagonal eigenproblem: the implicit-shift QL iteration
 :func:`tridiag_qr_eigh` (``tqli``/``dsteqr``), a solver independent of
 divide and conquer.
+
+Dense eigenproblem: the cyclic Jacobi method :func:`jacobi_eigh`, which
+never tridiagonalizes, so it is independent of the whole pipeline.
 """
 
 from __future__ import annotations
@@ -301,3 +304,81 @@ def tridiag_qr_eigh(
     lam = d[order]
     U = Z[:, order] if Z is not None else None
     return lam, U
+
+
+def _off_norm(A: np.ndarray) -> float:
+    n = A.shape[0]
+    mask = ~np.eye(n, dtype=bool)
+    return float(np.sqrt(np.sum(A[mask] ** 2)))
+
+
+def jacobi_eigh(
+    A: np.ndarray,
+    compute_vectors: bool = True,
+    tol: float | None = None,
+    max_sweeps: int = 30,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Eigendecomposition of symmetric ``A`` by cyclic Jacobi rotations.
+
+    Annihilates one off-diagonal entry per rotation, in cyclic sweeps
+    with the small-angle-stable rotation formulas, until the
+    off-diagonal Frobenius norm is below ``tol * ||A||_F`` (default
+    ``n * eps``); convergence is quadratic once the off-diagonal mass is
+    small.  Returns ascending eigenvalues and, with ``compute_vectors``,
+    orthonormal eigenvectors in columns (else ``None``).  Raises
+    :class:`numpy.linalg.LinAlgError` when the off-diagonal mass is still
+    far above the threshold after ``max_sweeps`` sweeps.
+    """
+    A = np.array(A, dtype=np.float64, copy=True)
+    n = A.shape[0]
+    if A.shape != (n, n):
+        raise ValueError("A must be square")
+    norm_a = max(np.linalg.norm(A), np.finfo(np.float64).tiny)
+    threshold = (tol if tol is not None else n * _EPS) * norm_a
+    V = np.eye(n) if compute_vectors else None
+
+    for _ in range(max_sweeps):
+        if _off_norm(A) <= threshold:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = A[p, q]
+                if abs(apq) <= _EPS * norm_a * 1e-2:
+                    continue
+                # Stable rotation (Golub & Van Loan, Alg. 8.4.1):
+                # theta = (a_qq - a_pp) / (2 a_pq), t = sign/(|theta|+sqrt(1+theta^2)).
+                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
+                t = np.sign(theta) / (abs(theta) + np.hypot(1.0, theta))
+                if theta == 0.0:
+                    t = 1.0
+                c = 1.0 / np.hypot(1.0, t)
+                s = t * c
+                # Apply J(p, q, theta) from both sides.
+                row_p = A[p, :].copy()
+                row_q = A[q, :].copy()
+                A[p, :] = c * row_p - s * row_q
+                A[q, :] = s * row_p + c * row_q
+                col_p = A[:, p].copy()
+                col_q = A[:, q].copy()
+                A[:, p] = c * col_p - s * col_q
+                A[:, q] = s * col_p + c * col_q
+                A[p, q] = 0.0
+                A[q, p] = 0.0
+                if V is not None:
+                    vp = V[:, p].copy()
+                    V[:, p] = c * vp - s * V[:, q]
+                    V[:, q] = s * vp + c * V[:, q]
+    else:
+        if _off_norm(A) > threshold * 1e3:
+            raise np.linalg.LinAlgError(
+                f"Jacobi failed to converge within {max_sweeps} sweeps "
+                f"(off-diagonal norm {_off_norm(A):.3e} vs threshold "
+                f"{threshold:.3e})"
+            )
+
+    lam = np.diagonal(A).copy()
+    order = np.argsort(lam, kind="stable")
+    lam = lam[order]
+    if V is not None:
+        V = V[:, order]
+    return lam, V

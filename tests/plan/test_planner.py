@@ -79,13 +79,28 @@ class TestChoiceValidation:
             plan_evd(64, method=method)
 
     def test_unknown_solver(self):
-        with pytest.raises(PlanError, match="valid choices are 'dc', 'bisect'$"):
+        # The tridiagonal solver is not a choice: solver= is an unknown knob.
+        with pytest.raises(PlanError, match="unknown pipeline knob.*'solver'"):
             plan_evd(8, solver="jacobi")
 
     def test_qr_solver_removed(self):
         # The QL iteration is a test oracle, not a plan choice.
-        with pytest.raises(PlanError, match="'qr': valid choices are 'dc', 'bisect'$"):
+        with pytest.raises(PlanError, match="unknown pipeline knob.*'solver'"):
             plan_evd(8, solver="qr")
+
+    @pytest.mark.parametrize("solver", ["dc", "bisect"])
+    def test_solver_keyword_removed(self, solver):
+        # Divide and conquer is the one tridiagonal solver; eigh_partial
+        # selects its window with LAPACK.  Every entry point refuses the
+        # keyword, naming the knobs that exist.
+        A = goe(8)
+        for call in (
+            lambda: plan_evd(8, solver=solver),
+            lambda: repro.eigh(A, solver=solver),
+            lambda: repro.eigh_partial(A, (0, 2), solver=solver),
+        ):
+            with pytest.raises(PlanError, match="'solver': valid knobs are"):
+                call()
 
     def test_bad_secular_mode(self):
         # secular_mode is no longer a plan knob: the scalar per-root loops
@@ -249,7 +264,7 @@ class TestResolution:
         assert "direct one-stage (block=32)" in plan.describe()
 
     def test_dense_plan_has_no_pipeline(self):
-        plan = plan_evd(64, "dense", solver="bisect")
+        plan = plan_evd(64, "dense")
         assert plan.is_dense
         assert plan.tridiag is None
         assert plan.solver.kind == "dense"
@@ -343,17 +358,16 @@ class TestCacheToken:
             plan_evd(64, "cusolver", bandwidth=8).cache_token()
             == plan_evd(64, "cusolver").cache_token()
         )
-        # Dense tier: the solver choice itself is inert.
+        # Dense tier: every pipeline knob is inert.
         assert (
-            plan_evd(64, "dense", solver="bisect").cache_token()
-            == plan_evd(64, "dense", solver="dc").cache_token()
+            plan_evd(64, "dense", bandwidth=8).cache_token()
+            == plan_evd(64, "dense").cache_token()
         )
 
     def test_distinct_computations_get_distinct_tokens(self):
         base = plan_evd(64, "proposed").cache_token()
         assert plan_evd(65, "proposed").cache_token() != base
         assert plan_evd(64, "magma").cache_token() != base
-        assert plan_evd(64, "proposed", solver="bisect").cache_token() != base
         assert plan_evd(64, "proposed", compute_vectors=False).cache_token() != base
         assert plan_evd(64, "proposed", backend="torch").cache_token() != base
         assert plan_evd(64, "proposed", bandwidth=4).cache_token() != base
@@ -449,15 +463,19 @@ class TestSerialization:
              "'dbbr', 'sbr', 'direct'"),
             (("solver", "kind"), "qr",
              "unknown tridiagonal solver 'qr': valid choices are "
-             "'dc', 'bisect', 'dense'"),
+             "'dc', 'dense'"),
             (("method",), "plasma", "unknown method 'plasma'"),
             (("precision",), "bf16", "unknown precision 'bf16'"),
             (("fallback",), "retry", "unknown fallback 'retry'"),
+            (("solver", "kind"), "bisect",
+             "unknown tridiagonal solver 'bisect': valid choices are "
+             "'dc', 'dense'"),
         ],
     )
     def test_retired_or_unknown_choice_is_a_typed_error(self, path, value, message):
         """A plan document whose choice field holds a value the planner
-        refuses (a retired ``tile`` method, the retired ``qr`` solver)
+        refuses (a retired ``tile`` method, the retired ``qr`` and
+        ``bisect`` solvers)
         fails to load instead of failing later inside ``execute_plan``."""
         data = plan_evd(64, "magma").to_dict()
         *branch, field = path

@@ -3,10 +3,10 @@
 The plan runner's contract: routing ``eigh``/``eigh_partial``
 through the shared plan runner must not change a single bit of
 any NumPy result.  The oracle here composes the stages manually — call
-``tridiagonalize``, pick the solver, apply the back transformation —
-exactly as the pre-plan entry points did inline, and asserts bitwise
-equality over the full preset x solver x vectors grid, including the
-n = 1 / n = 2 degenerate sizes.
+``tridiagonalize``, solve the tridiagonal, apply the back
+transformation — exactly as the pre-plan entry points did inline, and
+asserts bitwise equality over the full preset x vectors grid, including
+the n = 1 / n = 2 degenerate sizes.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import pytest
 
 import repro
 from repro.backend import ExecutionContext
-from repro.eig import dc_eigh, eigh_bisect
+from repro.eig import dc_eigh, select_eigh
 from repro.plan import make_solver_config, plan_evd, solve_tridiagonal_planned
 from tests.oracles import dc_eigh_scalar
 
@@ -32,16 +32,13 @@ def goe(n: int, seed: int = 0) -> np.ndarray:
     return (g + g.T) / 2.0
 
 
-def oracle_eigh(A, method, solver, compute_vectors, secular_mode="batched"):
+def oracle_eigh(A, method, compute_vectors, secular_mode="batched"):
     """The pre-refactor ``eigh`` body, composed by hand; ``secular_mode=
     "scalar"`` solves with the tests-side scalar secular oracle."""
     ctx = ExecutionContext(backend="numpy")
     tri = repro.tridiagonalize(A, backend=ctx, **PRESET_KWARGS[method])
-    if solver == "dc":
-        solve = dc_eigh if secular_mode == "batched" else dc_eigh_scalar
-        lam, U = solve(tri.d, tri.e, compute_vectors=compute_vectors, ctx=ctx)
-    else:
-        lam, U = eigh_bisect(tri.d, tri.e, compute_vectors=compute_vectors)
+    solve = dc_eigh if secular_mode == "batched" else dc_eigh_scalar
+    lam, U = solve(tri.d, tri.e, compute_vectors=compute_vectors, ctx=ctx)
     V = None
     if compute_vectors:
         V = np.array(U, copy=True)
@@ -57,15 +54,16 @@ def assert_same(a: np.ndarray | None, b: np.ndarray | None) -> None:
     assert a.dtype == b.dtype and a.shape == b.shape
 
 
+# ``solver`` is the result's solver tag, divide and conquer on every
+# tridiagonal plan; the parameter keeps the grid's test ids.
 @pytest.mark.parametrize("n", [1, 2, 7, 24])
 @pytest.mark.parametrize("method", sorted(PRESET_KWARGS))
-@pytest.mark.parametrize("solver", ["dc", "bisect"])
+@pytest.mark.parametrize("solver", ["dc"])
 @pytest.mark.parametrize("compute_vectors", [True, False])
 def test_eigh_matches_manual_composition(n, method, solver, compute_vectors):
     A = goe(n, seed=n)
-    got = repro.eigh(A, method=method, solver=solver,
-                     compute_vectors=compute_vectors)
-    lam, V, tri = oracle_eigh(A, method, solver, compute_vectors)
+    got = repro.eigh(A, method=method, compute_vectors=compute_vectors)
+    lam, V, tri = oracle_eigh(A, method, compute_vectors)
     assert_same(got.eigenvalues, lam)
     assert_same(got.eigenvectors, V)
     np.testing.assert_array_equal(got.tridiag.d, tri.d)
@@ -74,14 +72,15 @@ def test_eigh_matches_manual_composition(n, method, solver, compute_vectors):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 64, 150])
-@pytest.mark.parametrize("solver", ["dc", "bisect"])
+@pytest.mark.parametrize("solver", ["dc"])
 def test_magma_back_transform_is_ormqr_order(n, solver):
     """``magma`` applies ``Q_sbr`` in MAGMA's ``ormqr`` order: ``Q1``, then
     the SBR panel blocks one by one, rightmost first — bit for bit."""
     A = goe(n, seed=n)
-    got = repro.eigh(A, method="magma", solver=solver)
+    got = repro.eigh(A, method="magma")
+    assert got.solver == solver
     tri = got.tridiag
-    _, U = solve_tridiagonal_planned(tri.d, tri.e, make_solver_config(solver, True))
+    _, U = solve_tridiagonal_planned(tri.d, tri.e, make_solver_config(True))
     V = np.array(U, copy=True)
     tri.bc_result.apply_q1(V)
     for blk in reversed(tri.band_result.blocks):
@@ -95,7 +94,7 @@ def test_secular_modes_bitexact(secular_mode):
     the scalar ``dc_eigh`` oracle composes to the same bits."""
     A = goe(24, seed=9)
     got = repro.eigh(A, method="proposed")
-    lam, V, _ = oracle_eigh(A, "proposed", "dc", True, secular_mode=secular_mode)
+    lam, V, _ = oracle_eigh(A, "proposed", True, secular_mode=secular_mode)
     assert_same(got.eigenvalues, lam)
     assert_same(got.eigenvectors, V)
 
@@ -112,26 +111,13 @@ def test_dense_tier_matches_stacked(n):
 
 @pytest.mark.parametrize("method", ["proposed", "cusolver"])
 def test_eigh_partial_matches_manual_composition(method):
-    from repro.eig import eigvals_bisect, inverse_iteration
-
     A = goe(20, seed=3)
     lo, hi = 2, 6
     got = repro.eigh_partial(A, (lo, hi), method=method)
 
     ctx = ExecutionContext(backend="numpy")
     tri = repro.tridiagonalize(A, backend=ctx, **PRESET_KWARGS[method])
-    idx = np.arange(lo, hi + 1)
-    lam = eigvals_bisect(tri.d, tri.e, indices=idx)
-    U = np.zeros((20, idx.size))
-    scale = max(float(np.max(np.abs(lam))), 1.0)
-    cluster = []
-    for j in range(idx.size):
-        against = cluster if (j > 0 and lam[j] - lam[j - 1] <= 1e-3 * scale) else None
-        if against is None:
-            cluster = []
-        v = inverse_iteration(tri.d, tri.e, float(lam[j]), against=against)
-        U[:, j] = v
-        cluster.append(v)
+    lam, U = select_eigh(tri.d, tri.e, lo, hi)
     tri.apply_q(U)
     assert_same(got.eigenvalues, lam)
     assert_same(got.eigenvectors, U)
@@ -145,7 +131,7 @@ def test_planned_tridiagonal_solve_is_dc_eigh(compute_vectors):
     d = rng.standard_normal(17)
     e = rng.standard_normal(16)
     ctx = ExecutionContext(backend="numpy")
-    cfg = make_solver_config("dc", compute_vectors)
+    cfg = make_solver_config(compute_vectors)
     lam, U = solve_tridiagonal_planned(d, e, cfg, ctx=ctx)
     ctx2 = ExecutionContext(backend="numpy")
     lam_ref, U_ref = dc_eigh(d, e, compute_vectors=compute_vectors, ctx=ctx2)
@@ -153,16 +139,15 @@ def test_planned_tridiagonal_solve_is_dc_eigh(compute_vectors):
     assert_same(U, U_ref)
 
 
-@pytest.mark.parametrize("solver", ["bisect"])
-def test_planned_tridiagonal_solve_other_kinds(solver):
-    rng = np.random.default_rng(6)
-    d = rng.standard_normal(12)
-    e = rng.standard_normal(11)
-    cfg = make_solver_config(solver, True)
-    lam, U = solve_tridiagonal_planned(d, e, cfg)
-    lam_ref, U_ref = eigh_bisect(d, e, compute_vectors=True)
-    assert_same(lam, lam_ref)
-    assert_same(U, U_ref)
+def test_planned_tridiagonal_solve_rejects_other_kinds():
+    """A plan whose solver is not divide and conquer (the dense tier's
+    config, or a retired kind) cannot reach the tridiagonal solve."""
+    from repro.plan import PlanError, SolverConfig
+
+    d, e = np.ones(4), np.ones(3)
+    for kind in ("dense", "bisect"):
+        with pytest.raises(PlanError, match="valid choices are 'dc'$"):
+            solve_tridiagonal_planned(d, e, SolverConfig(kind=kind))
 
 
 def test_stage_events_preserved():

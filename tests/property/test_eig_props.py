@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.band.storage import dense_from_band
 from repro.eig.dc import dc_eigh
 from repro.eig.secular import rank_one_eigh
-from repro.eig.sturm import eigvals_bisect, sturm_count
+from repro.eig.select import select_eigh
 from tests.oracles import tridiag_qr_eigh
 
 
@@ -54,31 +54,13 @@ def test_dc_eigenvector_residuals(case):
 @settings(max_examples=30, deadline=None)
 @given(tridiag_case())
 def test_bisection_brackets_dc(case):
-    """Bisection (Sturm counts) agrees with D&C — a third independent
-    check rooted in inertia rather than factorization."""
+    """LAPACK's bisection (``dstebz``, Sturm counts) agrees with D&C — a
+    third independent check rooted in inertia rather than factorization."""
     d, e = case
     lam_dc, _ = dc_eigh(d, e, compute_vectors=False)
-    lam_bi = eigvals_bisect(d, e)
+    lam_bi, _ = select_eigh(d, e, 0, d.size - 1, compute_vectors=False)
     scale = max(np.max(np.abs(lam_dc)) if lam_dc.size else 0.0, 1e-30)
     assert np.max(np.abs(np.sort(lam_bi) - lam_dc)) < 1e-10 * scale
-
-
-@settings(max_examples=30, deadline=None)
-@given(tridiag_case())
-def test_sturm_count_consistent_with_eigenvalues(case):
-    """nu(x) computed by the Sturm recurrence equals the number of
-    computed eigenvalues below x, for shifts away from eigenvalues."""
-    d, e = case
-    lam, _ = tridiag_qr_eigh(d, e, compute_vectors=False)
-    if lam.size == 0:
-        return
-    gaps = np.diff(lam)
-    scale = max(np.max(np.abs(lam)), 1.0)
-    # Pick shifts at well-separated midpoints only.
-    for i, g in enumerate(gaps):
-        if g > 1e-6 * scale:
-            x = 0.5 * (lam[i] + lam[i + 1])
-            assert int(sturm_count(d, e, x)[0]) == i + 1
 
 
 @st.composite

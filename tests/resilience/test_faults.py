@@ -52,8 +52,7 @@ class TestSpecValidation:
 
     def test_registry_is_closed_and_documented(self):
         assert set(FAULT_SITES) == {
-            "secular.newton", "dc.leaf", "dc.merge", "jacobi.sweep",
-            "runner.result", "serve.worker", "serve.backend",
+            "secular.newton", "dc.leaf", "dc.merge", "runner.result", "serve.worker", "serve.backend",
             "precision.refine",
         }
         assert FAULT_KINDS == ("nan", "convergence", "crash", "backend")
@@ -81,9 +80,9 @@ class TestGrammar:
     def test_faults_from_env(self):
         assert faults_from_env({}) is None
         assert faults_from_env({"REPRO_FAULTS": "  "}) is None
-        plan = faults_from_env({"REPRO_FAULTS": "jacobi.sweep:convergence"})
+        plan = faults_from_env({"REPRO_FAULTS": "dc.leaf:convergence"})
         assert isinstance(plan, FaultPlan)
-        assert plan.specs[0].site == "jacobi.sweep"
+        assert plan.specs[0].site == "dc.leaf"
 
 
 class TestFiring:
@@ -105,17 +104,17 @@ class TestFiring:
                 maybe_raise("serve.worker")
 
     def test_budget_limits_firing(self):
-        with injected_faults(FaultSpec("jacobi.sweep", "convergence", times=2)) as plan:
+        with injected_faults(FaultSpec("dc.leaf", "convergence", times=2)) as plan:
             for _ in range(2):
                 with pytest.raises(ConvergenceError):
-                    maybe_raise("jacobi.sweep")
-            maybe_raise("jacobi.sweep")  # budget spent: no-op
+                    maybe_raise("dc.leaf")
+            maybe_raise("dc.leaf")  # budget spent: no-op
             (st,) = plan.stats()
             assert st["fired"] == 2 and st["calls"] == 3
 
     def test_site_mismatch_does_not_fire(self):
         with injected_faults(FaultSpec("dc.merge", "convergence")):
-            maybe_raise("jacobi.sweep")  # different site
+            maybe_raise("dc.leaf")  # different site
 
     def test_probability_pattern_is_seeded(self):
         def pattern(seed):
@@ -166,7 +165,7 @@ class TestCorruption:
 class TestInstallation:
     def test_injected_faults_restores_previous_plan(self):
         outer = install_faults(FaultSpec("dc.merge", "convergence"))
-        with injected_faults(FaultSpec("jacobi.sweep", "convergence")) as inner:
+        with injected_faults(FaultSpec("dc.leaf", "convergence")) as inner:
             assert active_plan() is inner
         assert active_plan() is outer
 

@@ -15,7 +15,7 @@ PUBLIC_API = {
     "repro": [
         "eigh", "eigh_partial", "eigh_stacked", "matrix_fingerprint",
         "tridiagonalize", "dbbr",
-        "dc_eigh", "eigh_bisect",
+        "dc_eigh",
         "SolverService", "ServiceConfig",
         "EVDResult", "TridiagResult", "__version__",
         "EVDPlan", "PlanError", "plan_evd", "execute_plan", "explain_plan",
@@ -60,9 +60,7 @@ PUBLIC_API = {
         "EmptyMatrixError",
     ],
     "repro.eig": [
-        "dc_eigh", "eigh_bisect", "eigvals_bisect",
-        "sturm_count", "inverse_iteration", "tridiag_solve_shifted",
-        "jacobi_eigh", "DCStats",
+        "dc_eigh", "select_eigh", "DCStats",
     ],
     "repro.band": [
         "LowerBandStorage", "PackedBandStorage", "dense_from_band",
@@ -99,7 +97,7 @@ PUBLIC_API = {
 #: Names deliberately removed from the public API; the test oracles
 #: among them live in ``tests/oracles.py``.
 REMOVED_API = {
-    "repro": ["tridiag_qr_eigh", "eigh_hermitian", "eigh_generalized"],
+    "repro": ["tridiag_qr_eigh", "eigh_hermitian", "eigh_generalized", "eigh_bisect"],
     "repro.core": [
         "BidiagResult", "TileBandReductionResult", "TileReflector",
         "bidiagonalize", "cholesky_lower", "eigh_generalized",
@@ -109,12 +107,15 @@ REMOVED_API = {
     "repro.eig": [
         "tridiag_qr_eigh", "secular_f",
         "SecularRoots", "solve_all_roots", "refine_z", "secular_eigenvectors",
+        "eigh_bisect", "eigvals_bisect", "sturm_count", "inverse_iteration",
+        "tridiag_solve_shifted", "jacobi_eigh", "sturm", "jacobi",
     ],
     "repro.band": [
         "sbmv", "band_frobenius_norm", "band_inf_norm", "band_gershgorin",
         "band_trace", "band_quadratic_form", "tridiag_matvec",
     ],
     "repro.serve": ["BatchPolicy", "CacheEntry"],
+    "repro.plan": ["SOLVERS"],
 }
 
 
