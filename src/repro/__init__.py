@@ -49,7 +49,7 @@ Public API highlights
     and iteratively refines the eigenpairs (Ogita–Aishima) back to fp64
     ``verify_evd`` tolerances — escalating to the full fp64 pipeline if
     refinement stalls.  :class:`~repro.precision.PrecisionPolicy`
-    presets: ``"fp64"`` (bit-identical default), ``"mixed"``, ``"fp32"``.
+    presets: ``"fp64"`` (bit-identical default) and ``"mixed"``.
 """
 
 from . import backend, band, core, eig, plan, precision, resilience, serve

@@ -10,7 +10,7 @@ Commands
                  matrix (residual + orthogonality, exit 1 on failure)
 ``plan``         resolve an EVD plan and print it (``--explain`` adds the
                  model-predicted per-stage time breakdown)
-``tridiag``      run just the tridiagonalization (any of the 4 methods)
+``tridiag``      run just the tridiagonalization (dbbr, sbr or direct)
 ``figure``       regenerate a paper figure's data from the calibrated model
 ``simulate-bc``  simulate the GPU bulge-chasing pipeline at any scale
 ``devices``      list the calibrated device presets
@@ -56,12 +56,10 @@ def build_parser() -> argparse.ArgumentParser:
     evd.add_argument("--backend", default="numpy",
                      choices=["numpy", "cupy", "torch", "auto"],
                      help="array backend for the hot-path kernels")
-    evd.add_argument("--precision", default="fp64",
-                     choices=["fp64", "mixed", "fp32"],
+    evd.add_argument("--precision", default="fp64", choices=["fp64", "mixed"],
                      help="working-precision policy: fp64 (bit-identical "
-                          "default), mixed (fp32 pipeline + fp64 iterative "
-                          "refinement), fp32 (fp32 throughout, relaxed "
-                          "tolerances)")
+                          "default) or mixed (fp32 pipeline + fp64 iterative "
+                          "refinement, escalating to fp64 if it stalls)")
     evd.add_argument("--fallback", default="none", choices=["none", "chain"],
                      help="'chain' escalates a failed or unverifiable solve "
                           "down the fallback chain (to the dense tier)")
@@ -94,14 +92,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pl.add_argument("--n", type=int, default=1024)
     pl.add_argument("--method", default="proposed",
-                    help="pipeline preset or tridiagonalization method "
-                         "(proposed, magma, cusolver, dense, "
-                         "dbbr, sbr, direct)")
+                    help="pipeline preset (proposed, magma, cusolver, dense)")
     pl.add_argument("--no-vectors", action="store_true")
     pl.add_argument("--backend", default="numpy",
                     choices=["numpy", "cupy", "torch", "auto"])
-    pl.add_argument("--precision", default="fp64",
-                    choices=["fp64", "mixed", "fp32"],
+    pl.add_argument("--precision", default="fp64", choices=["fp64", "mixed"],
                     help="working-precision policy (see 'repro evd')")
     pl.add_argument("--bandwidth", type=int, default=None)
     pl.add_argument("--second-block", type=int, default=None)
@@ -230,7 +225,8 @@ def _cmd_verify(args) -> int:
     if report.orth_error is not None:
         print(f"  orthogonality ||V'V - I||:  {report.orth_error:.3e} "
               f"(tol {report.tol_orth:.3e})")
-    print(f"  trace error: {report.trace_error:.3e}")
+    if report.trace_error is not None:
+        print(f"  trace error: {report.trace_error:.3e}")
     for name, ok in sorted(report.checks.items()):
         print(f"  check {name}: {'pass' if ok else 'FAIL'}")
     return 0 if report.ok else 1

@@ -148,9 +148,11 @@ def eigh(
     ----------
     A : (n, n) ndarray
         Symmetric input (not modified).
-    method : {"proposed", "magma", "cusolver", "dense"} or tridiagonalize method
-        Pipeline preset (see module docstring); ``"dbbr"``/``"sbr"``/
-        ``"direct"`` are also accepted and passed straight through.
+    method : {"proposed", "magma", "cusolver", "dense"}
+        Pipeline preset (see module docstring); the raw
+        tridiagonalization methods are :func:`~repro.core.tridiagonalize`'s.
+        The pipeline knobs below override a preset's own values
+        (``method="magma", max_sweeps=None`` is SBR with unbounded sweeps).
         ``"dense"`` bypasses the tridiagonalization pipeline entirely and
         calls the backend's batched dense solver via :func:`eigh_stacked`
         — the small-``n`` serving tier (``result.tridiag`` is ``None``).
@@ -169,17 +171,14 @@ def eigh(
         is verified (:func:`repro.resilience.verify_evd`) and on a typed
         convergence or verification failure the dense LAPACK tier is
         tried (the ``proposed`` pipeline, when ``method="dense"``).
-    precision : {"fp64", "mixed", "fp32"}
+    precision : {"fp64", "mixed"}
         Working-precision policy (see :mod:`repro.precision`).  ``"fp64"``
         is the historical bit-identical path.  ``"mixed"`` runs the
         two-stage reduction and the D&C eigenvector GEMMs in float32,
-        then promotes and iteratively refines the eigenpairs back to
-        fp64 accuracy (escalating to the full fp64 pipeline if the
-        refinement stalls).  ``"fp32"`` runs the same float32 stages
-        and returns their fp64-promoted result as is: it neither refines
-        nor verifies, so the result has float32-level accuracy.  Non-fp64
-        policies require the NumPy backend and ``compute_vectors=True``
-        for ``"mixed"``.
+        then promotes, iteratively refines and verifies the eigenpairs
+        at fp64 tolerances (escalating to the full fp64 pipeline if the
+        refinement stalls or the result fails verification).  It
+        requires the NumPy backend and ``compute_vectors=True``.
     **tridiag_kwargs
         The pipeline knob surface (``bandwidth``, ``second_block``,
         ``max_sweeps``) — parsed into a typed

@@ -26,7 +26,6 @@ __all__ = [
     "bulge_chasing_flops",
     "bc_task_count",
     "sbr_back_transform_flops",
-    "recursive_w_extra_flops",
     "bc_back_transform_flops",
     "stedc_flops",
     "evd_flops",
@@ -79,14 +78,6 @@ def sbr_back_transform_flops(n: int, ncols: int | None = None) -> float:
     ``~2 n^2 ncols``."""
     m = ncols if ncols is not None else n
     return 2.0 * float(n) ** 2 * m
-
-
-def recursive_w_extra_flops(n: int, b: int, k: int) -> float:
-    """Extra work of merging width-``b`` WY blocks into width-``k`` groups
-    (Figure 13): each merge level doubles widths; total ``~2 n^2 k`` per
-    full-width group formation, summed over ``n/k`` groups -> ``~2 n^2 k``
-    amortized (independent of ``b`` to first order)."""
-    return 2.0 * float(n) ** 2 * k
 
 
 def bc_back_transform_flops(n: int, b: int, ncols: int | None = None) -> float:

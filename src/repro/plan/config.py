@@ -114,8 +114,8 @@ def _check_choices(plan: "EVDPlan") -> None:
 class EVDPlan:
     """A fully-resolved, validated execution plan for one eigenproblem.
 
-    ``method`` keeps the user-facing spelling (a preset name like
-    ``"proposed"`` or a raw method like ``"dbbr"``) for display; the
+    ``method`` keeps the user-facing preset name (``"proposed"``,
+    ``"magma"``, ``"cusolver"`` or ``"dense"``) for display; the
     semantics live entirely in the three config branches, which is why
     :meth:`cache_token` ignores ``method`` — equivalent spellings
     produce equal tokens.  ``tridiag``/``bulge_chase`` are ``None`` where
@@ -132,10 +132,10 @@ class EVDPlan:
     :mod:`repro.serve.cache`).
 
     ``precision`` names the :class:`~repro.precision.PrecisionPolicy`
-    the plan executes under (``"fp64"`` — the historical path —
-    ``"mixed"`` or ``"fp32"``).  Unlike ``fallback`` it *is* part of
+    the plan executes under (``"fp64"`` — the historical path — or
+    ``"mixed"``).  Unlike ``fallback`` it *is* part of
     :meth:`cache_token` whenever it differs from ``"fp64"``: the policy
-    changes the arithmetic, so fp32- and fp64-produced results must
+    changes the arithmetic, so mixed- and fp64-produced results must
     never alias in the serving cache.
     """
 
@@ -146,7 +146,7 @@ class EVDPlan:
     tridiag: TridiagConfig | None = None
     bulge_chase: BulgeChaseConfig | None = None
     fallback: str = "none"  # "none" | "chain"
-    precision: str = "fp64"  # "fp64" | "mixed" | "fp32"
+    precision: str = "fp64"  # "fp64" | "mixed"
 
     @property
     def is_dense(self) -> bool:
@@ -210,7 +210,8 @@ class EVDPlan:
         a removed knob or branch), and naming the valid choices when a
         ``method``, ``tridiag.method``, ``solver.kind``, ``precision`` or
         ``fallback`` value is one this version cannot execute (e.g. a
-        retired method).
+        retired method, or a raw tridiagonalization method where the
+        top-level ``method`` takes a preset).
         """
         valid = [f.name for f in fields(cls)] + ["cache_token"]
         unknown = sorted(set(data) - set(valid))

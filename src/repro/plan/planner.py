@@ -32,9 +32,9 @@ PRESETS: dict[str, dict[str, Any]] = {
 }
 
 TRIDIAG_METHODS = ("dbbr", "sbr", "direct")
-EVD_METHODS = tuple(PRESETS) + TRIDIAG_METHODS + ("dense",)
+EVD_METHODS = tuple(PRESETS) + ("dense",)
 FALLBACKS = ("none", "chain")
-PRECISIONS = ("fp64", "mixed", "fp32")
+PRECISIONS = ("fp64", "mixed")
 
 #: Every pipeline knob ``plan_evd``/``eigh`` accept beyond the named
 #: parameters (the historical ``**tridiag_kwargs`` surface).
@@ -104,8 +104,8 @@ def _resolve_pipeline(
     reproducing ``tridiagonalize``'s historical clamps bit-for-bit
     (``auto_params``, ``b | k``).
 
-    ``values_only`` marks an fp64 eigenvalues-only solve: when DBBR runs
-    it with a heuristic bandwidth, the bandwidth comes from
+    ``values_only`` marks an eigenvalues-only solve: when DBBR runs it
+    with a heuristic bandwidth, the bandwidth comes from
     ``auto_params(n, vectors=False)``.
     """
     if method == "direct":
@@ -169,22 +169,23 @@ def plan_evd(
     """Resolve a full EVD execution plan for an ``n x n`` problem.
 
     Parameters mirror :func:`repro.eigh`: ``method`` is a preset
-    (``"proposed"``/``"magma"``/``"cusolver"``/``"dense"``)
-    or a raw tridiagonalization method, ``**knobs`` is the historical
-    ``**tridiag_kwargs`` surface (``bandwidth``, ``second_block``,
-    ``max_sweeps``).
+    (``"proposed"``/``"magma"``/``"cusolver"``/``"dense"``; the raw
+    tridiagonalization methods are :func:`plan_tridiag`'s), ``**knobs``
+    is the historical ``**tridiag_kwargs`` surface (``bandwidth``,
+    ``second_block``, ``max_sweeps``) and overrides the preset's own
+    values — an unbounded SBR plan is
+    ``plan_evd(n, "magma", max_sweeps=None)``.
     ``fallback="chain"`` marks the plan for escalated execution
     (:func:`repro.resilience.execute_plan_with_fallback`): on a typed
     convergence or verification failure the dense LAPACK tier is tried
     (the ``proposed`` pipeline, for a dense plan).
     ``precision`` selects the per-stage dtype policy
     (:mod:`repro.precision`): ``"fp64"`` (default, the historical
-    bit-exact path), ``"mixed"`` (fp32 pipeline + Ogita–Aishima
-    refinement back to fp64 tolerances) or ``"fp32"`` (raw single
-    precision).  Non-default policies require the NumPy backend (the
-    accelerator backends coerce to float64 at their boundary) and —
-    when the policy refines — eigenvectors (``compute_vectors=True``),
-    since refinement operates on eigenpairs.
+    bit-exact path) or ``"mixed"`` (fp32 pipeline + Ogita–Aishima
+    refinement back to fp64 tolerances).  ``"mixed"`` requires the
+    NumPy backend (the accelerator backends coerce to float64 at their
+    boundary) and eigenvectors (``compute_vectors=True``), since
+    refinement operates on eigenpairs.
 
     Raises
     ------
@@ -222,11 +223,10 @@ def plan_evd(
                 f"accelerator backends coerce to float64 at their boundary), "
                 f"got backend {backend!r}"
             )
-        if precision == "mixed" and not compute_vectors:
+        if not compute_vectors:
             raise PlanError(
-                "precision='mixed' refines eigen*pairs* and therefore needs "
-                "compute_vectors=True; use precision='fp32' for a raw "
-                "low-precision eigenvalues-only solve"
+                f"precision={precision!r} refines eigen*pairs* and therefore "
+                "needs compute_vectors=True"
             )
     _check_unknown(knobs)
 
@@ -243,18 +243,10 @@ def plan_evd(
             precision=precision,
         )
 
-    preset = PRESETS.get(method)
-    if preset is not None:
-        merged = {**preset, **knobs}
-        raw_method = str(merged.pop("method"))
-    else:
-        merged = dict(knobs)
-        raw_method = method
+    merged = {**PRESETS[method], **knobs}
+    raw_method = str(merged.pop("method"))
     tridiag, bulge = _resolve_pipeline(
-        n,
-        raw_method,
-        merged,
-        values_only=not compute_vectors and precision == "fp64",
+        n, raw_method, merged, values_only=not compute_vectors
     )
     return EVDPlan(
         n=n,

@@ -114,8 +114,8 @@ def execute_plan(
     from ..core.validation import NonSquareError
 
     if plan.precision != "fp64":
-        # Mixed/low-precision policies run through the precision driver
-        # (fp32 pipeline, promote, refine, verify, escalate on stall).
+        # A mixed plan runs through the precision driver (fp32
+        # pipeline, promote, refine, verify, escalate on stall).
         # Deferred import: repro.precision imports the plan layer.
         from ..precision.driver import execute_plan_precision
 

@@ -6,12 +6,10 @@ shape is *precision*: fp32 GEMM/SYR2K throughput is ~2x fp64 even on
 CPU BLAS, and far more on GPU tensor cores.  This subsystem makes that
 lever safe to pull:
 
-* :mod:`repro.precision.policy` — frozen, validated
-  :class:`PrecisionPolicy` objects naming a dtype per pipeline stage
-  (tridiagonalization / tridiagonal solver / back transformation), with
-  the presets ``"fp64"`` (the historical bit-exact path), ``"mixed"``
-  (fp32 pipeline + fp64 refinement) and ``"fp32"`` (raw single
-  precision, no refinement);
+* :mod:`repro.precision.policy` — the two :class:`PrecisionPolicy`
+  presets naming a dtype per pipeline stage (tridiagonalization /
+  tridiagonal solver / back transformation): ``"fp64"`` (the historical
+  bit-exact path) and ``"mixed"`` (fp32 pipeline + fp64 refinement);
 * :mod:`repro.precision.refine` — :func:`refine_eigh`, a vectorized
   Ogita–Aishima/Newton–Schulz eigenpair refinement that takes a
   low-precision eigendecomposition and iterates residual and
@@ -20,13 +18,13 @@ lever safe to pull:
   :class:`RefinementStalled` on non-convergence;
 * :mod:`repro.precision.driver` — the ``precision="mixed"`` execution
   path of :func:`repro.plan.execute_plan`: fp32 two-stage reduction and
-  D&C, promotion to fp64, refinement, verification — escalating through
-  the existing :func:`~repro.resilience.execute_plan_with_fallback`
-  chain to full fp64 when refinement stalls.
+  D&C, promotion to fp64, refinement, verification — and, when
+  refinement stalls or the result fails verification, the one
+  escalation to the plan's full-fp64 twin.
 
 The policy rides on :class:`~repro.plan.EVDPlan` as the ``precision=``
 knob of :func:`repro.plan.plan_evd` / :func:`repro.eigh` and
-participates in :meth:`~repro.plan.EVDPlan.cache_token`, so fp32 and
+participates in :meth:`~repro.plan.EVDPlan.cache_token`, so mixed and
 fp64 results can never alias in the serving layer's result cache.
 """
 

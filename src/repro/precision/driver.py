@@ -4,33 +4,29 @@
 :class:`~repro.plan.EVDPlan` whose ``precision`` is not ``"fp64"``:
 
 1. the two-stage reduction in the policy's tridiag dtype (fp32 panel
-   QR, SYR2K trailing updates and bulge chasing under ``"mixed"``);
+   QR, SYR2K trailing updates and bulge chasing);
 2. the tridiagonal eigensolve with the eigenvector carrying / merge
    GEMMs in the solver dtype (the D&C secular machinery always runs
    fp64 on the fp64-promoted ``(d, e)`` — it is ``O(n^2)`` and
    scalar-sensitive, so there is nothing to win and accuracy to lose);
 3. the back transformation in the back-transform dtype;
-4. promotion to fp64 and — when the policy refines — Ogita–Aishima
-   refinement (:func:`~repro.precision.refine_eigh`) down to fp64
-   ``verify_evd`` tolerances, followed by verification.
+4. promotion to fp64 and Ogita–Aishima refinement
+   (:func:`~repro.precision.refine_eigh`) down to fp64 ``verify_evd``
+   tolerances, followed by verification.
 
-**Escalation.**  A refinement stall
+**Escalation.**  This is the one place a low-precision plan escalates
+to fp64.  A refinement stall
 (:class:`~repro.precision.RefinementStalled`), a convergence failure
 inside the low-precision pipeline, or a verification failure of the
-refined result escalates through the existing
-:func:`~repro.resilience.execute_plan_with_fallback` chain with the
-plan's fp64 twin — recording the failed mixed attempt as an
-:class:`~repro.resilience.EscalationRecord` on the result's
-``refinement`` report.  Escalation is *deterministic* (refinement has
-no random state), so a result produced this way is still a pure
-function of ``(matrix bytes, plan)`` and remains valid under the
-plan's cache token.
-
-The raw ``"fp32"`` policy skips refinement *and* verification: it is
-the speed tier for callers that accept single-precision accuracy, and
-its results will generally not pass fp64 ``verify_evd`` tolerances
-(:class:`~repro.serve.SolverService`, which verifies every result, fails
-such requests unless they plan ``fallback="chain"``).
+refined result re-runs the plan's fp64 twin through
+:func:`~repro.resilience.execute_plan_with_fallback` — recording the
+failed mixed attempt as an :class:`~repro.resilience.EscalationRecord`
+on the result's ``refinement`` report.  The twin keeps the plan's
+``fallback`` mode, so a ``"chain"`` plan still reaches the dense tier.
+Escalation is *deterministic* (refinement has no random state), so a
+result produced this way is still a pure function of
+``(matrix bytes, plan)`` and remains valid under the plan's cache
+token.
 """
 
 from __future__ import annotations
@@ -45,7 +41,7 @@ from ..resilience.errors import ConvergenceError, VerificationError
 from ..resilience.fallback import EscalationRecord, execute_plan_with_fallback
 from ..resilience.verify import verify_evd
 from .policy import PrecisionPolicy, resolve_policy
-from .refine import RefinementReport, RefinementStalled, refine_eigh
+from .refine import RefinementReport, refine_eigh
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.evd import EVDResult
@@ -61,28 +57,27 @@ def _pipeline_result(
     ctx: ExecutionContext,
 ) -> "EVDResult":
     """Run the three pipeline stages in the policy's dtypes and return
-    the (unrefined, fp64-promoted-values) result."""
+    the unrefined result (fp64 eigenvalues, eigenvectors in the
+    back-transform dtype)."""
     from ..core.evd import EVDResult
     from ..core.tridiag import tridiagonalize_planned
     from ..plan.runner import solve_tridiagonal_planned
 
-    with ctx.stage("tridiagonalize", method=plan.method, precision=policy.tridiag):
+    with ctx.stage("tridiagonalize", method=plan.method, precision=plan.precision):
         tri = tridiagonalize_planned(A64, plan, ctx=ctx, dtype=policy.tridiag_dtype)
     # The tridiagonal (d, e) promote to fp64 regardless of policy: the
     # secular/QL machinery is O(n^2) and scalar-sensitive — only the
     # O(n^3) vector work drops precision.
     d64 = np.asarray(tri.d, dtype=np.float64)
     e64 = np.asarray(tri.e, dtype=np.float64)
-    with ctx.stage("tridiag_solver", solver=plan.solver.kind, precision=policy.solver):
+    with ctx.stage("tridiag_solver", solver=plan.solver.kind, precision=plan.precision):
         lam, U = solve_tridiagonal_planned(
             d64, e64, plan.solver, ctx=ctx, vector_dtype=policy.solver_dtype
         )
-    V: np.ndarray | None = None
-    if plan.solver.compute_vectors:
-        assert U is not None
-        with ctx.stage("back_transform", precision=policy.back_transform):
-            V = np.array(U, dtype=policy.back_transform_dtype, copy=True)
-            tri.apply_q(V)
+    assert U is not None  # the planner requires vectors off the fp64 path
+    with ctx.stage("back_transform", precision=plan.precision):
+        V = np.array(U, dtype=policy.back_transform_dtype, copy=True)
+        tri.apply_q(V)
     lam = np.asarray(lam, dtype=np.float64)
     return EVDResult(
         eigenvalues=lam, eigenvectors=V, tridiag=tri, solver=plan.solver.kind
@@ -108,7 +103,7 @@ def _escalate(
         error=str(exc),
     )
     fp64_plan = dataclasses.replace(plan, precision="fp64")
-    outcome = execute_plan_with_fallback(A64, fp64_plan, ctx=ctx, verify=True)
+    outcome = execute_plan_with_fallback(A64, fp64_plan, ctx=ctx)
     report = RefinementReport(
         iterations=iterations, converged=False, escalated=True
     )
@@ -123,12 +118,12 @@ def execute_plan_precision(
     plan: "EVDPlan",
     ctx: ExecutionContext | Any | None = None,
 ) -> "EVDResult":
-    """Execute a plan whose ``precision`` policy is not the fp64 default.
+    """Execute a ``precision="mixed"`` plan.
 
     Called by :func:`repro.plan.execute_plan` (never directly by entry
     points); returns the same :class:`~repro.core.evd.EVDResult` shape,
     with ``result.refinement`` carrying the
-    :class:`~repro.precision.RefinementReport` for refined policies.
+    :class:`~repro.precision.RefinementReport`.
     """
     from ..core.validation import NonSquareError, check_symmetric
     from ..plan.runner import _check_plan_matches, _resolve_plan_context
@@ -148,22 +143,15 @@ def execute_plan_precision(
     try:
         result = _pipeline_result(A64, plan, policy, ctx)
     except (ConvergenceError, VerificationError) as exc:
-        if not policy.refine:
-            raise
         return _escalate(A64, plan, ctx, exc, iterations=0)
 
-    if not policy.refine:
-        return result
-
-    assert result.eigenvectors is not None  # planner forbids vectorless refine
+    assert result.eigenvectors is not None
     try:
         lam, V, report = refine_eigh(
             A64, result.eigenvalues, result.eigenvectors, ctx=ctx
         )
-    except RefinementStalled as exc:
+    except ConvergenceError as exc:  # RefinementStalled, or an injected fault
         return _escalate(A64, plan, ctx, exc, iterations=exc.iterations or 0)
-    except ConvergenceError as exc:  # injected fault at precision.refine
-        return _escalate(A64, plan, ctx, exc, iterations=0)
     result.eigenvalues = lam
     result.eigenvectors = V
     result.refinement = report

@@ -1,16 +1,13 @@
-"""Frozen, validated per-stage precision policies.
+"""The two precision policies.
 
 A :class:`PrecisionPolicy` names the floating dtype each pipeline stage
 runs in — tridiagonalization, tridiagonal eigensolver, back
-transformation — plus whether the result is refined back to fp64
-accuracy (:mod:`repro.precision.refine`) before verification.
-
-Policies are identified by a canonical string token (what
+transformation.  Policies are identified by a string token (what
 :class:`~repro.plan.EVDPlan` stores and what participates in
 ``cache_token()``), resolved here by :func:`resolve_policy`:
 
-* ``"fp64"`` — every stage in float64, no refinement.  The historical
-  path, bit-identical to a plan with no precision knob at all.
+* ``"fp64"`` — every stage in float64.  The historical path,
+  bit-identical to a plan with no precision knob at all.
 * ``"mixed"`` — fp32 reduction + fp32 D&C eigenvector carrying + fp32
   back transformation, then promotion to fp64 and Ogita–Aishima
   refinement down to fp64 ``verify_evd`` tolerances.  Eigen*values*
@@ -18,8 +15,6 @@ Policies are identified by a canonical string token (what
   and cheap (``O(n^2)``), so only the ``O(n^3)`` BLAS-3 work drops to
   fp32 — the same staging the multi-GPU pipelined-EVD and GPU-D&C-SVD
   lineages use.
-* ``"fp32"`` — every vector stage in float32, no refinement: the raw
-  speed tier for callers that accept single-precision accuracy.
 
 The solver stage's dtype governs the D&C *eigenvector* arithmetic (leaf
 rotations, Givens ordering, the merge GEMM); the secular root finding
@@ -32,109 +27,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..plan.errors import PlanError, bad_choice
+from ..plan.errors import bad_choice
 
-__all__ = [
-    "PRECISION_PRESETS",
-    "STAGE_DTYPES",
-    "PrecisionPolicy",
-    "resolve_policy",
-]
-
-#: Stage-dtype spellings accepted in a policy token.
-STAGE_DTYPES = ("fp32", "fp64")
-
-_NUMPY_DTYPES = {"fp32": np.float32, "fp64": np.float64}
+__all__ = ["PRECISION_PRESETS", "PrecisionPolicy", "resolve_policy"]
 
 
 @dataclass(frozen=True)
 class PrecisionPolicy:
-    """Per-stage dtype assignment, resolved and validated.
+    """The dtype of each pipeline stage under one precision token.
 
-    ``tridiag`` / ``solver`` / ``back_transform`` are the stage dtype
-    tokens (``"fp32"`` or ``"fp64"``); ``refine`` marks the result for
-    Ogita–Aishima refinement back to fp64 tolerances after the pipeline
-    runs.  ``name`` is the canonical token the policy resolves from —
-    the identity used by :meth:`repro.plan.EVDPlan.cache_token`.
+    ``name`` is the token the policy resolves from — the identity used
+    by :meth:`repro.plan.EVDPlan.cache_token`.
     """
 
     name: str
-    tridiag: str = "fp64"
-    solver: str = "fp64"
-    back_transform: str = "fp64"
-    refine: bool = False
+    tridiag_dtype: np.dtype
+    solver_dtype: np.dtype
+    back_transform_dtype: np.dtype
 
-    def __post_init__(self) -> None:
-        for stage, token in (
-            ("tridiag", self.tridiag),
-            ("solver", self.solver),
-            ("back_transform", self.back_transform),
-        ):
-            if token not in STAGE_DTYPES:
-                raise PlanError(
-                    f"precision policy {self.name!r}: {stage} dtype must be "
-                    f"one of {STAGE_DTYPES}, got {token!r}"
-                )
 
-    @property
-    def is_fp64(self) -> bool:
-        """True when the policy is the historical all-fp64 path (no
-        low-precision stage, no refinement) — the plan runner skips the
-        precision driver entirely."""
-        return (
-            self.tridiag == "fp64"
-            and self.solver == "fp64"
-            and self.back_transform == "fp64"
-            and not self.refine
-        )
-
-    @property
-    def tridiag_dtype(self) -> np.dtype:
-        return np.dtype(_NUMPY_DTYPES[self.tridiag])
-
-    @property
-    def solver_dtype(self) -> np.dtype:
-        return np.dtype(_NUMPY_DTYPES[self.solver])
-
-    @property
-    def back_transform_dtype(self) -> np.dtype:
-        return np.dtype(_NUMPY_DTYPES[self.back_transform])
-
-    def describe(self) -> str:
-        ref = "refine to fp64" if self.refine else "no refinement"
-        return (
-            f"precision {self.name!r}: tridiag={self.tridiag}, "
-            f"solver={self.solver}, bt={self.back_transform}, {ref}"
-        )
-
+_FP64 = np.dtype(np.float64)
+_FP32 = np.dtype(np.float32)
 
 #: The canonical presets (token -> policy).
 PRECISION_PRESETS: dict[str, PrecisionPolicy] = {
-    "fp64": PrecisionPolicy(name="fp64"),
-    "mixed": PrecisionPolicy(
-        name="mixed",
-        tridiag="fp32",
-        solver="fp32",
-        back_transform="fp32",
-        refine=True,
-    ),
-    "fp32": PrecisionPolicy(
-        name="fp32",
-        tridiag="fp32",
-        solver="fp32",
-        back_transform="fp32",
-        refine=False,
-    ),
+    "fp64": PrecisionPolicy("fp64", _FP64, _FP64, _FP64),
+    "mixed": PrecisionPolicy("mixed", _FP32, _FP32, _FP32),
 }
 
 
-def resolve_policy(precision: str | PrecisionPolicy) -> PrecisionPolicy:
-    """Resolve a precision token (or pass a policy through) to a frozen
-    :class:`PrecisionPolicy`, raising :class:`~repro.plan.PlanError` for
-    an unknown preset name — at planning time, naming the valid
-    choices, the same failure style as every other plan knob."""
-    if isinstance(precision, PrecisionPolicy):
-        return precision
+def resolve_policy(precision: str) -> PrecisionPolicy:
+    """The :class:`PrecisionPolicy` of a precision token, raising
+    :class:`~repro.plan.PlanError` naming the valid tokens for any
+    other — the same failure style as every other plan knob."""
     policy = PRECISION_PRESETS.get(precision)
     if policy is None:
         raise bad_choice("precision", precision, tuple(PRECISION_PRESETS))

@@ -2,11 +2,12 @@
 
 A :class:`~repro.plan.EVDPlan` with ``fallback="chain"`` does not run
 one pipeline — it runs an ordered *escalation*: the plan itself first,
-and on a typed convergence failure or a verification failure, more
-conservative plans (its fp64 twin for a low-precision plan, then the
-dense LAPACK tier) until one produces a result that passes
+and on a typed convergence failure or a verification failure, the dense
+LAPACK tier, keeping the result that passes
 :func:`~repro.resilience.verify.verify_evd`.  A dense plan escalates to
-the ``proposed`` pipeline instead.
+the ``proposed`` pipeline instead.  A ``precision="mixed"`` plan's
+escalation to its fp64 twin happens inside the plan's own execution
+(:mod:`repro.precision.driver`), so the chain never repeats it.
 
 :func:`execute_plan_with_fallback` is the executor.  It returns a
 :class:`FallbackOutcome` carrying the winning result *and* the
@@ -16,8 +17,8 @@ result cache can key an escalated result under the plan that actually
 produced it rather than the plan that was asked for.
 
 Only *recoverable* failures escalate: :class:`ConvergenceError` (an
-iterative kernel gave up), :class:`VerificationError` (the answer came
-back wrong), and NaN/Inf in the output.  Input-validation errors, plan
+iterative kernel gave up) and :class:`VerificationError` (the answer
+came back wrong, NaN/Inf included).  Input-validation errors, plan
 errors, and genuine bugs propagate immediately — retrying a malformed
 input on a slower solver cannot fix it.
 
@@ -73,7 +74,7 @@ class FallbackOutcome:
 
     result: Any  # EVDResult
     plan: Any  # the EVDPlan that actually produced ``result``
-    report: VerificationReport | None
+    report: VerificationReport
     escalations: list[EscalationRecord] = field(default_factory=list)
 
     @property
@@ -84,8 +85,7 @@ class FallbackOutcome:
 def resolve_fallback_chain(plan) -> list:
     """The ordered escalation for ``plan``: the plan itself (with
     ``fallback`` cleared — each link is a plain, directly-executable
-    plan), then — for a non-fp64 precision policy — the plan's fp64
-    twin, then the dense LAPACK tier.  A dense plan's one escalation is
+    plan), then the dense LAPACK tier.  A dense plan's one escalation is
     the ``proposed`` pipeline with divide and conquer.
     """
     import dataclasses
@@ -97,24 +97,16 @@ def resolve_fallback_chain(plan) -> list:
         if getattr(plan, "fallback", "none") != "none"
         else plan
     )
-    chain = [primary]
-    if getattr(plan, "precision", "fp64") != "fp64":
-        # A low-precision plan's first escalation target is full fp64 on
-        # the same pipeline (the precision driver already tries this for
-        # refined policies; the explicit link covers raw-fp32 plans and
-        # keeps the chain's invariant that later links are strictly more
-        # conservative).
-        chain.append(dataclasses.replace(primary, precision="fp64"))
     last = "proposed" if primary.is_dense else "dense"
-    chain.append(
+    return [
+        primary,
         plan_evd(
             plan.n,
             last,
             compute_vectors=plan.solver.compute_vectors,
             backend=plan.backend,
-        )
-    )
-    return chain
+        ),
+    ]
 
 
 def _is_recoverable(exc: Exception) -> bool:
@@ -122,23 +114,16 @@ def _is_recoverable(exc: Exception) -> bool:
     return isinstance(exc, (ConvergenceError, VerificationError))
 
 
-def execute_plan_with_fallback(
-    A: np.ndarray,
-    plan,
-    ctx=None,
-    verify: bool = True,
-    tol_residual: float | None = None,
-    tol_orth: float | None = None,
-) -> FallbackOutcome:
+def execute_plan_with_fallback(A: np.ndarray, plan, ctx=None) -> FallbackOutcome:
     """Execute ``plan``, escalating along its fallback chain on typed
     convergence/verification failures.
 
     With ``plan.fallback == "none"`` the chain is just the plan itself
     (so this is a verified :func:`~repro.plan.execute_plan`); with
     ``"chain"`` it is :func:`resolve_fallback_chain`.  Each step runs
-    through the verifier (unless ``verify=False``, which still rejects
-    non-finite output); a step failing with :class:`ConvergenceError`
-    or :class:`VerificationError` is recorded as an
+    through :func:`~repro.resilience.verify.verify_evd` at its default
+    tolerances; a step failing with :class:`ConvergenceError` or
+    :class:`VerificationError` is recorded as an
     :class:`EscalationRecord` and the next link runs.  Raises
     :class:`FallbackExhausted` when every link fails.
     """
@@ -153,27 +138,7 @@ def execute_plan_with_fallback(
     for step, candidate in enumerate(chain):
         try:
             result = execute_plan(A, candidate, ctx=ctx)
-            if verify:
-                report = verify_evd(
-                    A,
-                    result,
-                    tol_residual=tol_residual,
-                    tol_orth=tol_orth,
-                    ctx=ctx,
-                ).raise_if_failed()
-            else:
-                report = None
-                lam = np.asarray(result.eigenvalues)
-                bad = not bool(np.all(np.isfinite(lam)))
-                if result.eigenvectors is not None:
-                    bad = bad or not bool(
-                        np.all(np.isfinite(result.eigenvectors))
-                    )
-                if bad:
-                    raise VerificationError(
-                        "plan produced non-finite output "
-                        f"(method={candidate.method!r})"
-                    )
+            report = verify_evd(A, result, ctx=ctx).raise_if_failed()
         except Exception as exc:
             if not _is_recoverable(exc) or step == len(chain) - 1:
                 if escalations and _is_recoverable(exc):

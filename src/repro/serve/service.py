@@ -27,8 +27,8 @@ a request-serving engine:
   executing attaches to the twin's future instead of recomputing.  Both
   the cache key and the coalescing identity derive from the resolved
   plan's :meth:`~repro.plan.EVDPlan.cache_token`, so equivalent
-  spellings — ``method="proposed"`` vs its fully-expanded DBBR kwargs —
-  share one entry;
+  spellings — ``method="proposed"`` vs the same preset with its
+  automatic ``bandwidth``/``second_block`` spelled out — share one entry;
 * a failing request (non-finite input, bad shape, ...) fails only its
   own future — the workers and every other request keep going.
 
@@ -251,7 +251,7 @@ class SolverService:
         """Enqueue one solve; returns a future of the ``EVDResult``.
 
         ``solver_opts`` are the keyword arguments of :func:`repro.eigh`
-        (``method``, ``solver``, ``compute_vectors``, ``fallback``, ...)
+        (``method``, ``compute_vectors``, ``fallback``, ``precision``, ...)
         plus the service-level ``deadline_s`` (float seconds from now;
         an expired request fails with
         :class:`~repro.resilience.DeadlineExceeded`).  Result arrays are

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.evd import eigh
+from repro.plan import PlanError
 from repro.bench.workloads import (
     clustered_spectrum,
     geometric_spectrum,
@@ -58,10 +59,18 @@ class TestEVDPresets:
         res = eigh(A)
         assert np.all(np.diff(res.eigenvalues) >= -1e-14)
 
-    def test_raw_method_passthrough(self):
+    @pytest.mark.parametrize("method", ["dbbr", "sbr", "direct"])
+    def test_raw_method_rejected(self, method):
+        # The raw tridiagonalization methods are tridiagonalize()'s; eigh
+        # takes the four presets.
+        with pytest.raises(PlanError, match="proposed"):
+            eigh(make_symmetric(30, seed=12), method=method)
+
+    def test_unbounded_sbr_is_magma_without_its_sweep_cap(self):
         A = make_symmetric(30, seed=12)
-        res = eigh(A, method="sbr", bandwidth=3)
+        res = eigh(A, method="magma", bandwidth=3, max_sweeps=None)
         assert res.tridiag.method == "sbr"
+        assert res.tridiag.pipeline_stats.max_parallel > 1
 
     def test_identity_matrix(self):
         A = np.eye(20)

@@ -97,12 +97,39 @@ def assert_matches_lapack(A: np.ndarray, lo: int, hi: int) -> None:
     res = eigh_partial(A, (lo, hi))
     assert np.max(np.abs(res.eigenvalues - ref[lo : hi + 1])) <= 200 * n * _EPS * norm
     # verify_evd scales A and the spectrum by a power of two first, so the
-    # measures hold near the ends of the exponent range; a window's trace
-    # is not the matrix's, so only these two checks apply.
+    # measures hold near the ends of the exponent range.
     report = verify_evd(A, res)
-    tol_res, tol_orth = default_tolerances(n)
-    assert report.residual <= tol_res
-    assert report.orth_error <= tol_orth
+    assert report.ok, report.failures
+    assert (report.n, report.tol_residual, report.tol_orth) == (n, *default_tolerances(n))
+
+
+class TestVerifyPartial:
+    """``verify_evd`` holds a window to the ``n x n`` problem's residual
+    and orthogonality tolerances; only a whole spectrum has the trace."""
+
+    @pytest.mark.parametrize("window", [(0, 0), (10, 19), (60, 69), (0, 68)])
+    def test_healthy_window_passes(self, window):
+        A = goe(70, seed=58)
+        report = verify_evd(A, eigh_partial(A, window))
+        assert report.ok, report.failures
+        assert report.n == 70
+        assert report.tol_residual == default_tolerances(70)[0]
+        assert "trace" not in report.checks and report.trace_error is None
+        assert {"residual", "orthogonality"} <= set(report.checks)
+
+    def test_corrupted_column_fails(self):
+        A = goe(70, seed=59)
+        res = eigh_partial(A, (10, 19))
+        res.eigenvectors[:, 3] = res.eigenvectors[:, 4]
+        report = verify_evd(A, res)
+        assert not report.ok
+        assert report.failures == ["orthogonality", "residual"]
+
+    def test_full_result_keeps_the_trace_check(self):
+        A = goe(40, seed=60)
+        report = verify_evd(A, eigh_partial(A, (0, 39)))
+        assert report.ok and report.checks["trace"]
+        assert report.trace_error is not None
 
 
 class TestPartialMatchesLapack:

@@ -120,5 +120,5 @@ class TestSBRMethod:
         planned = tridiagonalize_planned(A, plan)
         assert np.array_equal(planned.band_result.band, expect)
         # A user second_block is inert for SBR.
-        plan = repro.plan_evd(64, "sbr", bandwidth=4, second_block=16)
+        plan = repro.plan_evd(64, "magma", bandwidth=4, second_block=16)
         assert plan.tridiag.second_block == plan.tridiag.bandwidth == 4

@@ -1,5 +1,6 @@
 """The full configuration grid: every tridiagonalization method x vectors
-on/off, one matrix, machine precision."""
+on/off, one matrix, machine precision.  Each method runs as the preset
+that uses it, SBR with its sweep cap lifted."""
 
 from __future__ import annotations
 
@@ -13,7 +14,13 @@ N = 64
 A = goe(N, seed=123)
 LAM_REF = np.linalg.eigvalsh(A)
 
-METHODS = ["dbbr", "sbr", "direct"]
+#: Tridiagonalization method -> the preset spelling that runs it.
+PRESET_OF = {
+    "dbbr": dict(method="proposed"),
+    "sbr": dict(method="magma", max_sweeps=None),
+    "direct": dict(method="cusolver"),
+}
+METHODS = list(PRESET_OF)
 #: The result's solver tag: divide and conquer on every tridiagonal plan.
 SOLVERS = ["dc"]
 
@@ -21,8 +28,9 @@ SOLVERS = ["dc"]
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("solver", SOLVERS)
 def test_grid_with_vectors(method, solver):
-    res = repro.eigh(A, method=method, bandwidth=4, second_block=8)
+    res = repro.eigh(A, **PRESET_OF[method], bandwidth=4, second_block=8)
     assert res.solver == solver
+    assert res.tridiag.method == method
     assert np.max(np.abs(res.eigenvalues - LAM_REF)) < 1e-10
     assert res.residual(A) < 1e-10
     V = res.eigenvectors
@@ -32,7 +40,7 @@ def test_grid_with_vectors(method, solver):
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("solver", SOLVERS)
 def test_grid_eigenvalues_only(method, solver):
-    res = repro.eigh(A, method=method, compute_vectors=False,
+    res = repro.eigh(A, **PRESET_OF[method], compute_vectors=False,
                      bandwidth=4, second_block=8)
     assert res.solver == solver
     assert res.eigenvectors is None
@@ -41,7 +49,7 @@ def test_grid_eigenvalues_only(method, solver):
 
 @pytest.mark.parametrize("method", METHODS)
 def test_grid_partial_spectrum(method):
-    res = repro.eigh_partial(A, (10, 19), method=method,
+    res = repro.eigh_partial(A, (10, 19), **PRESET_OF[method],
                              bandwidth=4, second_block=8)
     assert np.max(np.abs(res.eigenvalues - LAM_REF[10:20])) < 1e-9
     V = res.eigenvectors

@@ -74,9 +74,17 @@ class TestChoiceValidation:
         with pytest.raises(
             PlanError,
             match=f"{method!r}: valid choices are 'proposed', 'magma', "
-            "'cusolver', 'dbbr', 'sbr', 'direct', 'dense'$",
+            "'cusolver', 'dense'$",
         ):
             plan_evd(64, method=method)
+
+    @pytest.mark.parametrize("method", ["dbbr", "sbr", "direct"])
+    def test_raw_tridiag_methods_are_not_evd_methods(self, method):
+        # method= takes the four presets; the raw tridiagonalization
+        # methods are tridiagonalize()'s and plan_tridiag()'s.
+        with pytest.raises(PlanError, match=f"unknown method {method!r}"):
+            plan_evd(64, method=method)
+        assert plan_tridiag(64, method)[0].method == method
 
     def test_unknown_solver(self):
         # The tridiagonal solver is not a choice: solver= is an unknown knob.
@@ -145,7 +153,7 @@ class TestChoiceValidation:
 
     def test_non_integer_bandwidth(self):
         with pytest.raises(PlanError, match="bandwidth must be an integer"):
-            plan_evd(8, method="dbbr", bandwidth="wide")
+            plan_evd(8, method="proposed", bandwidth="wide")
 
     @pytest.mark.parametrize(
         "knob,value",
@@ -164,7 +172,7 @@ class TestChoiceValidation:
         method, match = (
             ("cusolver", "unknown pipeline knob\\(s\\) 'direct_block'")
             if knob == "direct_block"
-            else ("dbbr", f"{knob} must be an integer")
+            else ("proposed", f"{knob} must be an integer")
         )
         with pytest.raises(PlanError, match=match):
             plan_evd(64, method=method, **{knob: value})
@@ -185,11 +193,11 @@ class TestChoiceValidation:
 
     def test_integer_knobs_accept_numpy_integers(self):
         plan = plan_evd(
-            64, "dbbr", bandwidth=np.int64(4), second_block=np.int32(16),
+            64, "proposed", bandwidth=np.int64(4), second_block=np.int32(16),
             max_sweeps=np.int16(3),
         )
         assert plan == plan_evd(
-            64, "dbbr", bandwidth=4, second_block=16, max_sweeps=3,
+            64, "proposed", bandwidth=4, second_block=16, max_sweeps=3,
         )
         assert type(plan.tridiag.bandwidth) is int
 
@@ -214,7 +222,7 @@ class TestChoiceValidation:
 
     def test_bandwidth_minimum(self):
         with pytest.raises(PlanError, match="bandwidth must be >= 1"):
-            plan_evd(8, method="dbbr", bandwidth=0)
+            plan_evd(8, method="proposed", bandwidth=0)
 
     def test_bad_n(self):
         with pytest.raises(PlanError, match="n must be"):
@@ -250,11 +258,11 @@ class TestResolution:
 
     def test_bandwidth_clamped_to_matrix(self):
         # Historical clamp: b <= max(n - 2, 1).
-        plan = plan_evd(10, "dbbr", bandwidth=64)
+        plan = plan_evd(10, "proposed", bandwidth=64)
         assert plan.tridiag.bandwidth == 8
 
     def test_second_block_rounded_to_bandwidth_multiple(self):
-        plan = plan_evd(100, "dbbr", bandwidth=8, second_block=30)
+        plan = plan_evd(100, "proposed", bandwidth=8, second_block=30)
         assert plan.tridiag.second_block == 24  # (30 // 8) * 8
 
     def test_direct_method_has_no_band_stages(self):
@@ -277,7 +285,7 @@ def _bk(plan: EVDPlan) -> tuple[int | None, int | None]:
 
 
 class TestValuesOnlyBandwidth:
-    """fp64 eigenvalues-only plans on the wavefront DBBR chase resolve
+    """Eigenvalues-only plans on the wavefront DBBR chase resolve
     ``b = max(2, min(16, n // 8))``; every other plan keeps its ``(b, k)``."""
 
     @pytest.mark.parametrize("n", [64, 127, 128, 256, 2048])
@@ -295,10 +303,11 @@ class TestValuesOnlyBandwidth:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(method="proposed", precision="fp32"),
             dict(method="magma"),
-            dict(method="dbbr", bandwidth=10),
-            dict(method="sbr"),
+            # magma with unbounded sweeps is the plain SBR plan.
+            pytest.param(
+                dict(method="magma", max_sweeps=None), id="method=sbr-unbounded"
+            ),
             dict(method="proposed", bandwidth=10),
         ],
         ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()),
@@ -332,7 +341,7 @@ class TestCacheToken:
         p = plan_evd(n, "proposed")
         expanded = plan_evd(
             n,
-            "dbbr",
+            "proposed",
             bandwidth=p.tridiag.bandwidth,
             second_block=p.tridiag.second_block,
         )
@@ -343,14 +352,16 @@ class TestCacheToken:
             p = plan_evd(n, "magma")
             expanded = plan_evd(
                 n,
-                "sbr",
+                "magma",
                 bandwidth=p.tridiag.bandwidth,
                 max_sweeps=1,
             )
             assert p.cache_token() == expanded.cache_token()
             assert "bc=max_sweeps=1;" in p.cache_token()
             # The uncapped chase is a different schedule (different bits).
-            assert plan_evd(n, "sbr").cache_token() != p.cache_token()
+            uncapped = plan_evd(n, "magma", max_sweeps=None)
+            assert "bc=max_sweeps=None;" in uncapped.cache_token()
+            assert uncapped.cache_token() != p.cache_token()
 
     def test_irrelevant_knobs_normalized_away(self):
         # Direct path: band knobs are inert and must not split the token.
@@ -470,12 +481,18 @@ class TestSerialization:
             (("solver", "kind"), "bisect",
              "unknown tridiagonal solver 'bisect': valid choices are "
              "'dc', 'dense'"),
+            (("method",), "dbbr",
+             "unknown method 'dbbr': valid choices are 'proposed', "
+             "'magma', 'cusolver', 'dense'"),
+            (("precision",), "fp32",
+             "unknown precision 'fp32': valid choices are 'fp64', 'mixed'"),
         ],
     )
     def test_retired_or_unknown_choice_is_a_typed_error(self, path, value, message):
         """A plan document whose choice field holds a value the planner
         refuses (a retired ``tile`` method, the retired ``qr`` and
-        ``bisect`` solvers)
+        ``bisect`` solvers, a raw method name at the top level, the
+        retired ``fp32`` precision)
         fails to load instead of failing later inside ``execute_plan``."""
         data = plan_evd(64, "magma").to_dict()
         *branch, field = path
@@ -505,7 +522,7 @@ class TestPlanTridiag:
 
     def test_matches_evd_branch(self):
         tcfg, bcfg = plan_tridiag(200, "dbbr")
-        plan = plan_evd(200, "dbbr")
+        plan = plan_evd(200, "proposed")
         assert tcfg == plan.tridiag
         assert bcfg == plan.bulge_chase
 

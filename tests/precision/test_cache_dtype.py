@@ -50,10 +50,11 @@ class TestPlanCacheKeyDtype:
 
     def test_precision_policies_get_distinct_entries(self):
         A = goe(64, seed=4)
+        mixed = plan_evd(64, "proposed", precision="mixed")
         keys = {
             plan_cache_key(A, plan_evd(64, "proposed")),
-            plan_cache_key(A, plan_evd(64, "proposed", precision="mixed")),
-            plan_cache_key(A, plan_evd(64, "proposed", precision="fp32")),
+            plan_cache_key(A, mixed),
+            plan_cache_key(A.astype(np.float32), mixed),
         }
         assert len(keys) == 3
 

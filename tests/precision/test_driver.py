@@ -62,25 +62,12 @@ class TestMixedEndToEnd:
         assert np.array_equal(base.eigenvectors, viaknob.eigenvectors)
         assert viaknob.refinement is None
 
-    def test_fp32_policy_returns_fp32_level_accuracy_unrefined(self):
-        A = goe(64, seed=10)
-        res = repro.eigh(A, method="proposed", precision="fp32")
-        assert res.refinement is None
-        # fp32-level, not fp64-level: residual in the 1e-7..1e-4 window.
-        r = res.residual(A)
-        assert 1e-9 < r < 1e-3
-
-    def test_eigenvalues_only_mixed_is_rejected_but_fp32_works(self):
+    def test_eigenvalues_only_mixed_is_rejected(self):
         from repro.plan import PlanError
 
         A = goe(48, seed=12)
-        with pytest.raises(PlanError):
+        with pytest.raises(PlanError, match="compute_vectors=True"):
             repro.eigh(A, precision="mixed", compute_vectors=False)
-        res = repro.eigh(A, precision="fp32", compute_vectors=False)
-        lam64 = np.linalg.eigvalsh(A)
-        # Eigenvalue machinery stays fp64-accurate on the promoted (d, e):
-        # only the reduction itself contributes fp32 error.
-        assert np.max(np.abs(res.eigenvalues - lam64)) < 1e-3
 
 
 class TestEscalation:
@@ -126,14 +113,23 @@ class TestEscalation:
         assert np.array_equal(outs[0].eigenvalues, outs[1].eigenvalues)
         assert np.array_equal(outs[0].eigenvectors, outs[1].eigenvectors)
 
-    def test_fallback_chain_carries_fp64_twin_for_mixed_plan(self):
-        from repro.resilience.fallback import resolve_fallback_chain
-
-        plan = plan_evd(96, "proposed", precision="mixed", fallback="chain")
-        chain = resolve_fallback_chain(plan)
-        assert chain[0].precision == "mixed"
-        assert chain[1].precision == "fp64"
-        assert chain[1].method == plan.method
+    def test_chain_runs_the_fp64_twin_once_then_dense(self):
+        # n=160 is above the 128-wide D&C leaf, so every pipeline solve
+        # reaches a merge and fails there: the mixed attempt, then the
+        # driver's one fp64 twin, then the chain's dense tier answers.
+        n = 160
+        A = goe(n, seed=24)
+        plan = install_faults([
+            FaultSpec("dc.merge", "convergence", times=10**6)
+        ])
+        res = repro.eigh(A, precision="mixed", fallback="chain")
+        (merge,) = plan.stats()
+        assert merge["fired"] == 2  # mixed + one fp64 twin
+        clear_faults()
+        dense = repro.eigh(A, method="dense")
+        assert np.array_equal(res.eigenvalues, dense.eigenvalues)
+        assert np.array_equal(res.eigenvectors, dense.eigenvectors)
+        assert res.tridiag is None
 
     def test_execute_plan_routes_precision(self):
         A = goe(56, seed=23)

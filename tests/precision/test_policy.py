@@ -4,57 +4,35 @@ import numpy as np
 import pytest
 
 from repro.plan import PlanError, plan_evd
-from repro.precision import (
-    PRECISION_PRESETS,
-    PrecisionPolicy,
-    resolve_policy,
-)
+from repro.precision import PRECISION_PRESETS, resolve_policy
 
 
 class TestPolicy:
-    def test_presets_cover_the_three_tokens(self):
-        assert set(PRECISION_PRESETS) == {"fp64", "mixed", "fp32"}
+    def test_presets_cover_the_two_tokens(self):
+        assert set(PRECISION_PRESETS) == {"fp64", "mixed"}
 
     def test_fp64_preset_is_the_identity_policy(self):
         p = resolve_policy("fp64")
-        assert p.is_fp64
-        assert not p.refine
         assert p.tridiag_dtype == np.float64
         assert p.solver_dtype == np.float64
         assert p.back_transform_dtype == np.float64
 
     def test_mixed_preset_drops_every_stage_and_refines(self):
         p = resolve_policy("mixed")
-        assert not p.is_fp64
-        assert p.refine
         assert p.tridiag_dtype == np.float32
         assert p.solver_dtype == np.float32
         assert p.back_transform_dtype == np.float32
 
-    def test_fp32_preset_skips_refinement(self):
-        p = resolve_policy("fp32")
-        assert not p.is_fp64
-        assert not p.refine
-        assert p.tridiag_dtype == np.float32
-
-    def test_policy_passthrough_and_unknown_token(self):
-        p = PRECISION_PRESETS["mixed"]
-        assert resolve_policy(p) is p
-        with pytest.raises(PlanError, match="precision"):
-            resolve_policy("bf16")
-
-    def test_bad_stage_dtype_rejected_at_construction(self):
-        with pytest.raises(PlanError, match="tridiag dtype"):
-            PrecisionPolicy(name="bad", tridiag="fp16")
+    @pytest.mark.parametrize("token", ["bf16", "fp32"])
+    def test_unknown_token_rejected(self, token):
+        assert resolve_policy("mixed") is PRECISION_PRESETS["mixed"]
+        with pytest.raises(PlanError, match="valid choices are 'fp64', 'mixed'"):
+            resolve_policy(token)
 
     def test_policy_is_frozen(self):
         p = resolve_policy("mixed")
         with pytest.raises(Exception):
-            p.tridiag = "fp64"
-
-    def test_describe_names_the_stages(self):
-        text = resolve_policy("mixed").describe()
-        assert "tridiag=fp32" in text and "refine" in text
+            p.tridiag_dtype = np.dtype(np.float64)
 
 
 class TestPlannerGates:
@@ -81,9 +59,30 @@ class TestPlannerGates:
         with pytest.raises(PlanError):
             plan_evd(128, "proposed", precision="mixed", compute_vectors=False)
 
-    def test_fp32_without_vectors_is_allowed(self):
-        plan = plan_evd(128, "proposed", precision="fp32", compute_vectors=False)
-        assert plan.precision == "fp32"
+    def test_fp32_is_refused_everywhere(self):
+        import repro
+        from repro.serve import ServiceConfig, SolverService
+
+        A = np.eye(16)
+        refusals = [
+            lambda: plan_evd(16, "proposed", precision="fp32"),
+            lambda: plan_evd(16, "proposed", precision="fp32", compute_vectors=False),
+            lambda: repro.eigh(A, precision="fp32"),
+        ]
+        with SolverService(ServiceConfig(workers=1)) as svc:
+            refusals.append(lambda: svc.submit(A, precision="fp32"))
+            for call in refusals:
+                with pytest.raises(PlanError, match="'fp64', 'mixed'"):
+                    call()
+
+    def test_fp32_is_not_a_cli_choice(self, capsys):
+        from repro.cli import build_parser
+
+        for command in ("evd", "plan"):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([command, "--precision", "fp32"])
+            assert exc.value.code == 2
+            assert "invalid choice: 'fp32'" in capsys.readouterr().err
 
 
 class TestCacheToken:
@@ -97,9 +96,8 @@ class TestCacheToken:
     def test_non_fp64_token_is_distinct(self):
         t64 = plan_evd(128, "proposed").cache_token()
         tmx = plan_evd(128, "proposed", precision="mixed").cache_token()
-        t32 = plan_evd(128, "proposed", precision="fp32").cache_token()
-        assert len({t64, tmx, t32}) == 3
-        assert "precision=mixed" in tmx
+        assert t64 != tmx
+        assert tmx == t64 + ";precision=mixed"
 
     def test_round_trips_through_dict(self):
         from repro.plan import EVDPlan

@@ -4,10 +4,12 @@ spectra, quadratic residual contraction, typed stalls."""
 import numpy as np
 import pytest
 
+from repro.backend import ExecutionContext
 from repro.bench.workloads import clustered_spectrum, symmetric_with_spectrum
 from repro.plan import plan_evd
 from repro.plan.runner import execute_plan
-from repro.precision import RefinementStalled, refine_eigh
+from repro.precision import RefinementStalled, refine_eigh, resolve_policy
+from repro.precision.driver import _pipeline_result
 from repro.resilience import verify_evd
 
 EPS64 = float(np.finfo(np.float64).eps)
@@ -119,6 +121,12 @@ def solve(A: np.ndarray, precision: str):
     return execute_plan(A, plan_evd(A.shape[0], method="proposed", precision=precision))
 
 
+def unrefined(A: np.ndarray):
+    """The mixed pipeline's result before refinement."""
+    plan = plan_evd(A.shape[0], method="proposed", precision="mixed")
+    return _pipeline_result(A, plan, resolve_policy("mixed"), ExecutionContext())
+
+
 class TestClusterComponents:
     """Eigenvalues joined through a chain of close neighbours form one
     component: the update must not divide by the gap between any two of
@@ -129,7 +137,7 @@ class TestClusterComponents:
         # Two clusters of spread 1e-9: their ends sit a few 1e-9 apart,
         # near the error after one sweep.
         A = clustered(256, clusters=2, spread=1e-9, seed=seed)
-        start = solve(A, "fp32")  # the mixed pipeline, unrefined
+        start = unrefined(A)
         lam, V, report = refine_eigh(A, start.eigenvalues, start.eigenvectors)
         assert report.converged
         assert report.clusters == 2
@@ -148,7 +156,7 @@ class TestClusterComponents:
             [np.linspace(-1.0, 1.0, n - 64), 0.503 + spacing * np.arange(64)]
         ))
         A = symmetric_with_spectrum(lam, seed=64)
-        start = solve(A, "fp32")
+        start = unrefined(A)
         _, _, report = refine_eigh(A, start.eigenvalues, start.eigenvectors)
         assert report.converged
         assert report.iterations <= 4

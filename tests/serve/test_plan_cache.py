@@ -22,10 +22,10 @@ def goe(n: int, seed: int = 0) -> np.ndarray:
 
 
 def expanded_proposed_kwargs(n: int) -> dict:
-    """The fully-spelled-out kwargs equivalent of ``method="proposed"``."""
+    """``method="proposed"`` with its automatic blocking spelled out."""
     p = plan_evd(n, "proposed")
     return dict(
-        method="dbbr",
+        method="proposed",
         bandwidth=p.tridiag.bandwidth,
         second_block=p.tridiag.second_block,
     )

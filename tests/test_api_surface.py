@@ -116,6 +116,8 @@ REMOVED_API = {
     ],
     "repro.serve": ["BatchPolicy", "CacheEntry"],
     "repro.plan": ["SOLVERS"],
+    "repro.precision.policy": ["STAGE_DTYPES"],
+    "repro.models.flops": ["recursive_w_extra_flops"],
 }
 
 
