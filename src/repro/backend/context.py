@@ -86,6 +86,11 @@ class WorkspacePool:
         self._owner_thread: int | None = None
         self._owner_name: str = ""
 
+    def owned_here(self) -> bool:
+        """Whether the calling thread may use the pool: it owns it, or
+        no thread has used it yet."""
+        return self._owner_thread in (None, threading.get_ident())
+
     def _assert_owner(self, what: str = "WorkspacePool") -> None:
         """Bind to the calling thread on first use; fail loudly after."""
         ident = threading.get_ident()

@@ -23,9 +23,12 @@ unbounded schedule and a ``max_sweeps`` cap alike.
 
 :func:`q1_blocks` builds every block at once (one scatter of the
 reflector stack, a batched forward ``larft`` for all ``T``);
-:func:`apply_q1_blocks` applies them as three GEMMs per block on a
-contiguous row slice.  :func:`blocked_bc_back_time` prices the scheme at
-device scale.
+:func:`apply_q1_blocks` forms ``W = V T`` for all blocks with one batched
+GEMM and applies each block as two GEMMs, ``X[o:o+R] -= W (V^T X[o:o+R])``,
+on a contiguous row slice.  The operand is row-major in production (the
+D&C returns a C-ordered eigenvector matrix), so a slice of ``R`` rows is
+one stretch of memory.  :func:`blocked_bc_back_time` prices the scheme
+at device scale.
 """
 
 from __future__ import annotations
@@ -46,9 +49,12 @@ __all__ = [
     "blocked_bc_back_time",
 ]
 
-#: Sweeps per diamond block (``g``), fixed.  At n = 1024, b = 32 on two
-#: BLAS threads, 32 measured fastest (16 and 64: 1.4x and 1.2x slower).
-Q1_GROUP = 32
+#: Sweeps per diamond block (``g``), fixed.  On a row-major operand with
+#: two BLAS threads and b = 32, whole solves with vectors put 8 within
+#: the run-to-run spread of the best width at n = 1024 (12 in fp64, 16
+#: in mixed) and fastest at n = 2048, where 12 and 16 took 1.4–1.5x as
+#: long in ``Q1`` (EXPERIMENTS.md).
+Q1_GROUP = 8
 
 
 @dataclass
@@ -117,28 +123,24 @@ def apply_q1_blocks(
     blocks: Q1Blocks, X: np.ndarray, transpose: bool = False
 ) -> None:
     """In place ``X <- Q1 X`` (reverse block order) or ``Q1^T X``
-    (forward order, ``T^T``): ``X[o:o+R] -= V T V^T X[o:o+R]`` per block.
+    (forward order, ``T^T``): ``X[o:o+R] -= W (V^T X[o:o+R])`` per block,
+    with ``W = V T`` (``V T^T``) formed for every block by one batched
+    GEMM.
 
     ``R`` is clipped at ``X.shape[0]`` (the clipped rows of ``V`` are
     zero), so ``X`` is updated on contiguous row slices in place — no
-    gather, scatter or padded copy.
+    gather, scatter or padded copy.  Every production operand is
+    row-major, where a row slice is one contiguous stretch of memory.
     """
     n = X.shape[0]
     R = blocks.V.shape[1]
-    # A column-major operand is updated through X^T, whose row slices
-    # keep each column's rows contiguous: (V T V^T S)^T = S^T V T^T V^T.
-    by_columns = X.ndim == 2 and abs(X.strides[0]) < abs(X.strides[1])
+    W = np.matmul(blocks.V, blocks.T.transpose(0, 2, 1) if transpose else blocks.T)
     order = range(blocks.count) if transpose else range(blocks.count - 1, -1, -1)
     for k in order:
         o = int(blocks.offsets[k])
-        Vk = blocks.V[k, : min(R, n - o)]
-        Tk = blocks.T[k].T if transpose else blocks.T[k]
-        sub = X[o : o + Vk.shape[0]]
-        if by_columns:
-            sub = sub.T
-            sub -= ((sub @ Vk) @ Tk.T) @ Vk.T
-        else:
-            sub -= Vk @ (Tk @ (Vk.T @ sub))
+        r = min(R, n - o)
+        sub = X[o : o + r]
+        sub -= W[k, :r] @ (blocks.V[k, :r].T @ sub)
 
 
 def blocked_bc_back_time(
@@ -150,12 +152,13 @@ def blocked_bc_back_time(
 ) -> float:
     """Device-scale cost of the diamond-blocked BC back transformation.
 
-    ``~n^2/(2 b g)`` blocks, each three GEMMs over ``(b+g-1)``-row
-    windows at inner width ``g`` (``V^T X``, ``T W``, ``V W``): the
-    ``~2 n^2 ncols`` useful flops inflated by the extra ``g-1`` rows and
-    the ``T`` product, rated by the sustained-GEMM curve instead of the
-    rank-1 (k = 1 .. b) rate; plus the batched ``larft`` that builds
-    ``T`` (``V^T V`` and ``g`` triangular products per block).
+    ``~n^2/(2 b g)`` blocks, each two GEMMs over ``(b+g-1)``-row windows
+    at inner width ``g`` (``Z = V^T X``, then ``X -= W Z``): the
+    ``~2 n^2 ncols`` useful flops inflated by the extra ``g-1`` rows,
+    rated by the sustained-GEMM curve instead of the rank-1
+    (k = 1 .. b) rate; plus the batched build of every block's factors
+    (``V^T V``, the ``g`` triangular products of ``larft`` and
+    ``W = V T``).
     """
     # Imported here: the device model imports the chase geometry, whose
     # result type imports this module.
@@ -166,8 +169,7 @@ def blocked_bc_back_time(
     rows = b + g - 1
     nblocks = float(n) ** 2 / (2.0 * b * g)
     rate = sustained_gemm_tflops(device, rows, m_cols, g) * 1e12
-    t_rate = sustained_gemm_tflops(device, g, m_cols, g) * 1e12
-    apply = nblocks * (4.0 * rows * g * m_cols / rate + 2.0 * g * g * m_cols / t_rate)
-    build = nblocks * (2.0 * rows * g * g + g**3 / 3.0)
+    apply = nblocks * 4.0 * rows * g * m_cols / rate
+    build = nblocks * (4.0 * rows * g * g + g**3 / 3.0)
     build_rate = sustained_gemm_tflops(device, rows, g, g) * 1e12
     return apply + build / max(build_rate, 1.0)

@@ -48,7 +48,7 @@ the schedule's round-major ``(sweep, step)`` arrays: the
 return.  The BC back transformation — the Section 6.2 bottleneck —
 regroups the stack by diamonds (the step-``t`` reflectors of consecutive
 sweeps, :mod:`repro.core.bc_back_transform`) so ``apply_q1`` runs as
-three GEMMs per compact-WY block instead of one rank-1 update per
+two GEMMs per compact-WY block instead of one rank-1 update per
 reflector.
 
 The result is numerically the same chase as the sequential oracle

@@ -106,7 +106,7 @@ class BulgeChasingResult:
     def apply_q1(self, X: np.ndarray) -> None:
         """In place ``X <- Q1 X`` — the BC back transformation, applied
         through the diamond-blocked compact WY form
-        (:mod:`repro.core.bc_back_transform`): three GEMMs per block."""
+        (:mod:`repro.core.bc_back_transform`): two GEMMs per block."""
         apply_q1_blocks(self.q1_blocks(), X)
 
     def apply_q1_transpose(self, X: np.ndarray) -> None:

@@ -53,13 +53,19 @@ class EVDResult:
     ``refinement`` is populated only by the mixed-precision execution path
     (``precision != "fp64"``): the :class:`repro.precision.RefinementReport`
     of the iterative eigenpair refinement that promoted the low-precision
-    pipeline output back to fp64 accuracy."""
+    pipeline output back to fp64 accuracy.
+
+    ``window`` is the inclusive index range ``(lo, hi)`` of a partial
+    result (:func:`eigh_partial`), ``None`` for a whole spectrum;
+    :func:`~repro.resilience.verify_evd` checks the eigenvalue count
+    against it."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None
     tridiag: TridiagResult | None
     solver: str
     refinement: RefinementReport | None = None
+    window: tuple[int, int] | None = None
 
     @property
     def n(self) -> int:

@@ -82,8 +82,9 @@ def _save_blocks(data: dict[str, np.ndarray], blocks: list[WYBlock]) -> None:
 def save_evd(path, result, A: np.ndarray | None = None) -> None:
     """Serialize an :class:`~repro.core.evd.EVDResult` to a compressed
     ``.npz`` archive: eigenvalues, eigenvectors (when computed), the
-    solver tag, and — when given — the source matrix ``A`` so the file
-    is self-contained for ``repro verify``.
+    solver tag, a partial result's window, and — when given — the
+    source matrix ``A`` so the file is self-contained for ``repro
+    verify``.
 
     The tridiagonalization artifacts are intentionally *not* included
     (use :func:`save_tridiag` for those); an EVD archive carries exactly
@@ -96,6 +97,8 @@ def save_evd(path, result, A: np.ndarray | None = None) -> None:
     }
     if result.eigenvectors is not None:
         data["eigenvectors"] = np.asarray(result.eigenvectors)
+    if result.window is not None:
+        data["window"] = np.array(result.window, dtype=np.int64)
     if A is not None:
         data["source_matrix"] = np.asarray(A)
     np.savez_compressed(pathlib.Path(path), **data)
@@ -125,6 +128,7 @@ def load_evd(path):
             eigenvectors=z["eigenvectors"].copy() if "eigenvectors" in z else None,
             tridiag=None,
             solver=str(z["solver"]),
+            window=tuple(int(i) for i in z["window"]) if "window" in z else None,
         )
         A = z["source_matrix"].copy() if "source_matrix" in z else None
     return result, A

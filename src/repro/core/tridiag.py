@@ -96,23 +96,39 @@ class TridiagResult:
         assert self.band_result is not None
         return self.band_result.blocks
 
+    @property
+    def _stage_ctx(self) -> ExecutionContext:
+        # The context that ran the factorization times its back transform,
+        # unless this thread may not use it (a serving worker's result
+        # applied on the caller's thread): contexts are single-threaded.
+        ctx = resolve_context(self.ctx)
+        return ctx if ctx.workspace.owned_here() else resolve_context(None)
+
     def apply_q(self, X: np.ndarray) -> None:
         """In place ``X <- Q X`` — the full back transformation: ``Q1``
-        if there was a chase, then the reduction's factor.
+        if there was a chase (stage ``bc_back``), then the reduction's
+        factor (stage ``sbr_back``).
 
         Raises :class:`OperandShapeError` unless ``X`` is 2-D with ``n`` rows.
         """
         self._check_operand(X)
+        ctx = self._stage_ctx
         if self.bc_result is not None:
-            self.bc_result.apply_q1(X)
-        apply_sbr_q(self._wy_blocks, X, self.back_transform_group, self.ctx)
+            with ctx.stage("bc_back"):
+                self.bc_result.apply_q1(X)
+        with ctx.stage("sbr_back"):
+            apply_sbr_q(self._wy_blocks, X, self.back_transform_group, self.ctx)
 
     def apply_q_transpose(self, X: np.ndarray) -> None:
-        """In place ``X <- Q^T X`` (same operand contract as :meth:`apply_q`)."""
+        """In place ``X <- Q^T X`` (same operand contract and stages as
+        :meth:`apply_q`)."""
         self._check_operand(X)
-        apply_sbr_q_transpose(self._wy_blocks, X, self.back_transform_group, self.ctx)
+        ctx = self._stage_ctx
+        with ctx.stage("sbr_back"):
+            apply_sbr_q_transpose(self._wy_blocks, X, self.back_transform_group, self.ctx)
         if self.bc_result is not None:
-            self.bc_result.apply_q1_transpose(X)
+            with ctx.stage("bc_back"):
+                self.bc_result.apply_q1_transpose(X)
 
     def q(self) -> np.ndarray:
         Q = np.eye(self.n)

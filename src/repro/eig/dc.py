@@ -102,19 +102,37 @@ def _rank_one_update(
     ``Q`` holds rows of the accumulated eigenvector basis (all ``N`` rows
     in vector mode, the first and last with ``rows_only``); its columns
     are transformed exactly like eigenvectors.  Returns
-    ``(lam ascending, Q_updated)``.
+    ``(lam ascending, Q_updated)``, ``Q_updated`` C-ordered: the final
+    column permutation is an ``np.take``, so the root merge hands the
+    back transform an eigenvector matrix whose row slices are contiguous
+    (a column-major one spreads them over ``N`` columns ``8N`` bytes
+    apart).
     """
     if rho < 0.0:
         # eig(D + rho z z^T) = -rev(eig(-rev(D) + |rho| rev(z) rev(z)^T))
-        lam_r, Q_r = _rank_one_update(
+        lam, Q_all, order = _merge_unsorted(
             -D[::-1], z[::-1], -rho, Q[:, ::-1], stats, ctx, rows_only
         )
-        return -lam_r[::-1], Q_r[:, ::-1]
+        lam, order = -lam, order[::-1]
+    else:
+        lam, Q_all, order = _merge_unsorted(D, z, rho, Q, stats, ctx, rows_only)
+    return lam[order], np.take(Q_all, order, axis=1)
 
+
+def _merge_unsorted(
+    D: np.ndarray,
+    z: np.ndarray,
+    rho: float,
+    Q: np.ndarray,
+    stats: DCStats,
+    ctx: ExecutionContext,
+    rows_only: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_rank_one_update` for ``rho >= 0`` before its final sort:
+    ``(lam, Q, order)`` with ``lam[order]`` ascending."""
     znorm2 = float(z @ z)
     if rho == 0.0 or znorm2 == 0.0:
-        order = np.argsort(D, kind="stable")
-        return D[order], Q[:, order]
+        return D, Q, np.argsort(D, kind="stable")
 
     with ctx.stage("dc_deflate", n=D.size):
         order = np.argsort(D, kind="stable")
@@ -157,8 +175,7 @@ def _rank_one_update(
         stats.secular_size_total += nd.size
 
     if nd.size == 0:
-        order = np.argsort(D, kind="stable")
-        return D[order], Q[:, order]
+        return D, Q, np.argsort(D, kind="stable")
 
     with ctx.stage("dc_secular", n=int(nd.size)):
         maybe_raise("dc.merge")
@@ -185,8 +202,7 @@ def _rank_one_update(
 
     lam_all = np.concatenate([lam_nd, D[df]])
     Q_all = np.concatenate([Q_nd, Q[:, df]], axis=1)
-    order = np.argsort(lam_all, kind="stable")
-    return lam_all[order], Q_all[:, order]
+    return lam_all, Q_all, np.argsort(lam_all, kind="stable")
 
 
 def _block_diag_rows(
@@ -367,7 +383,8 @@ def dc_eigh(
     Returns
     -------
     (lam, U[, stats])
-        Ascending eigenvalues; ``U`` is the eigenvector matrix or ``None``.
+        Ascending eigenvalues; ``U`` is the C-contiguous eigenvector
+        matrix or ``None``.
 
     Raises
     ------

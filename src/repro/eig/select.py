@@ -41,7 +41,7 @@ def select_eigh(
 
     Returns ascending eigenvalues (``hi - lo + 1`` of them) and, with
     ``compute_vectors``, the ``n x (hi - lo + 1)`` orthonormal
-    eigenvectors in columns (else ``None``).
+    eigenvectors in columns, C-contiguous (else ``None``).
 
     Raises
     ------
@@ -103,4 +103,6 @@ def select_eigh(
             site="dstein",
             indices=failed,
         )
-    return lam, Z[:, order]
+    # np.take writes the sorted columns row-major, the layout the back
+    # transform updates fastest.
+    return lam, np.take(Z, order, axis=1)

@@ -183,4 +183,6 @@ def execute_plan_partial(
     lam, V = select_eigh(tri.d, tri.e, lo, hi, plan.solver.compute_vectors)
     if V is not None:
         tri.apply_q(V)
-    return EVDResult(eigenvalues=lam, eigenvectors=V, tridiag=tri, solver="stebz")
+    return EVDResult(
+        eigenvalues=lam, eigenvectors=V, tridiag=tri, solver="stebz", window=(lo, hi)
+    )

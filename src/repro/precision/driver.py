@@ -18,12 +18,14 @@
 to fp64.  A refinement stall
 (:class:`~repro.precision.RefinementStalled`), a convergence failure
 inside the low-precision pipeline, or a verification failure of the
-refined result re-runs the plan's fp64 twin through
+refined result re-runs the plan's fp64 twin, verified, through
 :func:`~repro.resilience.execute_plan_with_fallback` — recording the
 failed mixed attempt as an :class:`~repro.resilience.EscalationRecord`
-on the result's ``refinement`` report.  The twin keeps the plan's
-``fallback`` mode, so a ``"chain"`` plan still reaches the dense tier.
-Escalation is *deterministic* (refinement has no random state), so a
+on the result's ``refinement`` report.  The twin runs with
+``fallback="none"``: like the fp64 plan itself, it raises when it
+fails, and the dense tier is reached only through the plan's fallback
+chain (:func:`~repro.resilience.execute_plan_with_fallback` of a
+``"chain"`` plan).  Escalation is *deterministic* (refinement has no random state), so a
 result produced this way is still a pure function of
 ``(matrix bytes, plan)`` and remains valid under the plan's cache
 token.
@@ -92,9 +94,8 @@ def _escalate(
     iterations: int,
 ) -> "EVDResult":
     """Refinement stalled (or the low-precision pipeline failed): record
-    the mixed attempt and re-execute through the fallback chain with the
-    plan's fp64 twin (which keeps the plan's own ``fallback`` mode, so a
-    ``"chain"`` plan still escalates to the dense tier beyond fp64)."""
+    the mixed attempt and re-execute the plan's fp64 twin, verified and
+    without a fallback chain, so it fails exactly as the fp64 plan does."""
     record = EscalationRecord(
         step=0,
         method=f"{plan.method}[precision={plan.precision}]",
@@ -102,7 +103,7 @@ def _escalate(
         error_type=type(exc).__name__,
         error=str(exc),
     )
-    fp64_plan = dataclasses.replace(plan, precision="fp64")
+    fp64_plan = dataclasses.replace(plan, precision="fp64", fallback="none")
     outcome = execute_plan_with_fallback(A64, fp64_plan, ctx=ctx)
     report = RefinementReport(
         iterations=iterations, converged=False, escalated=True

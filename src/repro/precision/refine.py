@@ -305,5 +305,5 @@ def refine_eigh(
     if np.any(np.diff(lam) < 0.0):
         order = np.argsort(lam, kind="stable")
         lam = lam[order]
-        V = V[:, order]
+        V = np.take(V, order, axis=1)
     return lam, V, report

@@ -146,6 +146,9 @@ def verify_evd(
 
     Checks, in order of cost:
 
+    * ``count`` — ``n`` eigenvalues (``hi - lo + 1`` for a result that
+      records a ``window``), and eigenvectors, when present, of matching
+      shape; the remaining checks are skipped when it fails;
     * ``finite`` — no NaN/Inf in eigenvalues (or eigenvectors);
     * ``ordered`` — eigenvalues ascending (the API contract);
     * ``trace`` — ``|Σλ - tr(A)| / ||A||_F`` within the residual
@@ -154,10 +157,10 @@ def verify_evd(
     * with eigenvectors: ``residual`` — ``||A V - V Λ||_F / ||A||_F``
       and ``orthogonality`` — ``||VᵀV - I||_F``.
 
-    A partial result (fewer eigenvalues than ``A`` has rows, as
-    :func:`~repro.core.eigh_partial` returns) skips the trace check,
-    which only a whole spectrum satisfies; its tolerances are still
-    those of the ``n x n`` problem.
+    A partial result (one whose ``window``, as
+    :func:`~repro.core.eigh_partial` records it, leaves out part of the
+    spectrum) skips the trace check, which only a whole spectrum
+    satisfies; its tolerances are still those of the ``n x n`` problem.
 
     ``ctx`` (an :class:`~repro.backend.ExecutionContext`) is optional;
     when given, the verification is timed as stage ``"verify_evd"``.
@@ -167,8 +170,10 @@ def verify_evd(
     k = _scale_exponent(A)
     if k:
         A, lam = np.ldexp(A, k), np.ldexp(lam, k)
-    partial = lam.size < A.shape[0]
-    n = int(A.shape[0]) if partial else int(lam.size)
+    n = int(A.shape[0])
+    window = getattr(result, "window", None)
+    expected = n if window is None else int(window[1]) - int(window[0]) + 1
+    partial = expected < n
     tr, to = default_tolerances(n)
     tol_residual = tr if tol_residual is None else float(tol_residual)
     tol_orth = to if tol_orth is None else float(tol_orth)
@@ -178,6 +183,11 @@ def verify_evd(
     V = result.eigenvectors
 
     def _run() -> None:
+        if not report._record(
+            "count",
+            lam.shape == (expected,) and (V is None or np.shape(V) == (n, expected)),
+        ):
+            return
         finite = bool(np.all(np.isfinite(lam)))
         if V is not None:
             finite = finite and bool(np.all(np.isfinite(V)))

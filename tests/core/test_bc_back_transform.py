@@ -208,8 +208,9 @@ class TestWavefrontQ1:
 
 
 class TestCostModel:
-    """The device model prices the diamond geometry: ``b+g-1`` rows at
-    inner width ``g``, plus the ``T`` product and the ``larft`` build."""
+    """The device model prices the diamond geometry: two GEMMs over
+    ``b+g-1`` rows at inner width ``g``, plus the batched build of
+    ``T`` (``larft``) and ``W = V T``."""
 
     def test_blocked_beats_rank1_replay(self):
         # Every group width beats applying the reflectors one rank-1

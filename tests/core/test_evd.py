@@ -202,6 +202,34 @@ class TestSecularModePlumbing:
         )
         assert sub <= ctx.stage_times["tridiag_solver"] + 1e-9
 
+    @pytest.mark.parametrize("method", ["proposed", "cusolver"])
+    def test_back_transform_substage_times_recorded(self, method):
+        from repro.backend.context import ExecutionContext
+
+        events = []
+        ctx = ExecutionContext(hooks=[lambda ev: events.append((ev.stage, ev.phase))])
+        eigh(make_symmetric(160, seed=3), method=method, backend=ctx)
+        # Q1 (bc_back) exists only after a chase; Q_sbr (sbr_back) applies
+        # the reduction's panels, the direct method's whole Q.
+        subs = ("bc_back", "sbr_back") if method == "proposed" else ("sbr_back",)
+        assert set(subs) <= set(ctx.stage_times)
+        # They nest inside back_transform, so they cannot exceed it.
+        assert sum(ctx.stage_times[k] for k in subs) <= ctx.stage_times["back_transform"]
+        inner = events[events.index(("back_transform", "start")) + 1 :
+                       events.index(("back_transform", "end"))]
+        assert inner == [(k, phase) for k in subs for phase in ("start", "end")]
+
+    def test_apply_q_transpose_emits_substages_in_reverse(self):
+        from repro.backend.context import ExecutionContext
+
+        events = []
+        ctx = ExecutionContext(hooks=[lambda ev: events.append((ev.stage, ev.phase))])
+        tri = eigh(make_symmetric(64, seed=4), backend=ctx).tridiag
+        events.clear()
+        tri.apply_q_transpose(np.eye(64))
+        assert events == [("sbr_back", "start"), ("sbr_back", "end"),
+                          ("bc_back", "start"), ("bc_back", "end")]
+
     def test_unknown_mode_rejected(self, rng):
         # secular_mode is no longer a plan knob: any value is rejected at
         # the entry point as an unknown knob.
@@ -209,6 +237,29 @@ class TestSecularModePlumbing:
 
         with pytest.raises(PlanError, match="secular_mode"):
             eigh(make_symmetric(16, seed=1), secular_mode="turbo")
+
+
+class TestEigenvectorLayout:
+    """Eigenvectors come back C-ordered: the D&C returns a row-major
+    ``U`` and the back transform updates it in place."""
+
+    @pytest.mark.parametrize("precision", ["fp64", "mixed"])
+    @pytest.mark.parametrize("method", ["proposed", "magma", "cusolver"])
+    def test_c_contiguous_for_either_root_sign(self, method, precision):
+        from repro.plan import execute_plan, plan_evd
+
+        n = 300  # above the 128 leaf size: the D&C root is a merge
+        plan = plan_evd(n, method, precision=precision)
+        signs = set()
+        for seed in range(12):
+            res = execute_plan(goe(n, seed), plan)
+            assert res.eigenvectors.flags.c_contiguous
+            # The root merge's coupling; rho < 0 merges the reversed problem.
+            signs.add(bool(res.tridiag.e[n // 2 - 1] < 0))
+            if len(signs) == 2:
+                break
+        assert signs == {False, True}
+        assert eigh(goe(n, 0), method=method, precision=precision).eigenvectors.flags.c_contiguous
 
 
 class TestTinyScale:

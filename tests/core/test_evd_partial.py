@@ -125,6 +125,19 @@ class TestVerifyPartial:
         assert not report.ok
         assert report.failures == ["orthogonality", "residual"]
 
+    def test_window_is_recorded_and_checked(self, tmp_path):
+        from repro.core import load_evd, save_evd
+
+        A = goe(70, seed=61)
+        res = eigh_partial(A, (10, 19))
+        assert res.window == (10, 19)
+        save_evd(tmp_path / "w.npz", res, A=A)
+        back, _ = load_evd(tmp_path / "w.npz")
+        assert back.window == (10, 19) and verify_evd(A, back).ok
+        # A window that lost an eigenpair fails the count check.
+        res.eigenvalues, res.eigenvectors = res.eigenvalues[:-1], res.eigenvectors[:, :-1]
+        assert verify_evd(A, res).failures == ["count"]
+
     def test_full_result_keeps_the_trace_check(self):
         A = goe(40, seed=60)
         report = verify_evd(A, eigh_partial(A, (0, 39)))

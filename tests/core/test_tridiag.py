@@ -38,6 +38,24 @@ class TestDriver:
         res.apply_q(Y)
         assert np.allclose(Y, res.q() @ X, atol=1e-12)
 
+    @pytest.mark.parametrize("method", ["dbbr", "sbr", "direct"])
+    @pytest.mark.parametrize("n", [256, 517])
+    def test_apply_q_is_layout_independent(self, method, n):
+        # One update formula for every operand order: an F copy of the
+        # D&C basis comes out bit for bit equal to the C path (the EVD
+        # benchmark's replay of the back transform relies on this).
+        from repro.eig import dc_eigh
+
+        A = make_symmetric(n, seed=n)
+        tri = tridiagonalize(A, method=method)
+        U = dc_eigh(tri.d, tri.e)[1]
+        for apply in (tri.apply_q, tri.apply_q_transpose):
+            Xc, Xf = np.array(U, order="C"), np.array(U, order="F")
+            apply(Xc)
+            apply(Xf)
+            assert Xf.flags.f_contiguous
+            assert np.array_equal(Xc, Xf)
+
     def test_apply_q_transpose_inverts(self, rng):
         A = make_symmetric(26, seed=45)
         for method in ["dbbr", "sbr", "direct"]:

@@ -71,6 +71,32 @@ class TestLeafLayout:
         assert np.max(np.abs(lam_v - lam_n)) <= 4 * _EPS * np.max(np.abs(lam_v))
 
 
+class TestBasisOrder:
+    """``dc_eigh`` hands back a C-ordered ``U`` whatever the sign of the
+    root merge's coupling ``rho = e[n//2 - 1]`` (a negative one merges
+    through the reversed problem)."""
+
+    @pytest.mark.parametrize("rho_sign", [1.0, -1.0])
+    @pytest.mark.parametrize("n", [100, 300, 517])
+    def test_c_contiguous_for_either_root_sign(self, n, rho_sign):
+        d, e = goe_tridiagonal(n, seed=n)
+        m = n // 2
+        # Flipping the sign of one coupling is the similarity
+        # diag(1, .., 1, -1, .., -1): the spectrum is unchanged.
+        e[m - 1] = rho_sign * abs(e[m - 1])
+        lam, U = dc_eigh(d, e)
+        assert U.flags.c_contiguous
+        assert_matches_lapack(d, e, lam)
+        T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        assert np.linalg.norm(T @ U - U * lam) < 1e-13 * np.linalg.norm(T) * n
+        assert np.linalg.norm(U.T @ U - np.eye(n)) < 1e-13 * n
+
+    def test_fp32_basis_is_c_contiguous(self):
+        d, e = goe_tridiagonal(300, seed=3)
+        _, U = dc_eigh(d, e, vector_dtype=np.float32)
+        assert U.dtype == np.float32 and U.flags.c_contiguous
+
+
 class TestHardSpectra:
     """Eigenvalues within 200 n eps ||T|| of LAPACK on hostile tridiagonals."""
 

@@ -101,6 +101,35 @@ class TestEscalation:
         assert res.refinement.escalations[0].error_type == "NonFiniteError"
         verify_evd(A, res).raise_if_failed()
 
+    def test_fp64_twin_runs_without_fallback(self):
+        # A mixed "chain" plan fails under execute_plan exactly as its
+        # fp64 plan does; the dense tier is the fallback chain's alone.
+        from repro.resilience import ConvergenceError, execute_plan_with_fallback
+
+        n = 160  # above the 128 leaf size: the D&C merges
+        A = goe(n, seed=23)
+        always = FaultSpec("dc.merge", "convergence", times=10**6)
+        for precision in ("fp64", "mixed"):
+            install_faults([always])
+            with pytest.raises(ConvergenceError):
+                execute_plan(A, plan_evd(n, "proposed", precision=precision,
+                                         fallback="chain"))
+        install_faults([always])
+        outcome = execute_plan_with_fallback(
+            A, plan_evd(n, "proposed", precision="mixed", fallback="chain")
+        )
+        assert outcome.plan.is_dense
+        assert [(r.step, r.method, r.error_type) for r in outcome.escalations] == [
+            (0, "proposed", "ConvergenceError")
+        ]
+        install_faults([always])
+        res = repro.eigh(A, precision="mixed", fallback="chain")
+        clear_faults()
+        dense = repro.eigh(A, method="dense")
+        assert res.solver == "dense"
+        assert np.array_equal(res.eigenvalues, dense.eigenvalues)
+        assert np.array_equal(res.eigenvectors, dense.eigenvectors)
+
     def test_escalated_result_is_deterministic(self):
         A = goe(48, seed=21)
         outs = []

@@ -52,6 +52,25 @@ class TestVerifyEVD:
         assert report.residual is None and report.orth_error is None
         assert "trace" in report.checks and report.checks["trace"]
 
+    def test_full_result_that_lost_an_eigenvalue_fails(self):
+        # A full result (no window) must hold all n eigenvalues: a lost
+        # entry is caught even where the trace would not notice it.
+        A = goe(40, seed=2)
+        res = repro.eigh(A, compute_vectors=False)
+        res.eigenvalues = res.eigenvalues[:-1]
+        report = verify_evd(A, res)
+        assert not report.ok and report.failures == ["count"]
+        vec = repro.eigh(A)
+        vec.eigenvalues, vec.eigenvectors = vec.eigenvalues[1:], vec.eigenvectors[:, 1:]
+        assert verify_evd(A, vec).failures == ["count"]
+
+    def test_eigenvector_shape_must_match_the_count(self):
+        A = goe(24, seed=3)
+        res = repro.eigh(A)
+        res.eigenvectors = res.eigenvectors[:, :-1]
+        report = verify_evd(A, res)
+        assert report.failures == ["count"] and report.residual is None
+
     def test_nan_payload_fails_finite_and_short_circuits(self):
         A = goe(24, seed=3)
         res = repro.eigh(A)
@@ -116,7 +135,7 @@ class TestVerifyEVD:
         d = report.to_dict()
         assert d["kind"] == "evd" and d["n"] == 12 and d["ok"]
         assert set(d["checks"]) == {
-            "finite", "ordered", "trace", "residual", "orthogonality"
+            "count", "finite", "ordered", "trace", "residual", "orthogonality"
         }
 
 

@@ -127,3 +127,26 @@ class TestDCStageAttribution:
             stage_times = svc.stats()["metrics"]["stage_times"]
         assert {"dc_deflate", "dc_secular", "dc_gemm"} <= set(stage_times)
         assert all(v["seconds"] >= 0.0 for v in stage_times.values())
+
+
+class TestBackTransformStageAttribution:
+    def test_back_transform_substages_surface_in_service_stats(self):
+        """`Q1` and `Q_sbr` show as `bc_back` / `sbr_back` beside the
+        `back_transform` stage they split."""
+        import numpy as np
+
+        from repro.serve import ServiceConfig, SolverService
+
+        g = np.random.default_rng(6).standard_normal((96, 96))
+        A = (g + g.T) / 2.0
+        with SolverService(ServiceConfig(workers=1)) as svc:
+            res = svc.submit(A).result(timeout=60)
+            stage_times = svc.stats()["metrics"]["stage_times"]
+        assert {"back_transform", "bc_back", "sbr_back"} <= set(stage_times)
+        assert stage_times["bc_back"]["count"] == stage_times["back_transform"]["count"]
+        # The result's factorization belongs to the worker's context; the
+        # caller's thread can still apply it (timed on a fresh context).
+        X = np.eye(96)
+        res.tridiag.apply_q(X)
+        res.tridiag.apply_q_transpose(X)
+        assert np.allclose(X, np.eye(96), atol=1e-12)
